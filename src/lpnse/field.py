@@ -7,11 +7,16 @@ Conventions
   single mode exp(i k.x) has coefficient 1 at lattice site k.
 * All fields of interest are real; to_physical discards the imaginary
   part after checking it is at round-off level.
+* The API holds full spectra.  Products and grad_norm_inf use real
+  transforms of half spectra (planes 0 <= k_last <= n/2) of the
+  Hermitian part (c(k) + conj c(-k))/2, the real part of the field.
 * Products of two fields are computed on a 3/2-times finer grid and
   truncated back, which makes them exact (no aliasing) whenever the
   combined bandwidth fits in the fine grid.  Per-axis Nyquist planes are
   split symmetrically on the way up and folded back on the way down so
-  the rule is an exact inverse pair on band-limited data.
+  the rule is an exact inverse pair on band-limited data; a half
+  spectrum's last-axis Nyquist plane is halved on the way up and folded
+  with the conjugate of its index-flipped copy on the way down.
 """
 
 from dataclasses import dataclass
@@ -42,6 +47,15 @@ def _fftn(a: np.ndarray, dim: int) -> np.ndarray:
 def _ifftn(a: np.ndarray, dim: int) -> np.ndarray:
     axes = tuple(range(a.ndim - dim, a.ndim))
     return _sfft.ifftn(a, axes=axes, norm="forward", workers=_fft_workers)
+
+
+def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
+    """Planes 0 <= k_last < planes of the forward transform of real data
+    over its last dim axes; the mirror of _irfftn_half."""
+    half = _sfft.rfftn(a, axes=(-1,), norm="forward", workers=_fft_workers)
+    axes = tuple(range(a.ndim - dim, a.ndim - 1))
+    return _sfft.fftn(half[..., :planes], axes=axes, norm="forward",
+                      workers=_fft_workers)
 
 
 def _irfftn_half(a: np.ndarray, shape: tuple) -> np.ndarray:
@@ -232,14 +246,11 @@ def laplacian(f: Field) -> Field:
 
 def grad_norm_inf(f: Field) -> float:
     """sup over the grid of the Frobenius norm of the Jacobian."""
-    spec = spectral_data(f)
-    total = None
+    half = _hermitian_half(spectral_data(f), f.grid.dim)
+    total = 0.0
     for axis in range(f.grid.dim):
-        orders = [0] * f.grid.dim
-        orders[axis] = 1
-        d = _ifftn(spec * _deriv_multiplier(f.grid, tuple(orders)), f.grid.dim).real
-        sq = np.sum(d**2, axis=0)
-        total = sq if total is None else total + sq
+        ik = _ik(half.shape[1:], f.grid.n, f.grid.n, axis)
+        total = total + np.sum(_irfftn_half(half * ik, f.grid.shape)**2, axis=0)
     return float(np.sqrt(np.max(total)))
 
 
@@ -277,63 +288,95 @@ def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
 
 # --- padded products -------------------------------------------------------
 
-def _embed_indices(n: int, m: int) -> np.ndarray:
-    return (np.fft.fftfreq(n, 1.0 / n).astype(np.int64)) % m
+def _coarse_index(n: int, m: int, dim: int, lead: int) -> tuple:
+    """Where the coarse modes sit on the m-point grid's leading dim-1 axes."""
+    src = np.fft.fftfreq(n, 1.0 / n).astype(np.int64) % m
+    return (slice(None),) * lead + np.ix_(*((src,) * (dim - 1)))
 
 
-def _pad_spectrum(spec: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
-    """Embed coarse coefficients in a finer FFT layout, splitting each
-    per-axis Nyquist coefficient evenly between +n/2 and -n/2."""
-    lead = spec.shape[:-dim]
-    out = np.zeros(lead + (m,) * dim, dtype=np.complex128)
-    src = _embed_indices(n, m)
-    index = (slice(None),) * len(lead) + np.ix_(*((src,) * dim))
-    out[index] = spec
-    half = n // 2
-    for axis in range(dim):
-        ax = len(lead) + axis
-        neg = [slice(None)] * out.ndim
-        pos = [slice(None)] * out.ndim
-        neg[ax] = m - half
-        pos[ax] = half
-        out[tuple(pos)] = 0.5 * out[tuple(neg)]
-        out[tuple(neg)] = 0.5 * out[tuple(neg)]
+def _ik(shape: tuple, n: int, m: int, axis: int) -> np.ndarray:
+    """Broadcastable i k_axis on half spectra of spatial shape `shape` on
+    the m-point grid, zero on the Nyquist planes |k| = n/2 as in
+    _deriv_multiplier."""
+    k = np.fft.fftfreq(m, 1.0 / m)[:shape[axis]]
+    ik = np.where(np.abs(k) < n / 2, 1j * k, 0.0)
+    return ik.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
+
+
+def _flip_index(n: int, naxes: int, lead: int, last=None) -> tuple:
+    """Index taking c(k) to c(-k) on `naxes` full FFT-layout axes after
+    `lead` leading axes, then on the entries `last` of one more axis."""
+    neg = (-np.arange(n)) % n
+    axes = (neg,) * naxes + (() if last is None else (neg[last],))
+    return (slice(None),) * lead + np.ix_(*axes)
+
+
+def _hermitian_half(spec: np.ndarray, dim: int) -> np.ndarray:
+    """Planes 0 <= k_last <= n/2 of (c(k) + conj c(-k))/2.  Not the
+    identity on solver states: Leray projection leaves the -n/2 planes
+    without conjugate partners."""
+    n = spec.shape[-1]
+    planes = slice(0, n // 2 + 1)
+    flip = _flip_index(n, dim - 1, spec.ndim - dim, planes)
+    return 0.5 * (spec[..., planes] + np.conj(spec[flip]))
+
+
+def _full_spectrum(half: np.ndarray, dim: int) -> np.ndarray:
+    """Full layout of the Hermitian spectra with half spectra `half`."""
+    n = half.shape[-2]
+    flip = _flip_index(n, dim - 1, half.ndim - dim, slice(n // 2 + 1, n))
+    return np.concatenate([half, np.conj(half[flip])], axis=-1)
+
+
+def _pad_spectrum(half: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
+    """Embed half spectra in the m-point grid's leading axes, keeping the
+    planes k_last <= n/2 (the rest are zero and left to the c2r)."""
+    lead = half.ndim - dim
+    out = np.zeros(half.shape[:lead] + (m,) * (dim - 1) + half.shape[-1:],
+                   dtype=np.complex128)
+    out[_coarse_index(n, m, dim, lead)] = half
+    for axis in range(lead, out.ndim - 1):
+        at = (slice(None),) * axis
+        out[at + (n // 2,)] = 0.5 * out[at + (m - n // 2,)]
+        out[at + (m - n // 2,)] *= 0.5
+    out[..., n // 2] *= 0.5
     return out
 
 
-def _truncate_spectrum(spec: np.ndarray, m: int, n: int, dim: int, lead_ndim: int) -> np.ndarray:
-    """Adjoint of _pad_spectrum: fold the +n/2 planes onto -n/2, then
-    gather the coarse modes."""
-    work = spec.copy()
-    half = n // 2
-    for axis in range(dim):
-        ax = lead_ndim + axis
-        neg = [slice(None)] * work.ndim
-        pos = [slice(None)] * work.ndim
-        neg[ax] = m - half
-        pos[ax] = half
-        work[tuple(neg)] += work[tuple(pos)]
-    src = _embed_indices(n, m)
-    index = (slice(None),) * lead_ndim + np.ix_(*((src,) * dim))
-    return np.ascontiguousarray(work[index])
+def _truncate_spectrum(fine: np.ndarray, m: int, n: int, dim: int) -> np.ndarray:
+    """Adjoint of _pad_spectrum; overwrites `fine`.  The last-axis n/2
+    plane is folded with the conjugate of its index-flipped copy, the
+    -n/2 plane that the half layout leaves implicit."""
+    lead = fine.ndim - dim
+    for axis in range(lead, fine.ndim - 1):
+        at = (slice(None),) * axis
+        fine[at + (m - n // 2,)] += fine[at + (n // 2,)]
+    out = fine[..., :n // 2 + 1][_coarse_index(n, m, dim, lead)]
+    out[..., n // 2] += np.conj(out[..., n // 2][_flip_index(n, dim - 1, lead)])
+    return out
 
 
-def _fine_physical(spec: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
-    return _ifftn(_pad_spectrum(spec, n, m, dim), dim).real
-
-
-def _product_spec(spec_a: np.ndarray, spec_b: np.ndarray, grid: Grid,
-                  dealias: bool = True) -> np.ndarray:
+def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
+                    grad: bool = False):
+    """The one product kernel: the spectrum of the product of the real
+    fields behind full spectra a and b, formed on the 3/2-times finer
+    grid (on the coarse grid, aliased, with dealias=False), and a's
+    values there.  With grad=True it is the advection sum_i a_i d_i b."""
+    n, dim = grid.n, grid.dim
+    m = 3 * n // 2 if dealias else n
+    ha, hb = _hermitian_half(a, dim), _hermitian_half(b, dim)
     if dealias:
-        m = 3 * grid.n // 2
-        fa = _fine_physical(spec_a, grid.n, m, grid.dim)
-        fb = _fine_physical(spec_b, grid.n, m, grid.dim)
-        fine = _fftn(fa * fb, grid.dim)
-        lead = max(spec_a.ndim, spec_b.ndim) - grid.dim
-        return _truncate_spectrum(fine, m, grid.n, grid.dim, lead)
-    pa = _ifftn(spec_a, grid.dim).real
-    pb = _ifftn(spec_b, grid.dim).real
-    return _fftn(pa * pb, grid.dim)
+        ha, hb = _pad_spectrum(ha, n, m, dim), _pad_spectrum(hb, n, m, dim)
+    fa = _irfftn_half(ha, (m,) * dim)
+    if grad:  # one derivative at a time bounds the fine-grid memory
+        prod = sum(fa[axis] * _irfftn_half(hb * _ik(hb.shape[-dim:], n, m, axis),
+                                           (m,) * dim) for axis in range(dim))
+    else:
+        prod = fa * _irfftn_half(hb, (m,) * dim)
+    out = _rfftn_half(prod, dim, n // 2 + 1)
+    if dealias:
+        out = _truncate_spectrum(out, m, n, dim)
+    return _full_spectrum(out, dim), fa
 
 
 def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
@@ -346,40 +389,20 @@ def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
     f.grid.require_same(g.grid)
     if f.ncomp != g.ncomp and 1 not in (f.ncomp, g.ncomp):
         raise GridError(f"cannot broadcast components {f.ncomp} and {g.ncomp}")
-    out = _product_spec(spectral_data(f), spectral_data(g), f.grid, dealias)
+    out, _ = _padded_product(spectral_data(f), spectral_data(g), f.grid,
+                             dealias)
     return Field(f.grid, out, SPECTRAL)
 
 
 def advect(v: Field, f: Field, dealias: bool = True) -> Field:
     """(v . grad) f with the product formed on full fields, not per pair
-    of components: all dim products share two fine-grid transforms."""
+    of components: each derivative is one batched fine-grid transform."""
     v.grid.require_same(f.grid)
-    grid = v.grid
-    if v.ncomp != grid.dim:
+    if v.ncomp != v.grid.dim:
         raise GridError("advecting velocity must have dim components")
-    sv = spectral_data(v)
-    sf_ = spectral_data(f)
-    grads = np.empty((grid.dim,) + sf_.shape, dtype=np.complex128)
-    for axis in range(grid.dim):
-        orders = [0] * grid.dim
-        orders[axis] = 1
-        grads[axis] = sf_ * _deriv_multiplier(grid, tuple(orders))
-    if dealias:
-        m = 3 * grid.n // 2
-        vf = _fine_physical(sv, grid.n, m, grid.dim)
-        gf = _fine_physical(grads, grid.n, m, grid.dim)
-        fine = np.zeros(sf_.shape[:-grid.dim] + (m,) * grid.dim)
-        for axis in range(grid.dim):
-            fine += vf[axis] * gf[axis]
-        out = _truncate_spectrum(_fftn(fine, grid.dim), m, grid.n, grid.dim,
-                                 sf_.ndim - grid.dim)
-    else:
-        vp = _ifftn(sv, grid.dim).real
-        acc = np.zeros(sf_.shape)
-        for axis in range(grid.dim):
-            acc += vp[axis] * _ifftn(grads[axis], grid.dim).real
-        out = _fftn(acc, grid.dim)
-    return Field(grid, out, SPECTRAL)
+    out, _ = _padded_product(spectral_data(v), spectral_data(f), v.grid,
+                             dealias, grad=True)
+    return Field(v.grid, out, SPECTRAL)
 
 
 def scale(f: Field, factor: float) -> Field:

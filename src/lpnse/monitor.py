@@ -34,6 +34,11 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _require_aligned(traj_u: Trajectory, traj_v: Trajectory) -> None:
+    mismatch = traj_u.config_mismatch(traj_v)
+    if mismatch:
+        keys = ", ".join(f"{key} = {a!r} vs {b!r}"
+                         for key, (a, b) in mismatch.items())
+        raise ValueError(f"trajectories come from different configs: {keys}")
     if not traj_u.aligned_with(traj_v):
         raise ValueError("trajectories are not snapshot-aligned")
 

@@ -56,11 +56,17 @@ def read_field(path):
     grid = Grid(header["dim"], header["n"])
     shape = (header["components"],) + grid.shape
     if header["representation"] == SPECTRAL:
-        data = np.frombuffer(raw, dtype="<c16").reshape(shape)
+        dtype = np.dtype("<c16")
     elif header["representation"] == PHYSICAL:
-        data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        dtype = np.dtype("<f8")
     else:
         raise ValueError(f"unknown representation {header['representation']!r}")
+    expected = dtype.itemsize * int(np.prod(shape))
+    if len(raw) != expected:
+        raise ValueError(f"{path}: payload is {len(raw)} bytes, but the header "
+                         f"({header['representation']}, shape {shape}) needs "
+                         f"{expected}")
+    data = np.frombuffer(raw, dtype=dtype).reshape(shape)
     return Field(grid, data.copy(), header["representation"]), header
 
 

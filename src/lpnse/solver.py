@@ -12,26 +12,19 @@ stepping so their snapshots align exactly in time.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, SPECTRAL, _deriv_multiplier, _fftn, _fine_physical,
-                    _leray_project_spec, _truncate_spectrum, advect,
-                    from_components, l2_norm_spectral, laplacian,
+from .field import (Field, SPECTRAL, _leray_project_spec, _padded_product,
+                    advect, from_components, l2_norm_spectral, laplacian,
                     leray_project, scale, spectral_data)
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
-
-_CONFIG_TYPES = {
-    "dim": int, "n": int, "nu": float, "dt": float, "t_end": float,
-    "ic": str, "seed": int, "slope": float, "ic_kmax": float,
-    "snap_every": int, "cfl_safety": float, "dealias": bool,
-}
 
 
 @dataclass(frozen=True)
@@ -62,28 +55,22 @@ class SolverConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "SolverConfig":
+        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, raw in mapping.items():
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            typ = _CONFIG_TYPES[key]
-            if typ is bool and isinstance(raw, str):
+            if types[key] is bool and isinstance(raw, str):
                 low = raw.strip().lower()
                 if low not in ("true", "false", "0", "1"):
                     raise ValueError(f"boolean key {key!r} got {raw!r}")
                 kwargs[key] = low in ("true", "1")
             else:
-                kwargs[key] = typ(raw)
+                kwargs[key] = types[key](raw)
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
-        return {
-            "dim": self.dim, "n": self.n, "nu": self.nu, "dt": self.dt,
-            "t_end": self.t_end, "ic": self.ic, "seed": self.seed,
-            "slope": self.slope, "ic_kmax": self.ic_kmax,
-            "snap_every": self.snap_every, "cfl_safety": self.cfl_safety,
-            "dealias": self.dealias,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -110,8 +97,17 @@ class Trajectory:
     def final(self) -> Field:
         return self.snapshots[-1]
 
+    def config_mismatch(self, other: "Trajectory") -> dict:
+        """{key: (mine, other's)} for each config key on which the two runs
+        differ, except the keys that only shape the initial data."""
+        mine, theirs = self.config.to_mapping(), other.config.to_mapping()
+        return {key: (mine[key], theirs[key]) for key in mine
+                if mine[key] != theirs[key]
+                and key not in ("ic", "seed", "slope", "ic_kmax")}
+
     def aligned_with(self, other: "Trajectory") -> bool:
-        return (self.grid == other.grid and len(self) == len(other)
+        return (not self.config_mismatch(other) and self.grid == other.grid
+                and len(self) == len(other)
                 and bool(np.all(self.times == other.times)))
 
 
@@ -160,35 +156,14 @@ class _Integrator:
         self.dt = config.dt if dt is None else dt
         self.e_half = np.exp(-config.nu * grid.k_sq * (self.dt / 2.0))
         self.e_full = self.e_half**2
-        self.derivs = [
-            _deriv_multiplier(grid, tuple(1 if a == axis else 0
-                                          for a in range(grid.dim)))
-            for axis in range(grid.dim)
-        ]
-        self.fine = 3 * grid.n // 2
         self.zero = (slice(None),) + (0,) * grid.dim
 
     def nonlinear(self, spec: np.ndarray):
         """Projected advection term and the max velocity magnitude."""
-        grid = self.grid
-        if self.config.dealias:
-            vf = _fine_physical(spec, grid.n, self.fine, grid.dim)
-            acc = np.zeros_like(vf)
-            for axis in range(grid.dim):
-                acc += vf[axis] * _fine_physical(spec * self.derivs[axis],
-                                                 grid.n, self.fine, grid.dim)
-            umax = float(np.sqrt(np.max(np.sum(vf**2, axis=0))))
-            adv = _truncate_spectrum(_fftn(acc, grid.dim), self.fine, grid.n,
-                                     grid.dim, 1)
-        else:
-            from .field import _ifftn
-            vp = _ifftn(spec, grid.dim).real
-            acc = np.zeros_like(vp)
-            for axis in range(grid.dim):
-                acc += vp[axis] * _ifftn(spec * self.derivs[axis], grid.dim).real
-            umax = float(np.sqrt(np.max(np.sum(vp**2, axis=0))))
-            adv = _fftn(acc, grid.dim)
-        out = -_leray_project_spec(adv, grid)
+        adv, vf = _padded_product(spec, spec, self.grid, self.config.dealias,
+                                  grad=True)
+        umax = float(np.sqrt(np.max(np.sum(vf**2, axis=0))))
+        out = -_leray_project_spec(adv, self.grid)
         out[self.zero] = 0.0
         return out, umax
 

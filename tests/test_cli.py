@@ -88,6 +88,22 @@ def test_twin_report_pipeline(tmp_path, capsys):
     assert (report_dir / "manifest.json").exists()
 
 
+def test_report_rejects_mismatched_configs(tmp_path, capsys):
+    # twins must share every config key but the initial data's
+    for nu in ("1.0", "0.1"):
+        assert main(["simulate", *SIM_ARGS, "--set", f"nu={nu}",
+                     "--out", str(tmp_path / nu)]) == 0
+    capsys.readouterr()
+    report_dir = tmp_path / "report"
+    assert main(["report", "--u", str(tmp_path / "1.0"),
+                 "--v", str(tmp_path / "0.1"),
+                 "--triple", f"0.5,4,{8.0 / 3.0!r}", "--s", "0.5",
+                 "--lambda", "1.0", "--out", str(report_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "different configs" in err and "nu = 1.0 vs 0.1" in err
+    assert not (report_dir / "summary.json").exists()
+
+
 def test_report_malformed_triple_usage_error(capsys):
     assert main(["report", "--u", "nope", "--v", "nope",
                  "--triple", "0.5,4", "--s", "0.5", "--lambda", "1.0"]) == 2

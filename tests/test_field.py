@@ -6,9 +6,11 @@ from lpnse import (Field, Grid, advect, dealiased_product, derivative,
                    leray_project, lp_norm, to_physical, to_spectral)
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError
-from lpnse.field import (add, divergence, gradient, grad_norm_inf,
-                         h1_seminorm, l2_norm_spectral, laplacian,
-                         magnitude, scale, spectral_data, zero_field)
+from lpnse.field import (_leray_project_spec, add, divergence, gradient,
+                         grad_norm_inf, h1_seminorm, l2_norm_spectral,
+                         laplacian, magnitude, scale, spectral_data,
+                         zero_field)
+from lpnse.solver import SolverConfig, _Integrator
 
 TWO_PI = 2.0 * np.pi
 
@@ -228,6 +230,102 @@ def test_advect_is_contracted_product(grid2, rng):
         manual = add(manual, term)
     np.testing.assert_allclose(spectral_data(advect(v, f)),
                                spectral_data(manual), rtol=0.0, atol=1e-12)
+
+
+def _c2c_padded(spec, dim, dealias):
+    """Reference: the real part of the complex inverse transform, on the
+    3/2-times finer grid with every Nyquist coefficient split evenly
+    between +n/2 and -n/2 (on the coarse grid with dealias=False)."""
+    n = spec.shape[-1]
+    if not dealias:
+        return np.fft.ifftn(spec, axes=range(-dim, 0), norm="forward").real
+    m = 3 * n // 2
+    src = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+    out = np.zeros(spec.shape[:-dim] + (m,) * dim, dtype=np.complex128)
+    out[(Ellipsis,) + np.ix_(*((src,) * dim))] = spec
+    for axis in range(-dim, 0):
+        pos = [slice(None)] * out.ndim
+        neg = [slice(None)] * out.ndim
+        pos[axis], neg[axis] = n // 2, m - n // 2
+        out[tuple(pos)] = 0.5 * out[tuple(neg)]
+        out[tuple(neg)] *= 0.5
+    return np.fft.ifftn(out, axes=range(-dim, 0), norm="forward").real
+
+
+def _c2c_coarse(phys, dim, n):
+    """Reference: complex forward transform of fine-grid values, each
+    +n/2 plane folded onto -n/2, then the coarse modes gathered."""
+    spec = np.fft.fftn(phys, axes=range(-dim, 0), norm="forward")
+    m = spec.shape[-1]
+    if m == n:
+        return spec
+    for axis in range(-dim, 0):
+        pos = [slice(None)] * spec.ndim
+        neg = [slice(None)] * spec.ndim
+        pos[axis], neg[axis] = n // 2, m - n // 2
+        spec[tuple(neg)] += spec[tuple(pos)]
+    src = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+    return spec[(Ellipsis,) + np.ix_(*((src,) * dim))]
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 8), (3, 16)])
+def test_product_kernel_matches_c2c_reference(dim, n, dealias):
+    # arbitrary complex spectra: not Hermitian anywhere, the Nyquist
+    # planes included, so the kernel must take the Hermitian part that
+    # the reference's .real takes
+    rng = np.random.default_rng(7)
+    grid = Grid(dim, n)
+
+    def noise(ncomp):
+        shape = (ncomp,) + grid.shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    v, f, s = noise(dim), noise(2), noise(1)
+    fine_v = _c2c_padded(v, dim, dealias)
+    want = _c2c_coarse(_c2c_padded(s, dim, dealias)
+                       * _c2c_padded(f, dim, dealias), dim, n)
+    got = dealiased_product(Field(grid, s, "spectral"),
+                            Field(grid, f, "spectral"), dealias)
+    close(got.data, want)
+
+    def gradient_term(g):
+        acc = 0.0
+        for axis in range(dim):
+            k = grid.k_components[axis]
+            ik = np.where(k == -n // 2, 0.0, 1j * k)
+            acc = acc + fine_v[axis] * _c2c_padded(g * ik, dim, dealias)
+        return _c2c_coarse(acc, dim, n)
+
+    got = advect(Field(grid, v, "spectral"), Field(grid, f, "spectral"),
+                 dealias)
+    close(got.data, gradient_term(f))
+
+    config = SolverConfig(dim=dim, n=n, dealias=dealias)
+    term, umax = _Integrator(grid, config).nonlinear(v)
+    want = -_leray_project_spec(gradient_term(v), grid)
+    want[(slice(None),) + (0,) * dim] = 0.0
+    close(term, want)
+    assert umax == pytest.approx(np.sqrt(np.max(np.sum(fine_v**2, axis=0))),
+                                 rel=1e-13)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_grad_norm_inf_matches_c2c_reference(dim, n):
+    rng = np.random.default_rng(8)
+    grid = Grid(dim, n)
+    shape = (dim,) + grid.shape
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    total = 0.0
+    for axis in range(dim):
+        k = grid.k_components[axis]
+        d = _c2c_padded(spec * np.where(k == -n // 2, 0.0, 1j * k), dim, False)
+        total = total + np.sum(d**2, axis=0)
+    assert grad_norm_inf(Field(grid, spec, "spectral")) == pytest.approx(
+        np.sqrt(np.max(total)), rel=1e-13)
 
 
 # --- Leray projection --------------------------------------------------------

@@ -5,6 +5,7 @@ envelope fit."""
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ def test_misaligned_trajectories_rejected(twin_pair):
         block_series(u, sub)
     with pytest.raises(ValueError, match="aligned"):
         epsilon_weights(u, sub)
+
+
+def test_twin_configs_may_differ_only_in_initial_data(twin_pair):
+    u, v = twin_pair
+    other_data = replace(v.config, ic="random-divfree", seed=9, slope=1.0,
+                         ic_kmax=4.0)
+    assert u.aligned_with(Trajectory(other_data, v.grid, v.times,
+                                     list(v.snapshots), {}))
+    for key, value in (("nu", 0.5), ("dt", 5e-3), ("dealias", False),
+                       ("cfl_safety", 0.25)):
+        changed = Trajectory(replace(v.config, **{key: value}), v.grid,
+                             v.times, list(v.snapshots), {})
+        assert not u.aligned_with(changed)
+        with pytest.raises(ValueError, match=f"different configs: {key} = "):
+            block_series(u, changed)
 
 
 # --- drift weights -----------------------------------------------------------

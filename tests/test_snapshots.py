@@ -57,6 +57,25 @@ def test_unknown_representation_rejected(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("change", [-16, 8])
+def test_payload_length_checked(grid2, rng, tmp_path, change):
+    # a truncated or padded payload names the file and both byte counts
+    path = tmp_path / "f.fld"
+    write_field(path, divfree_noise(grid2, rng))
+    blob = path.read_bytes()
+    expected = 2 * grid2.n**2 * 16
+    if change < 0:
+        path.write_bytes(blob[:change])
+    else:
+        path.write_bytes(blob + b"\x00" * change)
+    with pytest.raises(ValueError) as exc:
+        read_field(path)
+    message = str(exc.value)
+    assert str(path) in message
+    assert f"{expected + change} bytes" in message
+    assert f"needs {expected}" in message
+
+
 def test_trajectory_round_trip(tmp_path):
     traj = run(SMALL)
     outdir = tmp_path / "traj"
