@@ -48,10 +48,6 @@ def besov_norm(f: Field, spec: BesovSpec, cutoffs: DyadicCutoffs = None) -> floa
     return float(np.sum(weighted**spec.q) ** (1.0 / spec.q))
 
 
-def besov_b1_inf_inf(f: Field, cutoffs: DyadicCutoffs = None) -> float:
-    return besov_norm(f, BesovSpec(1.0, math.inf, math.inf), cutoffs)
-
-
 # --- vorticity and its inverse ---------------------------------------------
 
 def curl(u: Field) -> Field:
@@ -115,7 +111,7 @@ def bkm_ratio(u: Field, cutoffs: DyadicCutoffs = None) -> float:
     div = l2_norm_spectral(divergence(u))
     if div > 1e-10 * max(h1_seminorm(u), 1e-30):
         raise ValueError("bkm_ratio expects a divergence-free field")
-    num = besov_b1_inf_inf(u, cutoffs)
+    num = besov_norm(u, BesovSpec(1.0, math.inf, math.inf), cutoffs)
     den = norm_u2 + besov_norm(curl(u), BesovSpec(0.0, math.inf, math.inf), cutoffs)
     return num / den
 

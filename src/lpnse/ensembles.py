@@ -2,9 +2,9 @@
 
 Two flavours:
 
-* white-noise generators (band_noise, block_noise, divfree_noise) draw a
-  full grid of Gaussians and mask in frequency.  Cheap, but the field
-  depends on the grid resolution.
+* white-noise generators (band_noise, divfree_noise) draw a full grid
+  of Gaussians and mask in frequency.  Cheap, but the field depends on
+  the grid resolution.
 * lattice-mode generators (divfree_from_modes et al.) enumerate integer
   wavenumbers in a fixed deterministic order and draw one coefficient
   per mode, so the same (kmax, seed) produces the same continuum field
@@ -34,18 +34,6 @@ def band_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
     if slope:
         shaped = shaped * (1.0 + grid.k_mag) ** (-slope)
     return Field(grid, shaped, SPECTRAL)
-
-
-def block_noise(grid: Grid, rng: np.random.Generator, j: int,
-                ncomp: int = 1) -> Field:
-    """White noise supported on the closed annulus of shell j (ball for
-    j = -1), clipped to the dealiased band."""
-    if j == -1:
-        kmin, kmax = 0.0, 4.0 / 3.0
-    else:
-        kmin = 0.75 * 2.0**j
-        kmax = min(8.0 / 3.0 * 2.0**j, grid.dealias_radius)
-    return band_noise(grid, rng, kmin, kmax, ncomp)
 
 
 def divfree_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,

@@ -1,11 +1,21 @@
 """Pseudospectral incompressible Navier-Stokes on the torus.
 
 Integrating-factor RK4: the viscous semigroup is applied exactly through
-exp(-nu |k|^2 dt) multipliers and the projected advection term is treated
-with classical RK4 in the transformed variable.  The advection product is
-formed on a 3/2 padded grid, so the Galerkin truncation conserves energy
-through the nonlinearity to round-off and the energy balance measures
-time-integration error only.
+exp(-nu |k|^2 dt) multipliers and the projected nonlinear term is treated
+with classical RK4 in the transformed variable.  The nonlinear term is
+taken in rotational form, -P(u.grad u) = P(u x omega) with omega = curl u
+(the two differ by the gradient of |u|^2/2, which P removes): one padded
+inverse transform of [u; omega] (6 components in 3D, 3 in 2D), a pointwise
+cross product and one forward transform.  The product is formed on a 3/2
+padded grid, so the Galerkin truncation conserves energy through the
+nonlinearity to round-off and the energy balance measures
+time-integration error only.  The term is zeroed on every plane with some
+k_i = -n/2: those modes have no conjugate partner, and there the
+rotational and convective forms differ by a gradient that P cannot see.
+An initial condition without -n/2 content (every built-in one, since
+kmax <= n/3) therefore keeps none, and its state stays exactly
+Hermitian; off those planes the term equals the convective -P(u.grad u)
+to round-off.
 
 Twin runs integrate a base flow and a perturbed flow with identical
 stepping so their snapshots align exactly in time.
@@ -19,8 +29,10 @@ from scipy.integrate import cumulative_simpson
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, SPECTRAL, _leray_project_spec, _padded_product,
-                    advect, from_components, l2_norm_spectral, laplacian,
+from .field import (Field, SPECTRAL, _flip_index, _full_spectrum,
+                    _hermitian_half, _ik, _irfftn_half, _leray_project_spec,
+                    _pad_spectrum, _rfftn_half, _truncate_spectrum,
+                    from_components, l2_norm_spectral, laplacian,
                     leray_project, scale, spectral_data)
 from .grid import Grid
 
@@ -140,11 +152,14 @@ def initial_condition(config: SolverConfig, grid: Grid) -> Field:
 
 
 def nse_rhs(u: Field, nu: float, dealias: bool = True) -> Field:
-    """-P(u.grad u) + nu Laplacian u, advection dealiased."""
-    adv = advect(u, u, dealias)
-    proj = leray_project(adv)
-    rhs = -proj.data + nu * laplacian(u).data
-    return Field(u.grid, rhs, SPECTRAL)
+    """The right-hand side that run() integrates: the solver's nonlinear
+    term P(u x omega) (-P(u.grad u) off the -n/2 planes) + nu Laplacian u."""
+    grid = u.grid
+    if u.ncomp != grid.dim:
+        raise GridError("velocity field must have dim components")
+    config = SolverConfig(dim=grid.dim, n=grid.n, nu=nu, dealias=dealias)
+    term, _ = _Integrator(grid, config).nonlinear(spectral_data(u))
+    return Field(grid, term + nu * laplacian(u).data, SPECTRAL)
 
 
 class _Integrator:
@@ -157,15 +172,60 @@ class _Integrator:
         self.e_half = np.exp(-config.nu * grid.k_sq * (self.dt / 2.0))
         self.e_full = self.e_half**2
         self.zero = (slice(None),) + (0,) * grid.dim
+        # 0 on every plane with some k_i = -n/2, 1 elsewhere
+        nyquist = sum(k == -(grid.n // 2) for k in grid.k_components)
+        self.keep = (nyquist == 0).astype(np.float64)
+        half = grid.shape[:-1] + (grid.n // 2 + 1,)
+        self.ik = [_ik(half, grid.n, grid.n, axis) for axis in range(grid.dim)]
+        self.flip = _flip_index(grid.n, grid.dim - 1, 1)
 
     def nonlinear(self, spec: np.ndarray):
-        """Projected advection term and the max velocity magnitude."""
-        adv, vf = _padded_product(spec, spec, self.grid, self.config.dealias,
-                                  grad=True)
-        umax = float(np.sqrt(np.max(np.sum(vf**2, axis=0))))
-        out = -_leray_project_spec(adv, self.grid)
+        """P(u x omega), with omega = curl u, zeroed on the -n/2 planes and
+        at k = 0, and the max velocity magnitude on the product grid.
+
+        The Hermitian halves of u and of omega go through one padded
+        inverse transform together; the cross product goes through one
+        forward transform."""
+        grid = self.grid
+        n, dim = grid.n, grid.dim
+        m = 3 * n // 2 if self.config.dealias else n
+        fine = _irfftn_half(self._velocity_vorticity(spec, m), (m,) * dim)
+        u, w = fine[:dim], fine[dim:]
+        umax = float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
+        cross = np.empty_like(u)
+        if dim == 3:
+            for i in range(3):
+                np.multiply(u[i - 2], w[i - 1], out=cross[i])
+                cross[i] -= u[i - 1] * w[i - 2]
+        else:
+            np.multiply(u[1], w[0], out=cross[0])
+            np.multiply(u[0], -w[0], out=cross[1])
+        del fine, u, w  # freed before the forward transform: lower peak memory
+        out = _rfftn_half(cross, dim, n // 2 + 1)
+        if self.config.dealias:
+            out = _truncate_spectrum(out, m, n, dim)
+        # the c2c over the leading axes leaves the k_last = 0 plane
+        # Hermitian to round-off only; made exact, so that a state without
+        # -n/2 content stays exactly Hermitian
+        plane = out[..., 0]
+        out[..., 0] = 0.5 * (plane + np.conj(plane[self.flip]))
+        out = _leray_project_spec(_full_spectrum(out, dim), grid)
+        out *= self.keep
         out[self.zero] = 0.0
         return out, umax
+
+    def _velocity_vorticity(self, spec: np.ndarray, m: int) -> np.ndarray:
+        """Half spectra of [u; omega] on the m-point grid; omega has 3
+        components in 3D and 1 (omega_3) in 2D."""
+        ik, dim = self.ik, self.grid.dim
+        half = _hermitian_half(spec, dim)
+        # omega_i = d_{i+1} u_{i+2} - d_{i+2} u_{i+1}, indices mod 3
+        curl = [ik[i - 2] * half[i - 1] - ik[i - 1] * half[i - 2]
+                for i in (range(3) if dim == 3 else (2,))]
+        both = np.concatenate([half, curl])
+        if not self.config.dealias:
+            return both
+        return _pad_spectrum(both, self.grid.n, m, dim)
 
     def step(self, spec: np.ndarray, time: float, index: int) -> np.ndarray:
         dt = self.dt

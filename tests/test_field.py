@@ -268,6 +268,20 @@ def _c2c_coarse(phys, dim, n):
     return spec[(Ellipsis,) + np.ix_(*((src,) * dim))]
 
 
+def _c2c_rotational(u, grid):
+    """Reference: u x curl u formed on the coarse grid (aliased), with 2D
+    fields carried as 3-vectors with zero third component and derivative."""
+    dim, pad = grid.dim, 3 - grid.dim
+    zeros = np.zeros((pad,) + grid.shape)
+    ik = np.concatenate([np.stack(np.broadcast_arrays(
+        *(1j * k for k in grid.k_components))), zeros])
+    u3 = np.concatenate([u, zeros])
+    curl = np.cross(ik, u3, axis=0)
+    phys = np.cross(_c2c_padded(u3, dim, False),
+                    _c2c_padded(curl, dim, False), axis=0)
+    return _c2c_coarse(phys[:dim], dim, grid.n)
+
+
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 8), (3, 16)])
 def test_product_kernel_matches_c2c_reference(dim, n, dealias):
@@ -292,24 +306,34 @@ def test_product_kernel_matches_c2c_reference(dim, n, dealias):
                             Field(grid, f, "spectral"), dealias)
     close(got.data, want)
 
-    def gradient_term(g):
+    def gradient_term(fine, g):
         acc = 0.0
         for axis in range(dim):
             k = grid.k_components[axis]
             ik = np.where(k == -n // 2, 0.0, 1j * k)
-            acc = acc + fine_v[axis] * _c2c_padded(g * ik, dim, dealias)
+            acc = acc + fine[axis] * _c2c_padded(g * ik, dim, dealias)
         return _c2c_coarse(acc, dim, n)
 
     got = advect(Field(grid, v, "spectral"), Field(grid, f, "spectral"),
                  dealias)
-    close(got.data, gradient_term(f))
+    close(got.data, gradient_term(fine_v, f))
 
-    config = SolverConfig(dim=dim, n=n, dealias=dealias)
-    term, umax = _Integrator(grid, config).nonlinear(v)
-    want = -_leray_project_spec(gradient_term(v), grid)
+    # the solver's rotational term is zeroed on the -n/2 planes; off them
+    # it is the convective -P(u.grad u) when dealiased, and the aliased
+    # rotational product on the coarse grid when not
+    keep = sum(k == -(n // 2) for k in grid.k_components) == 0
+    u = v * keep
+    fine_u = _c2c_padded(u, dim, dealias)
+    if dealias:
+        want = -gradient_term(fine_u, u)
+    else:
+        want = _c2c_rotational(u, grid)
+    want = _leray_project_spec(want, grid) * keep
     want[(slice(None),) + (0,) * dim] = 0.0
+    config = SolverConfig(dim=dim, n=n, dealias=dealias)
+    term, umax = _Integrator(grid, config).nonlinear(u)
     close(term, want)
-    assert umax == pytest.approx(np.sqrt(np.max(np.sum(fine_v**2, axis=0))),
+    assert umax == pytest.approx(np.sqrt(np.max(np.sum(fine_u**2, axis=0))),
                                  rel=1e-13)
 
 

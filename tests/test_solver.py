@@ -6,10 +6,11 @@ import pytest
 from lpnse import (Grid, SolverConfig, energy_balance_residual, nse_rhs, run,
                    step, taylor_green, twin_run)
 from lpnse.errors import GridError, SolverAbort
-from lpnse.field import (Field, add, advect, divergence, h1_seminorm, inner,
-                         l2_norm_spectral, laplacian, leray_project, scale,
-                         spectral_data)
-from lpnse.solver import initial_condition, perturbation_field
+from lpnse.ensembles import divfree_noise
+from lpnse.field import (Field, _full_spectrum, _hermitian_half, add, advect,
+                         divergence, h1_seminorm, inner, l2_norm_spectral,
+                         laplacian, leray_project, scale, spectral_data)
+from lpnse.solver import _Integrator, initial_condition, perturbation_field
 
 
 # --- configuration -----------------------------------------------------------
@@ -110,11 +111,74 @@ def test_tg2d_rhs_is_pure_decay(grid2):
 
 
 def test_advection_energy_neutral(grid3, rng):
-    from lpnse.ensembles import divfree_noise
     u = divfree_noise(grid3, rng, kmax=10.0)
     val = inner(advect(u, u), u)
     scale_ = l2_norm_spectral(u) ** 2 * h1_seminorm(u)
     assert abs(val) <= 1e-11 * scale_
+
+
+def _off_nyquist(grid):
+    """True off the planes with some k_i = -n/2, where the solver zeroes
+    its nonlinear term, and False on them."""
+    return sum(k == -(grid.n // 2) for k in grid.k_components) == 0
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_nonlinear_term_zero_on_nyquist_planes(dim, n, dealias):
+    # arbitrary complex spectra, with content on the -n/2 planes too
+    rng = np.random.default_rng(11)
+    grid = Grid(dim, n)
+    shape = (dim,) + grid.shape
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    config = SolverConfig(dim=dim, n=n, dealias=dealias)
+    term, _ = _Integrator(grid, config).nonlinear(spec)
+    on = ~_off_nyquist(grid)
+    assert np.all(term[:, on] == 0.0)
+    assert np.max(np.abs(term[:, ~on])) > 0.0
+
+
+def _divfree_off_nyquist(grid, seed):
+    u = divfree_noise(grid, np.random.default_rng(seed), kmax=float(grid.n))
+    return spectral_data(u) * _off_nyquist(grid)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_nonlinear_term_energy_neutral(dim, n):
+    grid = Grid(dim, n)
+    integ = _Integrator(grid, SolverConfig(dim=dim, n=n))
+    for seed in range(3):
+        u = Field(grid, _divfree_off_nyquist(grid, seed), "spectral")
+        term, _ = integ.nonlinear(spectral_data(u))
+        term = Field(grid, term, "spectral")
+        assert abs(inner(u, term)) <= 1e-13 * (l2_norm_spectral(u)
+                                               * l2_norm_spectral(term))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_nonlinear_term_is_projected_convective_off_nyquist(dim, n):
+    # P(u x omega) = -P(u.grad u): the forms differ by a gradient
+    grid = Grid(dim, n)
+    u = Field(grid, _divfree_off_nyquist(grid, 5), "spectral")
+    term, _ = _Integrator(grid, SolverConfig(dim=dim, n=n)).nonlinear(
+        spectral_data(u))
+    want = -spectral_data(leray_project(advect(u, u))) * _off_nyquist(grid)
+    want[(slice(None),) + (0,) * dim] = 0.0
+    assert np.max(np.abs(term - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_state_stays_hermitian_without_nyquist_content():
+    # no -n/2 content in the random initial condition, none produced by the
+    # masked term: every snapshot is its own Hermitian part, bit for bit
+    config = SolverConfig(dim=3, n=16, nu=0.05, dt=5e-3, t_end=2.5e-2,
+                          ic="random-divfree", seed=3, snap_every=1)
+    traj = run(config)
+    assert len(traj) == 6
+    for snap in traj.snapshots:
+        spec = spectral_data(snap)
+        np.testing.assert_array_equal(
+            _full_spectrum(_hermitian_half(spec, 3), 3), spec)
+        assert np.all(spec[:, ~_off_nyquist(traj.grid)] == 0.0)
 
 
 def test_single_step_matches_run(grid2):
@@ -238,7 +302,8 @@ def test_inviscid_reversal():
 
 def _twin_residual(dt, t_center=0.016, nu=0.1):
     # residual of w_t = nu Lap w - P(w.grad u + v.grad w) at a fixed
-    # physical time, with w_t from a 5-point stencil on per-step snapshots
+    # physical time, with w_t from a 5-point stencil on per-step snapshots;
+    # off the -n/2 planes, where the solver's term is zeroed
     steps = int(round(2.0 * t_center / dt))
     config = SolverConfig(dim=2, n=32, nu=nu, dt=dt, t_end=steps * dt,
                           ic="taylor-green", snap_every=1)
@@ -255,7 +320,7 @@ def _twin_residual(dt, t_center=0.016, nu=0.1):
     wi = w(i)
     transport = add(advect(wi, base.snapshots[i]), advect(twin.snapshots[i], wi))
     rhs = (nu * spectral_data(laplacian(wi))
-           - spectral_data(leray_project(transport)))
+           - spectral_data(leray_project(transport))) * _off_nyquist(base.grid)
     resid = Field(base.grid, dwdt - rhs, "spectral")
     return l2_norm_spectral(resid) / l2_norm_spectral(Field(base.grid, rhs,
                                                             "spectral"))
