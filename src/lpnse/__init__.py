@@ -23,4 +23,4 @@ from .monitor import (LosingParams, CriterionReport, criterion_integral,
                       build_report)
 from .snapshots import write_field, read_field, save_trajectory, load_trajectory
 from .errors import (LpnseError, GridError, BlockRangeError, TripleError,
-                     ResolutionError, SolverAbort)
+                     ResolutionError, NonFiniteError, SolverAbort)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed / work done, 1 a verification assertion
 failed, 2 usage or configuration error, 3 numerical abort (CFL violation
-or non-finite energy).  Artifact-producing commands drop a manifest.json
-next to their outputs listing every file with its content hash.
+or non-finite energy) or a snapshot holding non-finite values.
+Artifact-producing commands drop a manifest.json next to their outputs
+listing every file with its content hash.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import time
 
 from .besov import BesovSpec, CriterionTriple, besov_norm, split_low_high
 from .config import load_config
-from .errors import LpnseError, SolverAbort
+from .errors import LpnseError, NonFiniteError, SolverAbort
 from .field import set_fft_workers
 from .manifest import build_manifest, write_manifest
 from .monitor import LosingParams, build_report
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SolverAbort as exc:
         print(f"numerical abort [{exc.reason}]: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except NonFiniteError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (LpnseError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,16 +5,17 @@ Two flavours:
 * white-noise generators (band_noise, divfree_noise) draw a full grid
   of Gaussians and mask in frequency.  Cheap, but the field depends on
   the grid resolution.
-* lattice-mode generators (divfree_from_modes et al.) enumerate integer
-  wavenumbers in a fixed deterministic order and draw one coefficient
+* the lattice-mode generator (solenoidal_field) enumerates integer
+  wavenumbers in a fixed deterministic order and draws one coefficient
   per mode, so the same (kmax, seed) produces the same continuum field
-  on every grid that resolves it.  Twin-run perturbations use these.
+  on every grid that resolves it.  Random initial data and twin-run
+  perturbations use it.
 """
 
 import numpy as np
 
 from .errors import ResolutionError
-from .field import Field, SPECTRAL, _fftn, _leray_project_spec, from_spectral
+from .field import Field, SPECTRAL, _fftn, _leray_project_spec
 from .grid import Grid
 
 
@@ -45,67 +46,49 @@ def divfree_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
 
 # --- resolution-independent lattice modes ----------------------------------
 
-def _lattice_representatives(dim: int, kmax: float) -> list:
-    """Integer wavenumbers with 0 < |k| <= kmax, one per conjugate pair
-    (the representative has its first nonzero entry positive), sorted by
-    (|k|^2, lexicographic)."""
+def _lattice_representatives(dim: int, kmax: float) -> np.ndarray:
+    """Integer wavenumbers with 0 < |k| <= kmax as an (M, dim) array, one
+    per conjugate pair (the representative has its first nonzero entry
+    positive), sorted by (|k|^2, lexicographic)."""
     kint = int(np.floor(kmax))
-    axes = range(-kint, kint + 1)
-    reps = []
-    if dim == 2:
-        candidates = ((a, b) for a in axes for b in axes)
-    else:
-        candidates = ((a, b, c) for a in axes for b in axes for c in axes)
-    for k in candidates:
-        normsq = sum(c * c for c in k)
-        if normsq == 0 or normsq > kmax * kmax + 1e-9:
-            continue
-        first = next(c for c in k if c != 0)
-        if first < 0:
-            continue
-        reps.append((normsq, k))
-    reps.sort()
-    return [k for _, k in reps]
-
-
-def solenoidal_modes(dim: int, kmax: float, seed: int, slope: float = 0.0) -> list:
-    """Deterministic list of (k, coeff) pairs defining a real
-    divergence-free field, independent of any grid.
-
-    Each representative mode gets a complex Gaussian coefficient per
-    component, projected onto the plane orthogonal to k, optionally
-    damped by (1+|k|)^-slope.
-    """
-    rng = np.random.default_rng(seed)
-    modes = []
-    for k in _lattice_representatives(dim, kmax):
-        coeff = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        kv = np.asarray(k, dtype=np.float64)
-        coeff = coeff - kv * (kv @ coeff) / (kv @ kv)
-        if slope:
-            coeff = coeff * (1.0 + np.linalg.norm(kv)) ** (-slope)
-        modes.append((k, coeff))
-    return modes
-
-
-def field_from_modes(grid: Grid, modes: list) -> Field:
-    """Place lattice-mode coefficients on a grid (conjugates filled in
-    so the field is real).  Raises if a mode exceeds the grid band."""
-    ncomp = len(modes[0][1]) if modes else grid.dim
-    spec = np.zeros((ncomp,) + grid.shape, dtype=np.complex128)
-    limit = grid.n // 2
-    for k, coeff in modes:
-        if any(abs(c) >= limit for c in k):
-            raise ResolutionError(f"mode {k} not resolvable on n={grid.n}")
-        pos = tuple(c % grid.n for c in k)
-        neg = tuple(-c % grid.n for c in k)
-        for comp in range(ncomp):
-            spec[(comp,) + pos] = coeff[comp]
-            spec[(comp,) + neg] = np.conj(coeff[comp])
-    return from_spectral(grid, spec)
+    axis = np.arange(-kint, kint + 1)
+    k = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"),
+                 axis=-1).reshape(-1, dim)
+    normsq = np.sum(k * k, axis=1)
+    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    keep = (normsq > 0) & (normsq <= kmax * kmax + 1e-9) & (first > 0)
+    k, normsq = k[keep], normsq[keep]
+    return k[np.lexsort(tuple(k.T[::-1]) + (normsq,))]
 
 
 def solenoidal_field(grid: Grid, kmax: float, seed: int,
                      slope: float = 0.0) -> Field:
-    """Grid realization of solenoidal_modes(dim, kmax, seed, slope)."""
-    return field_from_modes(grid, solenoidal_modes(grid.dim, kmax, seed, slope))
+    """A real divergence-free field defined by lattice modes, independent
+    of the grid that realizes it.
+
+    Each representative mode, in the order of _lattice_representatives,
+    gets a complex Gaussian coefficient per component (real parts, then
+    imaginary parts), projected onto the plane orthogonal to k and
+    optionally damped by (1+|k|)^-slope; its conjugate fills -k.  Raises
+    if a mode exceeds the grid band.
+    """
+    dim, n = grid.dim, grid.n
+    k = _lattice_representatives(dim, kmax)
+    draw = np.random.default_rng(seed).standard_normal((len(k), 2, dim))
+    coeff = draw[:, 0] + 1j * draw[:, 1]
+    kv = k.astype(np.float64)
+    kk = np.sum(kv * kv, axis=1)
+    dot = np.matmul(kv[:, None, :], coeff[:, :, None])[:, :, 0]
+    coeff = coeff - kv * dot / kk[:, None]
+    if slope:
+        # scalar pow per mode: numpy's array pow rounds differently
+        damp = [(1.0 + r) ** (-slope) for r in np.sqrt(kk)]
+        coeff = coeff * np.asarray(damp)[:, None]
+    outside = np.any(np.abs(k) >= n // 2, axis=1)
+    if outside.any():
+        mode = tuple(int(c) for c in k[np.argmax(outside)])
+        raise ResolutionError(f"mode {mode} not resolvable on n={n}")
+    spec = np.zeros((dim,) + grid.shape, dtype=np.complex128)
+    spec[(slice(None),) + tuple((k % n).T)] = coeff.T
+    spec[(slice(None),) + tuple((-k % n).T)] = np.conj(coeff.T)
+    return Field(grid, spec, SPECTRAL)

@@ -22,6 +22,10 @@ class ResolutionError(LpnseError):
     """An operation that would need frequencies the grid cannot hold."""
 
 
+class NonFiniteError(LpnseError):
+    """Stored data holding NaN or infinite values."""
+
+
 class SolverAbort(LpnseError):
     """Time integration stopped early (CFL violation or non-finite data)."""
 

@@ -10,6 +10,8 @@ Conventions
 * The API holds full spectra.  Products and grad_norm_inf use real
   transforms of half spectra (planes 0 <= k_last <= n/2) of the
   Hermitian part (c(k) + conj c(-k))/2, the real part of the field.
+  The solver state is such a half spectrum, so _leray_project_spec
+  takes full or half spectra (told apart by the last axis's length).
 * Products of two fields are computed on a 3/2-times finer grid and
   truncated back, which makes them exact (no aliasing) whenever the
   combined bandwidth fits in the fine grid.  Per-axis Nyquist planes are
@@ -275,14 +277,20 @@ def leray_project(f: Field) -> Field:
 
 
 def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
-    kdot = np.zeros(grid.shape, dtype=np.complex128)
+    """Leray projection of full spectra, or of half spectra (a last axis
+    of n//2+1 planes; plane n/2 holds k_last = -n/2, as in the full
+    layout)."""
+    planes = slice(0, spec.shape[-1])
+    ks = [k[..., planes] for k in grid.k_components]
+    k_sq = grid.k_sq[..., planes]
+    kdot = np.zeros(spec.shape[1:], dtype=np.complex128)
     for axis in range(grid.dim):
-        kdot += grid.k_components[axis] * spec[axis]
+        kdot += ks[axis] * spec[axis]
     with np.errstate(invalid="ignore", divide="ignore"):
-        kdot = np.where(grid.k_sq > 0, kdot / grid.k_sq, 0.0)
+        kdot = np.where(k_sq > 0, kdot / k_sq, 0.0)
     out = np.empty_like(spec)
     for axis in range(grid.dim):
-        out[axis] = spec[axis] - grid.k_components[axis] * kdot
+        out[axis] = spec[axis] - ks[axis] * kdot
     return out
 
 
@@ -313,8 +321,8 @@ def _flip_index(n: int, naxes: int, lead: int, last=None) -> tuple:
 
 def _hermitian_half(spec: np.ndarray, dim: int) -> np.ndarray:
     """Planes 0 <= k_last <= n/2 of (c(k) + conj c(-k))/2.  Not the
-    identity on solver states: Leray projection leaves the -n/2 planes
-    without conjugate partners."""
+    identity on projected spectra with -n/2 content: Leray projection
+    leaves those modes without conjugate partners."""
     n = spec.shape[-1]
     planes = slice(0, n // 2 + 1)
     flip = _flip_index(n, dim - 1, spec.ndim - dim, planes)

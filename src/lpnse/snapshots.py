@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .field import Field, PHYSICAL, SPECTRAL
 from .grid import Grid
 from .solver import SolverConfig, Trajectory
@@ -45,7 +46,8 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
 
 
 def read_field(path):
-    """Returns (field, header dict)."""
+    """Returns (field, header dict).  A payload holding NaN or infinite
+    values raises NonFiniteError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -67,6 +69,11 @@ def read_field(path):
                          f"({header['representation']}, shape {shape}) needs "
                          f"{expected}")
     data = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise NonFiniteError(f"{path}: payload holds {bad} non-finite "
+                             f"value(s)")
     return Field(grid, data.copy(), header["representation"]), header
 
 

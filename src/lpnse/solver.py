@@ -17,6 +17,14 @@ kmax <= n/3) therefore keeps none, and its state stays exactly
 Hermitian; off those planes the term equals the convective -P(u.grad u)
 to round-off.
 
+The state is a half spectrum, the planes 0 <= k_last <= n/2 of the
+Hermitian part of the projected initial data: the nonlinear term, Leray
+projection, the integrating factors and the RK sums all run on it, and
+the energy and dissipation series weight every plane but 0 and n/2
+twice.  Snapshots are expanded to the full FFT layout, as the Field API
+and the snapshot files hold.  The public step() and nse_rhs() take and
+return full-layout Fields.
+
 Twin runs integrate a base flow and a perturbed flow with identical
 stepping so their snapshots align exactly in time.
 """
@@ -158,38 +166,45 @@ def nse_rhs(u: Field, nu: float, dealias: bool = True) -> Field:
     if u.ncomp != grid.dim:
         raise GridError("velocity field must have dim components")
     config = SolverConfig(dim=grid.dim, n=grid.n, nu=nu, dealias=dealias)
-    term, _ = _Integrator(grid, config).nonlinear(spectral_data(u))
-    return Field(grid, term + nu * laplacian(u).data, SPECTRAL)
+    term, _ = _Integrator(grid, config).nonlinear(
+        _hermitian_half(spectral_data(u), grid.dim))
+    return Field(grid, _full_spectrum(term, grid.dim) + nu * laplacian(u).data,
+                 SPECTRAL)
 
 
 class _Integrator:
-    """Precomputed multipliers for repeated IF-RK4 steps."""
+    """Precomputed multipliers for repeated IF-RK4 steps on half spectra
+    (planes 0 <= k_last <= n/2)."""
 
     def __init__(self, grid: Grid, config: SolverConfig, dt: float = None):
         self.grid = grid
         self.config = config
         self.dt = config.dt if dt is None else dt
-        self.e_half = np.exp(-config.nu * grid.k_sq * (self.dt / 2.0))
+        planes = slice(0, grid.n // 2 + 1)
+        self.e_half = np.exp(-config.nu * grid.k_sq[..., planes]
+                             * (self.dt / 2.0))
         self.e_full = self.e_half**2
         self.zero = (slice(None),) + (0,) * grid.dim
         # 0 on every plane with some k_i = -n/2, 1 elsewhere
-        nyquist = sum(k == -(grid.n // 2) for k in grid.k_components)
+        nyquist = sum(k[..., planes] == -(grid.n // 2)
+                      for k in grid.k_components)
         self.keep = (nyquist == 0).astype(np.float64)
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
         self.ik = [_ik(half, grid.n, grid.n, axis) for axis in range(grid.dim)]
         self.flip = _flip_index(grid.n, grid.dim - 1, 1)
 
-    def nonlinear(self, spec: np.ndarray):
+    def nonlinear(self, half: np.ndarray):
         """P(u x omega), with omega = curl u, zeroed on the -n/2 planes and
         at k = 0, and the max velocity magnitude on the product grid.
 
-        The Hermitian halves of u and of omega go through one padded
-        inverse transform together; the cross product goes through one
-        forward transform."""
+        Takes and returns half spectra; the k_last = 0 plane of `half`
+        must be Hermitian, as every solver state's is.  u and omega go
+        through one padded inverse transform together; the cross product
+        goes through one forward transform."""
         grid = self.grid
         n, dim = grid.n, grid.dim
         m = 3 * n // 2 if self.config.dealias else n
-        fine = _irfftn_half(self._velocity_vorticity(spec, m), (m,) * dim)
+        fine = _irfftn_half(self._velocity_vorticity(half, m), (m,) * dim)
         u, w = fine[:dim], fine[dim:]
         umax = float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
         cross = np.empty_like(u)
@@ -209,16 +224,15 @@ class _Integrator:
         # -n/2 content stays exactly Hermitian
         plane = out[..., 0]
         out[..., 0] = 0.5 * (plane + np.conj(plane[self.flip]))
-        out = _leray_project_spec(_full_spectrum(out, dim), grid)
+        out = _leray_project_spec(out, grid)
         out *= self.keep
         out[self.zero] = 0.0
         return out, umax
 
-    def _velocity_vorticity(self, spec: np.ndarray, m: int) -> np.ndarray:
+    def _velocity_vorticity(self, half: np.ndarray, m: int) -> np.ndarray:
         """Half spectra of [u; omega] on the m-point grid; omega has 3
         components in 3D and 1 (omega_3) in 2D."""
         ik, dim = self.ik, self.grid.dim
-        half = _hermitian_half(spec, dim)
         # omega_i = d_{i+1} u_{i+2} - d_{i+2} u_{i+1}, indices mod 3
         curl = [ik[i - 2] * half[i - 1] - ik[i - 1] * half[i - 2]
                 for i in (range(3) if dim == 3 else (2,))]
@@ -228,6 +242,7 @@ class _Integrator:
         return _pad_spectrum(both, self.grid.n, m, dim)
 
     def step(self, spec: np.ndarray, time: float, index: int) -> np.ndarray:
+        """One IF-RK4 step of the half-spectrum state `spec`."""
         dt = self.dt
         a, umax = self.nonlinear(spec)
         if umax > 0:
@@ -242,45 +257,54 @@ class _Integrator:
         b, _ = self.nonlinear(e1 * (spec + 0.5 * dt * a))
         c, _ = self.nonlinear(e1 * spec + 0.5 * dt * b)
         d, _ = self.nonlinear(e2 * spec + dt * e1 * c)
-        out = e2 * spec + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
-        return _leray_project_spec(out, self.grid)
+        # no projection here: spec and every stage term are projected and
+        # the integrating factors are scalar per mode
+        return e2 * spec + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
 
 
 def step(u: Field, config: SolverConfig, dt: float = None) -> Field:
     """One IF-RK4 step of the projected equations (public, stateless)."""
     grid = u.grid
     integ = _Integrator(grid, config, dt)
-    out = integ.step(spectral_data(u), 0.0, 0)
-    return Field(grid, out, SPECTRAL)
+    out = integ.step(_hermitian_half(spectral_data(u), grid.dim), 0.0, 0)
+    return Field(grid, _full_spectrum(out, grid.dim), SPECTRAL)
 
 
 def run(config: SolverConfig, initial: Field = None) -> Trajectory:
     """Integrate from t=0 to t_end, recording snapshots on the cadence
-    and per-step energy/dissipation series for the balance audit."""
+    and per-step energy/dissipation series for the balance audit.
+
+    The state is the half spectrum of the projected initial data; the
+    snapshots are its full-layout spectra."""
     grid = Grid(config.dim, config.n)
     if initial is None:
         initial = initial_condition(config, grid)
     grid.require_same(initial.grid)
     if initial.ncomp != grid.dim:
         raise GridError("velocity field must have dim components")
-    spec = spectral_data(leray_project(initial)).copy()
+    spec = _hermitian_half(spectral_data(leray_project(initial)), grid.dim)
     nsteps = int(round(config.t_end / config.dt))
     if nsteps < 1 or abs(nsteps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise ValueError("t_end must be a whole number of steps")
     integ = _Integrator(grid, config)
+    # a plane 0 < k_last < n/2 stands for itself and its conjugate mirror
+    weight = np.full(grid.n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    k_sq = grid.k_sq[..., :grid.n // 2 + 1]
     times, snaps = [], []
     s_t, s_energy, s_diss = [], [], []
     for i in range(nsteps + 1):
         t = i * config.dt
-        energy = grid.volume * float(np.sum(np.abs(spec) ** 2))
+        power = np.abs(spec) ** 2 * weight
+        energy = grid.volume * float(np.sum(power))
         if not math.isfinite(energy):
             raise SolverAbort("nan", f"non-finite energy at t={t:.6g}", t, i)
         s_t.append(t)
         s_energy.append(energy)
-        s_diss.append(grid.volume * float(np.sum(grid.k_sq * np.abs(spec) ** 2)))
+        s_diss.append(grid.volume * float(np.sum(k_sq * power)))
         if i % config.snap_every == 0 or i == nsteps:
             times.append(t)
-            snaps.append(Field(grid, spec.copy(), SPECTRAL))
+            snaps.append(Field(grid, _full_spectrum(spec, grid.dim), SPECTRAL))
         if i < nsteps:
             spec = integ.step(spec, t, i)
     series = {

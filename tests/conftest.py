@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lpnse import Grid, SolverConfig, run, twin_run
+from lpnse.field import _full_spectrum, _hermitian_half
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +25,18 @@ def grid3():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture(scope="session")
+def nonlinear_full():
+    """The solver's nonlinear term on full spectra: the integrator takes
+    and returns half spectra, so the Hermitian half goes in and the full
+    layout comes out.  Returns (term, umax)."""
+    def apply(integ, spec):
+        dim = integ.grid.dim
+        term, umax = integ.nonlinear(_hermitian_half(spec, dim))
+        return _full_spectrum(term, dim), umax
+    return apply
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +102,26 @@ def test_report_rejects_mismatched_configs(tmp_path, capsys):
                  "--lambda", "1.0", "--out", str(report_dir)]) == 2
     err = capsys.readouterr().err
     assert "different configs" in err and "nu = 1.0 vs 0.1" in err
+    assert not (report_dir / "summary.json").exists()
+
+
+def test_report_rejects_non_finite_snapshot(tmp_path, capsys):
+    # one NaN coefficient in a stored snapshot: numeric exit, no report
+    twin_dir = tmp_path / "twin"
+    assert main(["twin", *SIM_ARGS, "--delta", "1e-4", "--seed", "5",
+                 "--out", str(twin_dir)]) == 0
+    capsys.readouterr()
+    snap = twin_dir / "v" / "snap_000001.fld"
+    blob = bytearray(snap.read_bytes())
+    blob[-16:-8] = struct.pack("<d", math.nan)
+    snap.write_bytes(bytes(blob))
+    report_dir = tmp_path / "report"
+    assert main(["report", "--u", str(twin_dir / "u"),
+                 "--v", str(twin_dir / "v"),
+                 "--triple", f"0.5,4,{8.0 / 3.0!r}", "--s", "0.5",
+                 "--lambda", "1.0", "--out", str(report_dir)]) == 3
+    err = capsys.readouterr().err
+    assert str(snap) in err and "non-finite" in err
     assert not (report_dir / "summary.json").exists()
 
 

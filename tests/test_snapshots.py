@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from lpnse.ensembles import divfree_noise
-from lpnse.field import from_components
+from lpnse.errors import NonFiniteError
+from lpnse.field import Field, from_components
 from lpnse.snapshots import (MAGIC, load_trajectory, read_field,
                              save_trajectory, write_field)
 from lpnse.solver import SolverConfig, run
@@ -74,6 +75,21 @@ def test_payload_length_checked(grid2, rng, tmp_path, change):
     assert str(path) in message
     assert f"{expected + change} bytes" in message
     assert f"needs {expected}" in message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_payload_rejected(grid2, rng, tmp_path, bad):
+    # one non-finite coefficient is refused at load, naming the file
+    f = divfree_noise(grid2, rng)
+    data = f.data.copy()
+    data[1, 3, 5] = complex(0.0, bad)
+    path = tmp_path / "f.fld"
+    write_field(path, Field(grid2, data, "spectral"))
+    with pytest.raises(NonFiniteError) as exc:
+        read_field(path)
+    message = str(exc.value)
+    assert str(path) in message
+    assert "1 non-finite value(s)" in message
 
 
 def test_trajectory_round_trip(tmp_path):

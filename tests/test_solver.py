@@ -125,14 +125,15 @@ def _off_nyquist(grid):
 
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
-def test_nonlinear_term_zero_on_nyquist_planes(dim, n, dealias):
+def test_nonlinear_term_zero_on_nyquist_planes(dim, n, dealias,
+                                               nonlinear_full):
     # arbitrary complex spectra, with content on the -n/2 planes too
     rng = np.random.default_rng(11)
     grid = Grid(dim, n)
     shape = (dim,) + grid.shape
     spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     config = SolverConfig(dim=dim, n=n, dealias=dealias)
-    term, _ = _Integrator(grid, config).nonlinear(spec)
+    term, _ = nonlinear_full(_Integrator(grid, config), spec)
     on = ~_off_nyquist(grid)
     assert np.all(term[:, on] == 0.0)
     assert np.max(np.abs(term[:, ~on])) > 0.0
@@ -144,24 +145,25 @@ def _divfree_off_nyquist(grid, seed):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
-def test_nonlinear_term_energy_neutral(dim, n):
+def test_nonlinear_term_energy_neutral(dim, n, nonlinear_full):
     grid = Grid(dim, n)
     integ = _Integrator(grid, SolverConfig(dim=dim, n=n))
     for seed in range(3):
         u = Field(grid, _divfree_off_nyquist(grid, seed), "spectral")
-        term, _ = integ.nonlinear(spectral_data(u))
+        term, _ = nonlinear_full(integ, spectral_data(u))
         term = Field(grid, term, "spectral")
         assert abs(inner(u, term)) <= 1e-13 * (l2_norm_spectral(u)
                                                * l2_norm_spectral(term))
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
-def test_nonlinear_term_is_projected_convective_off_nyquist(dim, n):
+def test_nonlinear_term_is_projected_convective_off_nyquist(dim, n,
+                                                           nonlinear_full):
     # P(u x omega) = -P(u.grad u): the forms differ by a gradient
     grid = Grid(dim, n)
     u = Field(grid, _divfree_off_nyquist(grid, 5), "spectral")
-    term, _ = _Integrator(grid, SolverConfig(dim=dim, n=n)).nonlinear(
-        spectral_data(u))
+    term, _ = nonlinear_full(_Integrator(grid, SolverConfig(dim=dim, n=n)),
+                             spectral_data(u))
     want = -spectral_data(leray_project(advect(u, u))) * _off_nyquist(grid)
     want[(slice(None),) + (0,) * dim] = 0.0
     assert np.max(np.abs(term - want)) <= 1e-13 * np.max(np.abs(want))
@@ -179,6 +181,44 @@ def test_state_stays_hermitian_without_nyquist_content():
         np.testing.assert_array_equal(
             _full_spectrum(_hermitian_half(spec, 3), 3), spec)
         assert np.all(spec[:, ~_off_nyquist(traj.grid)] == 0.0)
+
+
+def test_divergence_stays_round_off_over_long_run():
+    # IF-RK4 steps do not re-project their result: the state and every
+    # stage term are projected and the integrating factors are scalar per
+    # mode, so k.u must stay at round-off without a final projection
+    config = SolverConfig(dim=3, n=16, nu=0.05, dt=5e-3, t_end=1.0,
+                          ic="random-divfree", seed=4, snap_every=20)
+    traj = run(config)
+    grid = traj.grid
+    assert len(traj) == 11
+    for snap in traj.snapshots:
+        spec = spectral_data(snap)
+        kdotu = sum(k * spec[axis] for axis, k in enumerate(grid.k_components))
+        scale_ = np.max(grid.k_mag * np.sqrt(np.sum(np.abs(spec) ** 2, axis=0)))
+        assert np.max(np.abs(kdotu)) <= 1e-13 * scale_
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_series_are_full_spectrum_sums_over_snapshots(dim, n):
+    # the state holds the planes 0 <= k_last <= n/2; its energy and
+    # dissipation sums must count every plane but 0 and n/2 twice.  A mode
+    # on the last-axis Nyquist plane pins that plane's weight too
+    grid = Grid(dim, n)
+    config = SolverConfig(dim=dim, n=n, nu=0.05, dt=5e-3, t_end=5e-2,
+                          ic="random-divfree", seed=6, snap_every=1)
+    spec = spectral_data(initial_condition(config, grid)).copy()
+    lead = (1,) * (dim - 1)
+    spec[(0,) + lead + (n // 2,)] = 0.3 + 0.1j
+    spec[(0,) + (n - 1,) * (dim - 1) + (n // 2,)] = 0.3 - 0.1j
+    traj = run(config, initial=Field(grid, spec, "spectral"))
+    assert np.any(spectral_data(traj.final)[..., n // 2] != 0.0)
+    for i, snap in enumerate(traj.snapshots):
+        power = np.abs(spectral_data(snap)) ** 2
+        assert traj.series["energy"][i] == pytest.approx(
+            grid.volume * np.sum(power), rel=1e-14, abs=0.0)
+        assert traj.series["grad_sq"][i] == pytest.approx(
+            grid.volume * np.sum(grid.k_sq * power), rel=1e-14, abs=0.0)
 
 
 def test_single_step_matches_run(grid2):
