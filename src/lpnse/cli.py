@@ -142,7 +142,8 @@ def cmd_report(args) -> int:
                    "s": args.s, "lambda": args.lam, "mode": args.mode},
         paths, elapsed)
     write_manifest(os.path.join(outdir, "manifest.json"), manifest)
-    print(json.dumps(report.summary(), indent=2, sort_keys=True))
+    print(json.dumps(report.summary(), indent=2, sort_keys=True,
+                     allow_nan=False))
     return EXIT_PASS
 
 

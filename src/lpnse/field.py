@@ -19,6 +19,12 @@ Conventions
   the rule is an exact inverse pair on band-limited data; a half
   spectrum's last-axis Nyquist plane is halved on the way up and folded
   with the conjugate of its index-flipped copy on the way down.
+* A padded half spectrum lives in a buffer of m//2+1 planes on the
+  m-point grid, of which _pad_spectrum writes the first n//2+1; the rest
+  stay zero, so the c2r in _irfftn_half needs no zero-padded copy.  The
+  leading-axes c2c transforms of _irfftn_half and _rfftn_half run in
+  place, over the nonzero planes only: _irfftn_half overwrites its
+  input, and _rfftn_half returns a view of its r2c output.
 """
 
 from dataclasses import dataclass
@@ -53,21 +59,30 @@ def _ifftn(a: np.ndarray, dim: int) -> np.ndarray:
 
 def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
     """Planes 0 <= k_last < planes of the forward transform of real data
-    over its last dim axes; the mirror of _irfftn_half."""
+    over its last dim axes; the mirror of _irfftn_half.  The leading axes
+    are transformed in place in the r2c output, so the result is a view
+    of it."""
     half = _sfft.rfftn(a, axes=(-1,), norm="forward", workers=_fft_workers)
     axes = tuple(range(a.ndim - dim, a.ndim - 1))
     return _sfft.fftn(half[..., :planes], axes=axes, norm="forward",
-                      workers=_fft_workers)
+                      workers=_fft_workers, overwrite_x=True)
 
 
-def _irfftn_half(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """Inverse transform of a half-spectrum whose last axis holds the
-    first m <= n//2+1 entries; the entries beyond m are zero.  Valid only
-    for Hermitian-symmetric full spectra.  The leading axes are
-    transformed over those m planes only, then one c2r runs along the
-    last axis (a pruned separable transform, Markel 1971)."""
+def _irfftn_half(a: np.ndarray, shape: tuple, planes: int = None) -> np.ndarray:
+    """Inverse transform of a half spectrum whose last axis holds the
+    first entries 0 <= k_last <= m/2 of the m = shape[-1] point grid, of
+    which only the first `planes` (default: all) may be nonzero; missing
+    entries are zero.  Valid only for Hermitian-symmetric full spectra.
+    Overwrites `a`: the leading axes are transformed in place over those
+    planes only, then one c2r runs along the last axis (a pruned
+    separable transform, Markel 1971).  Given all m//2+1 planes, the c2r
+    needs no zero-padded copy."""
     axes = tuple(range(a.ndim - len(shape), a.ndim))
-    a = _sfft.ifftn(a, axes=axes[:-1], norm="forward", workers=_fft_workers)
+    slab = a[..., :planes]
+    lead = _sfft.ifftn(slab, axes=axes[:-1], norm="forward",
+                       workers=_fft_workers, overwrite_x=True)
+    if not np.may_share_memory(lead, slab):  # overwrite_x is only a hint
+        slab[...] = lead
     return _sfft.irfftn(a, s=shape[-1:], axes=axes[-1:], norm="forward",
                         workers=_fft_workers)
 
@@ -205,16 +220,17 @@ def inner(f: Field, g: Field) -> float:
 
 
 def _deriv_multiplier(grid: Grid, orders: tuple) -> np.ndarray:
-    mult = np.ones(grid.shape, dtype=np.complex128)
+    """Broadcastable multiplier of d^orders: the product of per-axis
+    factors (i k_axis)^order."""
+    mult = np.ones((1,) * grid.dim, dtype=np.complex128)
     for axis, order in enumerate(orders):
         if order == 0:
             continue
-        k = grid.k_components[axis]
-        factor = (1j * k) ** order
+        factor = (1j * grid.k_components[axis]) ** order
         if order % 2 == 1:
             # the lone -n/2 mode has no conjugate partner; an odd
             # derivative must kill it to keep real fields real
-            factor = np.where(k == -grid.n // 2, 0.0, factor)
+            factor[(0,) * axis + (grid.n // 2,)] = 0.0
         mult = mult * factor
     return mult
 
@@ -336,12 +352,14 @@ def _full_spectrum(half: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([half, np.conj(half[flip])], axis=-1)
 
 
-def _pad_spectrum(half: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
-    """Embed half spectra in the m-point grid's leading axes, keeping the
-    planes k_last <= n/2 (the rest are zero and left to the c2r)."""
+def _pad_spectrum(half: np.ndarray, out: np.ndarray, n: int, m: int,
+                  dim: int) -> np.ndarray:
+    """Embed half spectra in the m-point grid's leading axes, writing
+    every entry of `out`, the planes k_last <= n/2 of an m//2+1-plane
+    buffer (the planes beyond stay zero, for the c2r); returns out."""
     lead = half.ndim - dim
-    out = np.zeros(half.shape[:lead] + (m,) * (dim - 1) + half.shape[-1:],
-                   dtype=np.complex128)
+    for axis in range(lead, out.ndim - 1):  # rows no coarse mode lands on
+        out[(slice(None),) * axis + (slice(n // 2, m - n // 2),)] = 0.0
     out[_coarse_index(n, m, dim, lead)] = half
     for axis in range(lead, out.ndim - 1):
         at = (slice(None),) * axis
@@ -364,6 +382,15 @@ def _truncate_spectrum(fine: np.ndarray, m: int, n: int, dim: int) -> np.ndarray
     return out
 
 
+def _padded(half: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
+    """Half spectra `half` embedded in a new zeroed m//2+1-plane buffer
+    on the m-point grid."""
+    buf = np.zeros(half.shape[:-dim] + (m,) * (dim - 1) + (m // 2 + 1,),
+                   dtype=np.complex128)
+    _pad_spectrum(half, buf[..., :n // 2 + 1], n, m, dim)
+    return buf
+
+
 def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
                     grad: bool = False):
     """The one product kernel: the spectrum of the product of the real
@@ -372,16 +399,18 @@ def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
     values there.  With grad=True it is the advection sum_i a_i d_i b."""
     n, dim = grid.n, grid.dim
     m = 3 * n // 2 if dealias else n
+    planes = n // 2 + 1
     ha, hb = _hermitian_half(a, dim), _hermitian_half(b, dim)
     if dealias:
-        ha, hb = _pad_spectrum(ha, n, m, dim), _pad_spectrum(hb, n, m, dim)
-    fa = _irfftn_half(ha, (m,) * dim)
+        ha, hb = _padded(ha, n, m, dim), _padded(hb, n, m, dim)
+    fa = _irfftn_half(ha, (m,) * dim, planes)
     if grad:  # one derivative at a time bounds the fine-grid memory
         prod = sum(fa[axis] * _irfftn_half(hb * _ik(hb.shape[-dim:], n, m, axis),
-                                           (m,) * dim) for axis in range(dim))
+                                           (m,) * dim, planes)
+                   for axis in range(dim))
     else:
-        prod = fa * _irfftn_half(hb, (m,) * dim)
-    out = _rfftn_half(prod, dim, n // 2 + 1)
+        prod = fa * _irfftn_half(hb, (m,) * dim, planes)
+    out = _rfftn_half(prod, dim, planes)
     if dealias:
         out = _truncate_spectrum(out, m, n, dim)
     return _full_spectrum(out, dim), fa

@@ -428,7 +428,9 @@ class CriterionReport:
     t_star: float
 
     def summary(self) -> dict:
-        return {
+        """The summary as strict JSON values: an undefined envelope
+        constant is None (null) with a c_sup_reason key."""
+        out = {
             "triple": {"r": self.triple.r, "p": self.triple.p, "q": self.triple.q},
             "s": self.params.s,
             "lambda": self.params.lam,
@@ -440,6 +442,12 @@ class CriterionReport:
             "final_lhs": float(self.fit.lhs[-1]),
             "criterion_integral_final": float(self.integral[-1]),
         }
+        if not math.isfinite(self.fit.c_sup):
+            out["c_sup"] = None
+            out["c_sup_reason"] = (
+                "degenerate pair: ||w0||^2 = 0, so C(t) is undefined"
+                if self.fit.degenerate else "non-finite envelope fit")
+        return out
 
     def write(self, outdir) -> list:
         """One CSV per series plus a summary JSON; returns written paths."""
@@ -479,7 +487,8 @@ class CriterionReport:
              zip(self.times, self.fit.lhs, self.fit.integral, self.fit.c_series))
         spath = os.path.join(outdir, "summary.json")
         with open(spath, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+            json.dump(self.summary(), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         paths.append(spath)
         return paths

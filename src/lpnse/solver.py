@@ -25,6 +25,12 @@ twice.  Snapshots are expanded to the full FFT layout, as the Field API
 and the snapshot files hold.  The public step() and nse_rhs() take and
 return full-layout Fields.
 
+The integrator owns the nonlinear term's transform workspace: the
+padded [u; omega] half spectra, the coarse [u; omega] and the real
+cross product, allocated once and overwritten on every call, so the
+padded inverse transform allocates only its real output and no
+zero-padded copy is made.  An integrator is therefore not reentrant.
+
 Twin runs integrate a base flow and a perturbed flow with identical
 stepping so their snapshots align exactly in time.
 """
@@ -174,7 +180,13 @@ def nse_rhs(u: Field, nu: float, dealias: bool = True) -> Field:
 
 class _Integrator:
     """Precomputed multipliers for repeated IF-RK4 steps on half spectra
-    (planes 0 <= k_last <= n/2)."""
+    (planes 0 <= k_last <= n/2), and the transform workspace of the
+    nonlinear term: the padded [u; omega] half spectra (m//2+1 planes on
+    the m-point grid, of which only planes 0 <= k_last <= n/2 are ever
+    written), the coarse [u; omega] they are padded from, and the real
+    cross product.  The workspace is overwritten on every nonlinear()
+    call, so an integrator is not reentrant: one thread, one call at a
+    time."""
 
     def __init__(self, grid: Grid, config: SolverConfig, dt: float = None):
         self.grid = grid
@@ -192,22 +204,32 @@ class _Integrator:
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
         self.ik = [_ik(half, grid.n, grid.n, axis) for axis in range(grid.dim)]
         self.flip = _flip_index(grid.n, grid.dim - 1, 1)
+        n, dim = grid.n, grid.dim
+        self.m = m = 3 * n // 2 if config.dealias else n
+        ncomp = dim + (3 if dim == 3 else 1)
+        self.padded = np.zeros((ncomp,) + (m,) * (dim - 1) + (m // 2 + 1,),
+                               dtype=np.complex128)
+        self.coarse = (np.empty((ncomp,) + half, dtype=np.complex128)
+                       if config.dealias else self.padded)
+        self.cross = np.empty((dim,) + (m,) * dim)
 
     def nonlinear(self, half: np.ndarray):
         """P(u x omega), with omega = curl u, zeroed on the -n/2 planes and
         at k = 0, and the max velocity magnitude on the product grid.
 
-        Takes and returns half spectra; the k_last = 0 plane of `half`
-        must be Hermitian, as every solver state's is.  u and omega go
-        through one padded inverse transform together; the cross product
-        goes through one forward transform."""
+        Takes and returns half spectra and leaves `half` unchanged; the
+        k_last = 0 plane of `half` must be Hermitian, as every solver
+        state's is.  u and omega are written into the workspace and go
+        through one padded inverse transform together, in place up to
+        the c2r; the cross product goes through one forward transform.
+        The result is a new array, not a view of the workspace."""
         grid = self.grid
-        n, dim = grid.n, grid.dim
-        m = 3 * n // 2 if self.config.dealias else n
-        fine = _irfftn_half(self._velocity_vorticity(half, m), (m,) * dim)
+        n, dim, m = grid.n, grid.dim, self.m
+        self._velocity_vorticity(half)
+        fine = _irfftn_half(self.padded, (m,) * dim, n // 2 + 1)
         u, w = fine[:dim], fine[dim:]
         umax = float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
-        cross = np.empty_like(u)
+        cross = self.cross
         if dim == 3:
             for i in range(3):
                 np.multiply(u[i - 2], w[i - 1], out=cross[i])
@@ -229,17 +251,19 @@ class _Integrator:
         out[self.zero] = 0.0
         return out, umax
 
-    def _velocity_vorticity(self, half: np.ndarray, m: int) -> np.ndarray:
-        """Half spectra of [u; omega] on the m-point grid; omega has 3
-        components in 3D and 1 (omega_3) in 2D."""
-        ik, dim = self.ik, self.grid.dim
+    def _velocity_vorticity(self, half: np.ndarray) -> None:
+        """Write the half spectra of [u; omega] into planes 0 <= k_last
+        <= n/2 of the padded workspace, through the coarse one when
+        dealiasing; omega has 3 components in 3D and 1 (omega_3) in 2D."""
+        ik, dim, both = self.ik, self.grid.dim, self.coarse
+        both[:dim] = half
         # omega_i = d_{i+1} u_{i+2} - d_{i+2} u_{i+1}, indices mod 3
-        curl = [ik[i - 2] * half[i - 1] - ik[i - 1] * half[i - 2]
-                for i in (range(3) if dim == 3 else (2,))]
-        both = np.concatenate([half, curl])
-        if not self.config.dealias:
-            return both
-        return _pad_spectrum(both, self.grid.n, m, dim)
+        for row, i in enumerate(range(3) if dim == 3 else (2,), start=dim):
+            np.multiply(ik[i - 2], half[i - 1], out=both[row])
+            both[row] -= ik[i - 1] * half[i - 2]
+        if self.config.dealias:
+            n = self.grid.n
+            _pad_spectrum(both, self.padded[..., :n // 2 + 1], n, self.m, dim)
 
     def step(self, spec: np.ndarray, time: float, index: int) -> np.ndarray:
         """One IF-RK4 step of the half-spectrum state `spec`."""

@@ -89,6 +89,33 @@ def test_twin_report_pipeline(tmp_path, capsys):
     assert (report_dir / "manifest.json").exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_degenerate_pair_summary_is_strict_json(tmp_path, capsys):
+    # delta = 0: the twins are equal, the envelope constant is undefined,
+    # and both the file and the printed copy must still be strict JSON
+    twin_dir = tmp_path / "twin"
+    assert main(["twin", *SIM_ARGS, "--delta", "0", "--seed", "5",
+                 "--out", str(twin_dir)]) == 0
+    capsys.readouterr()
+    report_dir = tmp_path / "report"
+    assert main(["report", "--u", str(twin_dir / "u"),
+                 "--v", str(twin_dir / "v"),
+                 "--triple", f"0.5,4,{8.0 / 3.0!r}", "--s", "0.5",
+                 "--lambda", "1.0", "--out", str(report_dir)]) == 0
+    printed = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+    with open(report_dir / "summary.json") as fh:
+        summary = json.load(fh, parse_constant=_reject_constant)
+    assert summary == printed
+    assert summary["degenerate"] is True
+    assert summary["c_sup"] is None
+    assert summary["c_sup_reason"] == (
+        "degenerate pair: ||w0||^2 = 0, so C(t) is undefined")
+
+
 def test_report_rejects_mismatched_configs(tmp_path, capsys):
     # twins must share every config key but the initial data's
     for nu in ("1.0", "0.1"):

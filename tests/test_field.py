@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,43 @@ def test_divergence(grid2):
     mesh = grid2.meshes()
     np.testing.assert_allclose(div.data[0], np.cos(mesh[0]) + np.cos(mesh[1]),
                                rtol=0.0, atol=1e-12)
+
+
+def _full_grid_multiplier(grid, orders):
+    """d^orders as a full-grid array: the reference for the per-axis
+    factors the library multiplies."""
+    mult = np.ones(grid.shape, dtype=np.complex128)
+    for axis, order in enumerate(orders):
+        if order == 0:
+            continue
+        k = np.broadcast_to(grid.k_components[axis], grid.shape)
+        factor = (1j * k) ** order
+        if order % 2 == 1:
+            factor = np.where(k == -(grid.n // 2), 0.0, factor)
+        mult = mult * factor
+    return mult
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_derivative_multipliers_match_full_grid_reference(dim, n):
+    # arbitrary complex spectra, -n/2 content included
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(31)
+    shape = (dim,) + grid.shape
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vec = Field(grid, spec, "spectral")
+    for orders in itertools.product(range(3), repeat=dim):
+        np.testing.assert_array_equal(
+            derivative(vec, orders).data,
+            spec * _full_grid_multiplier(grid, orders))
+    units = [tuple(int(b == a) for b in range(dim)) for a in range(dim)]
+    np.testing.assert_array_equal(
+        gradient(Field(grid, spec[:1], "spectral")).data,
+        np.stack([spec[0] * _full_grid_multiplier(grid, u) for u in units]))
+    np.testing.assert_array_equal(
+        divergence(vec).data[0],
+        sum(spec[a] * _full_grid_multiplier(grid, u)
+            for a, u in enumerate(units)))
 
 
 # --- products ----------------------------------------------------------------

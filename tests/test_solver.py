@@ -169,6 +169,43 @@ def test_nonlinear_term_is_projected_convective_off_nyquist(dim, n,
     assert np.max(np.abs(term - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _random_half_states(grid, count, seed):
+    """Half spectra with content on every plane, the -n/2 planes too, and
+    sizes that differ from state to state."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.dim,) + grid.shape
+    return [_hermitian_half(10.0**-i * (rng.standard_normal(shape)
+                                        + 1j * rng.standard_normal(shape)),
+                            grid.dim) for i in range(count)]
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_nonlinear_workspace_reuse_is_bit_identical(dim, n, dealias):
+    # the integrator reuses its transform workspace: nothing of one call
+    # may leak into the next
+    grid = Grid(dim, n)
+    config = SolverConfig(dim=dim, n=n, dealias=dealias)
+    reused = _Integrator(grid, config)
+    for state in _random_half_states(grid, 3, 21):
+        term, umax = reused.nonlinear(state)
+        fresh_term, fresh_umax = _Integrator(grid, config).nonlinear(state)
+        np.testing.assert_array_equal(term, fresh_term)
+        assert umax == fresh_umax
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_nonlinear_leaves_input_unchanged(dim, n, dealias):
+    grid = Grid(dim, n)
+    integ = _Integrator(grid, SolverConfig(dim=dim, n=n, dealias=dealias))
+    state = _random_half_states(grid, 1, 22)[0]
+    before = state.copy()
+    term, _ = integ.nonlinear(state)
+    np.testing.assert_array_equal(state, before)
+    assert not np.may_share_memory(term, state)
+
+
 def test_state_stays_hermitian_without_nyquist_content():
     # no -n/2 content in the random initial condition, none produced by the
     # masked term: every snapshot is its own Hermitian part, bit for bit
