@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import block_indices, block_norms, delta_j, s_j
-from .cutoffs import DyadicCutoffs
 from .errors import GridError, ResolutionError, TripleError
 from .field import (Field, SPECTRAL, divergence, grad_norm_inf, h1_seminorm,
                     l2_norm_spectral, lp_norm, spectral_data)
@@ -25,23 +24,29 @@ from .grid import Grid
 
 @dataclass(frozen=True)
 class BesovSpec:
-    """Norm parameters (s, p, q); q = inf takes the sup over blocks."""
+    """Norm parameters (s, p, q); q = inf takes the sup over blocks.
+    NaN in any of them, or an infinite s, raises ValueError."""
 
     s: float
     p: float
     q: float = math.inf
 
     def __post_init__(self):
+        for name in ("s", "p", "q"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"Besov parameter {name} is NaN")
+        if math.isinf(self.s):
+            raise ValueError(f"smoothness s must be finite, got s={self.s}")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"exponents must be >= 1, got p={self.p}, q={self.q}")
 
 
-def besov_norm(f: Field, spec: BesovSpec, cutoffs: DyadicCutoffs = None) -> float:
+def besov_norm(f: Field, spec: BesovSpec) -> float:
     """Weighted block-norm sequence 2^{js} ||block_j f||_p, aggregated in
     l^q over j in [-1, jmax].  f should be band-limited to the resolved
     band (true for every field produced here)."""
     js = np.array(block_indices(f.grid))
-    norms = block_norms(f, spec.p, js=list(js), cutoffs=cutoffs)
+    norms = block_norms(f, spec.p, js=list(js))
     weighted = 2.0 ** (js * spec.s) * norms
     if math.isinf(spec.q):
         return float(np.max(weighted))
@@ -102,7 +107,7 @@ def biot_savart(w: Field) -> Field:
     return Field(grid, np.stack(comps) * inv_ksq, SPECTRAL)
 
 
-def bkm_ratio(u: Field, cutoffs: DyadicCutoffs = None) -> float:
+def bkm_ratio(u: Field) -> float:
     """Ratio of the Lipschitz-type norm of u to the energy norm plus the
     sup-type vorticity norm.  Zero field returns 0 by convention."""
     norm_u2 = l2_norm_spectral(u)
@@ -111,8 +116,8 @@ def bkm_ratio(u: Field, cutoffs: DyadicCutoffs = None) -> float:
     div = l2_norm_spectral(divergence(u))
     if div > 1e-10 * max(h1_seminorm(u), 1e-30):
         raise ValueError("bkm_ratio expects a divergence-free field")
-    num = besov_norm(u, BesovSpec(1.0, math.inf, math.inf), cutoffs)
-    den = norm_u2 + besov_norm(curl(u), BesovSpec(0.0, math.inf, math.inf), cutoffs)
+    num = besov_norm(u, BesovSpec(1.0, math.inf, math.inf))
+    den = norm_u2 + besov_norm(curl(u), BesovSpec(0.0, math.inf, math.inf))
     return num / den
 
 
@@ -136,6 +141,9 @@ class CriterionTriple:
         return abs(2.0 / self.q + 3.0 / self.p - (1.0 + self.r))
 
     def validate(self, mode: str = UNIQUENESS_MODE) -> "CriterionTriple":
+        for name in ("r", "p", "q"):
+            if math.isnan(getattr(self, name)):
+                raise TripleError(f"{name} is NaN")
         if self.p < 1 or self.q < 1:
             raise TripleError("p >= 1 and q >= 1 violated")
         if self.relation_residual() > _RELATION_TOL:
@@ -186,34 +194,32 @@ def choose_p_tilde(triple: CriterionTriple) -> float:
 
 
 def split_low_high(u: Field, triple: CriterionTriple,
-                   norm_value: float = None,
-                   cutoffs: DyadicCutoffs = None) -> SplitResult:
+                   norm_value: float = None) -> SplitResult:
     """Cut u at level N so the low part obeys a Lipschitz bound growing
     like 2^{2(1-1/q)N} and the high part decays like 2^{(3/p-3/p~-r)N},
     both against the B^r_{p,inf} norm."""
     triple.validate(UNIQUENESS_MODE)
     if norm_value is None or norm_value < 0:
-        norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf), cutoffs)
+        norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
     N = split_level(triple.q, norm_value)
     if N > u.grid.jmax:
         raise ResolutionError(
             f"split level N={N} exceeds jmax={u.grid.jmax}; refine the grid")
-    u_low = s_j(u, N, cutoffs)
+    u_low = s_j(u, N)
     u_high = Field(u.grid, spectral_data(u) - u_low.data, SPECTRAL)
     p_tilde = choose_p_tilde(triple)
     q_tilde = 2.0 / (1.0 - 3.0 / p_tilde)
     return SplitResult(u_low, u_high, N, p_tilde, q_tilde)
 
 
-def split_constants(u: Field, triple: CriterionTriple,
-                    cutoffs: DyadicCutoffs = None) -> dict:
+def split_constants(u: Field, triple: CriterionTriple) -> dict:
     """Measured constants in the two split bounds, for reports:
 
       c_lip  = ||grad u_low||_inf / (2^{2(1-1/q)N} ||u||)
       c_high = ||u_high||_{p~}   / (2^{(3/p-3/p~-r)N} ||u||)
     """
-    norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf), cutoffs)
-    result = split_low_high(u, triple, norm_value, cutoffs)
+    norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
+    result = split_low_high(u, triple, norm_value)
     lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * result.N) * norm_value
     high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / result.p_tilde - triple.r) * result.N)
                   * norm_value)

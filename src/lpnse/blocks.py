@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import ensembles
-from .cutoffs import DEFAULT_CUTOFFS, DyadicCutoffs
+from .cutoffs import DEFAULT_CUTOFFS
 from .errors import BlockRangeError
 from .field import (Field, SPECTRAL, _irfftn_half, lp_norm, spectral_data)
 from .grid import Grid
@@ -30,22 +30,20 @@ def block_indices(grid: Grid) -> range:
     return range(-1, grid.jmax + 1)
 
 
-def block_multiplier(grid: Grid, j: int, cutoffs: DyadicCutoffs = None,
-                     kind: str = "block") -> np.ndarray:
+def block_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
     """Cached radial multiplier for the shell block ('block') or the
     low-pass partial sum ('low') at index j."""
-    cutoffs = cutoffs or DEFAULT_CUTOFFS
-    key = (cutoffs.profile, grid.dim, grid.n, j, kind)
+    key = (grid.dim, grid.n, j, kind)
     cached = _MULTIPLIER_CACHE.get(key)
     if cached is not None:
         return cached
     if kind == "block":
         if j == -1:
-            mult = cutoffs.chi(grid.k_mag)
+            mult = DEFAULT_CUTOFFS.chi(grid.k_mag)
         else:
-            mult = cutoffs.phi(grid.k_mag / 2.0**j)
+            mult = DEFAULT_CUTOFFS.phi(grid.k_mag / 2.0**j)
     elif kind == "low":
-        mult = cutoffs.chi(grid.k_mag / 2.0**j)
+        mult = DEFAULT_CUTOFFS.chi(grid.k_mag / 2.0**j)
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     mult = np.ascontiguousarray(mult)
@@ -54,46 +52,46 @@ def block_multiplier(grid: Grid, j: int, cutoffs: DyadicCutoffs = None,
     return mult
 
 
-def delta_j(f: Field, j: int, cutoffs: DyadicCutoffs = None) -> Field:
+def delta_j(f: Field, j: int) -> Field:
     """Frequency-localize f to the dyadic shell at index j."""
     grid = f.grid
     if j > grid.jmax:
         raise BlockRangeError(f"block {j} exceeds jmax={grid.jmax} for n={grid.n}")
     if j <= -2:
         return Field(grid, np.zeros_like(spectral_data(f)), SPECTRAL)
-    mult = block_multiplier(grid, j, cutoffs, "block")
+    mult = block_multiplier(grid, j, "block")
     return Field(grid, spectral_data(f) * mult, SPECTRAL)
 
 
-def s_j(f: Field, j: int, cutoffs: DyadicCutoffs = None) -> Field:
+def s_j(f: Field, j: int) -> Field:
     """Partial sum S_j f: all shells strictly below j plus the ball."""
     grid = f.grid
     if j > grid.jmax + 1:
         raise BlockRangeError(f"low-pass level {j} exceeds jmax+1={grid.jmax + 1}")
     if j <= -1:
         return Field(grid, np.zeros_like(spectral_data(f)), SPECTRAL)
-    mult = block_multiplier(grid, j, cutoffs, "low")
+    mult = block_multiplier(grid, j, "low")
     return Field(grid, spectral_data(f) * mult, SPECTRAL)
 
 
-def reconstruct(f: Field, cutoffs: DyadicCutoffs = None) -> Field:
+def reconstruct(f: Field) -> Field:
     """Sum of every resolved block.  Equals f (to round-off) whenever f
     is band-limited to |k| <= (3/4) 2^{jmax+1}."""
     grid = f.grid
     total = np.zeros_like(spectral_data(f))
     for j in block_indices(grid):
-        total = total + delta_j(f, j, cutoffs).data
+        total = total + delta_j(f, j).data
     return Field(grid, total, SPECTRAL)
 
 
-def block_norms(f: Field, p: float, js=None, cutoffs: DyadicCutoffs = None) -> np.ndarray:
+def block_norms(f: Field, p: float, js=None) -> np.ndarray:
     """L^p norms of every requested block; p = 2 is evaluated spectrally
     and is exact.
 
     Other p run one inverse transform per block, all components together,
     from the half spectrum, so f must be real (true for every field this
     package produces).  The ball multiplier chi(|k|) is exactly 0 for
-    |k| >= support (4/3 by default) and the shell multiplier
+    |k| >= support (4/3) and the shell multiplier
     chi(|k|/2^{j+1}) - chi(|k|/2^j) for |k| >= 2^{j+1} support, that is
     (8/3) 2^j, because smooth_step returns exactly 0 at and below the
     foot of its ramp.  Only the half-spectrum planes 0 <= k_last <= that
@@ -108,13 +106,13 @@ def block_norms(f: Field, p: float, js=None, cutoffs: DyadicCutoffs = None) -> n
     if p == 2:
         power = np.sum(np.abs(spec) ** 2, axis=0)
         for i, j in enumerate(js):
-            mult = block_multiplier(grid, j, cutoffs, "block")
+            mult = block_multiplier(grid, j, "block")
             out[i] = np.sqrt(grid.volume * np.sum(mult**2 * power))
         return out
-    support = (cutoffs or DEFAULT_CUTOFFS).support
     for i, j in enumerate(js):
-        planes = min(int(support * 2.0 ** (j + 1)), grid.n // 2) + 1
-        mult = block_multiplier(grid, j, cutoffs, "block")[..., :planes]
+        planes = min(int(DEFAULT_CUTOFFS.support * 2.0 ** (j + 1)),
+                     grid.n // 2) + 1
+        mult = block_multiplier(grid, j, "block")[..., :planes]
         phys = _irfftn_half(spec[..., :planes] * mult, grid.shape)
         np.square(phys, out=phys)
         sq = phys[0]
@@ -208,13 +206,12 @@ def _default_js(grid: Grid) -> list:
     return list(range(1, grid.jmax))
 
 
-def _shell_translate(grid: Grid, j: int, x0: np.ndarray,
-                     cutoffs: DyadicCutoffs = None) -> Field:
+def _shell_translate(grid: Grid, j: int, x0: np.ndarray) -> Field:
     """The shell reproducing kernel centered at x0: coefficients equal
     to the block multiplier with a translation phase.  Every norm ratio
     is translation-invariant, so one random translate represents the
     whole orbit."""
-    mult = block_multiplier(grid, j, cutoffs, "block")
+    mult = block_multiplier(grid, j, "block")
     phase = np.zeros(grid.shape)
     for axis in range(grid.dim):
         phase = phase + grid.k_components[axis] * x0[axis]
@@ -222,8 +219,7 @@ def _shell_translate(grid: Grid, j: int, x0: np.ndarray,
 
 
 def bernstein_report(grid: Grid, cases=DEFAULT_BERNSTEIN_CASES, js=None,
-                     ensemble: int = 64, seed: int = 0,
-                     cutoffs: DyadicCutoffs = None) -> ConstantReport:
+                     ensemble: int = 64, seed: int = 0) -> ConstantReport:
     """Measure forward Bernstein ratios
 
         sup_{|beta|=alpha} ||d^beta f||_q
@@ -262,11 +258,11 @@ def bernstein_report(grid: Grid, cases=DEFAULT_BERNSTEIN_CASES, js=None,
 
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
     for j in js:
-        measure(_shell_translate(grid, j, x0, cutoffs), j)
+        measure(_shell_translate(grid, j, x0), j)
     for _ in range(ensemble):
         noise = ensembles.band_noise(grid, rng)
         for j in js:
-            measure(delta_j(noise, j, cutoffs), j)
+            measure(delta_j(noise, j), j)
     for case in cases:
         p, q, alpha = case
         for j in js:
@@ -275,8 +271,7 @@ def bernstein_report(grid: Grid, cases=DEFAULT_BERNSTEIN_CASES, js=None,
 
 
 def reverse_bernstein_report(grid: Grid, js=None, ensemble: int = 64,
-                             seed: int = 0, p: float = 2.0,
-                             cutoffs: DyadicCutoffs = None) -> ConstantReport:
+                             seed: int = 0, p: float = 2.0) -> ConstantReport:
     """Measure the reverse ratio on shells,
 
         2^j ||f||_p / ||grad f||_p,
@@ -297,7 +292,7 @@ def reverse_bernstein_report(grid: Grid, js=None, ensemble: int = 64,
     for _ in range(ensemble):
         noise = ensembles.band_noise(grid, rng)
         for j in js:
-            f = delta_j(noise, j, cutoffs)
+            f = delta_j(noise, j)
             if p == 2:
                 ratio = 2.0**j * l2_norm_spectral(f) / h1_seminorm(f)
             else:

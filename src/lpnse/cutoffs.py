@@ -12,6 +12,7 @@ of phi telescope:
 
 which equals 1 wherever r <= (3/4) 2^{J+1}.  The transition is built from
 the classical exp(-1/t) bump, so every profile is C-infinity.
+DEFAULT_CUTOFFS is the one partition; every block operator reads it.
 """
 
 from dataclasses import dataclass
@@ -37,13 +38,8 @@ def smooth_step(t):
 
 @dataclass(frozen=True)
 class DyadicCutoffs:
-    """The chi/phi profile pair used by every block operator.
+    """The chi/phi profile pair of the dyadic partition."""
 
-    profile is a cache key: multipliers built from distinct cutoff
-    families never share cache entries.
-    """
-
-    profile: str = "smooth-bump"
     plateau: float = PLATEAU_RADIUS
     support: float = SUPPORT_RADIUS
 
@@ -62,17 +58,6 @@ class DyadicCutoffs:
         for j in range(levels + 1):
             total = total + self.phi(r / 2.0**j)
         return total
-
-
-def build_cutoffs(profile: str = "smooth-bump") -> DyadicCutoffs:
-    """Construct the standard cutoff pair.
-
-    Only the smooth bump profile ships; the argument exists so an
-    alternative family can be injected under a distinct cache key.
-    """
-    if profile != "smooth-bump":
-        raise ValueError(f"unknown cutoff profile {profile!r}")
-    return DyadicCutoffs(profile=profile)
 
 
 DEFAULT_CUTOFFS = DyadicCutoffs()

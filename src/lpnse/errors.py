@@ -23,7 +23,7 @@ class ResolutionError(LpnseError):
 
 
 class NonFiniteError(LpnseError):
-    """Stored data holding NaN or infinite values."""
+    """Stored data or a report value holding NaN or infinite values."""
 
 
 class SolverAbort(LpnseError):

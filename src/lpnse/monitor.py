@@ -18,8 +18,7 @@ import numpy as np
 
 from .besov import BesovSpec, CriterionTriple, besov_norm
 from .blocks import block_indices, block_multiplier, block_norms, delta_j
-from .cutoffs import DEFAULT_CUTOFFS, DyadicCutoffs
-from .errors import BlockRangeError
+from .errors import BlockRangeError, NonFiniteError
 from .field import Field, SPECTRAL, advect, inner, spectral_data
 from .solver import Trajectory
 
@@ -61,8 +60,9 @@ class LosingParams:
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValueError("loss index s must lie in (0,1)")
-        if self.lam <= 0.0:
-            raise ValueError("weight rate lambda must be positive")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(f"weight rate lambda must be positive and finite, "
+                             f"got {self.lam}")
 
 
 def s_window(r1: float, r2: float) -> tuple:
@@ -75,13 +75,11 @@ def s_window(r1: float, r2: float) -> tuple:
 
 # --- criterion integral ------------------------------------------------------
 
-def besov_series(traj: Trajectory, spec: BesovSpec,
-                 cutoffs: DyadicCutoffs = None) -> np.ndarray:
-    cutoffs = cutoffs or DEFAULT_CUTOFFS
-    key = ("besov", spec.s, spec.p, spec.q, cutoffs.profile)
+def besov_series(traj: Trajectory, spec: BesovSpec) -> np.ndarray:
+    key = ("besov", spec.s, spec.p, spec.q)
     if key not in traj.cache:
         traj.cache[key] = np.array(
-            [besov_norm(snap, spec, cutoffs) for snap in traj.snapshots])
+            [besov_norm(snap, spec) for snap in traj.snapshots])
     return traj.cache[key]
 
 
@@ -93,8 +91,8 @@ class CriterionSeries:
     integral: np.ndarray
 
 
-def criterion_integral(traj: Trajectory, triple: CriterionTriple,
-                       cutoffs: DyadicCutoffs = None) -> CriterionSeries:
+def criterion_integral(traj: Trajectory,
+                       triple: CriterionTriple) -> CriterionSeries:
     """Cumulative integral of (e + ||u||_{B^r_{p,inf}})^q over snapshots."""
     triple.validate()
     if len(traj) == 0:
@@ -103,7 +101,7 @@ def criterion_integral(traj: Trajectory, triple: CriterionTriple,
     if len(gaps) and np.max(gaps) > 10.0 * traj.config.dt + 1e-12:
         raise ValueError("snapshot cadence too coarse for criterion integrals "
                          "(need <= 10 steps between snapshots)")
-    norms = besov_series(traj, BesovSpec(triple.r, triple.p, math.inf), cutoffs)
+    norms = besov_series(traj, BesovSpec(triple.r, triple.p, math.inf))
     integrand = (math.e + norms) ** triple.q
     return CriterionSeries(traj.times, norms, integrand,
                            _cumtrapz(integrand, traj.times))
@@ -118,20 +116,18 @@ class BlockSeries:
     values: np.ndarray  # shape (len(js), len(times))
 
 
-def block_series(traj_u: Trajectory, traj_v: Trajectory,
-                 cutoffs: DyadicCutoffs = None) -> BlockSeries:
+def block_series(traj_u: Trajectory, traj_v: Trajectory) -> BlockSeries:
     """L2 norm of every dyadic block of w = u - v at every snapshot."""
     _require_aligned(traj_u, traj_v)
-    cutoffs = cutoffs or DEFAULT_CUTOFFS
     # The cache entry pins the partner trajectory and is matched by object
     # identity: keying on id() alone would go stale when a freed twin's id
     # is recycled during a delta sweep against a shared base.
-    key = ("wblocks", cutoffs.profile)
+    key = "wblocks"
     entry = traj_u.cache.get(key)
     if entry is None or entry[0] is not traj_v:
         grid = traj_u.grid
         js = np.array(block_indices(grid))
-        mults = np.stack([block_multiplier(grid, j, cutoffs) ** 2 for j in js])
+        mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
         mat = np.empty((len(js), len(traj_u)))
         for i in range(len(traj_u)):
             power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
@@ -142,11 +138,10 @@ def block_series(traj_u: Trajectory, traj_v: Trajectory,
     return entry[1]
 
 
-def diff_norm_series(traj_u: Trajectory, traj_v: Trajectory, s: float,
-                     cutoffs: DyadicCutoffs = None):
+def diff_norm_series(traj_u: Trajectory, traj_v: Trajectory, s: float):
     """W(t) = sup_j 2^{-js} ||w_j||_2 per snapshot, with the smallest
     attaining j reported alongside."""
-    blocks = block_series(traj_u, traj_v, cutoffs)
+    blocks = block_series(traj_u, traj_v)
     weighted = 2.0 ** (-blocks.js[:, None] * s) * blocks.values
     idx = np.argmax(weighted, axis=0)  # first occurrence = smallest j
     values = weighted[idx, np.arange(weighted.shape[1])]
@@ -154,9 +149,9 @@ def diff_norm_series(traj_u: Trajectory, traj_v: Trajectory, s: float,
 
 
 def diff_norm_W(traj_u: Trajectory, traj_v: Trajectory, s: float,
-                t: float = None, cutoffs: DyadicCutoffs = None):
+                t: float = None):
     """W at a single snapshot time (default: final); see diff_norm_series."""
-    times, values, jstar = diff_norm_series(traj_u, traj_v, s, cutoffs)
+    times, values, jstar = diff_norm_series(traj_u, traj_v, s)
     if t is None:
         i = len(times) - 1
     else:
@@ -169,26 +164,24 @@ def diff_norm_W(traj_u: Trajectory, traj_v: Trajectory, s: float,
 
 # --- drift weights -----------------------------------------------------------
 
-def _linf_block_matrix(traj: Trajectory, cutoffs: DyadicCutoffs):
-    cutoffs = cutoffs or DEFAULT_CUTOFFS
-    key = ("linf_blocks", cutoffs.profile)
+def _linf_block_matrix(traj: Trajectory):
+    key = "linf_blocks"
     if key not in traj.cache:
         js = list(block_indices(traj.grid))
         mat = np.empty((len(js), len(traj)))
         for i, snap in enumerate(traj.snapshots):
-            mat[:, i] = block_norms(snap, math.inf, js=js, cutoffs=cutoffs)
+            mat[:, i] = block_norms(snap, math.inf, js=js)
         traj.cache[key] = (np.array(js), mat)
     return traj.cache[key]
 
 
-def b1_series(traj: Trajectory, cutoffs: DyadicCutoffs = None) -> np.ndarray:
+def b1_series(traj: Trajectory) -> np.ndarray:
     """Per-snapshot B^1_{inf,inf} norms from the cached block matrix."""
-    js, mat = _linf_block_matrix(traj, cutoffs)
+    js, mat = _linf_block_matrix(traj)
     return np.max(2.0 ** js[:, None] * mat, axis=0)
 
 
-def epsilon_weights(traj_u: Trajectory, traj_v: Trajectory,
-                    cutoffs: DyadicCutoffs = None):
+def epsilon_weights(traj_u: Trajectory, traj_v: Trajectory):
     """Cumulative frequency-drift integrals
 
         eps_j(t) = int_0^t sum_{j' <= j+4} 2^{j'} (||u_j'||_inf + ||v_j'||_inf),
@@ -197,8 +190,8 @@ def epsilon_weights(traj_u: Trajectory, traj_v: Trajectory,
     Returns (times, js, eps) with eps shaped (len(js), len(times)).
     """
     _require_aligned(traj_u, traj_v)
-    js, mat_u = _linf_block_matrix(traj_u, cutoffs)
-    _, mat_v = _linf_block_matrix(traj_v, cutoffs)
+    js, mat_u = _linf_block_matrix(traj_u)
+    _, mat_v = _linf_block_matrix(traj_v)
     weighted = 2.0 ** js[:, None] * (mat_u + mat_v)
     prefix = np.cumsum(weighted, axis=0)  # sum over j' <= row index
     eps = np.empty_like(prefix)
@@ -220,7 +213,7 @@ def losing_weight(blocks: BlockSeries, eps: np.ndarray, lam: float,
 
 
 def smallness_window(traj_u: Trajectory, traj_v: Trajectory, s: float,
-                     lam: float, cutoffs: DyadicCutoffs = None) -> float:
+                     lam: float) -> float:
     """Largest snapshot time t* with
 
         lambda (||u||_{L1(0,t;B1)} + ||v||_{L1(0,t;B1)}) < (1-s) log 2,
@@ -229,8 +222,7 @@ def smallness_window(traj_u: Trajectory, traj_v: Trajectory, s: float,
     """
     params = LosingParams(s, lam)
     _require_aligned(traj_u, traj_v)
-    total = _cumtrapz(b1_series(traj_u, cutoffs) + b1_series(traj_v, cutoffs),
-                      traj_u.times)
+    total = _cumtrapz(b1_series(traj_u) + b1_series(traj_v), traj_u.times)
     ok = params.lam * total < (1.0 - params.s) * LOG2
     if not np.any(ok):
         return 0.0
@@ -239,15 +231,15 @@ def smallness_window(traj_u: Trajectory, traj_v: Trajectory, s: float,
 
 # --- per-block energy audit --------------------------------------------------
 
-def _block_half_energy(traj_u, traj_v, j, i, cutoffs) -> float:
+def _block_half_energy(traj_u, traj_v, j, i) -> float:
     grid = traj_u.grid
-    mult = block_multiplier(grid, j, cutoffs)
+    mult = block_multiplier(grid, j)
     power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
     return 0.5 * grid.volume * float(np.sum(mult**2 * power))
 
 
 def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
-                       i: int, cutoffs: DyadicCutoffs = None) -> dict:
+                       i: int) -> dict:
     """Balance of the per-block energy law at snapshot i:
 
         d/dt (1/2)||w_j||_2^2 + nu ||grad w_j||_2^2
@@ -266,9 +258,9 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     nu = traj_u.config.nu
     t0, t1, t2 = traj_u.times[i - 1: i + 2]
     h_minus, h_plus = t1 - t0, t2 - t1
-    e_prev = _block_half_energy(traj_u, traj_v, j, i - 1, cutoffs)
-    e_here = _block_half_energy(traj_u, traj_v, j, i, cutoffs)
-    e_next = _block_half_energy(traj_u, traj_v, j, i + 1, cutoffs)
+    e_prev = _block_half_energy(traj_u, traj_v, j, i - 1)
+    e_here = _block_half_energy(traj_u, traj_v, j, i)
+    e_next = _block_half_energy(traj_u, traj_v, j, i + 1)
     dedt = ((h_minus**2 * e_next + (h_plus**2 - h_minus**2) * e_here
              - h_plus**2 * e_prev)
             / (h_plus * h_minus * (h_plus + h_minus)))
@@ -276,14 +268,14 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     w = _diff_field(traj_u, traj_v, i)
     u = traj_u.snapshots[i]
     v = traj_v.snapshots[i]
-    w_j = delta_j(w, j, cutoffs)
-    mult = block_multiplier(grid, j, cutoffs)
+    w_j = delta_j(w, j)
+    mult = block_multiplier(grid, j)
     power_w = np.sum(np.abs(w.data) ** 2, axis=0)
     wj_sq = grid.volume * float(np.sum(mult**2 * power_w))
     grad_sq = grid.volume * float(np.sum(grid.k_sq * mult**2 * power_w))
 
-    transport = -inner(delta_j(advect(w, u), j, cutoffs), w_j)
-    drift_full = inner(delta_j(advect(v, w), j, cutoffs), w_j)
+    transport = -inner(delta_j(advect(w, u), j), w_j)
+    drift_full = inner(delta_j(advect(v, w), j), w_j)
     cancellation = inner(advect(v, w_j), w_j)
     drift = -(drift_full - cancellation)
 
@@ -373,8 +365,7 @@ class GronwallFit:
 
 
 def gronwall_check(traj_u: Trajectory, traj_v: Trajectory,
-                   triple: CriterionTriple,
-                   cutoffs: DyadicCutoffs = None) -> GronwallFit:
+                   triple: CriterionTriple) -> GronwallFit:
     """Fit the envelope constant: C(t) = log(LHS(t)/||w0||^2) / I(t) with
     LHS(t) = ||w(t)||^2 + int_0^t ||grad w||^2 and I the criterion
     integral of the base flow.  The sup over t is the fitted constant."""
@@ -387,7 +378,7 @@ def gronwall_check(traj_u: Trajectory, traj_v: Trajectory,
         e_w[i] = grid.volume * float(np.sum(power))
         d_w[i] = grid.volume * float(np.sum(grid.k_sq * power))
     lhs = e_w + _cumtrapz(d_w, traj_u.times)
-    crit = criterion_integral(traj_u, triple, cutoffs)
+    crit = criterion_integral(traj_u, triple)
     w0_sq = e_w[0]
     if w0_sq == 0.0:
         nanv = np.full(len(traj_u), np.nan)
@@ -429,7 +420,8 @@ class CriterionReport:
 
     def summary(self) -> dict:
         """The summary as strict JSON values: an undefined envelope
-        constant is None (null) with a c_sup_reason key."""
+        constant is None (null) with a c_sup_reason key, and any other
+        non-finite value raises NonFiniteError naming its key."""
         out = {
             "triple": {"r": self.triple.r, "p": self.triple.p, "q": self.triple.q},
             "s": self.params.s,
@@ -447,12 +439,19 @@ class CriterionReport:
             out["c_sup_reason"] = (
                 "degenerate pair: ||w0||^2 = 0, so C(t) is undefined"
                 if self.fit.degenerate else "non-finite envelope fit")
+        flat = {f"triple.{k}": v for k, v in out["triple"].items()}
+        flat.update(out)
+        for key, value in flat.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NonFiniteError(f"report summary value {key} is {value!r}")
         return out
 
     def write(self, outdir) -> list:
-        """One CSV per series plus a summary JSON; returns written paths."""
+        """One CSV per series plus a summary JSON; returns written paths.
+        The summary is built and checked before any file is written."""
         import os
 
+        summary = self.summary()
         os.makedirs(outdir, exist_ok=True)
         paths = []
 
@@ -487,7 +486,7 @@ class CriterionReport:
              zip(self.times, self.fit.lhs, self.fit.integral, self.fit.c_series))
         spath = os.path.join(outdir, "summary.json")
         with open(spath, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True,
+            json.dump(summary, fh, indent=2, sort_keys=True,
                       allow_nan=False)
             fh.write("\n")
         paths.append(spath)
@@ -495,16 +494,15 @@ class CriterionReport:
 
 
 def build_report(traj_u: Trajectory, traj_v: Trajectory,
-                 triple: CriterionTriple, s: float, lam: float,
-                 cutoffs: DyadicCutoffs = None) -> CriterionReport:
+                 triple: CriterionTriple, s: float, lam: float) -> CriterionReport:
     params = LosingParams(s, lam)
-    crit = criterion_integral(traj_u, triple, cutoffs)
-    blocks = block_series(traj_u, traj_v, cutoffs)
-    times, w_values, w_attain = diff_norm_series(traj_u, traj_v, s, cutoffs)
-    _, _, eps = epsilon_weights(traj_u, traj_v, cutoffs)
+    crit = criterion_integral(traj_u, triple)
+    blocks = block_series(traj_u, traj_v)
+    times, w_values, w_attain = diff_norm_series(traj_u, traj_v, s)
+    _, _, eps = epsilon_weights(traj_u, traj_v)
     losing = losing_weight(blocks, eps, lam, s)
-    fit = gronwall_check(traj_u, traj_v, triple, cutoffs)
-    t_star = smallness_window(traj_u, traj_v, s, lam, cutoffs)
+    fit = gronwall_check(traj_u, traj_v, triple)
+    t_star = smallness_window(traj_u, traj_v, s, lam)
     return CriterionReport(triple, params, times, crit.norms, crit.integrand,
                            crit.integral, blocks, w_values, w_attain, eps,
                            losing, fit, t_star)

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import block_indices, delta_j, s_j
-from .cutoffs import DyadicCutoffs
 from .errors import BlockRangeError
 from .field import (Field, SPECTRAL, add, advect, dealiased_product,
                     divergence, grad_norm_inf, h1_seminorm, l2_norm_spectral,
                     spectral_data, zero_field)
 
 
-def paraproduct_t(u: Field, v: Field, cutoffs: DyadicCutoffs = None,
-                  dealias: bool = True) -> Field:
+def paraproduct_t(u: Field, v: Field, dealias: bool = True) -> Field:
     """T_u v: sum over shells j of (low pass of u below j-1) * (block j of v).
 
     Terms with j <= 0 vanish because the low-pass at level j-1 is zero
@@ -33,22 +31,20 @@ def paraproduct_t(u: Field, v: Field, cutoffs: DyadicCutoffs = None,
     grid = u.grid
     total = None
     for j in range(1, grid.jmax + 1):
-        term = dealiased_product(s_j(u, j - 1, cutoffs), delta_j(v, j, cutoffs),
-                                 dealias)
+        term = dealiased_product(s_j(u, j - 1), delta_j(v, j), dealias)
         total = term.data if total is None else total + term.data
     if total is None:
         return zero_field(grid, max(u.ncomp, v.ncomp))
     return Field(grid, total, SPECTRAL)
 
 
-def remainder_r(u: Field, v: Field, cutoffs: DyadicCutoffs = None,
-                dealias: bool = True) -> Field:
+def remainder_r(u: Field, v: Field, dealias: bool = True) -> Field:
     """R(u, v): blocks of comparable frequency, |j - j'| <= 1, with the
     ball block participating at j = -1."""
     u.grid.require_same(v.grid)
     grid = u.grid
-    blocks_u = {j: delta_j(u, j, cutoffs) for j in block_indices(grid)}
-    blocks_v = {j: delta_j(v, j, cutoffs) for j in block_indices(grid)}
+    blocks_u = {j: delta_j(u, j) for j in block_indices(grid)}
+    blocks_v = {j: delta_j(v, j) for j in block_indices(grid)}
     total = None
     for j in block_indices(grid):
         for jp in (j - 1, j, j + 1):
@@ -59,11 +55,9 @@ def remainder_r(u: Field, v: Field, cutoffs: DyadicCutoffs = None,
     return Field(grid, total, SPECTRAL)
 
 
-def t_prime(u: Field, v: Field, cutoffs: DyadicCutoffs = None,
-            dealias: bool = True) -> Field:
+def t_prime(u: Field, v: Field, dealias: bool = True) -> Field:
     """T'_u v = T_u v + R(u, v): everything in uv except T_v u."""
-    return add(paraproduct_t(u, v, cutoffs, dealias),
-               remainder_r(u, v, cutoffs, dealias))
+    return add(paraproduct_t(u, v, dealias), remainder_r(u, v, dealias))
 
 
 @dataclass(frozen=True)
@@ -78,11 +72,10 @@ class BonyParts:
         return add(add(self.T_uv, self.T_vu), self.R_uv)
 
 
-def bony_decomposition(u: Field, v: Field, cutoffs: DyadicCutoffs = None,
-                       dealias: bool = True) -> BonyParts:
-    return BonyParts(paraproduct_t(u, v, cutoffs, dealias),
-                     paraproduct_t(v, u, cutoffs, dealias),
-                     remainder_r(u, v, cutoffs, dealias))
+def bony_decomposition(u: Field, v: Field, dealias: bool = True) -> BonyParts:
+    return BonyParts(paraproduct_t(u, v, dealias),
+                     paraproduct_t(v, u, dealias),
+                     remainder_r(u, v, dealias))
 
 
 def _check_divfree(v: Field, tol: float) -> None:
@@ -93,8 +86,7 @@ def _check_divfree(v: Field, tol: float) -> None:
                          f"(relative divergence {div / max(scale_, 1e-30):.2e})")
 
 
-def commutator(v: Field, j: int, w: Field, cutoffs: DyadicCutoffs = None,
-               dealias: bool = True) -> Field:
+def commutator(v: Field, j: int, w: Field, dealias: bool = True) -> Field:
     """The commutator of the low-high paraproduct of v against the shell
     projector at j, applied to the advection derivative of w:
 
@@ -115,10 +107,10 @@ def commutator(v: Field, j: int, w: Field, cutoffs: DyadicCutoffs = None,
     grid = v.grid
     total = None
     for jp in range(max(1, j - 4), min(grid.jmax, j + 4) + 1):
-        low_v = s_j(v, jp - 1, cutoffs)
-        w_block = delta_j(w, jp, cutoffs)
-        direct = advect(low_v, delta_j(w_block, j, cutoffs), dealias)
-        projected = delta_j(advect(low_v, w_block, dealias), j, cutoffs)
+        low_v = s_j(v, jp - 1)
+        w_block = delta_j(w, jp)
+        direct = advect(low_v, delta_j(w_block, j), dealias)
+        projected = delta_j(advect(low_v, w_block, dealias), j)
         term = direct.data - spectral_data(projected)
         total = term if total is None else total + term
     if total is None:
@@ -126,15 +118,14 @@ def commutator(v: Field, j: int, w: Field, cutoffs: DyadicCutoffs = None,
     return Field(grid, total, SPECTRAL)
 
 
-def commutator_bound_ratio(v: Field, j: int, w: Field,
-                           cutoffs: DyadicCutoffs = None) -> float:
+def commutator_bound_ratio(v: Field, j: int, w: Field) -> float:
     """Measured constant in the commutator estimate: the L2 norm of the
     commutator divided by ||grad S_{j+3} v||_inf * sum_{|j'-j|<=4} ||w_j'||_2.
     Returns 0 when the predicted bound is itself zero."""
     grid = v.grid
-    num = l2_norm_spectral(commutator(v, j, w, cutoffs))
-    lip = grad_norm_inf(s_j(v, min(j + 3, grid.jmax + 1), cutoffs))
-    tail = sum(l2_norm_spectral(delta_j(w, jp, cutoffs))
+    num = l2_norm_spectral(commutator(v, j, w))
+    lip = grad_norm_inf(s_j(v, min(j + 3, grid.jmax + 1)))
+    tail = sum(l2_norm_spectral(delta_j(w, jp))
                for jp in range(max(-1, j - 4), min(grid.jmax, j + 4) + 1))
     denom = lip * tail
     if denom == 0.0:

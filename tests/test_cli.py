@@ -2,14 +2,16 @@
 
 import json
 import math
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from lpnse.cli import main
+from lpnse.field import scale
 from lpnse.manifest import file_hash
-from lpnse.snapshots import load_trajectory, read_field
+from lpnse.snapshots import load_trajectory, read_field, write_field
 
 SIM_ARGS = ["--set", "dim=2", "--set", "n=32", "--set", "dt=2.5e-3",
             "--set", "t_end=0.01", "--set", "snap_every=2"]
@@ -194,3 +196,60 @@ def test_outdir_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("LPNSE_OUTDIR", str(outdir))
     assert main(["simulate", *SIM_ARGS]) == 0
     assert (outdir / "trajectory.json").exists()
+
+
+# --- non-finite inputs and results -------------------------------------------
+
+@pytest.fixture(scope="module")
+def stored_pair(tmp_path_factory):
+    """A stored 2D twin pair; the tests below read it and never change it."""
+    twin_dir = tmp_path_factory.mktemp("pair")
+    assert main(["twin", *SIM_ARGS, "--delta", "1e-4", "--seed", "5",
+                 "--out", str(twin_dir)]) == 0
+    return twin_dir
+
+
+def _report(pair, out, triple=f"0.5,4,{8.0 / 3.0!r}", lam="1.0"):
+    return main(["report", "--u", str(pair / "u"), "--v", str(pair / "v"),
+                 "--triple", triple, "--s", "0.5", "--lambda", lam,
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--s", "1", "--p", "nan"], "p is NaN"),
+    (["--s", "nan", "--p", "4"], "s is NaN"),
+])
+def test_besov_rejects_nan_flags(stored_pair, capsys, flags, message):
+    snap = stored_pair / "u" / "snap_000000.fld"
+    assert main(["besov", "--snapshot", str(snap), *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("triple, lam, message", [
+    ("0.5,4,nan", "1.0", "q is NaN"),
+    (f"0.5,4,{8.0 / 3.0!r}", "nan", "lambda must be positive and finite"),
+    (f"0.5,4,{8.0 / 3.0!r}", "inf", "lambda must be positive and finite"),
+])
+def test_report_rejects_non_finite_flags(stored_pair, tmp_path, capsys,
+                                         triple, lam, message):
+    out = tmp_path / "report"
+    assert _report(stored_pair, out, triple=triple, lam=lam) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_non_finite_summary_numeric_exit(stored_pair, tmp_path,
+                                                capsys):
+    # every snapshot of both runs scaled by 1e120: the squared norms
+    # overflow, so the summary cannot be strict JSON
+    pair = tmp_path / "pair"
+    shutil.copytree(stored_pair, pair)
+    for snap in sorted(pair.glob("[uv]/snap_*.fld")):
+        f, header = read_field(snap)
+        write_field(snap, scale(f, 1e120), time=header["time"],
+                    viscosity=header["viscosity"])
+    out = tmp_path / "report"
+    assert _report(pair, out) == 3
+    assert "report summary value" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpnse import DyadicCutoffs, build_cutoffs
 from lpnse.cutoffs import DEFAULT_CUTOFFS, smooth_step
 
 
@@ -78,10 +77,3 @@ def test_partition_unity_residual():
     residual = np.max(np.abs(DEFAULT_CUTOFFS.partition(r, levels) - 1.0))
     assert residual <= 1e-14
 
-
-def test_build_cutoffs():
-    c = build_cutoffs()
-    assert c.profile == "smooth-bump"
-    assert c == DyadicCutoffs()
-    with pytest.raises(ValueError, match="unknown cutoff profile"):
-        build_cutoffs("boxcar")
