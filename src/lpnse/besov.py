@@ -46,7 +46,12 @@ def besov_norm(f: Field, spec: BesovSpec) -> float:
     l^q over j in [-1, jmax].  f should be band-limited to the resolved
     band (true for every field produced here)."""
     js = np.array(block_indices(f.grid))
-    norms = block_norms(f, spec.p, js=list(js))
+    return besov_from_blocks(js, block_norms(f, spec.p, js=list(js)), spec)
+
+
+def besov_from_blocks(js: np.ndarray, norms: np.ndarray,
+                      spec: BesovSpec) -> float:
+    """The B^s_{p,q} norm from the L^p block norms `norms` at indices js."""
     weighted = 2.0 ** (js * spec.s) * norms
     if math.isinf(spec.q):
         return float(np.max(weighted))

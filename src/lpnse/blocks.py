@@ -84,45 +84,67 @@ def reconstruct(f: Field) -> Field:
     return Field(grid, total, SPECTRAL)
 
 
-def block_norms(f: Field, p: float, js=None) -> np.ndarray:
-    """L^p norms of every requested block; p = 2 is evaluated spectrally
-    and is exact.
+def block_norm_table(f: Field, ps, js=None) -> np.ndarray:
+    """L^p norms of every requested block for every exponent in ps, shaped
+    (len(ps), len(js)); row i equals block_norms(f, ps[i], js) bit for bit.
 
-    Other p run one inverse transform per block, all components together,
-    from the half spectrum, so f must be real (true for every field this
-    package produces).  The ball multiplier chi(|k|) is exactly 0 for
-    |k| >= support (4/3) and the shell multiplier
+    p = 2 is evaluated spectrally (Parseval) and is exact.  Any other p
+    costs one inverse transform per block, all components together, from
+    the half spectrum, so f must be real (true for every field this
+    package produces); every such p of a block is read from the same
+    squared pointwise magnitude: its max (one square root) for p = inf,
+    its (p/2)-th power sum otherwise.  The ball multiplier chi(|k|) is
+    exactly 0 for |k| >= support (4/3) and the shell multiplier
     chi(|k|/2^{j+1}) - chi(|k|/2^j) for |k| >= 2^{j+1} support, that is
     (8/3) 2^j, because smooth_step returns exactly 0 at and below the
     foot of its ramp.  Only the half-spectrum planes 0 <= k_last <= that
-    radius (at most n/2) are multiplied and transformed; every dropped
-    coefficient is a true zero.  The pointwise magnitude is carried as
-    its square, with one square root per block for p = inf."""
+    radius (at most n/2) are multiplied into one zeroed n//2+1-plane
+    buffer and transformed, so the c2r pads nothing; every dropped
+    coefficient is a true zero."""
     grid = f.grid
     if js is None:
         js = list(block_indices(grid))
     spec = spectral_data(f)
-    out = np.empty(len(js))
-    if p == 2:
+    out = np.empty((len(ps), len(js)))
+    physical = [row for row, p in enumerate(ps) if p != 2]
+    if len(physical) < len(ps):
         power = np.sum(np.abs(spec) ** 2, axis=0)
-        for i, j in enumerate(js):
-            mult = block_multiplier(grid, j, "block")
-            out[i] = np.sqrt(grid.volume * np.sum(mult**2 * power))
-        return out
-    for i, j in enumerate(js):
+    if physical:
+        buf = np.zeros(spec.shape[:-1] + (grid.n // 2 + 1,), dtype=spec.dtype)
+        dirty = 0  # planes of buf that may hold a transformed block
+    for col, j in enumerate(js):
+        mult = block_multiplier(grid, j, "block")
+        for row, p in enumerate(ps):
+            if p == 2:
+                out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
+        if not physical:
+            continue
         planes = min(int(DEFAULT_CUTOFFS.support * 2.0 ** (j + 1)),
                      grid.n // 2) + 1
-        mult = block_multiplier(grid, j, "block")[..., :planes]
-        phys = _irfftn_half(spec[..., :planes] * mult, grid.shape)
+        if dirty > planes:  # left over from a wider earlier block
+            buf[..., planes:dirty] = 0
+        dirty = planes
+        np.multiply(spec[..., :planes], mult[..., :planes],
+                    out=buf[..., :planes])
+        phys = _irfftn_half(buf, grid.shape, planes)
         np.square(phys, out=phys)
         sq = phys[0]
         for comp in phys[1:]:
             sq += comp
-        if np.isinf(p):
-            out[i] = np.sqrt(np.max(sq))
-        else:
-            out[i] = (np.sum(sq ** (p / 2.0)) * grid.cell_volume) ** (1.0 / p)
+        for row in physical:
+            p = ps[row]
+            if np.isinf(p):
+                out[row, col] = np.sqrt(np.max(sq))
+            else:
+                out[row, col] = (np.sum(sq ** (p / 2.0))
+                                 * grid.cell_volume) ** (1.0 / p)
     return out
+
+
+def block_norms(f: Field, p: float, js=None) -> np.ndarray:
+    """L^p norms of every requested block: the one row of
+    block_norm_table(f, (p,), js)."""
+    return block_norm_table(f, (p,), js)[0]
 
 
 # --- measured Bernstein constants ------------------------------------------

@@ -8,6 +8,14 @@ the cross-energy identity residual, and the Gronwall-envelope fit.
 Conventions: w = u - v, w_j is the dyadic block of w, and all time
 integrals over snapshots use the trapezoid rule (the solver's per-step
 series handle the high-accuracy energy audit separately).
+
+Per-snapshot block quantities are computed once and kept in the
+trajectory's cache: one block-norm matrix per exponent p (a p that needs
+inverse transforms is filled together with p = inf from the same
+transforms, so every block of u is transformed once for the criterion
+norm and the drift weights alike), and one record of w per partner
+trajectory holding its block L^2 norms, ||w||^2 and ||grad w||^2, all
+formed from a single |w^|^2 per snapshot.
 """
 
 import json
@@ -16,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovSpec, CriterionTriple, besov_norm
-from .blocks import block_indices, block_multiplier, block_norms, delta_j
+from .besov import BesovSpec, CriterionTriple, besov_from_blocks
+from .blocks import block_indices, block_multiplier, block_norm_table, delta_j
 from .errors import BlockRangeError, NonFiniteError
 from .field import Field, SPECTRAL, advect, inner, spectral_data
 from .solver import Trajectory
@@ -75,11 +83,30 @@ def s_window(r1: float, r2: float) -> tuple:
 
 # --- criterion integral ------------------------------------------------------
 
+def _block_matrix(traj: Trajectory, p: float):
+    """(js, L^p norms of every block of every snapshot), the matrix shaped
+    (len(js), len(traj)) and cached per exponent.  A p other than 2 is
+    filled together with a missing p = inf, which the drift weights read
+    of the same blocks, so each block is transformed once for both."""
+    key = ("blocks", p)
+    if key not in traj.cache:
+        ps = [p] if p == 2 else [q for q in dict.fromkeys((p, math.inf))
+                                 if ("blocks", q) not in traj.cache]
+        js = np.array(block_indices(traj.grid))
+        table = np.stack([block_norm_table(snap, ps, js=list(js))
+                          for snap in traj.snapshots], axis=-1)
+        for q, mat in zip(ps, table):
+            traj.cache[("blocks", q)] = (js, mat)
+    return traj.cache[key]
+
+
 def besov_series(traj: Trajectory, spec: BesovSpec) -> np.ndarray:
+    """Per-snapshot B^s_{p,q} norms from the cached block matrix."""
     key = ("besov", spec.s, spec.p, spec.q)
     if key not in traj.cache:
-        traj.cache[key] = np.array(
-            [besov_norm(snap, spec) for snap in traj.snapshots])
+        js, mat = _block_matrix(traj, spec.p)
+        traj.cache[key] = np.array([besov_from_blocks(js, mat[:, i], spec)
+                                    for i in range(len(traj))])
     return traj.cache[key]
 
 
@@ -116,8 +143,16 @@ class BlockSeries:
     values: np.ndarray  # shape (len(js), len(times))
 
 
-def block_series(traj_u: Trajectory, traj_v: Trajectory) -> BlockSeries:
-    """L2 norm of every dyadic block of w = u - v at every snapshot."""
+@dataclass(frozen=True)
+class _WRecord:
+    blocks: BlockSeries
+    energy: np.ndarray  # ||w||_2^2 per snapshot
+    dissipation: np.ndarray  # ||grad w||_2^2 per snapshot
+
+
+def _w_record(traj_u: Trajectory, traj_v: Trajectory) -> _WRecord:
+    """Block L2 norms, ||w||^2 and ||grad w||^2 of w = u - v at every
+    snapshot, all from one |w^|^2 per snapshot."""
     _require_aligned(traj_u, traj_v)
     # The cache entry pins the partner trajectory and is matched by object
     # identity: keying on id() alone would go stale when a freed twin's id
@@ -129,13 +164,23 @@ def block_series(traj_u: Trajectory, traj_v: Trajectory) -> BlockSeries:
         js = np.array(block_indices(grid))
         mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
         mat = np.empty((len(js), len(traj_u)))
+        energy = np.empty(len(traj_u))
+        dissipation = np.empty(len(traj_u))
         for i in range(len(traj_u)):
             power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
             mat[:, i] = np.sqrt(grid.volume * np.tensordot(
                 mults, power, axes=grid.dim))
-        entry = (traj_v, BlockSeries(traj_u.times, js, mat))
+            energy[i] = grid.volume * float(np.sum(power))
+            dissipation[i] = grid.volume * float(np.sum(grid.k_sq * power))
+        entry = (traj_v, _WRecord(BlockSeries(traj_u.times, js, mat),
+                                  energy, dissipation))
         traj_u.cache[key] = entry
     return entry[1]
+
+
+def block_series(traj_u: Trajectory, traj_v: Trajectory) -> BlockSeries:
+    """L2 norm of every dyadic block of w = u - v at every snapshot."""
+    return _w_record(traj_u, traj_v).blocks
 
 
 def diff_norm_series(traj_u: Trajectory, traj_v: Trajectory, s: float):
@@ -165,14 +210,8 @@ def diff_norm_W(traj_u: Trajectory, traj_v: Trajectory, s: float,
 # --- drift weights -----------------------------------------------------------
 
 def _linf_block_matrix(traj: Trajectory):
-    key = "linf_blocks"
-    if key not in traj.cache:
-        js = list(block_indices(traj.grid))
-        mat = np.empty((len(js), len(traj)))
-        for i, snap in enumerate(traj.snapshots):
-            mat[:, i] = block_norms(snap, math.inf, js=js)
-        traj.cache[key] = (np.array(js), mat)
-    return traj.cache[key]
+    """(js, L^inf block-norm matrix), the drift weights' input."""
+    return _block_matrix(traj, math.inf)
 
 
 def b1_series(traj: Trajectory) -> np.ndarray:
@@ -369,15 +408,9 @@ def gronwall_check(traj_u: Trajectory, traj_v: Trajectory,
     """Fit the envelope constant: C(t) = log(LHS(t)/||w0||^2) / I(t) with
     LHS(t) = ||w(t)||^2 + int_0^t ||grad w||^2 and I the criterion
     integral of the base flow.  The sup over t is the fitted constant."""
-    _require_aligned(traj_u, traj_v)
-    grid = traj_u.grid
-    e_w = np.empty(len(traj_u))
-    d_w = np.empty(len(traj_u))
-    for i in range(len(traj_u)):
-        power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
-        e_w[i] = grid.volume * float(np.sum(power))
-        d_w[i] = grid.volume * float(np.sum(grid.k_sq * power))
-    lhs = e_w + _cumtrapz(d_w, traj_u.times)
+    record = _w_record(traj_u, traj_v)
+    e_w = record.energy
+    lhs = e_w + _cumtrapz(record.dissipation, traj_u.times)
     crit = criterion_integral(traj_u, triple)
     w0_sq = e_w[0]
     if w0_sq == 0.0:
@@ -419,11 +452,15 @@ class CriterionReport:
     t_star: float
 
     def summary(self) -> dict:
-        """The summary as strict JSON values: an undefined envelope
-        constant is None (null) with a c_sup_reason key, and any other
-        non-finite value raises NonFiniteError naming its key."""
+        """The summary as strict JSON values: an infinite exponent of the
+        triple is the string "inf" (as --triple spells it), an undefined
+        envelope constant is None (null) with a c_sup_reason key, and any
+        other non-finite value raises NonFiniteError naming its key."""
         out = {
-            "triple": {"r": self.triple.r, "p": self.triple.p, "q": self.triple.q},
+            "triple": {name: "inf" if value == math.inf else value
+                       for name, value in (("r", self.triple.r),
+                                           ("p", self.triple.p),
+                                           ("q", self.triple.q))},
             "s": self.params.s,
             "lambda": self.params.lam,
             "t_star": self.t_star,

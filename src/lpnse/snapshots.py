@@ -46,35 +46,39 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
 
 
 def read_field(path):
-    """Returns (field, header dict).  A payload holding NaN or infinite
-    values raises NonFiniteError naming the file."""
+    """Returns (field, header dict).  The payload is read straight into
+    the field's own array.  A payload of the wrong length, or one holding
+    NaN or infinite values, raises naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path} is not a field snapshot (bad magic)")
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode())
-        raw = fh.read()
-    grid = Grid(header["dim"], header["n"])
-    shape = (header["components"],) + grid.shape
-    if header["representation"] == SPECTRAL:
-        dtype = np.dtype("<c16")
-    elif header["representation"] == PHYSICAL:
-        dtype = np.dtype("<f8")
-    else:
-        raise ValueError(f"unknown representation {header['representation']!r}")
-    expected = dtype.itemsize * int(np.prod(shape))
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload is {len(raw)} bytes, but the header "
-                         f"({header['representation']}, shape {shape}) needs "
-                         f"{expected}")
-    data = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        grid = Grid(header["dim"], header["n"])
+        shape = (header["components"],) + grid.shape
+        if header["representation"] == SPECTRAL:
+            dtype = np.dtype("<c16")
+        elif header["representation"] == PHYSICAL:
+            dtype = np.dtype("<f8")
+        else:
+            raise ValueError(
+                f"unknown representation {header['representation']!r}")
+        expected = dtype.itemsize * int(np.prod(shape))
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        data = np.empty(shape, dtype=dtype)
+        if size == expected:
+            size = fh.readinto(data.reshape(-1).view(np.uint8))
+        if size != expected:
+            raise ValueError(f"{path}: payload is {size} bytes, but the "
+                             f"header ({header['representation']}, shape "
+                             f"{shape}) needs {expected}")
     finite = np.isfinite(data)
     if not finite.all():
         bad = finite.size - np.count_nonzero(finite)
         raise NonFiniteError(f"{path}: payload holds {bad} non-finite "
                              f"value(s)")
-    return Field(grid, data.copy(), header["representation"]), header
+    return Field(grid, data, header["representation"]), header
 
 
 def _snap_name(i: int) -> str:

@@ -69,6 +69,11 @@ class SolverConfig:
     dealias: bool = True
 
     def __post_init__(self):
+        for name in ("nu", "dt", "t_end", "slope", "ic_kmax", "cfl_safety"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"config key {name!r} must be finite, "
+                                 f"got {value!r}")
         if self.nu < 0:
             raise ValueError("viscosity must be non-negative")
         if self.dt == 0 or self.t_end <= 0:
@@ -372,6 +377,10 @@ def twin_run(config: SolverConfig, delta: float, seed: int,
     stepping and aligned snapshot times.  Pass a previously computed
     base trajectory to amortize delta sweeps.
     """
+    for name, value in (("delta", delta), ("kmax", pert_kmax)):
+        if not math.isfinite(value):
+            raise ValueError(f"perturbation {name} must be finite, "
+                             f"got {value!r}")
     if delta < 0:
         raise ValueError("perturbation size must be non-negative")
     grid = Grid(config.dim, config.n)

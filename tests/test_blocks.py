@@ -6,7 +6,7 @@ import pytest
 
 from lpnse import (bernstein_report, block_indices, block_norms, delta_j,
                    reconstruct, reverse_bernstein_report, s_j)
-from lpnse.blocks import block_multiplier
+from lpnse.blocks import block_multiplier, block_norm_table
 from lpnse.cutoffs import DEFAULT_CUTOFFS
 from lpnse.ensembles import band_noise
 from lpnse.errors import BlockRangeError
@@ -102,6 +102,29 @@ def test_block_norms_matches_explicit_blocks(grid2, grid3, rng):
             assert fast2[i] == pytest.approx(l2_norm_spectral(blk), abs=1e-13)
             assert fast4[i] == pytest.approx(lp_norm(blk, 4.0), abs=1e-12)
             assert fast_inf[i] == pytest.approx(lp_norm(blk, math.inf), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, ncomp", [(2, 1), (2, 2), (3, 1), (3, 3)])
+def test_block_norm_table_rows_equal_block_norms(grid2, grid3, rng, dim,
+                                                 ncomp):
+    grid = grid2 if dim == 2 else grid3
+    f = band_noise(grid, rng, kmax=12.0, ncomp=ncomp)
+    ps = (math.inf, 4.0, 2.5, 2.0)
+    js = list(block_indices(grid))
+    table = block_norm_table(f, ps, js)
+    assert table.shape == (len(ps), len(js))
+    for row, p in zip(table, ps):
+        assert np.array_equal(row, block_norms(f, p, js))
+    for i, j in enumerate(js):
+        assert table[2, i] == pytest.approx(lp_norm(delta_j(f, j), 2.5),
+                                            rel=1e-12, abs=1e-13)
+    # a narrower block after a wider one must not see the planes the
+    # wider block's transform left in the shared buffer
+    for order in (js[::-1], [2, -1, 3, 0, 1]):
+        mixed = block_norm_table(f, ps, order)
+        assert np.array_equal(mixed, table[:, [js.index(j) for j in order]])
+        for row, p in zip(mixed, ps):
+            assert np.array_equal(row, block_norms(f, p, order))
 
 
 def test_block_norms_js_subset(grid2, rng):

@@ -253,3 +253,42 @@ def test_report_non_finite_summary_numeric_exit(stored_pair, tmp_path,
     assert _report(pair, out) == 3
     assert "report summary value" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_report_infinite_p_triple(stored_pair, tmp_path, capsys):
+    # p = inf with q = 2/(1+r) is a valid triple; the summary writes the
+    # exponent as the string "inf" and stays strict JSON
+    out = tmp_path / "report"
+    assert _report(stored_pair, out, triple="0.5,inf,1.3333333333333333") == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh, parse_constant=reject)
+    assert summary["triple"] == {"r": 0.5, "p": "inf",
+                                 "q": 1.3333333333333333}
+    printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert printed == summary
+    besov = np.loadtxt(out / "besov_u.csv", delimiter=",", skiprows=1)
+    assert besov.shape == (3, 4) and np.isfinite(besov).all()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("simulate", ["--set", "nu=nan"], "'nu' must be finite"),
+    ("simulate", ["--set", "dt=nan"], "'dt' must be finite"),
+    ("simulate", ["--set", "t_end=inf"], "'t_end' must be finite"),
+    ("simulate", ["--set", "slope=nan"], "'slope' must be finite"),
+    ("simulate", ["--set", "ic_kmax=inf"], "'ic_kmax' must be finite"),
+    ("simulate", ["--set", "cfl_safety=nan"], "'cfl_safety' must be finite"),
+    ("twin", ["--delta", "nan", "--seed", "5"], "delta must be finite"),
+    ("twin", ["--delta", "1e-4", "--seed", "5", "--kmax", "nan"],
+     "kmax must be finite"),
+])
+def test_non_finite_solver_flags_usage_error(tmp_path, capsys, command,
+                                             flags, message):
+    out = tmp_path / "run"
+    assert main([command, *SIM_ARGS, *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not (out / "manifest.json").exists()

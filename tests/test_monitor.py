@@ -10,15 +10,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lpnse.besov import BesovSpec, CriterionTriple
-from lpnse.blocks import block_norms
+import lpnse
+from lpnse.besov import BesovSpec, CriterionTriple, besov_norm
+from lpnse.blocks import block_indices, block_multiplier, block_norms
 from lpnse.cutoffs import DEFAULT_CUTOFFS
 from lpnse.ensembles import divfree_noise
 from lpnse.errors import BlockRangeError
 from lpnse.field import (Field, SPECTRAL, from_components, h1_seminorm,
                          l2_norm_spectral, lp_norm, spectral_data, zero_field)
 from lpnse.grid import Grid
-from lpnse.monitor import (LosingParams, b1_series, besov_series,
+from lpnse.monitor import (LosingParams, _cumtrapz, _diff_spec, b1_series,
+                           besov_series,
                            block_energy_audit, block_series, build_report,
                            criterion_integral, diff_norm_W, diff_norm_series,
                            envelope_holds, epsilon_weights, gronwall_check,
@@ -135,6 +137,72 @@ def test_besov_series_cached_per_spec(tg2d_traj):
     first = besov_series(tg2d_traj, spec)
     assert besov_series(tg2d_traj, spec) is first
     assert len(first) == len(tg2d_traj)
+
+
+def _fresh(traj):
+    # the same snapshots with an empty cache
+    return Trajectory(traj.config, traj.grid, traj.times, traj.snapshots,
+                      traj.series)
+
+
+def test_besov_and_b1_series_match_per_snapshot_norms(twin_pair):
+    u = _fresh(twin_pair[0])
+    js = np.array(block_indices(u.grid))
+    for spec in (BesovSpec(0.5, 4.0, math.inf), BesovSpec(0.25, 2.5, 2.0),
+                 BesovSpec(1.0, 2.0, math.inf),
+                 BesovSpec(0.5, math.inf, math.inf)):
+        reference = [besov_norm(snap, spec) for snap in u.snapshots]
+        assert np.array_equal(besov_series(u, spec), reference)
+    reference = [np.max(2.0 ** js * block_norms(snap, math.inf, list(js)))
+                 for snap in u.snapshots]
+    assert np.array_equal(b1_series(u), reference)
+
+
+def test_w_record_matches_diff_spec_loops(twin_pair):
+    u, v = (_fresh(traj) for traj in twin_pair)
+    grid = u.grid
+    js = np.array(block_indices(grid))
+    mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
+    blocks = np.empty((len(js), len(u)))
+    e_w = np.empty(len(u))
+    d_w = np.empty(len(u))
+    for i in range(len(u)):
+        power = np.sum(np.abs(_diff_spec(u, v, i)) ** 2, axis=0)
+        blocks[:, i] = np.sqrt(grid.volume * np.tensordot(
+            mults, power, axes=grid.dim))
+        e_w[i] = grid.volume * float(np.sum(power))
+        d_w[i] = grid.volume * float(np.sum(grid.k_sq * power))
+    series = block_series(u, v)
+    assert np.array_equal(series.js, js)
+    assert np.array_equal(series.values, blocks)
+    fit = gronwall_check(u, v, TRIPLE)
+    assert fit.w0_sq == e_w[0]
+    assert np.array_equal(fit.lhs, e_w + _cumtrapz(d_w, u.times))
+
+
+@pytest.mark.parametrize("triple", [TRIPLE, CriterionTriple(1.0, 2.0, 4.0),
+                                    CriterionTriple(0.5, math.inf, 4.0 / 3.0)])
+def test_build_report_transforms_each_block_once(monkeypatch, triple):
+    # u's blocks are transformed once for the criterion norm and the drift
+    # weights together, v's once for the drift weights: 2 T B transforms
+    grid = Grid(3, 16)
+    rng = np.random.default_rng(11)
+    a = divfree_noise(grid, rng, kmax=5.0)
+    b = Field(grid, spectral_data(a) + 1e-3 * spectral_data(
+        divfree_noise(grid, rng, kmax=5.0)), SPECTRAL)
+    times = [0.0, 0.01, 0.02, 0.03]
+    u, v = constant_trajectory(a, times), constant_trajectory(b, times)
+    original = lpnse.field._irfftn_half
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (lpnse.field, lpnse.blocks):
+        monkeypatch.setattr(module, "_irfftn_half", counting)
+    build_report(u, v, triple, s=0.5, lam=1.0)
+    assert len(calls) == 2 * len(times) * len(block_indices(grid))
 
 
 # --- difference norms --------------------------------------------------------

@@ -58,9 +58,11 @@ def test_unknown_representation_rejected(tmp_path):
         read_field(path)
 
 
-@pytest.mark.parametrize("change", [-16, 8])
+@pytest.mark.parametrize("change", [-16, 1, 8, 2 * 32**2 * 16])
 def test_payload_length_checked(grid2, rng, tmp_path, change):
-    # a truncated or padded payload names the file and both byte counts
+    # a truncated payload, or one followed by trailing bytes (a single
+    # byte, one value, a whole second payload), names the file and both
+    # byte counts
     path = tmp_path / "f.fld"
     write_field(path, divfree_noise(grid2, rng))
     blob = path.read_bytes()
@@ -90,6 +92,15 @@ def test_non_finite_payload_rejected(grid2, rng, tmp_path, bad):
     message = str(exc.value)
     assert str(path) in message
     assert "1 non-finite value(s)" in message
+
+
+def test_read_field_returns_owned_aligned_array(grid2, rng, tmp_path):
+    path = tmp_path / "f.fld"
+    f = divfree_noise(grid2, rng)
+    write_field(path, f)
+    data = read_field(path)[0].data
+    assert data.flags.owndata and data.flags.aligned
+    assert data.flags.c_contiguous and np.array_equal(data, f.data)
 
 
 def test_trajectory_round_trip(tmp_path):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import lpnse.blocks
 import lpnse.monitor
+from lpnse.besov import CriterionTriple
+from lpnse.solver import SolverConfig, twin_run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,3 +27,25 @@ def test_tracer_wraps_traced_functions(monkeypatch):
         tracer.uninstall()
     assert lpnse.blocks.block_norms is block_norms
     assert lpnse.monitor._linf_block_matrix is linf_block_matrix
+
+
+def test_traced_build_report_records_monitor_spans(monkeypatch):
+    # every wrapper's per-call information runs, so a traced function
+    # called with arguments its wrapper cannot read fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    config = SolverConfig(dim=2, n=16, nu=0.1, dt=5e-3, t_end=0.02,
+                          ic="random-divfree", snap_every=2)
+    traj_u, traj_v = twin_run(config, delta=1e-3, seed=3)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        lpnse.monitor.build_report(traj_u, traj_v,
+                                   CriterionTriple(0.5, 4.0, 8.0 / 3.0),
+                                   0.5, 1.0)
+    finally:
+        tracer.uninstall()
+    names = {rec[spans.NAME] for rec in tracer.spans}
+    assert {"monitor.build_report", "monitor.linf_blocks",
+            "monitor.besov_series"} <= names
