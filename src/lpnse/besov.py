@@ -17,8 +17,8 @@ import numpy as np
 
 from .blocks import block_indices, block_norms, delta_j, s_j
 from .errors import GridError, ResolutionError, TripleError
-from .field import (Field, SPECTRAL, divergence, grad_norm_inf, h1_seminorm,
-                    l2_norm_spectral, lp_norm, spectral_data)
+from .field import (Field, SPECTRAL, _ik, divergence, grad_norm_inf,
+                    h1_seminorm, l2_norm_spectral, lp_norm, spectral_data)
 from .grid import Grid
 
 
@@ -65,17 +65,20 @@ def curl(u: Field) -> Field:
     grid = u.grid
     if u.ncomp != grid.dim:
         raise GridError(f"curl expects a {grid.dim}-component field")
-    spec = spectral_data(u)
-    k = grid.k_components
-    if grid.dim == 2:
-        out = 1j * k[0] * spec[1] - 1j * k[1] * spec[0]
-        return Field(grid, out[np.newaxis], SPECTRAL)
-    comps = [
-        1j * k[1] * spec[2] - 1j * k[2] * spec[1],
-        1j * k[2] * spec[0] - 1j * k[0] * spec[2],
-        1j * k[0] * spec[1] - 1j * k[1] * spec[0],
-    ]
-    return Field(grid, np.stack(comps), SPECTRAL)
+    return Field(grid, _cross_ik(grid, spectral_data(u)), SPECTRAL)
+
+
+def _cross_ik(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """i k x spec on full spectra, with the first-derivative factor _ik:
+    in 2D the scalar i k x spec of a vector, and the vector i k x spec of
+    a scalar (as the third component of a 3D vector)."""
+    ik = [_ik(grid.shape, grid.n, grid.n, axis) for axis in range(grid.dim)]
+    if grid.dim == 3:  # component i: ik_{i+1} spec_{i+2} - ik_{i+2} spec_{i+1}
+        return np.stack([ik[i - 2] * spec[i - 1] - ik[i - 1] * spec[i - 2]
+                         for i in range(3)])
+    if len(spec) == 2:
+        return (ik[0] * spec[1] - ik[1] * spec[0])[np.newaxis]
+    return np.stack([ik[1] * spec[0], -ik[0] * spec[0]])
 
 
 def biot_savart(w: Field) -> Field:
@@ -91,25 +94,17 @@ def biot_savart(w: Field) -> Field:
     scale_ = np.max(np.abs(spec))
     if mean > 1e-10 * max(scale_, 1e-30):
         raise ValueError("vorticity must have zero mean")
+    if grid.dim == 2 and w.ncomp != 1:
+        raise GridError("2D vorticity is a scalar field")
+    if grid.dim == 3:
+        if w.ncomp != 3:
+            raise GridError("3D vorticity is a 3-component field")
+        div = l2_norm_spectral(divergence(w))
+        if div > 1e-10 * max(l2_norm_spectral(w), 1e-30):
+            raise ValueError("3D vorticity must be divergence-free (a curl)")
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_ksq = np.where(grid.k_sq > 0, 1.0 / grid.k_sq, 0.0)
-    k = grid.k_components
-    if grid.dim == 2:
-        if w.ncomp != 1:
-            raise GridError("2D vorticity is a scalar field")
-        out = np.stack([1j * k[1] * spec[0], -1j * k[0] * spec[0]]) * inv_ksq
-        return Field(grid, out, SPECTRAL)
-    if w.ncomp != 3:
-        raise GridError("3D vorticity is a 3-component field")
-    div = l2_norm_spectral(divergence(w))
-    if div > 1e-10 * max(l2_norm_spectral(w), 1e-30):
-        raise ValueError("3D vorticity must be divergence-free (a curl)")
-    comps = [
-        1j * (k[1] * spec[2] - k[2] * spec[1]),
-        1j * (k[2] * spec[0] - k[0] * spec[2]),
-        1j * (k[0] * spec[1] - k[1] * spec[0]),
-    ]
-    return Field(grid, np.stack(comps) * inv_ksq, SPECTRAL)
+    return Field(grid, _cross_ik(grid, spec) * inv_ksq, SPECTRAL)
 
 
 def bkm_ratio(u: Field) -> float:
@@ -250,9 +245,7 @@ def gn_ratio(w: Field, p_tilde: float) -> float:
     norm2 = l2_norm_spectral(w)
     if norm2 == 0.0:
         return 0.0
-    grid = w.grid
-    spec = spectral_data(w)
-    h1 = math.sqrt(grid.volume * float(np.sum(grid.k_sq * np.abs(spec) ** 2)))
+    h1 = h1_seminorm(w)
     if h1 == 0.0:
         return math.inf
     if math.isinf(p_tilde):

@@ -19,7 +19,9 @@ import numpy as np
 from . import ensembles
 from .cutoffs import DEFAULT_CUTOFFS
 from .errors import BlockRangeError
-from .field import (Field, SPECTRAL, _irfftn_half, lp_norm, spectral_data)
+from .field import (Field, SPECTRAL, _deriv_multiplier, _irfftn_half,
+                    derivative, h1_seminorm, l2_norm_spectral, lp_norm,
+                    spectral_data)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -200,8 +202,6 @@ def _derivative_sup_norm(f: Field, order: int, q: float) -> float:
 
     q = 2 is evaluated from coefficients (Parseval), skipping the inverse
     transform per multi-index."""
-    from .field import _deriv_multiplier, derivative, l2_norm_spectral
-
     if order == 0:
         return l2_norm_spectral(f) if q == 2 else lp_norm(f, q)
     grid = f.grid
@@ -267,16 +267,16 @@ def bernstein_report(grid: Grid, cases=DEFAULT_BERNSTEIN_CASES, js=None,
     worst = {(j, case): 0.0 for j in js for case in cases}
 
     def measure(f, j):
-        norms = {}
+        norms = {}  # (order, q) -> norm, for numerators and denominators
         for case in cases:
             p, q, alpha = case
-            num = _derivative_sup_norm(f, int(alpha), q)
-            den = norms.get(p)
-            if den is None:
-                den = norms[p] = _derivative_sup_norm(f, 0, p)
+            num, den = (int(alpha), q), (0, p)
+            for order_q in (num, den):
+                if order_q not in norms:
+                    norms[order_q] = _derivative_sup_norm(f, *order_q)
             factor = 2.0 ** (j * (alpha + grid.dim * (1.0 / p - 1.0 / q)))
             key = (j, case)
-            worst[key] = max(worst[key], num / (factor * den))
+            worst[key] = max(worst[key], norms[num] / (factor * norms[den]))
 
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
     for j in js:
@@ -293,17 +293,15 @@ def bernstein_report(grid: Grid, cases=DEFAULT_BERNSTEIN_CASES, js=None,
 
 
 def reverse_bernstein_report(grid: Grid, js=None, ensemble: int = 64,
-                             seed: int = 0, p: float = 2.0) -> ConstantReport:
+                             seed: int = 0) -> ConstantReport:
     """Measure the reverse ratio on shells,
 
-        2^j ||f||_p / ||grad f||_p,
+        2^j ||f||_2 / ||grad f||_2,
 
-    with the full gradient magnitude in the denominator.  At p = 2 the
-    spectral support bound |k| >= (3/4) 2^j forces the ratio below 4/3,
-    and both norms come straight from Parseval.  Ball blocks are excluded
+    with the full gradient magnitude in the denominator.  The spectral
+    support bound |k| >= (3/4) 2^j forces the ratio below 4/3, and both
+    norms come straight from Parseval.  Ball blocks are excluded
     (constants on a ball can vanish)."""
-    from .field import gradient, h1_seminorm, l2_norm_spectral
-
     if js is None:
         js = _default_js(grid)
     if any(j < 0 for j in js):
@@ -315,11 +313,8 @@ def reverse_bernstein_report(grid: Grid, js=None, ensemble: int = 64,
         noise = ensembles.band_noise(grid, rng)
         for j in js:
             f = delta_j(noise, j)
-            if p == 2:
-                ratio = 2.0**j * l2_norm_spectral(f) / h1_seminorm(f)
-            else:
-                ratio = 2.0**j * lp_norm(f, p) / lp_norm(gradient(f), p)
+            ratio = 2.0**j * l2_norm_spectral(f) / h1_seminorm(f)
             worst[j] = max(worst[j], ratio)
     for j in js:
-        report.add(j, p, p, 1, worst[j], ensemble, seed)
+        report.add(j, 2.0, 2.0, 1, worst[j], ensemble, seed)
     return report

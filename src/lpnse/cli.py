@@ -16,8 +16,8 @@ import time
 
 from .besov import BesovSpec, CriterionTriple, besov_norm, split_low_high
 from .config import load_config
-from .errors import LpnseError, NonFiniteError, SolverAbort
-from .field import set_fft_workers
+from .errors import GridError, LpnseError, NonFiniteError, SolverAbort
+from .field import set_fft_workers, to_physical
 from .manifest import build_manifest, write_manifest
 from .monitor import LosingParams, build_report
 from .snapshots import (load_trajectory, read_field, save_trajectory,
@@ -147,16 +147,26 @@ def cmd_report(args) -> int:
     return EXIT_PASS
 
 
+def _read_real_field(path):
+    """read_field, rejecting (exit 2) a snapshot that is not a real field."""
+    f, header = read_field(path)
+    try:
+        to_physical(f)
+    except GridError as exc:
+        raise GridError(f"{path}: {exc}") from None
+    return f, header
+
+
 def cmd_besov(args) -> int:
     spec = BesovSpec(args.s, args.p, args.q)
-    f, _ = read_field(args.snapshot)
+    f, _ = _read_real_field(args.snapshot)
     print(repr(besov_norm(f, spec)))
     return EXIT_PASS
 
 
 def cmd_split(args) -> int:
     triple = CriterionTriple(args.r, args.p, args.q).validate()
-    f, header = read_field(args.snapshot)
+    f, header = _read_real_field(args.snapshot)
     outdir = _outdir(args)
     started = time.perf_counter()
     norm_value = besov_norm(f, BesovSpec(triple.r, triple.p, math.inf))

@@ -3,8 +3,8 @@
 Two flavours:
 
 * white-noise generators (band_noise, divfree_noise) draw a full grid
-  of Gaussians and mask in frequency.  Cheap, but the field depends on
-  the grid resolution.
+  of Gaussians and mask its spectrum (to_spectral, a real transform).
+  Cheap, but the field depends on the grid resolution.
 * the lattice-mode generator (solenoidal_field) enumerates integer
   wavenumbers in a fixed deterministic order and draws one coefficient
   per mode, so the same (kmax, seed) produces the same continuum field
@@ -15,7 +15,7 @@ Two flavours:
 import numpy as np
 
 from .errors import ResolutionError
-from .field import Field, SPECTRAL, _fftn, _leray_project_spec
+from .field import Field, PHYSICAL, SPECTRAL, _leray_project_spec, to_spectral
 from .grid import Grid
 
 
@@ -29,7 +29,7 @@ def band_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
     if kmax is None:
         kmax = grid.dealias_radius
     white = rng.standard_normal((ncomp,) + grid.shape)
-    spec = _fftn(white, grid.dim)
+    spec = to_spectral(Field(grid, white, PHYSICAL)).data
     mask = (grid.k_mag >= kmin - 1e-12) & (grid.k_mag <= kmax + 1e-12)
     shaped = spec * mask
     if slope:

@@ -2,16 +2,19 @@
 
 Conventions
 -----------
-* Spectral data holds genuine Fourier-series coefficients: the transform
-  pair is fftn(..., norm="forward") / ifftn(..., norm="forward"), so a
-  single mode exp(i k.x) has coefficient 1 at lattice site k.
-* All fields of interest are real; to_physical discards the imaginary
-  part after checking it is at round-off level.
-* The API holds full spectra.  Products and grad_norm_inf use real
-  transforms of half spectra (planes 0 <= k_last <= n/2) of the
-  Hermitian part (c(k) + conj c(-k))/2, the real part of the field.
-  The solver state is such a half spectrum, so _leray_project_spec
-  takes full or half spectra (told apart by the last axis's length).
+* Spectral data holds genuine Fourier-series coefficients (norm="forward"),
+  so a single mode exp(i k.x) has coefficient 1 at lattice site k.
+* Fields are real and every transform is a real one, over half spectra
+  (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  The API
+  holds full spectra, exactly Hermitian from to_spectral.  to_physical,
+  products and grad_norm_inf transform the half spectrum of the
+  Hermitian part (c(k) + conj c(-k))/2; to_physical first checks that
+  the rest, a, is at round-off level (sum |a| bounds the imaginary part
+  a complex inverse transform would leave).  The solver state is such a
+  half spectrum, so _leray_project_spec takes full or half spectra (told
+  apart by the last axis's length).
+* Every first derivative multiplies by _ik: i k_axis, zero on the lone
+  -n/2 mode, which has no conjugate partner.
 * Products of two fields are computed on a 3/2-times finer grid and
   truncated back, which makes them exact (no aliasing) whenever the
   combined bandwidth fits in the fine grid.  Per-axis Nyquist planes are
@@ -45,16 +48,6 @@ def set_fft_workers(workers: int) -> None:
     """Set the worker count passed to scipy.fft for all transforms."""
     global _fft_workers
     _fft_workers = max(1, int(workers))
-
-
-def _fftn(a: np.ndarray, dim: int) -> np.ndarray:
-    axes = tuple(range(a.ndim - dim, a.ndim))
-    return _sfft.fftn(a, axes=axes, norm="forward", workers=_fft_workers)
-
-
-def _ifftn(a: np.ndarray, dim: int) -> np.ndarray:
-    axes = tuple(range(a.ndim - dim, a.ndim))
-    return _sfft.ifftn(a, axes=axes, norm="forward", workers=_fft_workers)
 
 
 def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
@@ -147,33 +140,37 @@ def zero_field(grid: Grid, ncomp: int = 1, representation: str = SPECTRAL) -> Fi
 def to_spectral(f: Field) -> Field:
     if f.is_spectral:
         return f
-    return Field(f.grid, _fftn(f.data, f.grid.dim), SPECTRAL)
+    n, dim = f.grid.n, f.grid.dim
+    half = _rfftn_half(f.data, dim, n // 2 + 1)
+    ends = half[..., ::n // 2]  # planes 0 and n/2 hold their own mirrors
+    half[..., ::n // 2] = 0.5 * (ends + np.conj(ends[_flip_index(n, dim - 1, 1)]))
+    return Field(f.grid, _full_spectrum(half, dim), SPECTRAL)
 
 
 def to_physical(f: Field) -> Field:
     if not f.is_spectral:
         return f
-    full = _ifftn(f.data, f.grid.dim)
-    scale = np.max(np.abs(full.real))
-    worst = np.max(np.abs(full.imag))
+    n, dim = f.grid.n, f.grid.dim
+    half = _hermitian_half(f.data, dim)
+    weight = _plane_weights(n)
+    worst = max(np.sum(np.abs(c[..., :n // 2 + 1] - h) * weight)
+                for c, h in zip(f.data, half))
+    phys = _irfftn_half(half, f.grid.shape)
+    scale = np.max(np.abs(phys))
     if worst > 1e-8 * max(scale, 1e-300) and worst > 1e-12:
         raise GridError(
-            f"spectral data is not Hermitian symmetric (imag residue {worst:.3e})"
+            f"spectral data is not Hermitian symmetric (imag residue bound {worst:.3e})"
         )
-    return Field(f.grid, np.ascontiguousarray(full.real), PHYSICAL)
+    return Field(f.grid, phys, PHYSICAL)
 
 
 def spectral_data(f: Field) -> np.ndarray:
     return to_spectral(f).data
 
 
-def physical_data(f: Field) -> np.ndarray:
-    return to_physical(f).data
-
-
 def magnitude(f: Field) -> np.ndarray:
     """Pointwise Euclidean magnitude on the grid."""
-    phys = physical_data(f)
+    phys = to_physical(f).data
     if phys.shape[0] == 1:
         return np.abs(phys[0])
     return np.sqrt(np.sum(phys**2, axis=0))
@@ -248,13 +245,11 @@ def gradient(f: Field) -> Field:
     """Gradient of a scalar field, returned as a dim-component field."""
     if f.ncomp != 1:
         raise GridError("gradient expects a scalar field")
+    grid = f.grid
     spec = spectral_data(f)[0]
-    comps = []
-    for axis in range(f.grid.dim):
-        orders = [0] * f.grid.dim
-        orders[axis] = 1
-        comps.append(spec * _deriv_multiplier(f.grid, tuple(orders)))
-    return Field(f.grid, np.stack(comps), SPECTRAL)
+    comps = [spec * _ik(grid.shape, grid.n, grid.n, axis)
+             for axis in range(grid.dim)]
+    return Field(grid, np.stack(comps), SPECTRAL)
 
 
 def laplacian(f: Field) -> Field:
@@ -275,13 +270,10 @@ def grad_norm_inf(f: Field) -> float:
 def divergence(f: Field) -> Field:
     if f.ncomp != f.grid.dim:
         raise GridError(f"divergence expects a {f.grid.dim}-component field")
-    spec = spectral_data(f)
-    out = np.zeros(f.grid.shape, dtype=np.complex128)
-    for axis in range(f.grid.dim):
-        orders = [0] * f.grid.dim
-        orders[axis] = 1
-        out += spec[axis] * _deriv_multiplier(f.grid, tuple(orders))
-    return Field(f.grid, out[np.newaxis], SPECTRAL)
+    grid = f.grid
+    out = sum(spec * _ik(grid.shape, grid.n, grid.n, axis)
+              for axis, spec in enumerate(spectral_data(f)))
+    return Field(grid, out[np.newaxis], SPECTRAL)
 
 
 def leray_project(f: Field) -> Field:
@@ -319,9 +311,9 @@ def _coarse_index(n: int, m: int, dim: int, lead: int) -> tuple:
 
 
 def _ik(shape: tuple, n: int, m: int, axis: int) -> np.ndarray:
-    """Broadcastable i k_axis on half spectra of spatial shape `shape` on
-    the m-point grid, zero on the Nyquist planes |k| = n/2 as in
-    _deriv_multiplier."""
+    """Broadcastable i k_axis on full or half spectra of spatial shape
+    `shape` on the m-point grid, zero on the Nyquist planes |k| = n/2 as
+    in _deriv_multiplier: the factor of every first derivative."""
     k = np.fft.fftfreq(m, 1.0 / m)[:shape[axis]]
     ik = np.where(np.abs(k) < n / 2, 1j * k, 0.0)
     return ik.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
@@ -343,6 +335,15 @@ def _hermitian_half(spec: np.ndarray, dim: int) -> np.ndarray:
     planes = slice(0, n // 2 + 1)
     flip = _flip_index(n, dim - 1, spec.ndim - dim, planes)
     return 0.5 * (spec[..., planes] + np.conj(spec[flip]))
+
+
+def _plane_weights(n: int) -> np.ndarray:
+    """Weights of the half-spectrum planes 0 <= k_last <= n/2 in a sum
+    over the full spectrum: a plane 0 < k_last < n/2 stands for itself
+    and its conjugate mirror."""
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    return weight
 
 
 def _full_spectrum(half: np.ndarray, dim: int) -> np.ndarray:
@@ -392,11 +393,11 @@ def _padded(half: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
 
 
 def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
-                    grad: bool = False):
-    """The one product kernel: the spectrum of the product of the real
-    fields behind full spectra a and b, formed on the 3/2-times finer
-    grid (on the coarse grid, aliased, with dealias=False), and a's
-    values there.  With grad=True it is the advection sum_i a_i d_i b."""
+                    grad: bool = False) -> np.ndarray:
+    """The one product kernel: the full spectrum of the product of the
+    real fields behind full spectra a and b, formed on the 3/2-times
+    finer grid (on the coarse grid, aliased, with dealias=False).  With
+    grad=True it is the advection sum_i a_i d_i b."""
     n, dim = grid.n, grid.dim
     m = 3 * n // 2 if dealias else n
     planes = n // 2 + 1
@@ -413,7 +414,7 @@ def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
     out = _rfftn_half(prod, dim, planes)
     if dealias:
         out = _truncate_spectrum(out, m, n, dim)
-    return _full_spectrum(out, dim), fa
+    return _full_spectrum(out, dim)
 
 
 def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
@@ -426,8 +427,7 @@ def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
     f.grid.require_same(g.grid)
     if f.ncomp != g.ncomp and 1 not in (f.ncomp, g.ncomp):
         raise GridError(f"cannot broadcast components {f.ncomp} and {g.ncomp}")
-    out, _ = _padded_product(spectral_data(f), spectral_data(g), f.grid,
-                             dealias)
+    out = _padded_product(spectral_data(f), spectral_data(g), f.grid, dealias)
     return Field(f.grid, out, SPECTRAL)
 
 
@@ -437,8 +437,8 @@ def advect(v: Field, f: Field, dealias: bool = True) -> Field:
     v.grid.require_same(f.grid)
     if v.ncomp != v.grid.dim:
         raise GridError("advecting velocity must have dim components")
-    out, _ = _padded_product(spectral_data(v), spectral_data(f), v.grid,
-                             dealias, grad=True)
+    out = _padded_product(spectral_data(v), spectral_data(f), v.grid,
+                          dealias, grad=True)
     return Field(v.grid, out, SPECTRAL)
 
 

@@ -45,7 +45,8 @@ from . import ensembles
 from .errors import GridError, SolverAbort
 from .field import (Field, SPECTRAL, _flip_index, _full_spectrum,
                     _hermitian_half, _ik, _irfftn_half, _leray_project_spec,
-                    _pad_spectrum, _rfftn_half, _truncate_spectrum,
+                    _pad_spectrum, _plane_weights, _rfftn_half,
+                    _truncate_spectrum,
                     from_components, l2_norm_spectral, laplacian,
                     leray_project, scale, spectral_data)
 from .grid import Grid
@@ -316,9 +317,7 @@ def run(config: SolverConfig, initial: Field = None) -> Trajectory:
     if nsteps < 1 or abs(nsteps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise ValueError("t_end must be a whole number of steps")
     integ = _Integrator(grid, config)
-    # a plane 0 < k_last < n/2 stands for itself and its conjugate mirror
-    weight = np.full(grid.n // 2 + 1, 2.0)
-    weight[[0, -1]] = 1.0
+    weight = _plane_weights(grid.n)
     k_sq = grid.k_sq[..., :grid.n // 2 + 1]
     times, snaps = [], []
     s_t, s_energy, s_diss = [], [], []

@@ -111,6 +111,31 @@ def test_biot_savart_round_trip(dim, rng):
     assert l2_norm_spectral(add(back, u, alpha=-1.0)) <= 1e-12 * l2_norm_spectral(u)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_curl_and_biot_savart_keep_nyquist_fields_real(dim):
+    # white noise has -n/2 content; the first-derivative factor drops the
+    # lone -n/2 mode, so both outputs stay real
+    from lpnse import Grid, from_physical, to_physical
+    from lpnse.field import Field, derivative
+    grid = Grid(dim, 16)
+    data = np.random.default_rng(29).standard_normal((dim,) + grid.shape)
+    u = from_physical(grid, data)
+    w = curl(u)
+    to_physical(w)
+    to_physical(biot_savart(w))
+
+    def d(comp, axis):
+        comp_field = Field(grid, spectral_data(u)[comp:comp + 1], "spectral")
+        return derivative(comp_field, [int(a == axis) for a in range(dim)]).data
+
+    if dim == 2:
+        expected = d(1, 0) - d(0, 1)
+    else:
+        expected = np.concatenate([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0),
+                                   d(1, 0) - d(0, 1)])
+    np.testing.assert_array_equal(w.data, expected)
+
+
 def test_biot_savart_2d_example(grid2):
     w = from_components(grid2, lambda x, y: np.cos(x))
     u = biot_savart(w)

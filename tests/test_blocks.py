@@ -161,6 +161,23 @@ def test_bernstein_report_deterministic(grid2):
     assert a.rows == b.rows
 
 
+def test_bernstein_report_computes_each_norm_once(grid2, monkeypatch):
+    # per measured field: ||f||_inf once (numerator of (2, inf, 0) and
+    # denominator of (inf, inf, 1)) and ||d_i f||_inf once per axis; the
+    # L^2 norms come from Parseval
+    import lpnse.blocks
+    calls = []
+
+    def counting(f, p):
+        calls.append(p)
+        return lp_norm(f, p)
+    monkeypatch.setattr(lpnse.blocks, "lp_norm", counting)
+    ensemble = 2
+    rep = bernstein_report(grid2, ensemble=ensemble, seed=5)
+    js = {row[0] for row in rep.rows}
+    assert len(calls) == (ensemble + 1) * len(js) * (1 + grid2.dim)
+
+
 def test_bernstein_rejects_bad_case(grid2):
     with pytest.raises(ValueError):
         bernstein_report(grid2, cases=[(math.inf, 2.0, 0)], ensemble=2, seed=0)

@@ -191,6 +191,29 @@ def test_besov_and_split_round_trip(tmp_path, capsys):
                        rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("command", [
+    ["besov", "--s", "0", "--p", "4"],
+    ["besov", "--s", "0", "--p", "2"],
+    ["split", "--r", "1.0", "--p", "6", "--q", f"{4.0 / 3.0!r}"],
+])
+def test_besov_and_split_reject_non_real_snapshot(tmp_path, capsys, command):
+    # e^{-iz} alone has no conjugate partner: not a real field
+    from lpnse import Grid
+    from lpnse.field import Field
+    grid = Grid(3, 16)
+    spec = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    spec[0, 0, 0, -1] = 1.0
+    snap = tmp_path / "complex.fld"
+    write_field(snap, Field(grid, spec, "spectral"), time=0.0, viscosity=1.0)
+    argv = command[:1] + ["--snapshot", str(snap)] + command[1:]
+    if command[0] == "split":
+        argv += ["--out", str(tmp_path / "split")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert str(snap) in captured.err and "Hermitian" in captured.err
+    assert captured.out == ""
+
+
 def test_outdir_env_variable(tmp_path, monkeypatch):
     outdir = tmp_path / "envout"
     monkeypatch.setenv("LPNSE_OUTDIR", str(outdir))

@@ -62,6 +62,59 @@ def test_to_physical_rejects_non_hermitian(grid2):
         to_physical(from_spectral(grid2, spec))
 
 
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_to_spectral_is_exactly_hermitian(dim, n):
+    grid = Grid(dim, n)
+    data = np.random.default_rng(17).standard_normal((2,) + grid.shape)
+    spec = to_spectral(from_physical(grid, data)).data
+    flip = (slice(None),) + np.ix_(*([(-np.arange(n)) % n] * dim))
+    np.testing.assert_array_equal(spec[flip], np.conj(spec))
+    ref = np.fft.fftn(data, axes=tuple(range(1, dim + 1)), norm="forward")
+    assert np.max(np.abs(spec - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_to_physical_matches_complex_inverse(dim, n):
+    grid = Grid(dim, n)
+    data = np.random.default_rng(19).standard_normal((2,) + grid.shape)
+    spec = np.fft.fftn(data, axes=tuple(range(1, dim + 1)), norm="forward")
+    ref = np.fft.ifftn(spec, axes=tuple(range(1, dim + 1)), norm="forward").real
+    phys = to_physical(from_spectral(grid, spec)).data
+    assert np.max(np.abs(phys - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_hermitian_check_never_looser_than_imaginary_residue(dim, n):
+    # anti-Hermitian perturbations around the threshold: whenever the
+    # imaginary part of a complex inverse transform exceeds the
+    # tolerance, to_physical must reject the spectrum
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(23)
+    axes = tuple(range(1, dim + 1))
+    flip = (slice(None),) + np.ix_(*([(-np.arange(n)) % n] * dim))
+    base = np.fft.fftn(rng.standard_normal((1,) + grid.shape), axes=axes,
+                       norm="forward")
+    scale_ = np.max(np.abs(np.fft.ifftn(base, axes=axes, norm="forward").real))
+    rejected = 0
+    for trial in range(60):
+        d = np.zeros_like(base)
+        count = (1, 3, d.size)[trial % 3]
+        at = rng.choice(d.size, size=count, replace=False)
+        d.flat[at] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        anti = 0.5 * (d - np.conj(d[flip]))
+        if not np.any(anti):
+            continue
+        imag = np.max(np.abs(np.fft.ifftn(anti, axes=axes, norm="forward").imag))
+        spec = base + anti * (1e-8 * scale_ / imag * rng.uniform(0.5, 2.0))
+        full = np.fft.ifftn(spec, axes=axes, norm="forward")
+        worst = np.max(np.abs(full.imag))
+        if worst > 1e-8 * np.max(np.abs(full.real)) and worst > 1e-12:
+            rejected += 1
+            with pytest.raises(GridError, match="Hermitian"):
+                to_physical(from_spectral(grid, spec))
+    assert rejected > 10
+
+
 # --- norms and inner products ------------------------------------------------
 
 def test_l2_norm_sine_3d(grid3):
