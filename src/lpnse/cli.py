@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run property suites")
-    p.add_argument("--suite", choices=("all",) + SUITES, default="all")
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.add_argument("--n", type=int, default=None, help="grid resolution")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ensemble", type=int, default=None)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovSpec, CriterionTriple, besov_from_blocks
+from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
+                    besov_from_blocks)
 from .blocks import block_indices, block_multiplier, block_norm_table, delta_j
 from .errors import BlockRangeError, NonFiniteError
 from .field import Field, SPECTRAL, advect, inner, spectral_data
@@ -120,8 +121,9 @@ class CriterionSeries:
 
 def criterion_integral(traj: Trajectory,
                        triple: CriterionTriple) -> CriterionSeries:
-    """Cumulative integral of (e + ||u||_{B^r_{p,inf}})^q over snapshots."""
-    triple.validate()
+    """Cumulative integral of (e + ||u||_{B^r_{p,inf}})^q over snapshots;
+    the norm is defined for every extended-mode triple."""
+    triple.validate(EXTENDED_MODE)
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     gaps = np.diff(traj.times)

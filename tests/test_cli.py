@@ -34,6 +34,11 @@ def test_verify_negative_control_fails(capsys):
     assert "first failure: bony/" in capsys.readouterr().out
 
 
+def test_verify_rejects_empty_ensemble(capsys):
+    assert main(["verify", "--suite", "bernstein", "--ensemble", "0"]) == 2
+    assert "ensemble must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_csv_determinism(tmp_path, capsys):
     dirs = [tmp_path / "r1", tmp_path / "r2"]
     for outdir in dirs:
@@ -232,9 +237,9 @@ def stored_pair(tmp_path_factory):
     return twin_dir
 
 
-def _report(pair, out, triple=f"0.5,4,{8.0 / 3.0!r}", lam="1.0"):
+def _report(pair, out, triple=f"0.5,4,{8.0 / 3.0!r}", lam="1.0", *flags):
     return main(["report", "--u", str(pair / "u"), "--v", str(pair / "v"),
-                 "--triple", triple, "--s", "0.5", "--lambda", lam,
+                 f"--triple={triple}", "--s", "0.5", "--lambda", lam, *flags,
                  "--out", str(out)])
 
 
@@ -295,6 +300,20 @@ def test_report_infinite_p_triple(stored_pair, tmp_path, capsys):
     assert printed == summary
     besov = np.loadtxt(out / "besov_u.csv", delimiter=",", skiprows=1)
     assert besov.shape == (3, 4) and np.isfinite(besov).all()
+
+
+def test_report_negative_r_mode(stored_pair, tmp_path):
+    # r = -1/2 with 2/8 + 3/12 = 1 + r is valid only in the extended mode;
+    # the report must build, and repeat byte for byte
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert _report(stored_pair, out, "-0.5,12,8", "1.0",
+                       "--mode", "negative-r") == 0
+    names = sorted(p.name for p in outs[0].iterdir()
+                   if p.name != "manifest.json")
+    assert len(names) == 7
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("command, flags, message", [

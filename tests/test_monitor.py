@@ -15,7 +15,7 @@ from lpnse.besov import BesovSpec, CriterionTriple, besov_norm
 from lpnse.blocks import block_indices, block_multiplier, block_norms
 from lpnse.cutoffs import DEFAULT_CUTOFFS
 from lpnse.ensembles import divfree_noise
-from lpnse.errors import BlockRangeError
+from lpnse.errors import BlockRangeError, TripleError
 from lpnse.field import (Field, SPECTRAL, from_components, h1_seminorm,
                          l2_norm_spectral, lp_norm, spectral_data, zero_field)
 from lpnse.grid import Grid
@@ -94,6 +94,17 @@ def test_criterion_integral_constant_integrand(grid2):
     assert np.allclose(series.integrand, math.e ** TRIPLE.q, rtol=1e-14)
     assert np.allclose(series.integral, math.e ** TRIPLE.q * times,
                        rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("triple, message", [
+    (CriterionTriple(-1.0, math.inf, math.inf), "r in \\(-1,1\\] violated"),
+    (CriterionTriple(-0.5, 12.0, 4.0), "2/q\\+3/p=1\\+r violated"),
+])
+def test_criterion_integral_rejects_invalid_triple(grid2, triple, message):
+    # negative control: the extended mode still validates the triple
+    traj = constant_trajectory(zero_field(grid2, ncomp=2), [0.0, 0.01])
+    with pytest.raises(TripleError, match=message):
+        criterion_integral(traj, triple)
 
 
 def test_criterion_integral_monotone(tg2d_traj):
