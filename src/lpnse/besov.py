@@ -17,9 +17,9 @@ import numpy as np
 
 from .blocks import block_indices, block_norms, delta_j, s_j
 from .errors import GridError, ResolutionError, TripleError
-from .field import (Field, SPECTRAL, _ik, divergence, grad_norm_inf,
-                    h1_seminorm, l2_norm_spectral, lp_norm, spectral_data)
-from .grid import Grid
+from .field import (Field, SPECTRAL, _cross_ik, _ik, divergence,
+                    grad_norm_inf, h1_seminorm, l2_norm_spectral, lp_norm,
+                    spectral_data)
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,8 @@ def curl(u: Field) -> Field:
     grid = u.grid
     if u.ncomp != grid.dim:
         raise GridError(f"curl expects a {grid.dim}-component field")
-    return Field(grid, _cross_ik(grid, spectral_data(u)), SPECTRAL)
-
-
-def _cross_ik(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """i k x spec on full spectra, with the first-derivative factor _ik:
-    in 2D the scalar i k x spec of a vector, and the vector i k x spec of
-    a scalar (as the third component of a 3D vector)."""
-    ik = [_ik(grid.shape, grid.n, grid.n, axis) for axis in range(grid.dim)]
-    if grid.dim == 3:  # component i: ik_{i+1} spec_{i+2} - ik_{i+2} spec_{i+1}
-        return np.stack([ik[i - 2] * spec[i - 1] - ik[i - 1] * spec[i - 2]
-                         for i in range(3)])
-    if len(spec) == 2:
-        return (ik[0] * spec[1] - ik[1] * spec[0])[np.newaxis]
-    return np.stack([ik[1] * spec[0], -ik[0] * spec[0]])
+    ik = [_ik(grid.shape, grid.n, axis) for axis in range(grid.dim)]
+    return Field(grid, _cross_ik(ik, spectral_data(u)), SPECTRAL)
 
 
 def biot_savart(w: Field) -> Field:
@@ -104,7 +92,8 @@ def biot_savart(w: Field) -> Field:
             raise ValueError("3D vorticity must be divergence-free (a curl)")
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_ksq = np.where(grid.k_sq > 0, 1.0 / grid.k_sq, 0.0)
-    return Field(grid, _cross_ik(grid, spec) * inv_ksq, SPECTRAL)
+    ik = [_ik(grid.shape, grid.n, axis) for axis in range(grid.dim)]
+    return Field(grid, _cross_ik(ik, spec) * inv_ksq, SPECTRAL)
 
 
 def bkm_ratio(u: Field) -> float:

@@ -33,8 +33,12 @@ EXIT_NUMERIC = 3
 OUTDIR_ENV = "LPNSE_OUTDIR"
 
 
+def _outpath(args) -> str:
+    return args.out or os.environ.get(OUTDIR_ENV) or "."
+
+
 def _outdir(args) -> str:
-    path = args.out or os.environ.get(OUTDIR_ENV) or "."
+    path = _outpath(args)
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -83,8 +87,9 @@ def cmd_verify(args) -> int:
     if outputs:
         outdir = _outdir(args)
         manifest = build_manifest(
-            "verify", {"suite": args.suite, "n": args.n, "seed": args.seed,
-                       "ensemble": args.ensemble}, outputs, elapsed)
+            "verify", {"suite": args.suite,
+                       "options": {r.name: r.options for r in results}},
+            outputs, elapsed)
         write_manifest(os.path.join(outdir, "manifest.json"), manifest)
     for result in results:
         for check, measured, bound, ok in result.rows:
@@ -132,7 +137,7 @@ def cmd_report(args) -> int:
     params = LosingParams(args.s, args.lam)
     traj_u = load_trajectory(args.u)
     traj_v = load_trajectory(args.v)
-    outdir = _outdir(args)
+    outdir = _outpath(args)  # made by report.write, once the report is valid
     started = time.perf_counter()
     report = build_report(traj_u, traj_v, triple, params.s, params.lam)
     paths = report.write(outdir)

@@ -14,7 +14,7 @@ Conventions
   half spectrum, so _leray_project_spec takes full or half spectra (told
   apart by the last axis's length).
 * Every first derivative multiplies by _ik: i k_axis, zero on the lone
-  -n/2 mode, which has no conjugate partner.
+  -n/2 mode, which has no conjugate partner; every i k x is _cross_ik.
 * Products of two fields are computed on a 3/2-times finer grid and
   truncated back, which makes them exact (no aliasing) whenever the
   combined bandwidth fits in the fine grid.  Per-axis Nyquist planes are
@@ -22,7 +22,8 @@ Conventions
   the rule is an exact inverse pair on band-limited data; a half
   spectrum's last-axis Nyquist plane is halved on the way up and folded
   with the conjugate of its index-flipped copy on the way down.
-* A padded half spectrum lives in a buffer of m//2+1 planes on the
+* _Padding is the one padded-product kernel (dealiased_product, advect,
+  the solver's rotational term).  Its buffer holds m//2+1 planes on the
   m-point grid, of which _pad_spectrum writes the first n//2+1; the rest
   stay zero, so the c2r in _irfftn_half needs no zero-padded copy.  The
   leading-axes c2c transforms of _irfftn_half and _rfftn_half run in
@@ -247,7 +248,7 @@ def gradient(f: Field) -> Field:
         raise GridError("gradient expects a scalar field")
     grid = f.grid
     spec = spectral_data(f)[0]
-    comps = [spec * _ik(grid.shape, grid.n, grid.n, axis)
+    comps = [spec * _ik(grid.shape, grid.n, axis)
              for axis in range(grid.dim)]
     return Field(grid, np.stack(comps), SPECTRAL)
 
@@ -262,7 +263,7 @@ def grad_norm_inf(f: Field) -> float:
     half = _hermitian_half(spectral_data(f), f.grid.dim)
     total = 0.0
     for axis in range(f.grid.dim):
-        ik = _ik(half.shape[1:], f.grid.n, f.grid.n, axis)
+        ik = _ik(half.shape[1:], f.grid.n, axis)
         total = total + np.sum(_irfftn_half(half * ik, f.grid.shape)**2, axis=0)
     return float(np.sqrt(np.max(total)))
 
@@ -271,7 +272,7 @@ def divergence(f: Field) -> Field:
     if f.ncomp != f.grid.dim:
         raise GridError(f"divergence expects a {f.grid.dim}-component field")
     grid = f.grid
-    out = sum(spec * _ik(grid.shape, grid.n, grid.n, axis)
+    out = sum(spec * _ik(grid.shape, grid.n, axis)
               for axis, spec in enumerate(spectral_data(f)))
     return Field(grid, out[np.newaxis], SPECTRAL)
 
@@ -310,13 +311,30 @@ def _coarse_index(n: int, m: int, dim: int, lead: int) -> tuple:
     return (slice(None),) * lead + np.ix_(*((src,) * (dim - 1)))
 
 
-def _ik(shape: tuple, n: int, m: int, axis: int) -> np.ndarray:
+def _ik(shape: tuple, n: int, axis: int) -> np.ndarray:
     """Broadcastable i k_axis on full or half spectra of spatial shape
-    `shape` on the m-point grid, zero on the Nyquist planes |k| = n/2 as
+    `shape` on the n-point grid, zero on the Nyquist planes |k| = n/2 as
     in _deriv_multiplier: the factor of every first derivative."""
-    k = np.fft.fftfreq(m, 1.0 / m)[:shape[axis]]
+    k = np.fft.fftfreq(n, 1.0 / n)[:shape[axis]]
     ik = np.where(np.abs(k) < n / 2, 1j * k, 0.0)
     return ik.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
+
+
+def _cross_ik(ik: list, spec: np.ndarray, out: np.ndarray = None):
+    """i k x spec, with ik the factors _ik of every axis: in 2D the scalar
+    i k x spec of a vector, and the vector i k x spec of a scalar (as the
+    third component of a 3D vector).  A vector result is written into
+    `out` when it is given."""
+    if len(spec) == 1:
+        return np.stack([ik[1] * spec[0], -ik[0] * spec[0]])
+    # component i: ik_{i+1} spec_{i+2} - ik_{i+2} spec_{i+1}, indices mod 3
+    pairs = [(i - 2, i - 1) for i in range(3)] if len(ik) == 3 else [(0, 1)]
+    if out is None:
+        out = np.empty_like(spec[:len(pairs)])
+    for row, (a, b) in zip(out, pairs):
+        np.multiply(ik[a], spec[b], out=row)
+        row -= ik[b] * spec[a]
+    return out
 
 
 def _flip_index(n: int, naxes: int, lead: int, last=None) -> tuple:
@@ -383,13 +401,36 @@ def _truncate_spectrum(fine: np.ndarray, m: int, n: int, dim: int) -> np.ndarray
     return out
 
 
-def _padded(half: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
-    """Half spectra `half` embedded in a new zeroed m//2+1-plane buffer
-    on the m-point grid."""
-    buf = np.zeros(half.shape[:-dim] + (m,) * (dim - 1) + (m // 2 + 1,),
-                   dtype=np.complex128)
-    _pad_spectrum(half, buf[..., :n // 2 + 1], n, m, dim)
-    return buf
+class _Padding:
+    """The product kernel's padded grid: m = 3n/2 points per axis (n,
+    aliased, with dealias=False), and one zeroed m//2+1-plane buffer per
+    leading shape that every to_fine call reuses: not reentrant."""
+
+    def __init__(self, grid: Grid, dealias: bool):
+        self.n, self.dim, self.dealias = grid.n, grid.dim, dealias
+        self.m = 3 * grid.n // 2 if dealias else grid.n
+        self._buffers = {}
+
+    def to_fine(self, half: np.ndarray) -> np.ndarray:
+        """Real values on the m-point grid behind half spectra `half`."""
+        n, m, dim = self.n, self.m, self.dim
+        lead = half.shape[:-dim]
+        buf = self._buffers.get(lead)
+        if buf is None:
+            buf = self._buffers[lead] = np.zeros(
+                lead + (m,) * (dim - 1) + (m // 2 + 1,), dtype=np.complex128)
+        if self.dealias:
+            _pad_spectrum(half, buf[..., :n // 2 + 1], n, m, dim)
+        else:
+            buf[...] = half
+        return _irfftn_half(buf, (m,) * dim, n // 2 + 1)
+
+    def to_coarse(self, real: np.ndarray) -> np.ndarray:
+        """Half spectra, a new array, of real values on the m-point grid."""
+        out = _rfftn_half(real, self.dim, self.n // 2 + 1)
+        if self.dealias:
+            out = _truncate_spectrum(out, self.m, self.n, self.dim)
+        return out
 
 
 def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
@@ -399,30 +440,23 @@ def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
     finer grid (on the coarse grid, aliased, with dealias=False).  With
     grad=True it is the advection sum_i a_i d_i b."""
     n, dim = grid.n, grid.dim
-    m = 3 * n // 2 if dealias else n
-    planes = n // 2 + 1
+    pad = _Padding(grid, dealias)
     ha, hb = _hermitian_half(a, dim), _hermitian_half(b, dim)
-    if dealias:
-        ha, hb = _padded(ha, n, m, dim), _padded(hb, n, m, dim)
-    fa = _irfftn_half(ha, (m,) * dim, planes)
+    fa = pad.to_fine(ha)
     if grad:  # one derivative at a time bounds the fine-grid memory
-        prod = sum(fa[axis] * _irfftn_half(hb * _ik(hb.shape[-dim:], n, m, axis),
-                                           (m,) * dim, planes)
+        prod = sum(fa[axis] * pad.to_fine(hb * _ik(hb.shape[-dim:], n, axis))
                    for axis in range(dim))
     else:
-        prod = fa * _irfftn_half(hb, (m,) * dim, planes)
-    out = _rfftn_half(prod, dim, planes)
-    if dealias:
-        out = _truncate_spectrum(out, m, n, dim)
-    return _full_spectrum(out, dim)
+        prod = fa * pad.to_fine(hb)
+    return _full_spectrum(pad.to_coarse(prod), dim)
 
 
 def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
     """Pointwise product, alias-free by default.
 
     Scalars broadcast against vectors.  With dealias=False the product is
-    formed directly on the coarse grid; that path exists only as a
-    negative control and is not used by any solver or diagnostic.
+    formed directly on the coarse grid; that path, like the solver's
+    SolverConfig(dealias=False), exists only as a negative control.
     """
     f.grid.require_same(g.grid)
     if f.ncomp != g.ncomp and 1 not in (f.ncomp, g.ncomp):

@@ -25,11 +25,9 @@ twice.  Snapshots are expanded to the full FFT layout, as the Field API
 and the snapshot files hold.  The public step() and nse_rhs() take and
 return full-layout Fields.
 
-The integrator owns the nonlinear term's transform workspace: the
-padded [u; omega] half spectra, the coarse [u; omega] and the real
-cross product, allocated once and overwritten on every call, so the
-padded inverse transform allocates only its real output and no
-zero-padded copy is made.  An integrator is therefore not reentrant.
+The padded transforms are field's one product kernel, _Padding: each
+integrator holds one, whose buffer is allocated once and reused on
+every call, so an integrator is not reentrant.
 
 Twin runs integrate a base flow and a perturbed flow with identical
 stepping so their snapshots align exactly in time.
@@ -43,12 +41,10 @@ from scipy.integrate import cumulative_simpson
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, SPECTRAL, _flip_index, _full_spectrum,
-                    _hermitian_half, _ik, _irfftn_half, _leray_project_spec,
-                    _pad_spectrum, _plane_weights, _rfftn_half,
-                    _truncate_spectrum,
-                    from_components, l2_norm_spectral, laplacian,
-                    leray_project, scale, spectral_data)
+from .field import (Field, SPECTRAL, _Padding, _cross_ik, _flip_index,
+                    _full_spectrum, _hermitian_half, _ik, _leray_project_spec,
+                    _plane_weights, from_components, l2_norm_spectral,
+                    laplacian, leray_project, scale, spectral_data)
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
@@ -186,13 +182,10 @@ def nse_rhs(u: Field, nu: float, dealias: bool = True) -> Field:
 
 class _Integrator:
     """Precomputed multipliers for repeated IF-RK4 steps on half spectra
-    (planes 0 <= k_last <= n/2), and the transform workspace of the
-    nonlinear term: the padded [u; omega] half spectra (m//2+1 planes on
-    the m-point grid, of which only planes 0 <= k_last <= n/2 are ever
-    written), the coarse [u; omega] they are padded from, and the real
-    cross product.  The workspace is overwritten on every nonlinear()
-    call, so an integrator is not reentrant: one thread, one call at a
-    time."""
+    (planes 0 <= k_last <= n/2), and the nonlinear term's workspace: a
+    _Padding, the coarse [u; omega] and the real cross product, all
+    overwritten on every nonlinear() call, so an integrator is not
+    reentrant: one thread, one call at a time."""
 
     def __init__(self, grid: Grid, config: SolverConfig, dt: float = None):
         self.grid = grid
@@ -208,16 +201,12 @@ class _Integrator:
                       for k in grid.k_components)
         self.keep = (nyquist == 0).astype(np.float64)
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
-        self.ik = [_ik(half, grid.n, grid.n, axis) for axis in range(grid.dim)]
+        self.ik = [_ik(half, grid.n, axis) for axis in range(grid.dim)]
         self.flip = _flip_index(grid.n, grid.dim - 1, 1)
-        n, dim = grid.n, grid.dim
-        self.m = m = 3 * n // 2 if config.dealias else n
-        ncomp = dim + (3 if dim == 3 else 1)
-        self.padded = np.zeros((ncomp,) + (m,) * (dim - 1) + (m // 2 + 1,),
-                               dtype=np.complex128)
-        self.coarse = (np.empty((ncomp,) + half, dtype=np.complex128)
-                       if config.dealias else self.padded)
-        self.cross = np.empty((dim,) + (m,) * dim)
+        self.padding = _Padding(grid, config.dealias)
+        ncomp = grid.dim + (3 if grid.dim == 3 else 1)
+        self.coarse = np.empty((ncomp,) + half, dtype=np.complex128)
+        self.cross = np.empty((grid.dim,) + (self.padding.m,) * grid.dim)
 
     def nonlinear(self, half: np.ndarray):
         """P(u x omega), with omega = curl u, zeroed on the -n/2 planes and
@@ -226,13 +215,14 @@ class _Integrator:
         Takes and returns half spectra and leaves `half` unchanged; the
         k_last = 0 plane of `half` must be Hermitian, as every solver
         state's is.  u and omega are written into the workspace and go
-        through one padded inverse transform together, in place up to
-        the c2r; the cross product goes through one forward transform.
-        The result is a new array, not a view of the workspace."""
+        through one padded inverse transform together; the cross product
+        goes through one forward transform.  The result is a new array,
+        not a view of the workspace."""
         grid = self.grid
-        n, dim, m = grid.n, grid.dim, self.m
-        self._velocity_vorticity(half)
-        fine = _irfftn_half(self.padded, (m,) * dim, n // 2 + 1)
+        dim = grid.dim
+        self.coarse[:dim] = half
+        _cross_ik(self.ik, half, out=self.coarse[dim:])
+        fine = self.padding.to_fine(self.coarse)
         u, w = fine[:dim], fine[dim:]
         umax = float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
         cross = self.cross
@@ -244,9 +234,7 @@ class _Integrator:
             np.multiply(u[1], w[0], out=cross[0])
             np.multiply(u[0], -w[0], out=cross[1])
         del fine, u, w  # freed before the forward transform: lower peak memory
-        out = _rfftn_half(cross, dim, n // 2 + 1)
-        if self.config.dealias:
-            out = _truncate_spectrum(out, m, n, dim)
+        out = self.padding.to_coarse(cross)
         # the c2c over the leading axes leaves the k_last = 0 plane
         # Hermitian to round-off only; made exact, so that a state without
         # -n/2 content stays exactly Hermitian
@@ -256,20 +244,6 @@ class _Integrator:
         out *= self.keep
         out[self.zero] = 0.0
         return out, umax
-
-    def _velocity_vorticity(self, half: np.ndarray) -> None:
-        """Write the half spectra of [u; omega] into planes 0 <= k_last
-        <= n/2 of the padded workspace, through the coarse one when
-        dealiasing; omega has 3 components in 3D and 1 (omega_3) in 2D."""
-        ik, dim, both = self.ik, self.grid.dim, self.coarse
-        both[:dim] = half
-        # omega_i = d_{i+1} u_{i+2} - d_{i+2} u_{i+1}, indices mod 3
-        for row, i in enumerate(range(3) if dim == 3 else (2,), start=dim):
-            np.multiply(ik[i - 2], half[i - 1], out=both[row])
-            both[row] -= ik[i - 1] * half[i - 2]
-        if self.config.dealias:
-            n = self.grid.n
-            _pad_spectrum(both, self.padded[..., :n // 2 + 1], n, self.m, dim)
 
     def step(self, spec: np.ndarray, time: float, index: int) -> np.ndarray:
         """One IF-RK4 step of the half-spectrum state `spec`."""

@@ -35,6 +35,7 @@ class SuiteResult:
     name: str
     rows: list = dc_field(default_factory=list)
     reports: dict = dc_field(default_factory=dict)
+    options: dict = dc_field(default_factory=dict)
 
     def add(self, check: str, measured: float, bound: float, ok=None):
         if ok is None:
@@ -84,14 +85,16 @@ def block_orthogonality(f: Field) -> float:
 
 def paraproduct_orthogonality(g: Field) -> float:
     """max over |j - k| >= 5 of ||Delta_j (S_{k-1} g Delta_k g)||_2, over
-    ||g||_2^2; one padded product per k."""
+    ||g||_2^2; one padded product per k that has such a j."""
     js = block_indices(g.grid)
     worst = 0.0
     for k in js:
+        far = [j for j in js if abs(j - k) >= 5]
+        if not far:
+            continue
         term = dealiased_product(s_j(g, k - 1), delta_j(g, k))
-        for j in js:
-            if abs(j - k) >= 5:
-                worst = max(worst, l2_norm_spectral(delta_j(term, j)))
+        for j in far:
+            worst = max(worst, l2_norm_spectral(delta_j(term, j)))
     return worst / l2_norm_spectral(g) ** 2
 
 
@@ -349,7 +352,9 @@ SUITES = {"lp": suite_lp, "bony": suite_bony, "bernstein": suite_bernstein,
 
 
 def run_suites(names, n=None, seed=None, ensemble=None, dealias=None) -> list:
-    """Run the named suites, each with the given options that it takes."""
+    """Run the named suites, each with the given options that it takes
+    and its own defaults for the rest; each result records the options
+    its suite ran with."""
     if ensemble is not None and ensemble < 1:
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
     given = dict(n=n, seed=seed, ensemble=ensemble, dealias=dealias)
@@ -359,6 +364,8 @@ def run_suites(names, n=None, seed=None, ensemble=None, dealias=None) -> list:
         if suite is None:
             raise ValueError(f"unknown suite {name!r}")
         takes = inspect.signature(suite).parameters
-        out.append(suite(**{key: value for key, value in given.items()
-                            if value is not None and key in takes}))
+        options = {key: param.default if given.get(key) is None else given[key]
+                   for key, param in takes.items()}
+        out.append(suite(**options))
+        out[-1].options = options
     return out

@@ -5,11 +5,14 @@ The solver trajectories are session-scoped because several test modules
 test would dominate the wall clock.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from lpnse import Grid, SolverConfig, run, twin_run
 from lpnse.field import _full_spectrum, _hermitian_half
+from lpnse.verify import solver_checks_2d, solver_checks_3d
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +66,17 @@ TWIN_CONFIG = SolverConfig(dim=2, n=64, nu=1.0, dt=2.5e-3, t_end=0.25,
 def twin_pair():
     """Base 2D Taylor-Green plus a delta=1e-4 perturbed twin."""
     return twin_run(TWIN_CONFIG, delta=1e-4, seed=5)
+
+
+@pytest.fixture(scope="session")
+def solver_checks():
+    """Criterion 5's solver work, run and timed once per session:
+    {"2d": (solver_checks_2d(3), seconds), "3d": (solver_checks_3d(),
+    seconds)}.  The acceptance gate and the solver suite share it."""
+    out = {}
+    for key, work in (("2d", lambda: solver_checks_2d(3)),
+                      ("3d", solver_checks_3d)):
+        start = time.perf_counter()
+        checks = work()
+        out[key] = (checks, time.perf_counter() - start)
+    return out

@@ -53,6 +53,18 @@ def test_verify_csv_determinism(tmp_path, capsys):
     assert len(manifest["outputs"]) == 2
 
 
+def test_verify_manifest_records_options_as_run(tmp_path, capsys):
+    # an option left to the suite's default is recorded with its value
+    out = tmp_path / "verify"
+    assert main(["verify", "--suite", "bernstein", "--n", "16",
+                 "--ensemble", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "manifest.json") as fh:
+        parameters = json.load(fh)["parameters"]
+    assert parameters["options"] == {
+        "bernstein": {"n": 16, "seed": 7, "ensemble": 2}}
+
+
 def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
     outdir = tmp_path / "sim"
     assert main(["simulate", *SIM_ARGS, "--out", str(outdir)]) == 0
@@ -280,7 +292,22 @@ def test_report_non_finite_summary_numeric_exit(stored_pair, tmp_path,
     out = tmp_path / "report"
     assert _report(pair, out) == 3
     assert "report summary value" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_report_mismatched_configs_leave_no_out_directory(stored_pair,
+                                                          tmp_path, capsys):
+    # the pair is rejected after both runs are read: no --out directory
+    pair = tmp_path / "pair"
+    shutil.copytree(stored_pair, pair)
+    meta_path = pair / "v" / "trajectory.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["nu"] = 0.5
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "report"
+    assert _report(pair, out) == 2
+    assert "different configs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_infinite_p_triple(stored_pair, tmp_path, capsys):

@@ -5,9 +5,12 @@ must fail here instead of breaking traced benchmark runs."""
 from pathlib import Path
 
 import lpnse.blocks
+import lpnse.field
 import lpnse.monitor
+import lpnse.solver
 from lpnse.besov import CriterionTriple
-from lpnse.solver import SolverConfig, twin_run
+from lpnse.grid import Grid
+from lpnse.solver import SolverConfig, taylor_green, twin_run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +52,23 @@ def test_traced_build_report_records_monitor_spans(monkeypatch):
     names = {rec[spans.NAME] for rec in tracer.spans}
     assert {"monitor.build_report", "monitor.linf_blocks",
             "monitor.besov_series"} <= names
+
+
+def test_traced_products_record_pad_and_truncate(monkeypatch):
+    # the solver step and dealiased_product share one padded kernel, so
+    # the benchmark's field.pad_truncate_* metrics see both
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    u = taylor_green(Grid(2, 16))
+    config = SolverConfig(dim=2, n=16, dt=1e-3, t_end=1e-3)
+    for work in (lambda: lpnse.solver.run(config),
+                 lambda: lpnse.field.dealiased_product(u, u)):
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            work()
+        finally:
+            tracer.uninstall()
+        names = {rec[spans.NAME] for rec in tracer.spans}
+        assert {"field.pad", "field.truncate"} <= names

@@ -2,6 +2,7 @@
 
 import pytest
 
+import lpnse.verify
 from lpnse.verify import (SuiteResult, run_suites, suite_bkm, suite_bony,
                           suite_bernstein, suite_lp, suite_solver)
 
@@ -48,7 +49,16 @@ def test_suite_bkm_small_ensemble():
     assert res.passed
 
 
-def test_suite_solver_passes():
+def test_suite_solver_passes(monkeypatch, solver_checks):
+    # the suite's rows are checked on criterion 5's runs, which the
+    # session fixture shares instead of running the solver a second time
+    def checks_2d(seed):
+        assert seed == 3
+        return solver_checks["2d"][0]
+
+    monkeypatch.setattr(lpnse.verify, "solver_checks_2d", checks_2d)
+    monkeypatch.setattr(lpnse.verify, "solver_checks_3d",
+                        lambda: solver_checks["3d"][0])
     assert suite_solver().passed
 
 
