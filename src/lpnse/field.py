@@ -6,7 +6,9 @@ Conventions
   so a single mode exp(i k.x) has coefficient 1 at lattice site k.
 * Fields are real and every transform is a real one, over half spectra
   (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  The API
-  holds full spectra, exactly Hermitian from to_spectral.  to_physical,
+  holds full spectra, exactly Hermitian from to_spectral and products:
+  _rfftn_half makes its self-mirrored planes exact, and _full_spectrum
+  mirrors the rest with _mirror, a flip and a roll.  to_physical,
   products and grad_norm_inf transform the half spectrum of the
   Hermitian part (c(k) + conj c(-k))/2; to_physical first checks that
   the rest, a, is at round-off level (sum |a| bounds the imaginary part
@@ -21,7 +23,7 @@ Conventions
   split symmetrically on the way up and folded back on the way down so
   the rule is an exact inverse pair on band-limited data; a half
   spectrum's last-axis Nyquist plane is halved on the way up and folded
-  with the conjugate of its index-flipped copy on the way down.
+  with the conjugate of its mirror on the way down.
 * _Padding is the one padded-product kernel (dealiased_product, advect,
   the solver's rotational term).  Its buffer holds m//2+1 planes on the
   m-point grid, of which _pad_spectrum writes the first n//2+1; the rest
@@ -55,11 +57,15 @@ def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
     """Planes 0 <= k_last < planes of the forward transform of real data
     over its last dim axes; the mirror of _irfftn_half.  The leading axes
     are transformed in place in the r2c output, so the result is a view
-    of it."""
+    of it.  Planes 0 and m/2 (m = a.shape[-1]) are their own mirrors
+    and come out exactly Hermitian, not only to round-off."""
     half = _sfft.rfftn(a, axes=(-1,), norm="forward", workers=_fft_workers)
     axes = tuple(range(a.ndim - dim, a.ndim - 1))
-    return _sfft.fftn(half[..., :planes], axes=axes, norm="forward",
-                      workers=_fft_workers, overwrite_x=True)
+    out = _sfft.fftn(half[..., :planes], axes=axes, norm="forward",
+                     workers=_fft_workers, overwrite_x=True)
+    ends = out[..., ::a.shape[-1] // 2]  # plane 0, and m/2 if returned
+    ends[...] = 0.5 * (ends + np.conj(_mirror(ends, dim)))
+    return out
 
 
 def _irfftn_half(a: np.ndarray, shape: tuple, planes: int = None) -> np.ndarray:
@@ -143,8 +149,6 @@ def to_spectral(f: Field) -> Field:
         return f
     n, dim = f.grid.n, f.grid.dim
     half = _rfftn_half(f.data, dim, n // 2 + 1)
-    ends = half[..., ::n // 2]  # planes 0 and n/2 hold their own mirrors
-    half[..., ::n // 2] = 0.5 * (ends + np.conj(ends[_flip_index(n, dim - 1, 1)]))
     return Field(f.grid, _full_spectrum(half, dim), SPECTRAL)
 
 
@@ -337,12 +341,11 @@ def _cross_ik(ik: list, spec: np.ndarray, out: np.ndarray = None):
     return out
 
 
-def _flip_index(n: int, naxes: int, lead: int, last=None) -> tuple:
-    """Index taking c(k) to c(-k) on `naxes` full FFT-layout axes after
-    `lead` leading axes, then on the entries `last` of one more axis."""
-    neg = (-np.arange(n)) % n
-    axes = (neg,) * naxes + (() if last is None else (neg[last],))
-    return (slice(None),) * lead + np.ix_(*axes)
+def _mirror(a: np.ndarray, dim: int) -> np.ndarray:
+    """a(k) -> a(-k) on the dim-1 full FFT-layout axes before the last,
+    as a new array: index i goes to (n - i) % n, a flip then a roll by one."""
+    axes = tuple(range(a.ndim - dim, a.ndim - 1))
+    return np.roll(np.flip(a, axes), 1, axes)
 
 
 def _hermitian_half(spec: np.ndarray, dim: int) -> np.ndarray:
@@ -350,9 +353,9 @@ def _hermitian_half(spec: np.ndarray, dim: int) -> np.ndarray:
     identity on projected spectra with -n/2 content: Leray projection
     leaves those modes without conjugate partners."""
     n = spec.shape[-1]
-    planes = slice(0, n // 2 + 1)
-    flip = _flip_index(n, dim - 1, spec.ndim - dim, planes)
-    return 0.5 * (spec[..., planes] + np.conj(spec[flip]))
+    # plane k_last's mirror is plane (n - k_last) % n: 0, then n-1 down to n/2
+    mirror = np.concatenate([spec[..., :1], spec[..., :n // 2 - 1:-1]], axis=-1)
+    return 0.5 * (spec[..., :n // 2 + 1] + np.conj(_mirror(mirror, dim)))
 
 
 def _plane_weights(n: int) -> np.ndarray:
@@ -367,8 +370,8 @@ def _plane_weights(n: int) -> np.ndarray:
 def _full_spectrum(half: np.ndarray, dim: int) -> np.ndarray:
     """Full layout of the Hermitian spectra with half spectra `half`."""
     n = half.shape[-2]
-    flip = _flip_index(n, dim - 1, half.ndim - dim, slice(n // 2 + 1, n))
-    return np.concatenate([half, np.conj(half[flip])], axis=-1)
+    mirror = _mirror(half[..., n // 2 - 1:0:-1], dim)  # planes n/2+1 .. n-1
+    return np.concatenate([half, np.conj(mirror)], axis=-1)
 
 
 def _pad_spectrum(half: np.ndarray, out: np.ndarray, n: int, m: int,
@@ -390,14 +393,14 @@ def _pad_spectrum(half: np.ndarray, out: np.ndarray, n: int, m: int,
 
 def _truncate_spectrum(fine: np.ndarray, m: int, n: int, dim: int) -> np.ndarray:
     """Adjoint of _pad_spectrum; overwrites `fine`.  The last-axis n/2
-    plane is folded with the conjugate of its index-flipped copy, the
+    plane is folded with the conjugate of its mirror, the
     -n/2 plane that the half layout leaves implicit."""
     lead = fine.ndim - dim
     for axis in range(lead, fine.ndim - 1):
         at = (slice(None),) * axis
         fine[at + (m - n // 2,)] += fine[at + (n // 2,)]
     out = fine[..., :n // 2 + 1][_coarse_index(n, m, dim, lead)]
-    out[..., n // 2] += np.conj(out[..., n // 2][_flip_index(n, dim - 1, lead)])
+    out[..., n // 2:] += np.conj(_mirror(out[..., n // 2:], dim))
     return out
 
 

@@ -272,13 +272,6 @@ def smallness_window(traj_u: Trajectory, traj_v: Trajectory, s: float,
 
 # --- per-block energy audit --------------------------------------------------
 
-def _block_half_energy(traj_u, traj_v, j, i) -> float:
-    grid = traj_u.grid
-    mult = block_multiplier(grid, j)
-    power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
-    return 0.5 * grid.volume * float(np.sum(mult**2 * power))
-
-
 def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
                        i: int) -> dict:
     """Balance of the per-block energy law at snapshot i:
@@ -299,21 +292,22 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     nu = traj_u.config.nu
     t0, t1, t2 = traj_u.times[i - 1: i + 2]
     h_minus, h_plus = t1 - t0, t2 - t1
-    e_prev = _block_half_energy(traj_u, traj_v, j, i - 1)
-    e_here = _block_half_energy(traj_u, traj_v, j, i)
-    e_next = _block_half_energy(traj_u, traj_v, j, i + 1)
+    mult_sq = block_multiplier(grid, j) ** 2
+    diffs = [_diff_spec(traj_u, traj_v, k) for k in (i - 1, i, i + 1)]
+    powers = [np.sum(np.abs(d) ** 2, axis=0) for d in diffs]
+    e_prev, e_here, e_next = (0.5 * grid.volume * float(np.sum(mult_sq * p))
+                              for p in powers)
     dedt = ((h_minus**2 * e_next + (h_plus**2 - h_minus**2) * e_here
              - h_plus**2 * e_prev)
             / (h_plus * h_minus * (h_plus + h_minus)))
 
-    w = _diff_field(traj_u, traj_v, i)
+    w = Field(grid, diffs[1], SPECTRAL)
     u = traj_u.snapshots[i]
     v = traj_v.snapshots[i]
     w_j = delta_j(w, j)
-    mult = block_multiplier(grid, j)
-    power_w = np.sum(np.abs(w.data) ** 2, axis=0)
-    wj_sq = grid.volume * float(np.sum(mult**2 * power_w))
-    grad_sq = grid.volume * float(np.sum(grid.k_sq * mult**2 * power_w))
+    power_w = powers[1]
+    wj_sq = grid.volume * float(np.sum(mult_sq * power_w))
+    grad_sq = grid.volume * float(np.sum(grid.k_sq * mult_sq * power_w))
 
     transport = -inner(delta_j(advect(w, u), j), w_j)
     drift_full = inner(delta_j(advect(v, w), j), w_j)
@@ -507,20 +501,18 @@ class CriterionReport:
                 return str(int(x))
             return repr(float(x))
 
+        def _block_csv(name, values):  # one column per block j
+            _csv(name, ["t"] + [f"j={j}" for j in self.blocks.js],
+                 (np.concatenate([[t], col])
+                  for t, col in zip(self.times, values.T)))
+
         _csv("besov_u.csv", ["t", "norm", "integrand", "integral"],
              zip(self.times, self.besov_u, self.integrand, self.integral))
-        jcols = [f"j={j}" for j in self.blocks.js]
-        _csv("blocks_w.csv", ["t"] + jcols,
-             (np.concatenate([[self.times[i]], self.blocks.values[:, i]])
-              for i in range(len(self.times))))
+        _block_csv("blocks_w.csv", self.blocks.values)
         _csv("w_sup.csv", ["t", "W", "j_attain"],
              zip(self.times, self.w_values, self.w_attain))
-        _csv("epsilon.csv", ["t"] + jcols,
-             (np.concatenate([[self.times[i]], self.eps[:, i]])
-              for i in range(len(self.times))))
-        _csv("losing_weight.csv", ["t"] + jcols,
-             (np.concatenate([[self.times[i]], self.losing[:, i]])
-              for i in range(len(self.times))))
+        _block_csv("epsilon.csv", self.eps)
+        _block_csv("losing_weight.csv", self.losing)
         _csv("envelope.csv", ["t", "lhs", "integral", "c_fit"],
              zip(self.times, self.fit.lhs, self.fit.integral, self.fit.c_series))
         spath = os.path.join(outdir, "summary.json")

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import GridError, NonFiniteError
 from .field import Field, PHYSICAL, SPECTRAL
 from .grid import Grid
 from .solver import SolverConfig, Trajectory
@@ -45,25 +45,41 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
         fh.write(data.tobytes(order="C"))
 
 
+def _parse_header(path, blob: bytes):
+    """(header dict, grid, payload shape, payload dtype) of a snapshot
+    header; a ValueError naming the file for any fault in it."""
+    try:
+        header = json.loads(blob.decode())
+        grid = Grid(header["dim"], header["n"])
+        ncomp, rep = header["components"], header["representation"]
+        if rep not in (SPECTRAL, PHYSICAL):
+            raise ValueError(f"unknown representation {rep!r}")
+        if type(ncomp) is not int or ncomp < 1:
+            raise ValueError(f"components must be a positive integer, "
+                             f"got {ncomp!r}")
+    except KeyError as exc:
+        raise ValueError(f"{path}: snapshot header has no key {exc}") from None
+    except (ValueError, TypeError, GridError) as exc:
+        raise ValueError(f"{path}: bad snapshot header: {exc}") from None
+    dtype = np.dtype("<c16" if rep == SPECTRAL else "<f8")
+    return header, grid, (ncomp,) + grid.shape, dtype
+
+
 def read_field(path):
     """Returns (field, header dict).  The payload is read straight into
-    the field's own array.  A payload of the wrong length, or one holding
-    NaN or infinite values, raises naming the file."""
+    the field's own array.  A truncated preamble, a malformed header, a
+    payload of the wrong length, or one holding NaN or infinite values
+    raises naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path} is not a field snapshot (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        grid = Grid(header["dim"], header["n"])
-        shape = (header["components"],) + grid.shape
-        if header["representation"] == SPECTRAL:
-            dtype = np.dtype("<c16")
-        elif header["representation"] == PHYSICAL:
-            dtype = np.dtype("<f8")
-        else:
-            raise ValueError(
-                f"unknown representation {header['representation']!r}")
+        prefix = fh.read(4)
+        if len(prefix) != 4:
+            raise ValueError(f"{path}: file ends inside the "
+                             f"{len(MAGIC) + 4}-byte preamble")
+        (hlen,) = struct.unpack("<I", prefix)
+        header, grid, shape, dtype = _parse_header(path, fh.read(hlen))
         expected = dtype.itemsize * int(np.prod(shape))
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         data = np.empty(shape, dtype=dtype)
@@ -111,14 +127,26 @@ def save_trajectory(outdir, traj: Trajectory) -> list:
 
 
 def load_trajectory(outdir) -> Trajectory:
-    with open(os.path.join(outdir, "trajectory.json")) as fh:
-        meta = json.load(fh)
-    config = SolverConfig.from_mapping(meta["config"])
-    grid = Grid(config.dim, config.n)
+    """Read a trajectory directory; a malformed trajectory.json raises a
+    ValueError naming it."""
+    path = os.path.join(outdir, "trajectory.json")
+    with open(path) as fh:
+        try:
+            meta = json.load(fh)
+            config = SolverConfig.from_mapping(meta["config"])
+            grid = Grid(config.dim, config.n)
+            names, times = meta["snapshots"], np.asarray(meta["times"])
+            series = {k: np.asarray(v) for k, v in meta["series"].items()}
+        except KeyError as exc:
+            raise ValueError(f"{path}: has no key {exc}") from None
+        except (ValueError, TypeError, AttributeError, GridError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     snaps = []
-    for name in meta["snapshots"]:
+    for name in names:
         f, _ = read_field(os.path.join(outdir, name))
         grid.require_same(f.grid)
         snaps.append(f)
-    series = {k: np.asarray(v) for k, v in meta["series"].items()}
-    return Trajectory(config, grid, np.asarray(meta["times"]), snaps, series)
+    try:
+        return Trajectory(config, grid, times, snaps, series)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

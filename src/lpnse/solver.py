@@ -14,8 +14,9 @@ k_i = -n/2: those modes have no conjugate partner, and there the
 rotational and convective forms differ by a gradient that P cannot see.
 An initial condition without -n/2 content (every built-in one, since
 kmax <= n/3) therefore keeps none, and its state stays exactly
-Hermitian; off those planes the term equals the convective -P(u.grad u)
-to round-off.
+Hermitian, since the forward transform makes plane k_last = 0 exact;
+off those planes the term equals the convective -P(u.grad u) to
+round-off.
 
 The state is a half spectrum, the planes 0 <= k_last <= n/2 of the
 Hermitian part of the projected initial data: the nonlinear term, Leray
@@ -41,10 +42,10 @@ from scipy.integrate import cumulative_simpson
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, SPECTRAL, _Padding, _cross_ik, _flip_index,
-                    _full_spectrum, _hermitian_half, _ik, _leray_project_spec,
-                    _plane_weights, from_components, l2_norm_spectral,
-                    laplacian, leray_project, scale, spectral_data)
+from .field import (Field, SPECTRAL, _Padding, _cross_ik, _full_spectrum,
+                    _hermitian_half, _ik, _leray_project_spec, _plane_weights,
+                    from_components, l2_norm_spectral, laplacian,
+                    leray_project, scale, spectral_data)
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
@@ -202,7 +203,6 @@ class _Integrator:
         self.keep = (nyquist == 0).astype(np.float64)
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
         self.ik = [_ik(half, grid.n, axis) for axis in range(grid.dim)]
-        self.flip = _flip_index(grid.n, grid.dim - 1, 1)
         self.padding = _Padding(grid, config.dealias)
         ncomp = grid.dim + (3 if grid.dim == 3 else 1)
         self.coarse = np.empty((ncomp,) + half, dtype=np.complex128)
@@ -234,13 +234,7 @@ class _Integrator:
             np.multiply(u[1], w[0], out=cross[0])
             np.multiply(u[0], -w[0], out=cross[1])
         del fine, u, w  # freed before the forward transform: lower peak memory
-        out = self.padding.to_coarse(cross)
-        # the c2c over the leading axes leaves the k_last = 0 plane
-        # Hermitian to round-off only; made exact, so that a state without
-        # -n/2 content stays exactly Hermitian
-        plane = out[..., 0]
-        out[..., 0] = 0.5 * (plane + np.conj(plane[self.flip]))
-        out = _leray_project_spec(out, grid)
+        out = _leray_project_spec(self.padding.to_coarse(cross), grid)
         out *= self.keep
         out[self.zero] = 0.0
         return out, umax

@@ -11,7 +11,7 @@ import pytest
 from lpnse.cli import main
 from lpnse.field import scale
 from lpnse.manifest import file_hash
-from lpnse.snapshots import load_trajectory, read_field, write_field
+from lpnse.snapshots import MAGIC, load_trajectory, read_field, write_field
 
 SIM_ARGS = ["--set", "dim=2", "--set", "n=32", "--set", "dt=2.5e-3",
             "--set", "t_end=0.01", "--set", "snap_every=2"]
@@ -266,6 +266,56 @@ def test_besov_rejects_nan_flags(stored_pair, capsys, flags, message):
     assert message in captured.err and captured.out == ""
 
 
+def _snapshot_bytes(**changes):
+    """A .fld preamble and header (no payload), with header keys changed
+    or, for a value of None, removed."""
+    header = {"dim": 2, "n": 8, "components": 1, "representation": "spectral"}
+    header.update(changes)
+    blob = json.dumps({k: v for k, v in header.items() if v is not None})
+    return MAGIC + struct.pack("<I", len(blob)) + blob.encode()
+
+
+@pytest.mark.parametrize("blob, message", [
+    (MAGIC + b"\x10\x00", "ends inside the 12-byte preamble"),
+    (MAGIC + struct.pack("<I", 5) + b"{dim}", "bad snapshot header"),
+    (_snapshot_bytes(dim=None), "header has no key 'dim'"),
+    (_snapshot_bytes(n=12), "n must be a power of two"),
+    (_snapshot_bytes(components=0), "components must be a positive integer"),
+], ids=["short-preamble", "bad-json", "missing-key", "bad-n", "bad-components"])
+def test_besov_rejects_malformed_snapshot(tmp_path, capsys, blob, message):
+    # each fault of the preamble or header is a usage error naming the file
+    snap = tmp_path / "bad.fld"
+    snap.write_bytes(blob)
+    assert main(["besov", "--snapshot", str(snap), "--s", "0.5",
+                 "--p", "4"]) == 2
+    captured = capsys.readouterr()
+    assert str(snap) in captured.err and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("config", None, "no key 'config'"),
+    ("times", [0.0], "one snapshot per time"),
+], ids=["no-config", "short-times"])
+def test_report_rejects_malformed_trajectory(stored_pair, tmp_path, capsys,
+                                             key, value, message):
+    # a key removed (value None) or changed: a usage error naming the file
+    pair = tmp_path / "pair"
+    shutil.copytree(stored_pair, pair)
+    meta_path = pair / "v" / "trajectory.json"
+    meta = json.loads(meta_path.read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "report"
+    assert _report(pair, out) == 2
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("triple, lam, message", [
     ("0.5,4,nan", "1.0", "q is NaN"),
     (f"0.5,4,{8.0 / 3.0!r}", "nan", "lambda must be positive and finite"),
@@ -290,7 +340,8 @@ def test_report_non_finite_summary_numeric_exit(stored_pair, tmp_path,
         write_field(snap, scale(f, 1e120), time=header["time"],
                     viscosity=header["viscosity"])
     out = tmp_path / "report"
-    assert _report(pair, out) == 3
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert _report(pair, out) == 3
     assert "report summary value" in capsys.readouterr().err
     assert not out.exists()
 

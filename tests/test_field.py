@@ -8,7 +8,8 @@ from lpnse import (Field, Grid, advect, dealiased_product, derivative,
                    leray_project, lp_norm, to_physical, to_spectral)
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError
-from lpnse.field import (_leray_project_spec, add, divergence, gradient,
+from lpnse.field import (_full_spectrum, _hermitian_half, _leray_project_spec,
+                         _mirror, add, divergence, gradient,
                          grad_norm_inf, h1_seminorm, l2_norm_spectral,
                          laplacian, magnitude, scale, spectral_data,
                          zero_field)
@@ -113,6 +114,48 @@ def test_hermitian_check_never_looser_than_imaginary_residue(dim, n):
             with pytest.raises(GridError, match="Hermitian"):
                 to_physical(from_spectral(grid, spec))
     assert rejected > 10
+
+
+# --- Hermitian symmetry ------------------------------------------------------
+
+def _negate(n, naxes):
+    """Reference index taking c(k) to c(-k) on the first naxes spatial
+    axes after one leading axis: explicit (-k) % n arrays."""
+    neg = (-np.arange(n)) % n
+    return (slice(None),) + np.ix_(*([neg] * naxes))
+
+
+@pytest.mark.parametrize("lead", [(1,), (3,), (6,)])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_mirror_helpers_match_index_reference(dim, n, lead):
+    rng = np.random.default_rng(31)
+    shape = lead + (n,) * dim
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    planes = slice(0, n // 2 + 1)
+    assert _mirror(spec, dim).tobytes() == spec[_negate(n, dim - 1)].tobytes()
+    flip = _negate(n, dim)
+    want = 0.5 * (spec[..., planes] + np.conj(spec[flip][..., planes]))
+    assert _hermitian_half(spec, dim).tobytes() == want.tobytes()
+    full = np.zeros_like(spec)
+    full[..., planes] = spec[..., planes]
+    full[..., n // 2 + 1:] = np.conj(full[flip][..., n // 2 + 1:])
+    assert _full_spectrum(spec[..., planes], dim).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 16)])
+def test_products_are_exactly_hermitian(dim, n, dealias):
+    # c(-k) == conj c(k) with no round-off for every product, as for
+    # to_spectral (test_to_spectral_is_exactly_hermitian)
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(37)
+    u = to_spectral(from_physical(grid, rng.standard_normal((dim,) + grid.shape)))
+    s = to_spectral(from_physical(grid, rng.standard_normal(grid.shape)))
+    flip = _negate(n, dim)
+    for spec in (dealiased_product(u, s, dealias).data,
+                 dealiased_product(u, u, dealias).data,
+                 advect(u, u, dealias).data, advect(u, s, dealias).data):
+        np.testing.assert_array_equal(spec[flip], np.conj(spec))
 
 
 # --- norms and inner products ------------------------------------------------
