@@ -19,7 +19,7 @@ import numpy as np
 from . import ensembles
 from .cutoffs import DEFAULT_CUTOFFS
 from .errors import BlockRangeError
-from .field import (Field, SPECTRAL, _deriv_multiplier, _irfftn_half,
+from .field import (Field, SPECTRAL, _box, _deriv_multiplier, _irfftn_half,
                     derivative, h1_seminorm, l2_norm_spectral, lp_norm,
                     spectral_data)
 from .grid import Grid
@@ -99,10 +99,13 @@ def block_norm_table(f: Field, ps, js=None) -> np.ndarray:
     exactly 0 for |k| >= support (4/3) and the shell multiplier
     chi(|k|/2^{j+1}) - chi(|k|/2^j) for |k| >= 2^{j+1} support, that is
     (8/3) 2^j, because smooth_step returns exactly 0 at and below the
-    foot of its ramp.  Only the half-spectrum planes 0 <= k_last <= that
-    radius (at most n/2) are multiplied into one zeroed n//2+1-plane
-    buffer and transformed, so the c2r pads nothing; every dropped
-    coefficient is a true zero."""
+    foot of its ramp.  So the block is zero wherever some |k_i| exceeds
+    r, the floor of that radius (at most n/2).  Only its support box,
+    the 2^(dim-1) corners |k_i| <= r of the half-spectrum planes
+    0 <= k_last <= r, is multiplied into one zeroed n//2+1-plane buffer
+    (all of those planes when the box spans the leading axes), and
+    _irfftn_half transforms only the lines that meet the box, so the c2r
+    pads nothing; every dropped coefficient is a true zero."""
     grid = f.grid
     if js is None:
         js = list(block_indices(grid))
@@ -121,14 +124,17 @@ def block_norm_table(f: Field, ps, js=None) -> np.ndarray:
                 out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
         if not physical:
             continue
-        planes = min(int(DEFAULT_CUTOFFS.support * 2.0 ** (j + 1)),
-                     grid.n // 2) + 1
-        if dirty > planes:  # left over from a wider earlier block
-            buf[..., planes:dirty] = 0
-        dirty = planes
-        np.multiply(spec[..., :planes], mult[..., :planes],
-                    out=buf[..., :planes])
-        phys = _irfftn_half(buf, grid.shape, planes)
+        radius = min(int(DEFAULT_CUTOFFS.support * 2.0 ** (j + 1)),
+                     grid.n // 2)
+        planes = radius + 1
+        if 2 * radius + 1 < grid.n:  # only the corners are written
+            buf[..., :dirty] = 0
+        dirty = planes  # else radius = n/2: every plane is overwritten
+        for box in itertools.product(*[_box(grid.n, radius)] * (grid.dim - 1)):
+            box += (slice(0, planes),)
+            np.multiply(spec[(Ellipsis,) + box], mult[box],
+                        out=buf[(Ellipsis,) + box])
+        phys = _irfftn_half(buf, grid.shape, radius)
         np.square(phys, out=phys)
         sq = phys[0]
         for comp in phys[1:]:

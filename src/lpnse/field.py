@@ -31,8 +31,13 @@ Conventions
   leading-axes c2c transforms of _irfftn_half and _rfftn_half run in
   place, over the nonzero planes only: _irfftn_half overwrites its
   input, and _rfftn_half returns a view of its r2c output.
+  _irfftn_half also skips, on each leading axis, the lines outside the
+  spectrum's support box |k_i| <= radius (the coarse modes for the
+  padded product, a block's support for block norms); every skipped
+  line is zero, so the result is the unpruned one bit for bit.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,22 +73,52 @@ def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
     return out
 
 
-def _irfftn_half(a: np.ndarray, shape: tuple, planes: int = None) -> np.ndarray:
+def _box(n: int, radius: int) -> list:
+    """Slices of the rows |k| <= radius of an n-point FFT-layout axis:
+    0 ... radius and n - radius ... n - 1, or the whole axis."""
+    if 2 * radius + 1 >= n:
+        return [slice(None)]
+    return [slice(0, radius + 1)] + ([slice(n - radius, n)] if radius else [])
+
+
+def _support_radius(half: np.ndarray, dim: int) -> int:
+    """The least r with half spectra `half` zero wherever some |k_i| > r,
+    the radius argument of _irfftn_half."""
+    nonzero = np.any(half != 0, axis=tuple(range(half.ndim - dim)))
+    k = np.abs(np.fft.fftfreq(half.shape[-2], 1.0 / half.shape[-2]))
+    radius = 0
+    for axis in range(dim):
+        rows = np.any(nonzero, axis=tuple(a for a in range(dim) if a != axis))
+        radius = max(radius, int(np.max(k[:rows.size][rows], initial=0)))
+    return radius
+
+
+def _irfftn_half(a: np.ndarray, shape: tuple, radius: int = None) -> np.ndarray:
     """Inverse transform of a half spectrum whose last axis holds the
-    first entries 0 <= k_last <= m/2 of the m = shape[-1] point grid, of
-    which only the first `planes` (default: all) may be nonzero; missing
-    entries are zero.  Valid only for Hermitian-symmetric full spectra.
-    Overwrites `a`: the leading axes are transformed in place over those
-    planes only, then one c2r runs along the last axis (a pruned
-    separable transform, Markel 1971).  Given all m//2+1 planes, the c2r
-    needs no zero-padded copy."""
-    axes = tuple(range(a.ndim - len(shape), a.ndim))
-    slab = a[..., :planes]
-    lead = _sfft.ifftn(slab, axes=axes[:-1], norm="forward",
-                       workers=_fft_workers, overwrite_x=True)
-    if not np.may_share_memory(lead, slab):  # overwrite_x is only a hint
-        slab[...] = lead
-    return _sfft.irfftn(a, s=shape[-1:], axes=axes[-1:], norm="forward",
+    first entries 0 <= k_last <= m/2 of the m = shape[-1] point grid,
+    zero wherever some |k_i| > radius (default m/2: no constraint);
+    missing entries are zero.  Valid only for Hermitian-symmetric full
+    spectra.  Overwrites `a`: the leading axes are transformed in place,
+    one axis at a time (first leading axis first, as ifftn does), each
+    over the lines of planes 0 ... radius whose later leading axes lie in
+    the box |k| <= radius; then one c2r runs along the last axis (a
+    pruned separable transform, Markel 1971).  Every skipped line holds
+    only zeros, so the result equals the unpruned transform bit for bit.
+    Given all m//2+1 planes, the c2r needs no zero-padded copy."""
+    dim = len(shape)
+    lead = a.ndim - dim
+    if radius is None:
+        radius = shape[-1] // 2
+    slab = a[..., :radius + 1]
+    for i in range(dim - 1):
+        boxes = [_box(shape[later], radius) for later in range(i + 1, dim - 1)]
+        for box in itertools.product(*boxes):
+            part = slab[(slice(None),) * (lead + i + 1) + box]
+            out = _sfft.ifftn(part, axes=(lead + i,), norm="forward",
+                              workers=_fft_workers, overwrite_x=True)
+            if not np.may_share_memory(out, part):  # overwrite_x is a hint
+                part[...] = out
+    return _sfft.irfftn(a, s=shape[-1:], axes=(a.ndim - 1,), norm="forward",
                         workers=_fft_workers)
 
 
@@ -263,12 +298,17 @@ def laplacian(f: Field) -> Field:
 
 
 def grad_norm_inf(f: Field) -> float:
-    """sup over the grid of the Frobenius norm of the Jacobian."""
+    """sup over the grid of the Frobenius norm of the Jacobian.  The
+    inverse transforms run over the spectrum's support box only, so a
+    low-pass field (S_N u, |k| < (4/3) 2^N) costs little more than its
+    c2r transforms."""
     half = _hermitian_half(spectral_data(f), f.grid.dim)
+    radius = _support_radius(half, f.grid.dim)
     total = 0.0
     for axis in range(f.grid.dim):
         ik = _ik(half.shape[1:], f.grid.n, axis)
-        total = total + np.sum(_irfftn_half(half * ik, f.grid.shape)**2, axis=0)
+        total = total + np.sum(_irfftn_half(half * ik, f.grid.shape, radius)**2,
+                               axis=0)
     return float(np.sqrt(np.max(total)))
 
 
@@ -426,7 +466,7 @@ class _Padding:
             _pad_spectrum(half, buf[..., :n // 2 + 1], n, m, dim)
         else:
             buf[...] = half
-        return _irfftn_half(buf, (m,) * dim, n // 2 + 1)
+        return _irfftn_half(buf, (m,) * dim, n // 2)
 
     def to_coarse(self, real: np.ndarray) -> np.ndarray:
         """Half spectra, a new array, of real values on the m-point grid."""

@@ -176,7 +176,7 @@ def nse_rhs(u: Field, nu: float, dealias: bool = True) -> Field:
         raise GridError("velocity field must have dim components")
     config = SolverConfig(dim=grid.dim, n=grid.n, nu=nu, dealias=dealias)
     term, _ = _Integrator(grid, config).nonlinear(
-        _hermitian_half(spectral_data(u), grid.dim))
+        _hermitian_half(spectral_data(u), grid.dim), speed=False)
     return Field(grid, _full_spectrum(term, grid.dim) + nu * laplacian(u).data,
                  SPECTRAL)
 
@@ -208,9 +208,10 @@ class _Integrator:
         self.coarse = np.empty((ncomp,) + half, dtype=np.complex128)
         self.cross = np.empty((grid.dim,) + (self.padding.m,) * grid.dim)
 
-    def nonlinear(self, half: np.ndarray):
+    def nonlinear(self, half: np.ndarray, speed: bool = True):
         """P(u x omega), with omega = curl u, zeroed on the -n/2 planes and
-        at k = 0, and the max velocity magnitude on the product grid.
+        at k = 0, and the max velocity magnitude on the product grid (None
+        with speed=False: step() reads it on its first stage only).
 
         Takes and returns half spectra and leaves `half` unchanged; the
         k_last = 0 plane of `half` must be Hermitian, as every solver
@@ -224,7 +225,8 @@ class _Integrator:
         _cross_ik(self.ik, half, out=self.coarse[dim:])
         fine = self.padding.to_fine(self.coarse)
         u, w = fine[:dim], fine[dim:]
-        umax = float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
+        umax = (float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
+                if speed else None)
         cross = self.cross
         if dim == 3:
             for i in range(3):
@@ -252,9 +254,9 @@ class _Integrator:
                     f"> {dt_max:.3g} (umax={umax:.3g})",
                     time, index)
         e1, e2 = self.e_half, self.e_full
-        b, _ = self.nonlinear(e1 * (spec + 0.5 * dt * a))
-        c, _ = self.nonlinear(e1 * spec + 0.5 * dt * b)
-        d, _ = self.nonlinear(e2 * spec + dt * e1 * c)
+        b, _ = self.nonlinear(e1 * (spec + 0.5 * dt * a), speed=False)
+        c, _ = self.nonlinear(e1 * spec + 0.5 * dt * b, speed=False)
+        d, _ = self.nonlinear(e2 * spec + dt * e1 * c, speed=False)
         # no projection here: spec and every stage term are projected and
         # the integrating factors are scalar per mode
         return e2 * spec + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)

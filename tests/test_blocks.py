@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from lpnse import (bernstein_report, block_indices, block_norms, delta_j,
                    reconstruct, reverse_bernstein_report, s_j)
@@ -10,8 +11,9 @@ from lpnse.blocks import block_multiplier, block_norm_table
 from lpnse.cutoffs import DEFAULT_CUTOFFS
 from lpnse.ensembles import band_noise
 from lpnse.errors import BlockRangeError
-from lpnse.field import (add, from_components, l2_norm_spectral, lp_norm,
-                         spectral_data)
+from lpnse.field import (_hermitian_half, add, from_components,
+                         l2_norm_spectral, lp_norm, spectral_data)
+from lpnse.grid import Grid
 
 
 def test_block_indices(grid2, grid3):
@@ -125,6 +127,55 @@ def test_block_norm_table_rows_equal_block_norms(grid2, grid3, rng, dim,
         assert np.array_equal(mixed, table[:, [js.index(j) for j in order]])
         for row, p in zip(mixed, ps):
             assert np.array_equal(row, block_norms(f, p, order))
+
+
+def _dense_block_norm_table(f, ps, js):
+    """block_norm_table with every row of the leading axes multiplied and
+    transformed: planes 0 <= k_last <= the block's radius, one ifftn over
+    all leading axes, then the c2r."""
+    grid = f.grid
+    spec = _hermitian_half(spectral_data(f), grid.dim)
+    power = np.sum(np.abs(spectral_data(f)) ** 2, axis=0)
+    axes = tuple(range(1, grid.dim + 1))
+    out = np.empty((len(ps), len(js)))
+    for col, j in enumerate(js):
+        mult = block_multiplier(grid, j, "block")
+        planes = min(int(DEFAULT_CUTOFFS.support * 2.0 ** (j + 1)),
+                     grid.n // 2) + 1
+        buf = np.zeros_like(spec)
+        buf[..., :planes] = scipy.fft.ifftn(
+            spec[..., :planes] * mult[..., :planes], axes=axes[:-1],
+            norm="forward")
+        phys = scipy.fft.irfftn(buf, s=(grid.n,), axes=axes[-1:],
+                                norm="forward")
+        np.square(phys, out=phys)
+        sq = phys[0]
+        for comp in phys[1:]:
+            sq += comp
+        for row, p in enumerate(ps):
+            if p == 2:
+                out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
+            elif np.isinf(p):
+                out[row, col] = np.sqrt(np.max(sq))
+            else:
+                out[row, col] = (np.sum(sq ** (p / 2.0))
+                                 * grid.cell_volume) ** (1.0 / p)
+    return out
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16), (3, 32)])
+def test_block_norm_table_matches_dense_reference_bit_for_bit(dim, n):
+    # each block is multiplied and transformed over its support box only;
+    # every skipped coefficient is an exact zero, so nothing may move
+    grid = Grid(dim, n)
+    f = band_noise(grid, np.random.default_rng(12), ncomp=dim)
+    ps = (2.0, 4.0, 6.0, 4.0 / 3.0, math.inf)
+    js = list(block_indices(grid))
+    want = _dense_block_norm_table(f, ps, js)
+    assert np.array_equal(block_norm_table(f, ps, js), want)
+    order = js[::-1]
+    assert np.array_equal(block_norm_table(f, ps, order),
+                          want[:, [js.index(j) for j in order]])
 
 
 def test_block_norms_js_subset(grid2, rng):

@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from lpnse import (Field, Grid, advect, dealiased_product, derivative,
                    from_components, from_physical, from_spectral, inner,
                    leray_project, lp_norm, to_physical, to_spectral)
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError
-from lpnse.field import (_full_spectrum, _hermitian_half, _leray_project_spec,
-                         _mirror, add, divergence, gradient,
+from lpnse.field import (_full_spectrum, _hermitian_half, _ik, _irfftn_half,
+                         _leray_project_spec, _mirror, _support_radius, add,
+                         divergence, gradient,
                          grad_norm_inf, h1_seminorm, l2_norm_spectral,
                          laplacian, magnitude, scale, spectral_data,
                          zero_field)
@@ -485,6 +487,75 @@ def test_grad_norm_inf_matches_c2c_reference(dim, n):
         total = total + np.sum(d**2, axis=0)
     assert grad_norm_inf(Field(grid, spec, "spectral")) == pytest.approx(
         np.sqrt(np.max(total)), rel=1e-13)
+
+
+def _unpruned_inverse(half, dim):
+    """The half-spectrum inverse transform with no line skipped: one
+    ifftn over every leading axis, then the c2r."""
+    axes = tuple(range(half.ndim - dim, half.ndim))
+    lead = scipy.fft.ifftn(half, axes=axes[:-1], norm="forward")
+    return scipy.fft.irfftn(lead, s=half.shape[-2:-1], axes=axes[-1:],
+                            norm="forward")
+
+
+def _box_spectrum(rng, lead, dim, n, radius):
+    """Random half spectra, zero wherever some |k_i| > radius."""
+    shape = lead + (n,) * (dim - 1) + (n // 2 + 1,)
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    for axis in range(dim):
+        rows = k[:shape[len(lead) + axis]] <= radius
+        spec *= rows.reshape((-1,) + (1,) * (dim - 1 - axis))
+    return spec
+
+
+@pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (2, 32),
+                                   (3, 8), (3, 16), (3, 32)])
+def test_pruned_inverse_transform_is_bit_identical(dim, n):
+    rng = np.random.default_rng(41)
+    shape = (n,) * dim
+    for radius in sorted({0, 1, n // 4, n // 2 - 1, n // 2}):
+        for lead in ((1,), (3,), (6,)):
+            spec = _box_spectrum(rng, lead, dim, n, radius)
+            assert _support_radius(spec, dim) == radius
+            want = _unpruned_inverse(spec, dim)
+            assert np.array_equal(_irfftn_half(spec.copy(), shape, radius), want)
+            # a strided view, as the transforms get from sliced buffers
+            wide = np.zeros(spec.shape[:-1] + (2 * spec.shape[-1],),
+                            dtype=spec.dtype)
+            view = wide[..., ::2]
+            view[...] = spec
+            assert not view.flags.c_contiguous
+            assert np.array_equal(_irfftn_half(view, shape, radius), want)
+
+
+@pytest.mark.parametrize("dim,axis", [(2, 1), (3, 1), (3, 2)])
+def test_pruned_inverse_transform_drops_content_outside_its_box(dim, axis):
+    # negative control: one coefficient on a skipped line (a later leading
+    # axis, or a plane beyond the radius) changes the result
+    n, radius = 16, 2
+    spec = _box_spectrum(np.random.default_rng(42), (3,), dim, n, radius)
+    at = [1] + [0] * dim
+    at[axis + 1] = n // 2 - 1
+    spec[tuple(at)] = 1.0
+    assert _support_radius(spec, dim) == n // 2 - 1
+    pruned = _irfftn_half(spec.copy(), (n,) * dim, radius)
+    assert not np.array_equal(pruned, _unpruned_inverse(spec, dim))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_grad_norm_inf_of_low_pass_field_is_bit_identical(dim, n):
+    rng = np.random.default_rng(43)
+    grid = Grid(dim, n)
+    for radius in (1, 3, n // 4):
+        spec = _full_spectrum(_box_spectrum(rng, (dim,), dim, n, radius), dim)
+        half = _hermitian_half(spec, dim)
+        total = 0.0
+        for axis in range(dim):
+            d = _unpruned_inverse(half * _ik(half.shape[1:], n, axis), dim)
+            total = total + np.sum(d**2, axis=0)
+        assert grad_norm_inf(Field(grid, spec, "spectral")) == float(
+            np.sqrt(np.max(total)))
 
 
 # --- Leray projection --------------------------------------------------------

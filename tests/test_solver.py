@@ -192,6 +192,11 @@ def test_nonlinear_workspace_reuse_is_bit_identical(dim, n, dealias):
         fresh_term, fresh_umax = _Integrator(grid, config).nonlinear(state)
         np.testing.assert_array_equal(term, fresh_term)
         assert umax == fresh_umax
+        # the speed is skipped on the stages that do not read it, and
+        # nothing else moves
+        quiet, no_speed = reused.nonlinear(state, speed=False)
+        np.testing.assert_array_equal(quiet, term)
+        assert no_speed is None
 
 
 @pytest.mark.parametrize("dealias", [True, False])

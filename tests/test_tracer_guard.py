@@ -2,13 +2,17 @@
 name from outside the package.  A refactor that renames one of them
 must fail here instead of breaking traced benchmark runs."""
 
+import math
 from pathlib import Path
+
+import numpy as np
 
 import lpnse.blocks
 import lpnse.field
 import lpnse.monitor
 import lpnse.solver
 from lpnse.besov import CriterionTriple
+from lpnse.ensembles import divfree_noise
 from lpnse.grid import Grid
 from lpnse.solver import SolverConfig, taylor_green, twin_run
 
@@ -72,3 +76,23 @@ def test_traced_products_record_pad_and_truncate(monkeypatch):
             tracer.uninstall()
         names = {rec[spans.NAME] for rec in tracer.spans}
         assert {"field.pad", "field.truncate"} <= names
+
+
+def test_traced_block_norms_record_every_pruned_pass(monkeypatch):
+    # the pruned inverse transform runs its leading-axes passes through
+    # scipy.fft.ifftn, which the tracer wraps, so fft.* metrics see them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    grid = Grid(3, 16)
+    u = divfree_noise(grid, np.random.default_rng(5))
+    blocks = len(lpnse.blocks.block_indices(grid))
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        lpnse.blocks.block_norms(u, math.inf)
+    finally:
+        tracer.uninstall()
+    names = [rec[spans.NAME] for rec in tracer.spans]
+    assert names.count("fft.irfftn") == blocks
+    assert names.count("fft.ifftn") >= blocks
