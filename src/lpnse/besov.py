@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import block_indices, block_norms, delta_j, s_j
 from .errors import GridError, ResolutionError, TripleError
-from .field import (Field, SPECTRAL, _cross_ik, _ik, divergence,
+from .field import (Field, SPECTRAL, _cross, _ik, divergence,
                     grad_norm_inf, h1_seminorm, l2_norm_spectral, lp_norm,
                     spectral_data)
 
@@ -46,7 +46,7 @@ def besov_norm(f: Field, spec: BesovSpec) -> float:
     l^q over j in [-1, jmax].  f should be band-limited to the resolved
     band (true for every field produced here)."""
     js = np.array(block_indices(f.grid))
-    return besov_from_blocks(js, block_norms(f, spec.p, js=list(js)), spec)
+    return besov_from_blocks(js, block_norms(f, spec.p), spec)
 
 
 def besov_from_blocks(js: np.ndarray, norms: np.ndarray,
@@ -66,7 +66,7 @@ def curl(u: Field) -> Field:
     if u.ncomp != grid.dim:
         raise GridError(f"curl expects a {grid.dim}-component field")
     ik = [_ik(grid.shape, grid.n, axis) for axis in range(grid.dim)]
-    return Field(grid, _cross_ik(ik, spectral_data(u)), SPECTRAL)
+    return Field(grid, _cross(ik, spectral_data(u)), SPECTRAL)
 
 
 def biot_savart(w: Field) -> Field:
@@ -93,7 +93,7 @@ def biot_savart(w: Field) -> Field:
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_ksq = np.where(grid.k_sq > 0, 1.0 / grid.k_sq, 0.0)
     ik = [_ik(grid.shape, grid.n, axis) for axis in range(grid.dim)]
-    return Field(grid, _cross_ik(ik, spec) * inv_ksq, SPECTRAL)
+    return Field(grid, _cross(ik, spec) * inv_ksq, SPECTRAL)
 
 
 def bkm_ratio(u: Field) -> float:

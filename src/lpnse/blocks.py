@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import ensembles
-from .cutoffs import DEFAULT_CUTOFFS
+from . import cutoffs
 from .errors import BlockRangeError
 from .field import (Field, SPECTRAL, _box, _deriv_multiplier, _irfftn_half,
                     derivative, h1_seminorm, l2_norm_spectral, lp_norm,
@@ -41,11 +41,11 @@ def block_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
         return cached
     if kind == "block":
         if j == -1:
-            mult = DEFAULT_CUTOFFS.chi(grid.k_mag)
+            mult = cutoffs.chi(grid.k_mag)
         else:
-            mult = DEFAULT_CUTOFFS.phi(grid.k_mag / 2.0**j)
+            mult = cutoffs.phi(grid.k_mag / 2.0**j)
     elif kind == "low":
-        mult = DEFAULT_CUTOFFS.chi(grid.k_mag / 2.0**j)
+        mult = cutoffs.chi(grid.k_mag / 2.0**j)
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     mult = np.ascontiguousarray(mult)
@@ -86,9 +86,10 @@ def reconstruct(f: Field) -> Field:
     return Field(grid, total, SPECTRAL)
 
 
-def block_norm_table(f: Field, ps, js=None) -> np.ndarray:
-    """L^p norms of every requested block for every exponent in ps, shaped
-    (len(ps), len(js)); row i equals block_norms(f, ps[i], js) bit for bit.
+def block_norm_table(f: Field, ps) -> np.ndarray:
+    """L^p norms of every block of block_indices for every exponent in ps,
+    shaped (len(ps), jmax + 2); row i equals block_norms(f, ps[i]) bit for
+    bit.
 
     p = 2 is evaluated spectrally (Parseval) and is exact.  Any other p
     costs one inverse transform per block, all components together, from
@@ -107,8 +108,7 @@ def block_norm_table(f: Field, ps, js=None) -> np.ndarray:
     _irfftn_half transforms only the lines that meet the box, so the c2r
     pads nothing; every dropped coefficient is a true zero."""
     grid = f.grid
-    if js is None:
-        js = list(block_indices(grid))
+    js = block_indices(grid)
     spec = spectral_data(f)
     out = np.empty((len(ps), len(js)))
     physical = [row for row, p in enumerate(ps) if p != 2]
@@ -124,7 +124,7 @@ def block_norm_table(f: Field, ps, js=None) -> np.ndarray:
                 out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
         if not physical:
             continue
-        radius = min(int(DEFAULT_CUTOFFS.support * 2.0 ** (j + 1)),
+        radius = min(int(cutoffs.SUPPORT_RADIUS * 2.0 ** (j + 1)),
                      grid.n // 2)
         planes = radius + 1
         if 2 * radius + 1 < grid.n:  # only the corners are written
@@ -149,10 +149,10 @@ def block_norm_table(f: Field, ps, js=None) -> np.ndarray:
     return out
 
 
-def block_norms(f: Field, p: float, js=None) -> np.ndarray:
-    """L^p norms of every requested block: the one row of
-    block_norm_table(f, (p,), js)."""
-    return block_norm_table(f, (p,), js)[0]
+def block_norms(f: Field, p: float) -> np.ndarray:
+    """L^p norms of every block of block_indices: the one row of
+    block_norm_table(f, (p,))."""
+    return block_norm_table(f, (p,))[0]
 
 
 # --- measured Bernstein constants ------------------------------------------
@@ -200,7 +200,8 @@ class ConstantReport:
         return max(row[4] for row in self.rows)
 
 
-DEFAULT_BERNSTEIN_CASES = ((2.0, 2.0, 1), (2.0, np.inf, 0), (np.inf, np.inf, 1))
+# (p, q, alpha) of each forward inequality, p <= q
+BERNSTEIN_CASES = ((2.0, 2.0, 1), (2.0, np.inf, 0), (np.inf, np.inf, 1))
 
 
 def _derivative_sup_norm(f: Field, order: int, q: float) -> float:
@@ -227,11 +228,11 @@ def _derivative_sup_norm(f: Field, order: int, q: float) -> float:
     return best
 
 
-def _default_js(grid: Grid) -> list:
+def _interior_shells(grid: Grid) -> range:
     # the top shell leaks past the exactly-representable band and the
     # ball block has no dyadic scaling, so constants are measured on
     # interior shells only
-    return list(range(1, grid.jmax))
+    return range(1, grid.jmax)
 
 
 def _shell_translate(grid: Grid, j: int, x0: np.ndarray) -> Field:
@@ -246,28 +247,22 @@ def _shell_translate(grid: Grid, j: int, x0: np.ndarray) -> Field:
     return Field(grid, (mult * np.exp(-1j * phase))[np.newaxis], SPECTRAL)
 
 
-def bernstein_report(grid: Grid, cases=DEFAULT_BERNSTEIN_CASES, js=None,
-                     ensemble: int = 64, seed: int = 0) -> ConstantReport:
+def bernstein_report(grid: Grid, ensemble: int = 64,
+                     seed: int = 0) -> ConstantReport:
     """Measure forward Bernstein ratios
 
         sup_{|beta|=alpha} ||d^beta f||_q
         ----------------------------------------------
         2^{j (alpha + dim (1/p - 1/q))} ||f||_p
 
-    reporting the max per (j, case) over an ensemble of shell noise plus
-    one random translate of the shell kernel.  The coherent candidate
-    matters: Gaussian fields never saturate the p < q cases (their
-    sup/L2 ratio is flat in j, not 2^{j dim (1/p-1/q)}), so a noise-only
-    scan would report a spread that only reflects the ensemble, not the
-    inequality.  Requires p <= q.
+    reporting the max per interior shell j and case of BERNSTEIN_CASES
+    over an ensemble of shell noise plus one random translate of the
+    shell kernel.  The coherent candidate matters: Gaussian fields never
+    saturate the p < q cases (their sup/L2 ratio is flat in j, not
+    2^{j dim (1/p-1/q)}), so a noise-only scan would report a spread
+    that only reflects the ensemble, not the inequality.
     """
-    for p, q, alpha in cases:
-        if p > q:
-            raise ValueError(f"forward inequality needs p <= q, got ({p}, {q})")
-        if alpha < 0:
-            raise ValueError("derivative order must be non-negative")
-    if js is None:
-        js = _default_js(grid)
+    cases, js = BERNSTEIN_CASES, _interior_shells(grid)
     report = ConstantReport()
     rng = np.random.default_rng(seed)
     worst = {(j, case): 0.0 for j in js for case in cases}
@@ -298,7 +293,7 @@ def bernstein_report(grid: Grid, cases=DEFAULT_BERNSTEIN_CASES, js=None,
     return report
 
 
-def reverse_bernstein_report(grid: Grid, js=None, ensemble: int = 64,
+def reverse_bernstein_report(grid: Grid, ensemble: int = 64,
                              seed: int = 0) -> ConstantReport:
     """Measure the reverse ratio on shells,
 
@@ -306,12 +301,9 @@ def reverse_bernstein_report(grid: Grid, js=None, ensemble: int = 64,
 
     with the full gradient magnitude in the denominator.  The spectral
     support bound |k| >= (3/4) 2^j forces the ratio below 4/3, and both
-    norms come straight from Parseval.  Ball blocks are excluded
-    (constants on a ball can vanish)."""
-    if js is None:
-        js = _default_js(grid)
-    if any(j < 0 for j in js):
-        raise BlockRangeError("reverse ratios are defined on shells (j >= 0) only")
+    norms come straight from Parseval.  Measured on the interior shells;
+    ball blocks are excluded (constants on a ball can vanish)."""
+    js = _interior_shells(grid)
     report = ConstantReport()
     rng = np.random.default_rng(seed)
     worst = {j: 0.0 for j in js}

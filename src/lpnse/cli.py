@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed / work done, 1 a verification assertion
 failed, 2 usage or configuration error, 3 numerical abort (CFL violation
-or non-finite energy) or a snapshot holding non-finite values.
+or non-finite energy), a snapshot holding non-finite values, or a
+snapshot whose Besov norm overflows.
 Artifact-producing commands drop a manifest.json next to their outputs
 listing every file with its content hash.
 """
@@ -162,40 +163,53 @@ def _read_real_field(path):
     return f, header
 
 
+def _snapshot_norm(path, f, spec: BesovSpec) -> float:
+    """besov_norm of the snapshot f read from path, rejecting (exit 3) a
+    norm that overflowed to inf or nan."""
+    value = besov_norm(f, spec)
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{path}: B^{spec.s:g}_{{{spec.p:g},{spec.q:g}}} "
+                             f"norm is {value!r}")
+    return value
+
+
 def cmd_besov(args) -> int:
     spec = BesovSpec(args.s, args.p, args.q)
     f, _ = _read_real_field(args.snapshot)
-    print(repr(besov_norm(f, spec)))
+    print(repr(_snapshot_norm(args.snapshot, f, spec)))
     return EXIT_PASS
 
 
 def cmd_split(args) -> int:
     triple = CriterionTriple(args.r, args.p, args.q).validate()
     f, header = _read_real_field(args.snapshot)
-    outdir = _outdir(args)
     started = time.perf_counter()
-    norm_value = besov_norm(f, BesovSpec(triple.r, triple.p, math.inf))
+    norm_value = _snapshot_norm(args.snapshot, f,
+                                BesovSpec(triple.r, triple.p, math.inf))
     result = split_low_high(f, triple, norm_value)
+    outdir = _outpath(args)
     low_path = os.path.join(outdir, "u_low.fld")
     high_path = os.path.join(outdir, "u_high.fld")
+    # p = inf gives p_tilde = inf, spelled "inf" as --p spells it
+    meta = json.dumps({
+        "N": result.N,
+        "p_tilde": "inf" if math.isinf(result.p_tilde) else result.p_tilde,
+        "q_tilde": result.q_tilde,
+        "norm": norm_value,
+        "low": low_path,
+        "high": high_path,
+    }, indent=2, sort_keys=True, allow_nan=False)
+    _outdir(args)  # made once the split and its summary are known
     write_field(low_path, result.u_low, time=header.get("time"),
                 viscosity=header.get("viscosity"))
     write_field(high_path, result.u_high, time=header.get("time"),
                 viscosity=header.get("viscosity"))
     elapsed = time.perf_counter() - started
-    meta = {
-        "N": result.N,
-        "p_tilde": result.p_tilde,
-        "q_tilde": result.q_tilde,
-        "norm": norm_value,
-        "low": low_path,
-        "high": high_path,
-    }
     manifest = build_manifest(
         "split", {"snapshot": str(args.snapshot), "r": args.r, "p": args.p,
                   "q": args.q}, [low_path, high_path], elapsed)
     write_manifest(os.path.join(outdir, "manifest.json"), manifest)
-    print(json.dumps(meta, indent=2, sort_keys=True))
+    print(meta)
     return EXIT_PASS
 
 

@@ -24,5 +24,5 @@ def parse_kv_file(path) -> dict:
 def load_config(path, overrides: dict = None) -> SolverConfig:
     mapping = parse_kv_file(path)
     if overrides:
-        mapping.update({k: v for k, v in overrides.items() if v is not None})
+        mapping.update(overrides)
     return SolverConfig.from_mapping(mapping)

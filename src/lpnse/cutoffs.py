@@ -12,10 +12,9 @@ of phi telescope:
 
 which equals 1 wherever r <= (3/4) 2^{J+1}.  The transition is built from
 the classical exp(-1/t) bump, so every profile is C-infinity.
-DEFAULT_CUTOFFS is the one partition; every block operator reads it.
+chi, phi and partition over PLATEAU_RADIUS and SUPPORT_RADIUS are the
+one partition; every block operator reads it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,28 +35,20 @@ def smooth_step(t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class DyadicCutoffs:
-    """The chi/phi profile pair of the dyadic partition."""
-
-    plateau: float = PLATEAU_RADIUS
-    support: float = SUPPORT_RADIUS
-
-    def chi(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        return smooth_step((self.support - r) / (self.support - self.plateau))
-
-    def phi(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        return self.chi(r / 2.0) - self.chi(r)
-
-    def partition(self, r, levels: int):
-        """chi(r) + sum_{j<=levels} phi(2^-j r); telescopes to a dilate of chi."""
-        r = np.asarray(r, dtype=np.float64)
-        total = self.chi(r)
-        for j in range(levels + 1):
-            total = total + self.phi(r / 2.0**j)
-        return total
+def chi(r):
+    r = np.asarray(r, dtype=np.float64)
+    return smooth_step((SUPPORT_RADIUS - r) / (SUPPORT_RADIUS - PLATEAU_RADIUS))
 
 
-DEFAULT_CUTOFFS = DyadicCutoffs()
+def phi(r):
+    r = np.asarray(r, dtype=np.float64)
+    return chi(r / 2.0) - chi(r)
+
+
+def partition(r, levels: int):
+    """chi(r) + sum_{j<=levels} phi(2^-j r); telescopes to a dilate of chi."""
+    r = np.asarray(r, dtype=np.float64)
+    total = chi(r)
+    for j in range(levels + 1):
+        total = total + phi(r / 2.0**j)
+    return total

@@ -16,7 +16,8 @@ Conventions
   half spectrum, so _leray_project_spec takes full or half spectra (told
   apart by the last axis's length).
 * Every first derivative multiplies by _ik: i k_axis, zero on the lone
-  -n/2 mode, which has no conjugate partner; every i k x is _cross_ik.
+  -n/2 mode, which has no conjugate partner; every cross product, the
+  curl's i k x and the solver's u x omega alike, is _cross.
 * Products of two fields are computed on a 3/2-times finer grid and
   truncated back, which makes them exact (no aliasing) whenever the
   combined bandwidth fits in the fine grid.  Per-axis Nyquist planes are
@@ -174,9 +175,9 @@ def from_components(grid: Grid, *funcs) -> Field:
     return Field(grid, np.stack(comps), PHYSICAL)
 
 
-def zero_field(grid: Grid, ncomp: int = 1, representation: str = SPECTRAL) -> Field:
-    dtype = np.complex128 if representation == SPECTRAL else np.float64
-    return Field(grid, np.zeros((ncomp,) + grid.shape, dtype=dtype), representation)
+def zero_field(grid: Grid, ncomp: int = 1) -> Field:
+    return Field(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128),
+                 SPECTRAL)
 
 
 def to_spectral(f: Field) -> Field:
@@ -364,20 +365,25 @@ def _ik(shape: tuple, n: int, axis: int) -> np.ndarray:
     return ik.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
 
 
-def _cross_ik(ik: list, spec: np.ndarray, out: np.ndarray = None):
-    """i k x spec, with ik the factors _ik of every axis: in 2D the scalar
-    i k x spec of a vector, and the vector i k x spec of a scalar (as the
-    third component of a 3D vector).  A vector result is written into
-    `out` when it is given."""
-    if len(spec) == 1:
-        return np.stack([ik[1] * spec[0], -ik[0] * spec[0]])
-    # component i: ik_{i+1} spec_{i+2} - ik_{i+2} spec_{i+1}, indices mod 3
-    pairs = [(i - 2, i - 1) for i in range(3)] if len(ik) == 3 else [(0, 1)]
+def _cross(a, b, out: np.ndarray = None) -> np.ndarray:
+    """a x b over the leading (component) axis, broadcasting the rest: in
+    3D the vector product; in 2D the scalar a x b of two vectors, and the
+    vector a x b of a vector and a scalar b (as the third component of a
+    3D vector).  With a the factors _ik of every axis it is i k x b.  The
+    result is written into `out` when it is given."""
     if out is None:
-        out = np.empty_like(spec[:len(pairs)])
-    for row, (a, b) in zip(out, pairs):
-        np.multiply(ik[a], spec[b], out=row)
-        row -= ik[b] * spec[a]
+        ncomp = {1: 2, 2: 1, 3: 3}[len(b)]  # components of b -> of a x b
+        shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+        out = np.empty((ncomp,) + shape, np.result_type(a[0], b[0]))
+    if len(b) == 1:
+        np.multiply(a[1], b[0], out=out[0])
+        np.multiply(-a[0], b[0], out=out[1])
+        return out
+    # component i: a_{i+1} b_{i+2} - a_{i+2} b_{i+1}, indices mod 3
+    pairs = [(i - 2, i - 1) for i in range(3)] if len(b) == 3 else [(0, 1)]
+    for row, (i, j) in zip(out, pairs):
+        np.multiply(a[i], b[j], out=row)
+        row -= a[j] * b[i]
     return out
 
 

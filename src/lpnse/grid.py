@@ -35,10 +35,6 @@ class Grid:
             raise GridError(f"n must be a power of two >= 8, got {self.n}")
 
     @property
-    def extent(self) -> float:
-        return TWO_PI
-
-    @property
     def spacing(self) -> float:
         return TWO_PI / self.n
 
@@ -92,17 +88,6 @@ class Grid:
         out = np.sqrt(self.k_sq)
         out.flags.writeable = False
         return out
-
-    @cached_property
-    def x_components(self) -> tuple:
-        """Broadcastable physical coordinates, one per axis."""
-        x = np.arange(self.n) * self.spacing
-        comps = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.n
-            comps.append(x.reshape(shape))
-        return tuple(comps)
 
     def meshes(self) -> tuple:
         """Dense coordinate meshes (for evaluating initial data)."""

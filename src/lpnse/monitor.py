@@ -94,7 +94,7 @@ def _block_matrix(traj: Trajectory, p: float):
         ps = [p] if p == 2 else [q for q in dict.fromkeys((p, math.inf))
                                  if ("blocks", q) not in traj.cache]
         js = np.array(block_indices(traj.grid))
-        table = np.stack([block_norm_table(snap, ps, js=list(js))
+        table = np.stack([block_norm_table(snap, ps)
                           for snap in traj.snapshots], axis=-1)
         for q, mat in zip(ps, table):
             traj.cache[("blocks", q)] = (js, mat)
@@ -341,10 +341,10 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
 
 # --- trilinear form and the cross-energy identity ---------------------------
 
-def trilinear(u: Field, v: Field, w: Field, dealias: bool = True) -> float:
+def trilinear(u: Field, v: Field, w: Field) -> float:
     """The pairing int (u . grad v) . w dx; antisymmetric in (v, w) when
     u is divergence-free."""
-    return inner(advect(u, v, dealias), w)
+    return inner(advect(u, v), w)
 
 
 def _pair_series(traj_u: Trajectory, traj_v: Trajectory, weight: np.ndarray = None):
@@ -421,12 +421,14 @@ def gronwall_check(traj_u: Trajectory, traj_v: Trajectory,
                        w0_sq, False)
 
 
-def envelope_holds(fit: GronwallFit, c: float, slack: float = 1.0 + 1e-9) -> bool:
-    """Does LHS(t) <= ||w0||^2 exp(c I(t)) hold at every snapshot?  Used
-    with c = 0 as the self-test that the checker can fail."""
+def envelope_holds(fit: GronwallFit, c: float) -> bool:
+    """Does LHS(t) <= ||w0||^2 exp(c I(t)) hold at every snapshot, up to a
+    relative slack of 1e-9?  Used with c = 0 as the self-test that the
+    checker can fail."""
     if fit.degenerate:
         return True
-    return bool(np.all(fit.lhs <= fit.w0_sq * np.exp(c * fit.integral) * slack))
+    return bool(np.all(fit.lhs <= fit.w0_sq * np.exp(c * fit.integral)
+                       * (1.0 + 1e-9)))
 
 
 # --- assembled report --------------------------------------------------------

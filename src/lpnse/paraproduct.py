@@ -55,9 +55,9 @@ def remainder_r(u: Field, v: Field, dealias: bool = True) -> Field:
     return Field(grid, total, SPECTRAL)
 
 
-def t_prime(u: Field, v: Field, dealias: bool = True) -> Field:
+def t_prime(u: Field, v: Field) -> Field:
     """T'_u v = T_u v + R(u, v): everything in uv except T_v u."""
-    return add(paraproduct_t(u, v, dealias), remainder_r(u, v, dealias))
+    return add(paraproduct_t(u, v), remainder_r(u, v))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from scipy.integrate import cumulative_simpson
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, SPECTRAL, _Padding, _cross_ik, _full_spectrum,
+from .field import (Field, SPECTRAL, _Padding, _cross, _full_spectrum,
                     _hermitian_half, _ik, _leray_project_spec, _plane_weights,
                     from_components, l2_norm_spectral, laplacian,
                     leray_project, scale, spectral_data)
@@ -168,13 +168,13 @@ def initial_condition(config: SolverConfig, grid: Grid) -> Field:
     return scale(u, 1.0 / norm)
 
 
-def nse_rhs(u: Field, nu: float, dealias: bool = True) -> Field:
+def nse_rhs(u: Field, nu: float) -> Field:
     """The right-hand side that run() integrates: the solver's nonlinear
     term P(u x omega) (-P(u.grad u) off the -n/2 planes) + nu Laplacian u."""
     grid = u.grid
     if u.ncomp != grid.dim:
         raise GridError("velocity field must have dim components")
-    config = SolverConfig(dim=grid.dim, n=grid.n, nu=nu, dealias=dealias)
+    config = SolverConfig(dim=grid.dim, n=grid.n, nu=nu)
     term, _ = _Integrator(grid, config).nonlinear(
         _hermitian_half(spectral_data(u), grid.dim), speed=False)
     return Field(grid, _full_spectrum(term, grid.dim) + nu * laplacian(u).data,
@@ -188,13 +188,12 @@ class _Integrator:
     overwritten on every nonlinear() call, so an integrator is not
     reentrant: one thread, one call at a time."""
 
-    def __init__(self, grid: Grid, config: SolverConfig, dt: float = None):
+    def __init__(self, grid: Grid, config: SolverConfig):
         self.grid = grid
         self.config = config
-        self.dt = config.dt if dt is None else dt
         planes = slice(0, grid.n // 2 + 1)
         self.e_half = np.exp(-config.nu * grid.k_sq[..., planes]
-                             * (self.dt / 2.0))
+                             * (config.dt / 2.0))
         self.e_full = self.e_half**2
         self.zero = (slice(None),) + (0,) * grid.dim
         # 0 on every plane with some k_i = -n/2, 1 elsewhere
@@ -222,19 +221,12 @@ class _Integrator:
         grid = self.grid
         dim = grid.dim
         self.coarse[:dim] = half
-        _cross_ik(self.ik, half, out=self.coarse[dim:])
+        _cross(self.ik, half, out=self.coarse[dim:])
         fine = self.padding.to_fine(self.coarse)
         u, w = fine[:dim], fine[dim:]
         umax = (float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
                 if speed else None)
-        cross = self.cross
-        if dim == 3:
-            for i in range(3):
-                np.multiply(u[i - 2], w[i - 1], out=cross[i])
-                cross[i] -= u[i - 1] * w[i - 2]
-        else:
-            np.multiply(u[1], w[0], out=cross[0])
-            np.multiply(u[0], -w[0], out=cross[1])
+        cross = _cross(u, w, out=self.cross)
         del fine, u, w  # freed before the forward transform: lower peak memory
         out = _leray_project_spec(self.padding.to_coarse(cross), grid)
         out *= self.keep
@@ -243,7 +235,7 @@ class _Integrator:
 
     def step(self, spec: np.ndarray, time: float, index: int) -> np.ndarray:
         """One IF-RK4 step of the half-spectrum state `spec`."""
-        dt = self.dt
+        dt = self.config.dt
         a, umax = self.nonlinear(spec)
         if umax > 0:
             dt_max = self.config.cfl_safety * self.grid.spacing / umax
@@ -262,10 +254,11 @@ class _Integrator:
         return e2 * spec + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
 
 
-def step(u: Field, config: SolverConfig, dt: float = None) -> Field:
-    """One IF-RK4 step of the projected equations (public, stateless)."""
+def step(u: Field, config: SolverConfig) -> Field:
+    """One IF-RK4 step of length config.dt of the projected equations
+    (public, stateless)."""
     grid = u.grid
-    integ = _Integrator(grid, config, dt)
+    integ = _Integrator(grid, config)
     out = integ.step(_hermitian_half(spectral_data(u), grid.dim), 0.0, 0)
     return Field(grid, _full_spectrum(out, grid.dim), SPECTRAL)
 
@@ -328,13 +321,12 @@ def energy_balance_residual(traj: Trajectory) -> float:
     return float(np.max(residual) / energy[0])
 
 
-def perturbation_field(grid: Grid, seed: int, kmax: float = 8.0,
-                       slope: float = 1.0) -> Field:
-    """Divergence-free random perturbation, resolution-independent: the
-    same (seed, kmax) gives the same continuum field on any grid that
-    resolves it."""
+def perturbation_field(grid: Grid, seed: int, kmax: float = 8.0) -> Field:
+    """Divergence-free random perturbation with spectral slope 1,
+    resolution-independent: the same (seed, kmax) gives the same
+    continuum field on any grid that resolves it."""
     kmax = min(kmax, grid.dealias_radius)
-    return ensembles.solenoidal_field(grid, kmax, seed, slope)
+    return ensembles.solenoidal_field(grid, kmax, seed, 1.0)
 
 
 def twin_run(config: SolverConfig, delta: float, seed: int,

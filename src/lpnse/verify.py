@@ -17,11 +17,10 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from . import ensembles
+from . import cutoffs, ensembles
 from .besov import bkm_ratio
 from .blocks import (bernstein_report, block_indices, block_multiplier,
                      delta_j, reconstruct, reverse_bernstein_report, s_j)
-from .cutoffs import DEFAULT_CUTOFFS
 from .field import (Field, SPECTRAL, add, advect, dealiased_product,
                     divergence, gradient, h1_seminorm, inner,
                     l2_norm_spectral, leray_project, scale)
@@ -66,7 +65,7 @@ def partition_residuals(grid: Grid) -> tuple:
     radial = np.linspace(0.0, top, 4097)
     lattice = grid.k_mag[grid.k_mag <= top]
     return tuple(
-        float(np.max(np.abs(DEFAULT_CUTOFFS.partition(k, grid.jmax) - 1.0)))
+        float(np.max(np.abs(cutoffs.partition(k, grid.jmax) - 1.0)))
         for k in (radial, lattice))
 
 
@@ -188,11 +187,20 @@ def solver_checks_3d() -> dict:
 
 # --- suites -------------------------------------------------------------------
 
+def _shell_grid(suite: str, n: int) -> Grid:
+    """The 3D grid of a suite that reads shell jmax - 1 as one of the
+    shells j >= 1, which needs jmax >= 2."""
+    grid = Grid(3, n)
+    if grid.jmax < 2:
+        raise ValueError(f"suite {suite} needs jmax >= 2, that is n >= 16; "
+                         f"got n={n}")
+    return grid
+
+
 def suite_lp(n: int = 32, seed: int = 0) -> SuiteResult:
     """Partition of unity, reconstruction, orthogonality, telescoping,
     and the dissipation lower bound."""
     res = SuiteResult("lp")
-    cut = DEFAULT_CUTOFFS
     rng = np.random.default_rng(seed)
 
     grid3 = Grid(3, n)
@@ -200,10 +208,11 @@ def suite_lp(n: int = 32, seed: int = 0) -> SuiteResult:
     res.add("partition residual (radial, r <= 2^jmax)", radial, 1e-14)
     res.add("partition residual (lattice)", lattice, 1e-14)
     res.add("chi plateau and support",
-            abs(cut.chi(0.5) - 1.0) + abs(cut.chi(1.5)), 0.0,
-            ok=(cut.chi(0.5) == 1.0 and cut.chi(1.5) == 0.0))
-    res.add("phi support edges", abs(cut.phi(0.7)) + abs(cut.phi(2.7)), 0.0,
-            ok=(cut.phi(0.7) == 0.0 and cut.phi(2.7) == 0.0))
+            abs(cutoffs.chi(0.5) - 1.0) + abs(cutoffs.chi(1.5)), 0.0,
+            ok=(cutoffs.chi(0.5) == 1.0 and cutoffs.chi(1.5) == 0.0))
+    res.add("phi support edges",
+            abs(cutoffs.phi(0.7)) + abs(cutoffs.phi(2.7)), 0.0,
+            ok=(cutoffs.phi(0.7) == 0.0 and cutoffs.phi(2.7) == 0.0))
 
     f = ensembles.band_noise(grid3, rng)
     res.add("reconstruction residual", reconstruction_residual(f), 1e-12)
@@ -249,7 +258,7 @@ def suite_bony(n: int = 32, seed: int = 1, pairs: int = 10,
     go unnoticed."""
     res = SuiteResult("bony")
     rng = np.random.default_rng(seed)
-    grid = Grid(3, n)
+    grid = _shell_grid("bony", n)
     full = grid.n / 2.0 - 1.0   # widest band clear of the Nyquist planes
     recon = 0.375 * grid.n      # blocks reconstruct only below (3/4) 2^{jmax+1}
 
@@ -308,7 +317,7 @@ def suite_bony(n: int = 32, seed: int = 1, pairs: int = 10,
 
 def suite_bernstein(n: int = 64, seed: int = 7, ensemble: int = 100) -> SuiteResult:
     res = SuiteResult("bernstein")
-    grid = Grid(3, n)
+    grid = _shell_grid("bernstein", n)
     fwd = bernstein_report(grid, ensemble=ensemble, seed=seed)
     rev = reverse_bernstein_report(grid, ensemble=ensemble, seed=seed)
     res.reports["bernstein_forward"] = fwd

@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from lpnse import ensembles
+from lpnse import cutoffs, ensembles
 from lpnse.besov import CriterionTriple, split_constants, split_low_high
 from lpnse.blocks import bernstein_report, reverse_bernstein_report
-from lpnse.cutoffs import DEFAULT_CUTOFFS
 from lpnse.field import (Field, SPECTRAL, from_components, grad_norm_inf,
                          l2_norm_spectral, lp_norm, scale, spectral_data)
 from lpnse.grid import Grid
@@ -318,8 +317,7 @@ def test_criterion_7_losing_weights(twin_pair, grid2):
                      [mode] * len(syn_times), {})
     twin = Trajectory(syn_cfg, grid2, syn_times,
                       [mode] * len(syn_times), {})
-    c = DEFAULT_CUTOFFS
-    m = max(float(c.phi(2.0)), 2.0 * float(c.phi(1.0)))
+    m = max(float(cutoffs.phi(2.0)), 2.0 * float(cutoffs.phi(1.0)))
     lam = 1.0
     closed = (1.0 - s) * math.log(2.0) / (2.0 * lam * m)
     assert abs(smallness_window(syn, twin, s, lam) - closed) <= dt_snap

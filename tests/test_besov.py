@@ -9,7 +9,7 @@ from lpnse import (BesovSpec, CriterionTriple, besov_norm, biot_savart,
 from lpnse.besov import (EXTENDED_MODE, UNIQUENESS_MODE, choose_p_tilde,
                          split_constants, split_level)
 from lpnse.blocks import block_norms
-from lpnse.cutoffs import DEFAULT_CUTOFFS
+from lpnse import cutoffs
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError, ResolutionError, TripleError
 from lpnse.field import (add, from_components, gradient, l2_norm_spectral,
@@ -24,8 +24,7 @@ def test_two_shell_norm_oracle(grid2):
     # cos 2x splits over shells 0 and 1 with phi weights; the B^1_{inf,inf}
     # norm is the larger of the two weighted sup norms
     f = from_components(grid2, lambda x, y: np.cos(2 * x))
-    c = DEFAULT_CUTOFFS
-    expected = max(float(c.phi(2.0)), 2.0 * float(c.phi(1.0)))
+    expected = max(float(cutoffs.phi(2.0)), 2.0 * float(cutoffs.phi(1.0)))
     got = besov_norm(f, BesovSpec(1.0, math.inf, math.inf))
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -51,7 +50,7 @@ def test_b0_2inf_comparable_to_l2(grid3, rng):
 def test_finite_q_aggregation(grid2, rng):
     f = band_noise(grid2, rng, kmax=10.0)
     js = [-1, 0, 1, 2, 3]
-    norms = block_norms(f, 2.0, js=js)
+    norms = block_norms(f, 2.0)
     weighted = 2.0 ** (0.4 * np.array(js)) * norms
     expected = float(np.sum(weighted**2.0) ** 0.5)
     assert besov_norm(f, BesovSpec(0.4, 2.0, 2.0)) == pytest.approx(

@@ -34,6 +34,20 @@ def test_verify_negative_control_fails(capsys):
     assert "first failure: bony/" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["bony", "bernstein"])
+def test_verify_shell_suites_name_the_smallest_grid(suite, capsys):
+    # both suites read shell jmax - 1 >= 1: n = 8 (jmax = 1) is too small
+    assert main(["verify", "--suite", suite, "--n", "8"]) == 2
+    err = capsys.readouterr().err
+    assert f"suite {suite} needs" in err
+    assert "n >= 16" in err and "got n=8" in err
+
+
+def test_verify_lp_smallest_grid_passes(capsys):
+    assert main(["verify", "--suite", "lp", "--n", "8"]) == 0
+    assert "=> PASS" in capsys.readouterr().out
+
+
 def test_verify_rejects_empty_ensemble(capsys):
     assert main(["verify", "--suite", "bernstein", "--ensemble", "0"]) == 2
     assert "ensemble must be >= 1" in capsys.readouterr().err
@@ -344,6 +358,67 @@ def test_report_non_finite_summary_numeric_exit(stored_pair, tmp_path,
         assert _report(pair, out) == 3
     assert "report summary value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def snapshot_3d(tmp_path_factory):
+    """The last snapshot of a short 3D n=16 `lpnse simulate` run."""
+    sim = tmp_path_factory.mktemp("sim3d")
+    assert main(["simulate", "--set", "dim=3", "--set", "n=16",
+                 "--set", "dt=2.5e-3", "--set", "t_end=0.005",
+                 "--set", "snap_every=2", "--out", str(sim)]) == 0
+    return sorted(sim.glob("snap_*.fld"))[-1]
+
+
+def _rescaled(snap, factor, path):
+    f, header = read_field(snap)
+    write_field(path, scale(f, factor), time=header["time"],
+                viscosity=header["viscosity"])
+    return path
+
+
+@pytest.mark.parametrize("factor, p, value", [(1e100, "4", "inf"),
+                                              (1e160, "2", "nan")],
+                         ids=["inf", "nan"])
+def test_besov_overflowing_norm_numeric_exit(snapshot_3d, tmp_path, capsys,
+                                             factor, p, value):
+    # the block norms overflow to inf; at p = 2 an overflowed power times
+    # a zero multiplier gives 0 * inf = nan, an invalid value
+    snap = _rescaled(snapshot_3d, factor, tmp_path / "big.fld")
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        assert main(["besov", "--snapshot", str(snap), "--s", "0.5",
+                     "--p", p]) == 3
+    captured = capsys.readouterr()
+    assert str(snap) in captured.err and f"norm is {value}" in captured.err
+    assert captured.out == ""
+
+
+def test_split_overflowing_norm_numeric_exit(snapshot_3d, tmp_path, capsys):
+    # the split level of an infinite norm is undefined: exit 3 before any
+    # file or the --out directory is written
+    snap = _rescaled(snapshot_3d, 1e100, tmp_path / "big.fld")
+    out = tmp_path / "split"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["split", "--snapshot", str(snap), "--r", "0.5",
+                     "--p", "4", "--q", f"{8.0 / 3.0!r}",
+                     "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert str(snap) in captured.err and "norm is inf" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_split_infinite_p_spells_p_tilde_inf(snapshot_3d, tmp_path, capsys):
+    # (r, p, q) = (0.5, inf, 4/3) is admissible and gives p_tilde = inf,
+    # which the printed JSON spells "inf"
+    out = tmp_path / "split"
+    assert main(["split", "--snapshot", str(snapshot_3d), "--r", "0.5",
+                 "--p", "inf", "--q", f"{4.0 / 3.0!r}",
+                 "--out", str(out)]) == 0
+    meta = json.loads(capsys.readouterr().out)
+    assert meta["p_tilde"] == "inf" and meta["q_tilde"] == 2.0
+    for name in ("u_low.fld", "u_high.fld", "manifest.json"):
+        assert (out / name).is_file()
 
 
 def test_report_mismatched_configs_leave_no_out_directory(stored_pair,

@@ -36,10 +36,9 @@ def test_load_config_typed(tmp_path):
 
 def test_load_config_overrides_win(tmp_path):
     path = _write(tmp_path, "n = 32\nnu = 0.25\n")
-    config = load_config(path, {"nu": "1.5", "dt": None})
+    config = load_config(path, {"nu": "1.5"})
     assert config.nu == 1.5
     assert config.n == 32
-    # None overrides are ignored, so dt keeps its default
     assert config.dt == SolverConfig().dt
 
 

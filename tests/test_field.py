@@ -9,7 +9,8 @@ from lpnse import (Field, Grid, advect, dealiased_product, derivative,
                    leray_project, lp_norm, to_physical, to_spectral)
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError
-from lpnse.field import (_full_spectrum, _hermitian_half, _ik, _irfftn_half,
+from lpnse.field import (_cross, _full_spectrum, _hermitian_half, _ik,
+                         _irfftn_half,
                          _leray_project_spec, _mirror, _support_radius, add,
                          divergence, gradient,
                          grad_norm_inf, h1_seminorm, l2_norm_spectral,
@@ -559,6 +560,24 @@ def test_grad_norm_inf_of_low_pass_field_is_bit_identical(dim, n):
 
 
 # --- Leray projection --------------------------------------------------------
+
+@pytest.mark.parametrize("ncomp_a, ncomp_b", [(3, 3), (2, 2), (2, 1)])
+def test_cross_matches_component_formulas_bit_for_bit(ncomp_a, ncomp_b, rng):
+    # the solver's u x omega: the 3D vector product, and in 2D u x (0, 0, w)
+    a = rng.standard_normal((ncomp_a, 6, 5))
+    b = rng.standard_normal((ncomp_b, 6, 5))
+    if ncomp_b == 3:
+        want = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0]]
+    elif ncomp_b == 2:
+        want = [a[0] * b[1] - a[1] * b[0]]
+    else:
+        want = [a[1] * b[0], -(a[0] * b[0])]
+    assert np.array_equal(_cross(a, b), np.stack(want))
+    out = np.empty((len(want), 6, 5))
+    assert _cross(a, b, out=out) is out
+    assert np.array_equal(out, np.stack(want))
+
 
 def test_leray_kills_gradients(grid3, rng):
     g = band_noise(grid3, rng, kmax=9.0)

@@ -50,14 +50,13 @@ def test_k_arrays_are_readonly():
 
 def test_coordinates_cover_torus():
     g = Grid(3, 8)
-    xs = g.x_components
-    assert len(xs) == 3
-    for axis, x in enumerate(xs):
-        flat = np.ravel(x)
-        np.testing.assert_allclose(flat, np.arange(8) * g.spacing)
-        assert flat[-1] < 2.0 * np.pi  # right endpoint excluded
     meshes = g.meshes()
-    assert meshes[0].shape == g.shape
+    assert len(meshes) == 3
+    for axis, mesh in enumerate(meshes):
+        assert mesh.shape == g.shape
+        line = np.moveaxis(mesh, axis, 0)[:, 0, 0]
+        np.testing.assert_allclose(line, np.arange(8) * g.spacing)
+        assert line[-1] < 2.0 * np.pi  # right endpoint excluded
 
 
 def test_require_same():

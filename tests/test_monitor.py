@@ -13,7 +13,7 @@ import pytest
 import lpnse
 from lpnse.besov import BesovSpec, CriterionTriple, besov_norm
 from lpnse.blocks import block_indices, block_multiplier, block_norms
-from lpnse.cutoffs import DEFAULT_CUTOFFS
+from lpnse import cutoffs
 from lpnse.ensembles import divfree_noise
 from lpnse.errors import BlockRangeError, TripleError
 from lpnse.field import (Field, SPECTRAL, from_components, h1_seminorm,
@@ -164,7 +164,7 @@ def test_besov_and_b1_series_match_per_snapshot_norms(twin_pair):
                  BesovSpec(0.5, math.inf, math.inf)):
         reference = [besov_norm(snap, spec) for snap in u.snapshots]
         assert np.array_equal(besov_series(u, spec), reference)
-    reference = [np.max(2.0 ** js * block_norms(snap, math.inf, list(js)))
+    reference = [np.max(2.0 ** js * block_norms(snap, math.inf))
                  for snap in u.snapshots]
     assert np.array_equal(b1_series(u), reference)
 
@@ -231,9 +231,9 @@ def test_diff_norm_single_mode_oracle(grid2):
     w = _two_shell_mode(grid2)
     traj_w = constant_trajectory(w, [0.0, 0.01])
     traj_0 = constant_trajectory(zero_field(grid2, ncomp=2), [0.0, 0.01])
-    c = DEFAULT_CUTOFFS
     s = 0.5
-    expected = max(float(c.phi(2.0)), 2.0 ** (-s) * float(c.phi(1.0)))
+    expected = max(float(cutoffs.phi(2.0)),
+                   2.0 ** (-s) * float(cutoffs.phi(1.0)))
     value, j = diff_norm_W(traj_w, traj_0, s)
     assert value == pytest.approx(expected * l2_norm_spectral(w), rel=1e-12)
     assert j == 0
@@ -241,7 +241,7 @@ def test_diff_norm_single_mode_oracle(grid2):
     value_neg, j_neg = diff_norm_W(traj_w, traj_0, -1.0)
     assert j_neg == 1
     assert value_neg == pytest.approx(
-        2.0 * float(c.phi(1.0)) * l2_norm_spectral(w), rel=1e-12)
+        2.0 * float(cutoffs.phi(1.0)) * l2_norm_spectral(w), rel=1e-12)
 
 
 def test_diff_norm_bounded_by_l2(twin_pair):
@@ -272,7 +272,7 @@ def test_block_series_cached_and_consistent(twin_pair):
     assert blocks.values.shape == (len(blocks.js), len(u))
     assert list(blocks.js) == list(range(-1, u.grid.jmax + 1))
     # one column equals the direct per-block norms of w at that snapshot
-    direct = block_norms(_diff_field(u, v, 3), 2.0, js=list(blocks.js))
+    direct = block_norms(_diff_field(u, v, 3), 2.0)
     assert np.allclose(blocks.values[:, 3], direct, rtol=0.0, atol=1e-13)
 
 
@@ -304,8 +304,7 @@ def test_twin_configs_may_differ_only_in_initial_data(twin_pair):
 
 def test_b1_series_constant_two_shell(grid2):
     traj = constant_trajectory(_two_shell_mode(grid2), np.linspace(0, 0.1, 6))
-    c = DEFAULT_CUTOFFS
-    expected = max(float(c.phi(2.0)), 2.0 * float(c.phi(1.0)))
+    expected = max(float(cutoffs.phi(2.0)), 2.0 * float(cutoffs.phi(1.0)))
     assert np.allclose(b1_series(traj), expected, rtol=1e-12)
 
 
@@ -412,8 +411,7 @@ def test_smallness_window_closed_form(grid2):
     times = np.arange(0.0, 0.3 + dt_snap / 2, dt_snap)
     traj_u = constant_trajectory(u, times)
     traj_v = constant_trajectory(u, times)
-    c = DEFAULT_CUTOFFS
-    m = max(float(c.phi(2.0)), 2.0 * float(c.phi(1.0)))
+    m = max(float(cutoffs.phi(2.0)), 2.0 * float(cutoffs.phi(1.0)))
     s, lam = 0.5, 1.0
     closed = (1.0 - s) * math.log(2.0) / (2.0 * lam * m)
     t_star = smallness_window(traj_u, traj_v, s, lam)

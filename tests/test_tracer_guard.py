@@ -1,7 +1,11 @@
 """The benchmark tracer (perfbench/spans.py) wraps lpnse functions by
-name from outside the package.  A refactor that renames one of them
-must fail here instead of breaking traced benchmark runs."""
+name from outside the package, and the benchmark imports lpnse names
+inside the functions that use them.  A refactor that renames or removes
+one of them must fail here instead of breaking benchmark runs."""
 
+import ast
+import importlib
+import importlib.util
 import math
 from pathlib import Path
 
@@ -96,3 +100,27 @@ def test_traced_block_norms_record_every_pruned_pass(monkeypatch):
     names = [rec[spans.NAME] for rec in tracer.spans]
     assert names.count("fft.irfftn") == blocks
     assert names.count("fft.ifftn") >= blocks
+
+
+def test_perfbench_imported_names_exist():
+    # every `from lpnse... import name` of perfbench/*.py, parsed rather
+    # than run, and the worker's read of the FFT worker count
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "lpnse"):
+                names.update((node.module, alias.name) for alias in node.names)
+    assert len(names) > 10
+    names.add(("lpnse.field", "_fft_workers"))
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not _importable(module, name)]
+    assert missing == []
+
+
+def _importable(module, name):
+    """Does `from module import name` succeed, a submodule included?"""
+    mod = importlib.import_module(module)
+    return hasattr(mod, name) or (
+        hasattr(mod, "__path__")
+        and importlib.util.find_spec(f"{module}.{name}") is not None)
