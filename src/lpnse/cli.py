@@ -15,6 +15,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .besov import BesovSpec, CriterionTriple, besov_norm, split_low_high
 from .config import load_config
 from .errors import GridError, LpnseError, NonFiniteError, SolverAbort
@@ -32,6 +34,11 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 OUTDIR_ENV = "LPNSE_OUTDIR"
+
+# besov, split and report check their results for inf and nan themselves
+# and exit 3 with a message naming the file or key, so numpy's own
+# overflow and invalid-value warnings would only repeat that as noise
+_numeric_work = np.errstate(over="ignore", invalid="ignore")
 
 
 def _outpath(args) -> str:
@@ -132,6 +139,7 @@ def cmd_twin(args) -> int:
     return EXIT_PASS
 
 
+@_numeric_work
 def cmd_report(args) -> int:
     # validate the cheap scalar inputs before touching any trajectory
     triple = _parse_triple(args.triple).validate(args.mode)
@@ -173,6 +181,7 @@ def _snapshot_norm(path, f, spec: BesovSpec) -> float:
     return value
 
 
+@_numeric_work
 def cmd_besov(args) -> int:
     spec = BesovSpec(args.s, args.p, args.q)
     f, _ = _read_real_field(args.snapshot)
@@ -180,6 +189,7 @@ def cmd_besov(args) -> int:
     return EXIT_PASS
 
 
+@_numeric_work
 def cmd_split(args) -> int:
     triple = CriterionTriple(args.r, args.p, args.q).validate()
     f, header = _read_real_field(args.snapshot)

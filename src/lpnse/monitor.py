@@ -74,14 +74,6 @@ class LosingParams:
                              f"got {self.lam}")
 
 
-def s_window(r1: float, r2: float) -> tuple:
-    """Admissible loss-index interval (-r1, min(1+r1, 1+r2)) for the
-    paired-regularity regime; empty unless r1 > -1/2 and r1 + r2 > -1."""
-    lo = -r1
-    hi = min(1.0 + r1, 1.0 + r2)
-    return (lo, hi) if lo < hi else (lo, lo)
-
-
 # --- criterion integral ------------------------------------------------------
 
 def _block_matrix(traj: Trajectory, p: float):

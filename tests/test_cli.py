@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, artifacts, manifests, determinism."""
 
+import contextlib
 import json
 import math
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,18 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
 def test_simulate_unknown_key_usage_error(capsys):
     assert main(["simulate", "--set", "resolution=32"]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dt", "t_end"])
+def test_simulate_non_positive_step_names_its_key(tmp_path, capsys, key):
+    # dt = -1 used to be blamed on t_end ("not a whole number of steps")
+    out = tmp_path / "sim"
+    assert main(["simulate", *SIM_ARGS, "--set", f"{key}=-1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}' must be positive, got -1.0" in err
+    assert "whole number of steps" not in err
+    assert not out.exists()
 
 
 def test_simulate_cfl_abort_numeric_exit(tmp_path, capsys):
@@ -343,6 +357,15 @@ def test_report_rejects_non_finite_flags(stored_pair, tmp_path, capsys,
     assert not out.exists()
 
 
+@contextlib.contextmanager
+def _no_warnings():
+    """Any warning becomes an error: the numeric commands reject a
+    non-finite result with their own message, not with numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
 def test_report_non_finite_summary_numeric_exit(stored_pair, tmp_path,
                                                 capsys):
     # every snapshot of both runs scaled by 1e120: the squared norms
@@ -354,9 +377,10 @@ def test_report_non_finite_summary_numeric_exit(stored_pair, tmp_path,
         write_field(snap, scale(f, 1e120), time=header["time"],
                     viscosity=header["viscosity"])
     out = tmp_path / "report"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with _no_warnings():
         assert _report(pair, out) == 3
-    assert "report summary value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "report summary value" in err and "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -385,11 +409,12 @@ def test_besov_overflowing_norm_numeric_exit(snapshot_3d, tmp_path, capsys,
     # the block norms overflow to inf; at p = 2 an overflowed power times
     # a zero multiplier gives 0 * inf = nan, an invalid value
     snap = _rescaled(snapshot_3d, factor, tmp_path / "big.fld")
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+    with _no_warnings():
         assert main(["besov", "--snapshot", str(snap), "--s", "0.5",
                      "--p", p]) == 3
     captured = capsys.readouterr()
     assert str(snap) in captured.err and f"norm is {value}" in captured.err
+    assert "RuntimeWarning" not in captured.err
     assert captured.out == ""
 
 
@@ -398,12 +423,13 @@ def test_split_overflowing_norm_numeric_exit(snapshot_3d, tmp_path, capsys):
     # file or the --out directory is written
     snap = _rescaled(snapshot_3d, 1e100, tmp_path / "big.fld")
     out = tmp_path / "split"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with _no_warnings():
         assert main(["split", "--snapshot", str(snap), "--r", "0.5",
                      "--p", "4", "--q", f"{8.0 / 3.0!r}",
                      "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert str(snap) in captured.err and "norm is inf" in captured.err
+    assert "RuntimeWarning" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -24,7 +24,7 @@ from lpnse.monitor import (LosingParams, _cumtrapz, _diff_spec, b1_series,
                            block_energy_audit, block_series, build_report,
                            criterion_integral, diff_norm_W, diff_norm_series,
                            envelope_holds, epsilon_weights, gronwall_check,
-                           integral_identity_check, losing_weight, s_window,
+                           integral_identity_check, losing_weight,
                            smallness_window, trilinear)
 from lpnse.solver import SolverConfig, Trajectory, run, twin_run
 
@@ -50,23 +50,6 @@ def _diff_field(traj_u, traj_v, i):
     return Field(traj_u.grid,
                  spectral_data(traj_u.snapshots[i])
                  - spectral_data(traj_v.snapshots[i]), SPECTRAL)
-
-
-# --- parameter windows -------------------------------------------------------
-
-def test_s_window_paired_regularity():
-    lo, hi = s_window(0.5, 0.5)
-    assert lo == pytest.approx(-0.5)
-    assert hi == pytest.approx(1.5)
-    # the upper end is capped by the rougher factor
-    lo2, hi2 = s_window(0.25, -0.5)
-    assert lo2 == pytest.approx(-0.25)
-    assert hi2 == pytest.approx(0.5)
-
-
-def test_s_window_empty_interval_collapses():
-    lo, hi = s_window(-0.75, 2.0)
-    assert lo == hi == pytest.approx(0.75)
 
 
 def test_losing_params_validation():

@@ -10,7 +10,8 @@ from lpnse.ensembles import divfree_noise
 from lpnse.field import (Field, _full_spectrum, _hermitian_half, add, advect,
                          divergence, h1_seminorm, inner, l2_norm_spectral,
                          laplacian, leray_project, scale, spectral_data)
-from lpnse.solver import _Integrator, initial_condition, perturbation_field
+from lpnse.solver import (_Integrator, _cumulative_simpson, initial_condition,
+                          perturbation_field)
 
 
 # --- configuration -----------------------------------------------------------
@@ -44,9 +45,11 @@ def test_config_rejects_bad_bool():
 def test_config_validation():
     with pytest.raises(ValueError, match="non-negative"):
         SolverConfig(nu=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'dt' must be positive"):
         SolverConfig(dt=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'dt' must be positive, got -1.0"):
+        SolverConfig(dt=-1.0)
+    with pytest.raises(ValueError, match="'t_end' must be positive"):
         SolverConfig(t_end=-0.5)
     with pytest.raises(ValueError):
         SolverConfig(snap_every=0)
@@ -294,6 +297,29 @@ def test_energy_dissipates_monotonically():
 
 def test_energy_balance_residual(tg2d_traj):
     assert energy_balance_residual(tg2d_traj) <= 1e-6
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+def test_cumulative_simpson_matches_scipy_bit_for_bit(equal):
+    from scipy.integrate import cumulative_simpson
+    rng = np.random.default_rng(16)
+    for n in range(3, 41):
+        y = rng.standard_normal(n)
+        x = (np.arange(n) * 2.5e-3 if equal
+             else np.cumsum(rng.uniform(0.1, 1.0, n)))
+        expected = cumulative_simpson(y, x=x, initial=0.0)
+        assert _cumulative_simpson(y, x).tobytes() == expected.tobytes(), n
+
+
+def test_energy_balance_residual_matches_scipy_simpson(tg2d_traj):
+    from scipy.integrate import cumulative_simpson
+    series = tg2d_traj.series
+    integral = cumulative_simpson(series["grad_sq"], x=series["t"],
+                                  initial=0.0)
+    residual = np.abs(series["energy"] + 2.0 * tg2d_traj.config.nu * integral
+                      - series["energy"][0])
+    expected = float(np.max(residual) / series["energy"][0])
+    assert energy_balance_residual(tg2d_traj) == expected
 
 
 def test_divergence_preserved(twin_pair):
