@@ -18,10 +18,9 @@ import numpy as np
 
 from . import ensembles
 from . import cutoffs
-from .errors import BlockRangeError
-from .field import (Field, SPECTRAL, _box, _deriv_multiplier, _irfftn_half,
-                    derivative, h1_seminorm, l2_norm_spectral, lp_norm,
-                    spectral_data)
+from .errors import BlockRangeError, ResolutionError
+from .field import (Field, SPECTRAL, _box, _ik, _irfftn_half, h1_seminorm,
+                    l2_norm_spectral, spectral_data)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -86,6 +85,12 @@ def reconstruct(f: Field) -> Field:
     return Field(grid, total, SPECTRAL)
 
 
+def _block_radius(grid: Grid, j: int) -> int:
+    """r of block j's support box: no |k_i| > r carries block content
+    (see block_norm_table)."""
+    return min(int(cutoffs.SUPPORT_RADIUS * 2.0 ** (j + 1)), grid.n // 2)
+
+
 def block_norm_table(f: Field, ps) -> np.ndarray:
     """L^p norms of every block of block_indices for every exponent in ps,
     shaped (len(ps), jmax + 2); row i equals block_norms(f, ps[i]) bit for
@@ -124,8 +129,7 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
                 out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
         if not physical:
             continue
-        radius = min(int(cutoffs.SUPPORT_RADIUS * 2.0 ** (j + 1)),
-                     grid.n // 2)
+        radius = _block_radius(grid, j)
         planes = radius + 1
         if 2 * radius + 1 < grid.n:  # only the corners are written
             buf[..., :dirty] = 0
@@ -204,34 +208,38 @@ class ConstantReport:
 BERNSTEIN_CASES = ((2.0, 2.0, 1), (2.0, np.inf, 0), (np.inf, np.inf, 1))
 
 
-def _derivative_sup_norm(f: Field, order: int, q: float) -> float:
-    """sup over multi-indices of total order `order` of ||d^beta f||_q.
+def _bernstein_norms(f: Field, j: int) -> dict:
+    """{(order, q): sup over |beta| = order of ||d^beta f||_q} for order
+    0, 1 and q = 2, inf, of a scalar field f supported on shell j.
 
-    q = 2 is evaluated from coefficients (Parseval), skipping the inverse
-    transform per multi-index."""
-    if order == 0:
-        return l2_norm_spectral(f) if q == 2 else lp_norm(f, q)
+    q = 2 is evaluated from coefficients (Parseval).  Both sup norms come
+    from one inverse transform of f and its first derivatives, stacked,
+    over the block's support box.  An interior-shell block and the shell
+    kernel are exactly Hermitian with no -n/2 content, so the planes
+    0 <= k_last <= n/2 of their spectra are their half spectra."""
     grid = f.grid
     spec = spectral_data(f)
-    best = 0.0
-    for combo in itertools.combinations_with_replacement(range(grid.dim), order):
-        orders = [0] * grid.dim
-        for axis in combo:
-            orders[axis] += 1
-        if q == 2:
-            mult = _deriv_multiplier(grid, tuple(orders))
-            val = float(np.sqrt(grid.volume
-                                * np.sum(np.abs(spec * mult) ** 2)))
-        else:
-            val = lp_norm(derivative(f, orders), q)
-        best = max(best, val)
-    return best
+    stack = np.concatenate([spec] + [spec * _ik(grid.shape, grid.n, axis)
+                                     for axis in range(grid.dim)])
+    l2 = [float(np.sqrt(grid.volume * np.sum(np.abs(s) ** 2))) for s in stack]
+    phys = np.abs(_irfftn_half(stack[..., :grid.n // 2 + 1], grid.shape,
+                               _block_radius(grid, j)))
+    return {(0, 2.0): l2[0], (1, 2.0): max(l2[1:]),
+            (0, np.inf): float(np.max(phys[0])),
+            (1, np.inf): float(np.max(phys[1:]))}
 
 
-def _interior_shells(grid: Grid) -> range:
-    # the top shell leaks past the exactly-representable band and the
-    # ball block has no dyadic scaling, so constants are measured on
-    # interior shells only
+def _interior_shells(grid: Grid, ensemble: int) -> range:
+    """The shells 1 <= j < jmax a Bernstein report measures, over an
+    ensemble of `ensemble` fields: the top shell leaks past the
+    exactly-representable band and the ball block has no dyadic scaling.
+    A report with no shell or no field would measure nothing."""
+    if grid.jmax < 2:
+        raise ResolutionError(f"Bernstein constants are measured on shells "
+                              f"1 <= j < jmax, which need n >= 16; "
+                              f"got n={grid.n}")
+    if ensemble < 1:
+        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
     return range(1, grid.jmax)
 
 
@@ -260,24 +268,21 @@ def bernstein_report(grid: Grid, ensemble: int = 64,
     shell kernel.  The coherent candidate matters: Gaussian fields never
     saturate the p < q cases (their sup/L2 ratio is flat in j, not
     2^{j dim (1/p-1/q)}), so a noise-only scan would report a spread
-    that only reflects the ensemble, not the inequality.
+    that only reflects the ensemble, not the inequality.  Each field is
+    measured with one stacked transform (_bernstein_norms).
     """
-    cases, js = BERNSTEIN_CASES, _interior_shells(grid)
+    cases, js = BERNSTEIN_CASES, _interior_shells(grid, ensemble)
     report = ConstantReport()
     rng = np.random.default_rng(seed)
     worst = {(j, case): 0.0 for j in js for case in cases}
 
     def measure(f, j):
-        norms = {}  # (order, q) -> norm, for numerators and denominators
+        norms = _bernstein_norms(f, j)
         for case in cases:
             p, q, alpha = case
-            num, den = (int(alpha), q), (0, p)
-            for order_q in (num, den):
-                if order_q not in norms:
-                    norms[order_q] = _derivative_sup_norm(f, *order_q)
             factor = 2.0 ** (j * (alpha + grid.dim * (1.0 / p - 1.0 / q)))
-            key = (j, case)
-            worst[key] = max(worst[key], norms[num] / (factor * norms[den]))
+            ratio = norms[alpha, q] / (factor * norms[0, p])
+            worst[j, case] = max(worst[j, case], ratio)
 
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
     for j in js:
@@ -303,7 +308,7 @@ def reverse_bernstein_report(grid: Grid, ensemble: int = 64,
     support bound |k| >= (3/4) 2^j forces the ratio below 4/3, and both
     norms come straight from Parseval.  Measured on the interior shells;
     ball blocks are excluded (constants on a ball can vanish)."""
-    js = _interior_shells(grid)
+    js = _interior_shells(grid, ensemble)
     report = ConstantReport()
     rng = np.random.default_rng(seed)
     worst = {j: 0.0 for j in js}

@@ -34,8 +34,9 @@ Conventions
   input, and _rfftn_half returns a view of its r2c output.
   _irfftn_half also skips, on each leading axis, the lines outside the
   spectrum's support box |k_i| <= radius (the coarse modes for the
-  padded product, a block's support for block norms); every skipped
-  line is zero, so the result is the unpruned one bit for bit.
+  padded product, a block's support for block norms and Bernstein sup
+  norms); every skipped line is zero, so the result is the unpruned one
+  bit for bit.
 """
 
 import itertools
@@ -257,9 +258,13 @@ def inner(f: Field, g: Field) -> float:
     return float(np.real(np.sum(a * np.conj(b))) * f.grid.volume)
 
 
-def _deriv_multiplier(grid: Grid, orders: tuple) -> np.ndarray:
-    """Broadcastable multiplier of d^orders: the product of per-axis
-    factors (i k_axis)^order."""
+def derivative(f: Field, orders) -> Field:
+    """Partial derivative d^{a1}_{x1} ... d^{ad}_{xd} f, spectrally: the
+    product of per-axis factors (i k_axis)^order."""
+    grid = f.grid
+    orders = tuple(int(o) for o in orders)
+    if len(orders) != grid.dim or any(o < 0 for o in orders):
+        raise ValueError(f"orders must be {grid.dim} non-negative ints, got {orders}")
     mult = np.ones((1,) * grid.dim, dtype=np.complex128)
     for axis, order in enumerate(orders):
         if order == 0:
@@ -270,16 +275,7 @@ def _deriv_multiplier(grid: Grid, orders: tuple) -> np.ndarray:
             # derivative must kill it to keep real fields real
             factor[(0,) * axis + (grid.n // 2,)] = 0.0
         mult = mult * factor
-    return mult
-
-
-def derivative(f: Field, orders) -> Field:
-    """Partial derivative d^{a1}_{x1} ... d^{ad}_{xd} f, spectrally."""
-    orders = tuple(int(o) for o in orders)
-    if len(orders) != f.grid.dim or any(o < 0 for o in orders):
-        raise ValueError(f"orders must be {f.grid.dim} non-negative ints, got {orders}")
-    spec = spectral_data(f)
-    return Field(f.grid, spec * _deriv_multiplier(f.grid, orders), SPECTRAL)
+    return Field(grid, spectral_data(f) * mult, SPECTRAL)
 
 
 def gradient(f: Field) -> Field:
@@ -359,7 +355,7 @@ def _coarse_index(n: int, m: int, dim: int, lead: int) -> tuple:
 def _ik(shape: tuple, n: int, axis: int) -> np.ndarray:
     """Broadcastable i k_axis on full or half spectra of spatial shape
     `shape` on the n-point grid, zero on the Nyquist planes |k| = n/2 as
-    in _deriv_multiplier: the factor of every first derivative."""
+    in derivative: the factor of every first derivative."""
     k = np.fft.fftfreq(n, 1.0 / n)[:shape[axis]]
     ik = np.where(np.abs(k) < n / 2, 1j * k, 0.0)
     return ik.reshape((-1,) + (1,) * (len(shape) - 1 - axis))

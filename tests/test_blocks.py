@@ -7,12 +7,14 @@ import scipy.fft
 
 from lpnse import (bernstein_report, block_indices, block_norms, delta_j,
                    reconstruct, reverse_bernstein_report, s_j)
-from lpnse.blocks import block_multiplier, block_norm_table
+from lpnse.blocks import (_bernstein_norms, _shell_translate, block_multiplier,
+                          block_norm_table)
 from lpnse import cutoffs
 from lpnse.ensembles import band_noise
-from lpnse.errors import BlockRangeError
-from lpnse.field import (_hermitian_half, add, from_components,
-                         l2_norm_spectral, lp_norm, spectral_data)
+from lpnse.errors import BlockRangeError, ResolutionError
+from lpnse.field import (_hermitian_half, _irfftn_half, add, derivative,
+                         from_components, l2_norm_spectral, lp_norm,
+                         spectral_data)
 from lpnse.grid import Grid
 
 
@@ -182,7 +184,6 @@ def test_monochromatic_bernstein_ratio(grid2):
     j = 2
     f = from_components(grid2, lambda x, y: np.cos(2.0**j * x))
     fj = delta_j(f, j)
-    from lpnse.field import derivative
     d1 = l2_norm_spectral(derivative(fj, (1, 0)))
     assert d1 / (2.0**j * l2_norm_spectral(fj)) == pytest.approx(1.0, rel=1e-12)
 
@@ -204,20 +205,56 @@ def test_bernstein_report_deterministic(grid2):
 
 
 def test_bernstein_report_computes_each_norm_once(grid2, monkeypatch):
-    # per measured field: ||f||_inf once (numerator of (2, inf, 0) and
-    # denominator of (inf, inf, 1)) and ||d_i f||_inf once per axis; the
-    # L^2 norms come from Parseval
+    # per measured field, the shell kernel and each ensemble member on
+    # every interior shell: one stacked inverse transform gives ||f||_inf
+    # and every ||d_i f||_inf; the L^2 norms come from Parseval
     import lpnse.blocks
     calls = []
 
-    def counting(f, p):
-        calls.append(p)
-        return lp_norm(f, p)
-    monkeypatch.setattr(lpnse.blocks, "lp_norm", counting)
+    def counting(a, shape, radius=None):
+        calls.append(radius)
+        return _irfftn_half(a, shape, radius)
+    monkeypatch.setattr(lpnse.blocks, "_irfftn_half", counting)
     ensemble = 2
     rep = bernstein_report(grid2, ensemble=ensemble, seed=5)
     js = {row[0] for row in rep.rows}
-    assert len(calls) == (ensemble + 1) * len(js) * (1 + grid2.dim)
+    assert len(calls) == (ensemble + 1) * len(js)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bernstein_norms_match_their_definitions_bit_for_bit(dim):
+    # the definitions: sup norms through lp_norm of f and of each first
+    # derivative, L^2 norms through Parseval, all over the full grid
+    grid = Grid(dim, 32)
+    rng = np.random.default_rng(7)
+    noise = [band_noise(grid, rng) for _ in range(2)]
+    x0 = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    axes = [tuple(int(i == axis) for i in range(dim)) for axis in range(dim)]
+    for j in range(1, grid.jmax):
+        fields = [delta_j(f, j) for f in noise] + [_shell_translate(grid, j, x0)]
+        for f in fields:
+            derivs = [derivative(f, e) for e in axes]
+            want = {(0, 2.0): l2_norm_spectral(f),
+                    (1, 2.0): max(l2_norm_spectral(d) for d in derivs),
+                    (0, math.inf): lp_norm(f, math.inf),
+                    (1, math.inf): max(lp_norm(d, math.inf) for d in derivs)}
+            assert _bernstein_norms(f, j) == want, j
+
+
+@pytest.mark.parametrize("report", [bernstein_report, reverse_bernstein_report])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bernstein_reports_without_an_interior_shell_raise(report, dim):
+    # n = 8 has jmax = 1, so no shell 1 <= j < jmax to measure
+    with pytest.raises(ResolutionError, match=r"n >= 16; got n=8"):
+        report(Grid(dim, 8), ensemble=2)
+    assert report(Grid(dim, 16), ensemble=1).rows
+
+
+@pytest.mark.parametrize("report", [bernstein_report, reverse_bernstein_report])
+@pytest.mark.parametrize("ensemble", [0, -1])
+def test_bernstein_reports_reject_an_empty_ensemble(report, ensemble):
+    with pytest.raises(ValueError, match="ensemble must be >= 1"):
+        report(Grid(3, 16), ensemble=ensemble)
 
 
 def test_reverse_bernstein_bounded(grid2):
