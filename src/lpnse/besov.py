@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_indices, block_norms, delta_j, s_j
+from .blocks import (block_indices, block_multiplier, block_norms, delta_j,
+                     s_j)
 from .errors import GridError, ResolutionError, TripleError
 from .field import (Field, SPECTRAL, _cross, _ik, divergence,
                     grad_norm_inf, h1_seminorm, l2_norm_spectral, lp_norm,
@@ -164,7 +165,11 @@ class SplitResult:
 
 
 def split_level(q: float, norm_value: float) -> int:
-    """The cut level N = floor((q/2) log2(e + norm)) + 1."""
+    """The cut level N = floor((q/2) log2(e + norm)) + 1.  A norm that is
+    NaN, infinite or negative raises ValueError naming it."""
+    if not (math.isfinite(norm_value) and norm_value >= 0):
+        raise ValueError(f"split level needs a finite norm >= 0, "
+                         f"got {norm_value!r}")
     return int(math.floor(q / 2.0 * math.log2(math.e + norm_value))) + 1
 
 
@@ -186,19 +191,27 @@ def split_low_high(u: Field, triple: CriterionTriple,
                    norm_value: float = None) -> SplitResult:
     """Cut u at level N so the low part obeys a Lipschitz bound growing
     like 2^{2(1-1/q)N} and the high part decays like 2^{(3/p-3/p~-r)N},
-    both against the B^r_{p,inf} norm."""
+    both against the B^r_{p,inf} norm, which is computed when norm_value
+    is None; a given norm_value that is NaN, infinite or negative raises
+    ValueError (split_level)."""
     triple.validate(UNIQUENESS_MODE)
-    if norm_value is None or norm_value < 0:
+    if norm_value is None:
         norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
-    N = split_level(triple.q, norm_value)
-    if N > u.grid.jmax:
-        raise ResolutionError(
-            f"split level N={N} exceeds jmax={u.grid.jmax}; refine the grid")
+    N, p_tilde, q_tilde = _split_exponents(u.grid, triple, norm_value)
     u_low = s_j(u, N)
     u_high = Field(u.grid, spectral_data(u) - u_low.data, SPECTRAL)
-    p_tilde = choose_p_tilde(triple)
-    q_tilde = 2.0 / (1.0 - 3.0 / p_tilde)
     return SplitResult(u_low, u_high, N, p_tilde, q_tilde)
+
+
+def _split_exponents(grid, triple: CriterionTriple,
+                     norm_value: float) -> tuple:
+    """(N, p~, q~) of the split at norm norm_value, for a valid triple."""
+    N = split_level(triple.q, norm_value)
+    if N > grid.jmax:
+        raise ResolutionError(
+            f"split level N={N} exceeds jmax={grid.jmax}; refine the grid")
+    p_tilde = choose_p_tilde(triple)
+    return N, p_tilde, 2.0 / (1.0 - 3.0 / p_tilde)
 
 
 def split_constants(u: Field, triple: CriterionTriple) -> dict:
@@ -206,18 +219,26 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
 
       c_lip  = ||grad u_low||_inf / (2^{2(1-1/q)N} ||u||)
       c_high = ||u_high||_{p~}   / (2^{(3/p-3/p~-r)N} ||u||)
+
+    The parts are those of split_low_high, held one at a time in one
+    buffer: S_N u for the Lipschitz norm, then u - S_N u, written over it.
     """
     norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
-    result = split_low_high(u, triple, norm_value)
-    lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * result.N) * norm_value
-    high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / result.p_tilde - triple.r) * result.N)
+    triple.validate(UNIQUENESS_MODE)
+    N, p_tilde, q_tilde = _split_exponents(u.grid, triple, norm_value)
+    lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * N) * norm_value
+    high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / p_tilde - triple.r) * N)
                   * norm_value)
-    lip_low = grad_norm_inf(result.u_low)
-    high_norm = lp_norm(result.u_high, result.p_tilde)
+    spec = spectral_data(u)
+    part = spec * block_multiplier(u.grid, N, "low")  # s_j(u, N)'s data
+    # each Field freezes a view of part, not part itself
+    lip_low = grad_norm_inf(Field(u.grid, part.view(), SPECTRAL))
+    np.subtract(spec, part, out=part)
+    high_norm = lp_norm(Field(u.grid, part.view(), SPECTRAL), p_tilde)
     return {
-        "N": result.N,
-        "p_tilde": result.p_tilde,
-        "q_tilde": result.q_tilde,
+        "N": N,
+        "p_tilde": p_tilde,
+        "q_tilde": q_tilde,
         "norm": norm_value,
         "lip_low": lip_low,
         "high_norm": high_norm,

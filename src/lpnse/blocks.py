@@ -141,8 +141,8 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
         phys = _irfftn_half(buf, grid.shape, radius)
         np.square(phys, out=phys)
         sq = phys[0]
-        for comp in phys[1:]:
-            sq += comp
+        for comp in range(1, len(phys)):
+            sq += phys[comp]
         for row in physical:
             p = ps[row]
             if np.isinf(p):
@@ -150,6 +150,7 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
             else:
                 out[row, col] = (np.sum(sq ** (p / 2.0))
                                  * grid.cell_volume) ** (1.0 / p)
+        del phys, sq  # freed before the next block's transform
     return out
 
 

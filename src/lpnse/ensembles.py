@@ -3,8 +3,10 @@
 Two flavours:
 
 * white-noise generators (band_noise, divfree_noise) draw a full grid
-  of Gaussians and mask its spectrum (to_spectral, a real transform).
-  Cheap, but the field depends on the grid resolution.
+  of Gaussians, take its half spectrum with one real transform, build
+  the full layout from it once, and mask, damp and (divfree_noise)
+  Leray-project that one array in place.  Cheap, but the field depends
+  on the grid resolution.
 * the lattice-mode generator (solenoidal_field) enumerates integer
   wavenumbers in a fixed deterministic order and draws one coefficient
   per mode, so the same (kmax, seed) produces the same continuum field
@@ -15,7 +17,7 @@ Two flavours:
 import numpy as np
 
 from .errors import ResolutionError
-from .field import Field, PHYSICAL, SPECTRAL, _leray_project_spec, to_spectral
+from .field import Field, SPECTRAL, _full_spectrum, _leray_project_spec, _rfftn_half
 from .grid import Grid
 
 
@@ -26,22 +28,43 @@ def band_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
     kmax defaults to the dealiased band n/3.  slope > 0 damps amplitudes
     by (1+|k|)^-slope for smoother samples.
     """
-    if kmax is None:
-        kmax = grid.dealias_radius
-    white = rng.standard_normal((ncomp,) + grid.shape)
-    spec = to_spectral(Field(grid, white, PHYSICAL)).data
-    mask = (grid.k_mag >= kmin - 1e-12) & (grid.k_mag <= kmax + 1e-12)
-    shaped = spec * mask
-    if slope:
-        shaped = shaped * (1.0 + grid.k_mag) ** (-slope)
-    return Field(grid, shaped, SPECTRAL)
+    spec = _masked_noise(grid, rng, kmin, kmax, ncomp, slope, keep_nyquist=True)
+    return Field(grid, spec, SPECTRAL)
 
 
 def divfree_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
                   kmax: float = None, slope: float = 0.0) -> Field:
-    """Divergence-free band noise (Leray projection of vector noise)."""
-    f = band_noise(grid, rng, kmin, kmax, ncomp=grid.dim, slope=slope)
-    return Field(grid, _leray_project_spec(f.data, grid), SPECTRAL)
+    """Divergence-free band noise (Leray projection of vector noise).  The
+    modes with some k_i = -n/2, which the projection would leave without
+    conjugate partners, are zeroed as in the solver's state, so the field
+    is real for every kmax; only kmax >= n/2 reaches them."""
+    spec = _masked_noise(grid, rng, kmin, kmax, grid.dim, slope,
+                         keep_nyquist=False)
+    return Field(grid, _leray_project_spec(spec, grid), SPECTRAL)
+
+
+def _masked_noise(grid: Grid, rng: np.random.Generator, kmin: float,
+                  kmax: float, ncomp: int, slope: float,
+                  keep_nyquist: bool) -> np.ndarray:
+    """Full spectra of ncomp white-noise fields times the band mask (with
+    the modes with some k_i = -n/2 unless keep_nyquist), then times the
+    damping, both in place.  The full layout is masked, not the half
+    spectrum before mirroring: a product with a zero mask keeps the signs
+    of the zeros it makes, and the conjugate of such a zero is not the
+    zero a product with the conjugate gives."""
+    if kmax is None:
+        kmax = grid.dealias_radius
+    # the white noise and the r2c output are freed as soon as used
+    spec = _full_spectrum(_rfftn_half(rng.standard_normal((ncomp,) + grid.shape),
+                                      grid.dim, grid.n // 2 + 1), grid.dim)
+    mask = (grid.k_mag >= kmin - 1e-12) & (grid.k_mag <= kmax + 1e-12)
+    if not keep_nyquist:
+        for k in grid.k_components:
+            mask &= k != -(grid.n // 2)
+    spec *= mask
+    if slope:
+        spec *= (1.0 + grid.k_mag) ** (-slope)
+    return spec
 
 
 # --- resolution-independent lattice modes ----------------------------------

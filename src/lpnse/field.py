@@ -8,13 +8,25 @@ Conventions
   (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  The API
   holds full spectra, exactly Hermitian from to_spectral and products:
   _rfftn_half makes its self-mirrored planes exact, and _full_spectrum
-  mirrors the rest with _mirror, a flip and a roll.  to_physical,
+  mirrors the rest with _mirror (row 0 kept, rows 1 ... n-1 reversed,
+  by block copies).  to_physical,
   products and grad_norm_inf transform the half spectrum of the
   Hermitian part (c(k) + conj c(-k))/2; to_physical first checks that
   the rest, a, is at round-off level (sum |a| bounds the imaginary part
   a complex inverse transform would leave).  The solver state is such a
   half spectrum, so _leray_project_spec takes full or half spectra (told
   apart by the last axis's length).
+* Memory: a full-layout field holds 16 ncomp n^dim bytes, and the
+  helpers on the n=64 diagnostics path make few such temporaries.
+  _mirror writes its blocks into a given array; _hermitian_half fills
+  its one output with the mirror, then conjugates, adds and halves it
+  in place; _full_spectrum writes the half spectrum and its conjugated
+  mirror straight into the full layout.  _leray_project_spec projects
+  in place and returns its argument, so it is given fresh arrays (the
+  solver's to_coarse output, the noise generators' spectra);
+  leray_project copies first.  Each in-place step does the operations
+  of the out-of-place expression in the same order, so every byte of
+  the result is the same.
 * Every first derivative multiplies by _ik: i k_axis, zero on the lone
   -n/2 mode, which has no conjugate partner; every cross product, the
   curl's i k x and the solver's u x omega alike, is _cross.
@@ -198,7 +210,7 @@ def to_physical(f: Field) -> Field:
     worst = max(np.sum(np.abs(c[..., :n // 2 + 1] - h) * weight)
                 for c, h in zip(f.data, half))
     phys = _irfftn_half(half, f.grid.shape)
-    scale = np.max(np.abs(phys))
+    scale = max(phys.max(), -phys.min())  # max |phys|, without a |phys| copy
     if worst > 1e-8 * max(scale, 1e-300) and worst > 1e-12:
         raise GridError(
             f"spectral data is not Hermitian symmetric (imag residue bound {worst:.3e})"
@@ -298,14 +310,19 @@ def grad_norm_inf(f: Field) -> float:
     """sup over the grid of the Frobenius norm of the Jacobian.  The
     inverse transforms run over the spectrum's support box only, so a
     low-pass field (S_N u, |k| < (4/3) 2^N) costs little more than its
-    c2r transforms."""
-    half = _hermitian_half(spectral_data(f), f.grid.dim)
-    radius = _support_radius(half, f.grid.dim)
-    total = 0.0
-    for axis in range(f.grid.dim):
-        ik = _ik(half.shape[1:], f.grid.n, axis)
-        total = total + np.sum(_irfftn_half(half * ik, f.grid.shape, radius)**2,
-                               axis=0)
+    c2r transforms.  Each derivative is formed in a fresh Hermitian half,
+    so one half spectrum is alive at a time, not two."""
+    spec, dim = spectral_data(f), f.grid.dim
+    total = np.zeros(f.grid.shape)
+    for axis in range(dim):
+        half = _hermitian_half(spec, dim)
+        if axis == 0:
+            radius = _support_radius(half, dim)
+        half *= _ik(half.shape[1:], f.grid.n, axis)
+        d = _irfftn_half(half, f.grid.shape, radius)
+        del half
+        total += np.sum(np.square(d, out=d), axis=0)
+        del d  # freed before the next transform: lower peak memory
     return float(np.sqrt(np.max(total)))
 
 
@@ -322,26 +339,27 @@ def leray_project(f: Field) -> Field:
     """Remove the gradient part: (P f)_i = f_i - k_i (k.f)/|k|^2."""
     if f.ncomp != f.grid.dim:
         raise GridError(f"projection expects a {f.grid.dim}-component field")
-    spec = spectral_data(f)
+    spec = spectral_data(f).copy()
     return Field(f.grid, _leray_project_spec(spec, f.grid), SPECTRAL)
 
 
 def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
     """Leray projection of full spectra, or of half spectra (a last axis
     of n//2+1 planes; plane n/2 holds k_last = -n/2, as in the full
-    layout)."""
+    layout), in place: overwrites and returns `spec`."""
     planes = slice(0, spec.shape[-1])
     ks = [k[..., planes] for k in grid.k_components]
     k_sq = grid.k_sq[..., planes]
     kdot = np.zeros(spec.shape[1:], dtype=np.complex128)
+    tmp = np.empty_like(kdot)
     for axis in range(grid.dim):
-        kdot += ks[axis] * spec[axis]
+        kdot += np.multiply(ks[axis], spec[axis], out=tmp)
     with np.errstate(invalid="ignore", divide="ignore"):
-        kdot = np.where(k_sq > 0, kdot / k_sq, 0.0)
-    out = np.empty_like(spec)
+        np.divide(kdot, k_sq, out=kdot)
+    kdot[k_sq == 0] = 0.0
     for axis in range(grid.dim):
-        out[axis] = spec[axis] - ks[axis] * kdot
-    return out
+        spec[axis] -= np.multiply(ks[axis], kdot, out=tmp)
+    return spec
 
 
 # --- padded products -------------------------------------------------------
@@ -383,21 +401,35 @@ def _cross(a, b, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def _mirror(a: np.ndarray, dim: int) -> np.ndarray:
-    """a(k) -> a(-k) on the dim-1 full FFT-layout axes before the last,
-    as a new array: index i goes to (n - i) % n, a flip then a roll by one."""
-    axes = tuple(range(a.ndim - dim, a.ndim - 1))
-    return np.roll(np.flip(a, axes), 1, axes)
+def _mirror(a: np.ndarray, dim: int, out: np.ndarray = None) -> np.ndarray:
+    """a(k) -> a(-k) on the dim-1 full FFT-layout axes before the last:
+    index i goes to (n - i) % n, so row 0 stays and rows 1 ... n-1 are
+    reversed.  Written by 2^(dim-1) block copies into `out` (which must
+    not overlap a) when it is given, else into a new array; returns it."""
+    if out is None:
+        out = np.empty_like(a)
+    lead = (slice(None),) * (a.ndim - dim)
+    rows = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for pairs in itertools.product(rows, repeat=dim - 1):
+        to, source = zip(*pairs)
+        out[lead + to] = a[lead + source]
+    return out
 
 
 def _hermitian_half(spec: np.ndarray, dim: int) -> np.ndarray:
-    """Planes 0 <= k_last <= n/2 of (c(k) + conj c(-k))/2.  Not the
-    identity on projected spectra with -n/2 content: Leray projection
-    leaves those modes without conjugate partners."""
+    """Planes 0 <= k_last <= n/2 of (c(k) + conj c(-k))/2, computed in
+    place in one new array.  Not the identity on
+    projected spectra with -n/2 content: Leray projection leaves those
+    modes without conjugate partners."""
     n = spec.shape[-1]
+    out = np.empty(spec.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
     # plane k_last's mirror is plane (n - k_last) % n: 0, then n-1 down to n/2
-    mirror = np.concatenate([spec[..., :1], spec[..., :n // 2 - 1:-1]], axis=-1)
-    return 0.5 * (spec[..., :n // 2 + 1] + np.conj(_mirror(mirror, dim)))
+    _mirror(spec[..., :1], dim, out[..., :1])
+    _mirror(spec[..., :n // 2 - 1:-1], dim, out[..., 1:])
+    np.conj(out, out=out)
+    out += spec[..., :n // 2 + 1]
+    out *= 0.5
+    return out
 
 
 def _plane_weights(n: int) -> np.ndarray:
@@ -410,10 +442,15 @@ def _plane_weights(n: int) -> np.ndarray:
 
 
 def _full_spectrum(half: np.ndarray, dim: int) -> np.ndarray:
-    """Full layout of the Hermitian spectra with half spectra `half`."""
+    """Full layout of the Hermitian spectra with half spectra `half`,
+    written in place in one new array."""
     n = half.shape[-2]
-    mirror = _mirror(half[..., n // 2 - 1:0:-1], dim)  # planes n/2+1 .. n-1
-    return np.concatenate([half, np.conj(mirror)], axis=-1)
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :n // 2 + 1] = half
+    upper = out[..., n // 2 + 1:]  # planes n/2+1 .. n-1
+    _mirror(half[..., n // 2 - 1:0:-1], dim, upper)
+    np.conj(upper, out=upper)
+    return out
 
 
 def _pad_spectrum(half: np.ndarray, out: np.ndarray, n: int, m: int,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from lpnse.blocks import block_norms
 from lpnse import cutoffs
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError, ResolutionError, TripleError
-from lpnse.field import (add, from_components, gradient, l2_norm_spectral,
-                         scale, spectral_data)
+from lpnse.field import (add, from_components, grad_norm_inf, gradient,
+                         l2_norm_spectral, lp_norm, scale, spectral_data)
 
 TRIPLE = CriterionTriple(0.5, 4.0, 8.0 / 3.0)  # 2/q + 3/p = 3/4 + 3/4 = 1.5
 
@@ -221,6 +222,22 @@ def test_split_level_properties(q, norm):
     assert split_level(q, norm + 1.0) >= n
 
 
+@pytest.mark.parametrize("norm", [math.nan, math.inf, -math.inf, -1.0])
+def test_split_level_rejects_a_bad_norm_by_value(norm):
+    # NaN raised "cannot convert float NaN to integer", inf an
+    # OverflowError, and a negative norm gave a level
+    with pytest.raises(ValueError, match=re.escape(f"got {norm!r}")):
+        split_level(2.0, norm)
+
+
+@pytest.mark.parametrize("norm", [math.nan, math.inf, -1.0])
+def test_split_low_high_rejects_a_bad_norm_value(grid2, rng, norm):
+    # a negative norm_value used to be recomputed without a word
+    u = divfree_noise(grid2, rng, kmax=6.0)
+    with pytest.raises(ValueError, match=re.escape(f"got {norm!r}")):
+        split_low_high(u, TRIPLE, norm)
+
+
 def test_choose_p_tilde_first_hit():
     # first delta in 1/2, 1/4, ... with 3/p - 3/p~ - r < 0; for the base
     # triple that is already delta = 1/2
@@ -265,6 +282,24 @@ def test_split_requires_uniqueness_mode(grid2, rng):
     u = divfree_noise(grid2, rng, kmax=6.0)
     with pytest.raises(TripleError):
         split_low_high(u, CriterionTriple(-0.25, 4.0, 8.0))
+
+
+@pytest.mark.parametrize("triple", [TRIPLE, CriterionTriple(0.5, 6.0, 2.0),
+                                    CriterionTriple(1.0, 6.0, 4.0 / 3.0)])
+def test_split_constants_measure_the_parts_of_split_low_high(grid3, rng,
+                                                             triple):
+    # split_constants holds S_N u and u - S_N u in one buffer in turn;
+    # its norms are those of split_low_high's two Fields, bit for bit
+    u = divfree_noise(grid3, rng, kmax=10.0)
+    u = scale(u, 1.0 / besov_norm(u, BesovSpec(triple.r, triple.p, math.inf)))
+    before = u.data.tobytes()
+    out = split_constants(u, triple)
+    res = split_low_high(u, triple)
+    assert u.data.tobytes() == before
+    assert (out["N"], out["p_tilde"], out["q_tilde"]) == (
+        res.N, res.p_tilde, res.q_tilde)
+    assert out["lip_low"] == grad_norm_inf(res.u_low)
+    assert out["high_norm"] == lp_norm(res.u_high, res.p_tilde)
 
 
 def test_split_constants_keys(grid3, rng):

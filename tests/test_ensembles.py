@@ -1,11 +1,15 @@
-"""Lattice-mode generator: bit-identical to a per-mode loop reference."""
+"""Random generators: the lattice-mode generator is bit-identical to a
+per-mode loop reference, and the white-noise generators to the plain
+full-spectrum expressions."""
 
 import numpy as np
 import pytest
 
 from lpnse import Grid
-from lpnse.ensembles import solenoidal_field
+from lpnse.ensembles import band_noise, divfree_noise, solenoidal_field
 from lpnse.errors import ResolutionError
+from lpnse.field import (_rfftn_half, divergence, l2_norm_spectral,
+                         to_physical)
 
 
 def _loop_reference(grid, kmax, seed, slope):
@@ -64,3 +68,77 @@ def test_mode_beyond_grid_band_raises(dim, n, kmax, mode):
     with pytest.raises(ResolutionError,
                        match=f"mode {mode} not resolvable on n={n}"):
         solenoidal_field(Grid(dim, n), kmax, 0)
+
+
+# --- white noise --------------------------------------------------------------
+
+def _full_reference(half, dim):
+    """The full layout of half spectra by concatenation, each mirror made
+    with a flip and a roll."""
+    n = half.shape[-2]
+    axes = tuple(range(half.ndim - dim, half.ndim - 1))
+    mirror = np.roll(np.flip(half[..., n // 2 - 1:0:-1], axes), 1, axes)
+    return np.concatenate([half, np.conj(mirror)], axis=-1)
+
+
+def _noise_reference(grid, rng, kmin, kmax, ncomp, slope):
+    """band_noise as new arrays: the full spectrum of the white noise,
+    then a masked copy, then a damped copy."""
+    white = rng.standard_normal((ncomp,) + grid.shape)
+    spec = _full_reference(_rfftn_half(white, grid.dim, grid.n // 2 + 1),
+                           grid.dim)
+    shaped = spec * ((grid.k_mag >= kmin - 1e-12)
+                     & (grid.k_mag <= kmax + 1e-12))
+    if slope:
+        shaped = shaped * (1.0 + grid.k_mag) ** (-slope)
+    return shaped
+
+
+def _leray_reference(spec, grid):
+    """The Leray projection f_i - k_i (k.f)/|k|^2 into a new array."""
+    kdot = np.zeros(spec.shape[1:], dtype=np.complex128)
+    for axis in range(grid.dim):
+        kdot += grid.k_components[axis] * spec[axis]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kdot = np.where(grid.k_sq > 0, kdot / grid.k_sq, 0.0)
+    out = np.empty_like(spec)
+    for axis in range(grid.dim):
+        out[axis] = spec[axis] - grid.k_components[axis] * kdot
+    return out
+
+
+@pytest.mark.parametrize("slope", [0.0, 2.0])
+@pytest.mark.parametrize("kmin,kmax", [(0.0, None), (1.5, 0.375)])
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_noise_matches_full_spectrum_reference_bit_for_bit(dim, n, kmin, kmax,
+                                                           slope):
+    # below kmax = n/2 the generators mask and project in place, with the
+    # reference's operations in its order: every byte is the same,
+    # the signs of zeros included
+    grid = Grid(dim, n)
+    kmax = grid.dealias_radius if kmax is None else kmax * n
+    for seed in (0, 7):
+        got = band_noise(grid, np.random.default_rng(seed), kmin, kmax, 2,
+                         slope).data
+        want = _noise_reference(grid, np.random.default_rng(seed), kmin,
+                                kmax, 2, slope)
+        assert got.tobytes() == want.tobytes()
+        got = divfree_noise(grid, np.random.default_rng(seed), kmin, kmax,
+                            slope).data
+        want = _leray_reference(_noise_reference(
+            grid, np.random.default_rng(seed), kmin, kmax, dim, slope), grid)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_divfree_noise_is_real_for_every_kmax(dim, n):
+    # kmax = n reaches the modes with some k_i = -n/2, which the Leray
+    # projection leaves without conjugate partners; they are zeroed, so
+    # the field has a real physical form and stays divergence-free
+    grid = Grid(dim, n)
+    u = divfree_noise(grid, np.random.default_rng(3), kmax=float(n))
+    nyquist = sum(k == -(n // 2) for k in grid.k_components) > 0
+    assert not np.any(u.data[:, nyquist])
+    assert np.any(u.data[:, ~nyquist] != 0.0)
+    to_physical(u)  # raises GridError on a non-Hermitian spectrum
+    assert l2_norm_spectral(divergence(u)) <= 1e-13 * l2_norm_spectral(u)

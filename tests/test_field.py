@@ -143,6 +143,20 @@ def test_mirror_helpers_match_index_reference(dim, n, lead):
     full[..., planes] = spec[..., planes]
     full[..., n // 2 + 1:] = np.conj(full[flip][..., n // 2 + 1:])
     assert _full_spectrum(spec[..., planes], dim).tobytes() == full.tobytes()
+    # the helpers fill one output in place; new arrays joined by
+    # concatenation, each mirror a flip and a roll, give the same bytes
+    axes = tuple(range(len(lead), len(lead) + dim - 1))
+
+    def roll_mirror(a):
+        return np.roll(np.flip(a, axes), 1, axes)
+
+    ends = np.concatenate([spec[..., :1], spec[..., :n // 2 - 1:-1]], axis=-1)
+    want = 0.5 * (spec[..., planes] + np.conj(roll_mirror(ends)))
+    assert _hermitian_half(spec, dim).tobytes() == want.tobytes()
+    half = spec[..., planes]
+    want = np.concatenate(
+        [half, np.conj(roll_mirror(half[..., n // 2 - 1:0:-1]))], axis=-1)
+    assert _full_spectrum(half, dim).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -597,6 +611,24 @@ def test_leray_output_divergence_free(grid3, rng):
     u = band_noise(grid3, rng, kmax=9.0, ncomp=3)
     proj = leray_project(u)
     assert l2_norm_spectral(divergence(proj)) <= 1e-13 * h1_seminorm(proj)
+
+
+@pytest.mark.parametrize("planes", ["full", "half"])
+def test_leray_projects_in_place_and_leray_project_copies(grid3, rng, planes):
+    # _leray_project_spec overwrites its argument with the projection,
+    # full spectra or half; leray_project leaves its input Field alone
+    u = band_noise(grid3, rng, kmax=12.0, ncomp=3)
+    before = u.data.tobytes()
+    proj = leray_project(u)
+    assert u.data.tobytes() == before
+    spec = u.data.copy()
+    if planes == "half":
+        spec = np.ascontiguousarray(spec[..., :grid3.n // 2 + 1])
+    want = _leray_project_spec(spec.copy(), grid3)
+    assert _leray_project_spec(spec, grid3) is spec
+    assert spec.tobytes() == want.tobytes()
+    if planes == "full":
+        assert spec.tobytes() == proj.data.tobytes()
 
 
 def test_leray_fixes_divergence_free_fields(grid2, rng):

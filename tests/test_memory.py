@@ -1,0 +1,73 @@
+"""Transient memory of the n=64 diagnostics path, counted by tracemalloc.
+
+numpy reports every array buffer to tracemalloc, so a traced peak counts
+the full-size temporaries a call makes, in units of one full-layout
+field: 16 * ncomp * n^dim bytes of complex spectra.  Each bound is the
+measured peak plus a margin well below one more full-layout temporary.
+The earlier code, which built its masked, damped and projected noise and
+the two split parts as separate arrays, peaked at 3.7 such fields in
+divfree_noise and in split_constants, and block_norms at 1.5.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lpnse import Grid
+from lpnse.besov import BesovSpec, CriterionTriple, besov_norm, split_constants
+from lpnse.blocks import block_norms
+from lpnse.ensembles import divfree_noise
+from lpnse.field import scale
+
+GRID = Grid(3, 64)
+FULL_BYTES = 16 * 3 * 64**3  # one 3-component n=64 full-layout spectrum
+
+
+def _peak_fields(call):
+    """The traced peak of call() in full-layout fields; whatever call
+    returns is counted too."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / FULL_BYTES
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def unit_field():
+    # criterion 4's first triple, its field scaled to unit norm; one
+    # split_constants call fills the multiplier caches beforehand
+    triple = CriterionTriple(0.25, 4.0, 4.0)
+    u = divfree_noise(GRID, np.random.default_rng(1), slope=2.0)
+    u = scale(u, 1.0 / besov_norm(u, BesovSpec(triple.r, triple.p, math.inf)))
+    split_constants(u, triple)
+    return u, triple
+
+
+def test_divfree_noise_peak_memory(unit_field):
+    # measured 1.69: the r2c half spectrum and the full layout built from
+    # it, then the projection's k.f and one temporary
+    peak = _peak_fields(
+        lambda: divfree_noise(GRID, np.random.default_rng(2), slope=2.0))
+    assert peak <= 2.0
+
+
+def test_split_constants_peak_memory(unit_field):
+    # measured 2.18: the one split buffer plus, in grad_norm_inf, one
+    # derivative's half spectrum and its physical values (and as much in
+    # lp_norm's to_physical)
+    u, triple = unit_field
+    peak = _peak_fields(lambda: split_constants(u, triple))
+    assert peak <= 2.5
+
+
+def test_block_norms_peak_memory(unit_field):
+    # measured 1.02: the zeroed half-spectrum buffer and one block's
+    # physical values; the earlier loop kept the last block's values
+    # alive through the next transform and peaked at 1.52
+    u, _ = unit_field
+    peak = _peak_fields(lambda: block_norms(u, math.inf))
+    assert peak <= 1.2
