@@ -9,13 +9,11 @@ Conventions: w = u - v, w_j is the dyadic block of w, and all time
 integrals over snapshots use the trapezoid rule (the solver's per-step
 series handle the high-accuracy energy audit separately).
 
-Per-snapshot block quantities are computed once and kept in the
-trajectory's cache: one block-norm matrix per exponent p (a p that needs
-inverse transforms is filled together with p = inf from the same
-transforms, so every block of u is transformed once for the criterion
-norm and the drift weights alike), and one record of w per partner
-trajectory holding its block L^2 norms, ||w||^2 and ||grad w||^2, all
-formed from a single |w^|^2 per snapshot.
+Nothing is kept between calls.  _linf_block_matrix reads a trajectory
+once for its L^inf and L^p block norms, and _w_record reads a pair once
+for the block L^2 norms, ||w||^2 and ||grad w||^2 of w.  Every series is
+a fold over those matrices: each public function runs the producers it
+needs, and build_report runs each once and folds every series.
 """
 
 import json
@@ -42,21 +40,13 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _require_aligned(traj_u: Trajectory, traj_v: Trajectory) -> None:
-    mismatch = traj_u.config_mismatch(traj_v)
-    if mismatch:
-        keys = ", ".join(f"{key} = {a!r} vs {b!r}"
-                         for key, (a, b) in mismatch.items())
-        raise ValueError(f"trajectories come from different configs: {keys}")
-    if not traj_u.aligned_with(traj_v):
-        raise ValueError("trajectories are not snapshot-aligned")
+    fault = traj_u.alignment_fault(traj_v)
+    if fault:
+        raise ValueError(f"trajectories {fault}")
 
 
 def _diff_spec(traj_u: Trajectory, traj_v: Trajectory, i: int) -> np.ndarray:
     return spectral_data(traj_u.snapshots[i]) - spectral_data(traj_v.snapshots[i])
-
-
-def _diff_field(traj_u: Trajectory, traj_v: Trajectory, i: int) -> Field:
-    return Field(traj_u.grid, _diff_spec(traj_u, traj_v, i), SPECTRAL)
 
 
 @dataclass(frozen=True)
@@ -74,33 +64,25 @@ class LosingParams:
                              f"got {self.lam}")
 
 
-# --- criterion integral ------------------------------------------------------
+# --- block-norm matrices and the criterion integral --------------------------
 
-def _block_matrix(traj: Trajectory, p: float):
-    """(js, L^p norms of every block of every snapshot), the matrix shaped
-    (len(js), len(traj)) and cached per exponent.  A p other than 2 is
-    filled together with a missing p = inf, which the drift weights read
-    of the same blocks, so each block is transformed once for both."""
-    key = ("blocks", p)
-    if key not in traj.cache:
-        ps = [p] if p == 2 else [q for q in dict.fromkeys((p, math.inf))
-                                 if ("blocks", q) not in traj.cache]
-        js = np.array(block_indices(traj.grid))
-        table = np.stack([block_norm_table(snap, ps)
-                          for snap in traj.snapshots], axis=-1)
-        for q, mat in zip(ps, table):
-            traj.cache[("blocks", q)] = (js, mat)
-    return traj.cache[key]
+def _linf_block_matrix(traj: Trajectory, p: float = math.inf):
+    """(js, L^inf, L^p block norms), each shaped (len(js), len(traj)):
+    every block is transformed once for the drift weights and the norm."""
+    table = np.stack([block_norm_table(snap, (math.inf, p))
+                      for snap in traj.snapshots], axis=-1)
+    return np.array(block_indices(traj.grid)), table[0], table[1]
 
 
-def besov_series(traj: Trajectory, spec: BesovSpec) -> np.ndarray:
-    """Per-snapshot B^s_{p,q} norms from the cached block matrix."""
-    key = ("besov", spec.s, spec.p, spec.q)
-    if key not in traj.cache:
-        js, mat = _block_matrix(traj, spec.p)
-        traj.cache[key] = np.array([besov_from_blocks(js, mat[:, i], spec)
-                                    for i in range(len(traj))])
-    return traj.cache[key]
+def besov_series(js: np.ndarray, mat: np.ndarray,
+                 spec: BesovSpec) -> np.ndarray:
+    """Per-snapshot B^s_{p,q} norms from an L^p block-norm matrix."""
+    return np.array([besov_from_blocks(js, mat[:, i], spec)
+                     for i in range(mat.shape[1])])
+
+
+def _b1(js: np.ndarray, linf: np.ndarray) -> np.ndarray:
+    return np.max(2.0 ** js[:, None] * linf, axis=0)
 
 
 @dataclass(frozen=True)
@@ -111,10 +93,8 @@ class CriterionSeries:
     integral: np.ndarray
 
 
-def criterion_integral(traj: Trajectory,
-                       triple: CriterionTriple) -> CriterionSeries:
-    """Cumulative integral of (e + ||u||_{B^r_{p,inf}})^q over snapshots;
-    the norm is defined for every extended-mode triple."""
+def _criterion_mats(traj: Trajectory, triple: CriterionTriple):
+    """Check the triple and the cadence, then read the block norms."""
     triple.validate(EXTENDED_MODE)
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -122,10 +102,22 @@ def criterion_integral(traj: Trajectory,
     if len(gaps) and np.max(gaps) > 10.0 * traj.config.dt + 1e-12:
         raise ValueError("snapshot cadence too coarse for criterion integrals "
                          "(need <= 10 steps between snapshots)")
-    norms = besov_series(traj, BesovSpec(triple.r, triple.p, math.inf))
+    return _linf_block_matrix(traj, triple.p)
+
+
+def _criterion_series(times: np.ndarray, js: np.ndarray, mat: np.ndarray,
+                      triple: CriterionTriple) -> CriterionSeries:
+    norms = besov_series(js, mat, BesovSpec(triple.r, triple.p, math.inf))
     integrand = (math.e + norms) ** triple.q
-    return CriterionSeries(traj.times, norms, integrand,
-                           _cumtrapz(integrand, traj.times))
+    return CriterionSeries(times, norms, integrand, _cumtrapz(integrand, times))
+
+
+def criterion_integral(traj: Trajectory,
+                       triple: CriterionTriple) -> CriterionSeries:
+    """Cumulative integral of (e + ||u||_{B^r_{p,inf}})^q over snapshots;
+    the norm is defined for every extended-mode triple."""
+    js, _, mat = _criterion_mats(traj, triple)
+    return _criterion_series(traj.times, js, mat, triple)
 
 
 # --- difference block norms --------------------------------------------------
@@ -137,54 +129,41 @@ class BlockSeries:
     values: np.ndarray  # shape (len(js), len(times))
 
 
-@dataclass(frozen=True)
-class _WRecord:
-    blocks: BlockSeries
-    energy: np.ndarray  # ||w||_2^2 per snapshot
-    dissipation: np.ndarray  # ||grad w||_2^2 per snapshot
-
-
-def _w_record(traj_u: Trajectory, traj_v: Trajectory) -> _WRecord:
-    """Block L2 norms, ||w||^2 and ||grad w||^2 of w = u - v at every
+def _w_record(traj_u: Trajectory, traj_v: Trajectory):
+    """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v at every
     snapshot, all from one |w^|^2 per snapshot."""
     _require_aligned(traj_u, traj_v)
-    # The cache entry pins the partner trajectory and is matched by object
-    # identity: keying on id() alone would go stale when a freed twin's id
-    # is recycled during a delta sweep against a shared base.
-    key = "wblocks"
-    entry = traj_u.cache.get(key)
-    if entry is None or entry[0] is not traj_v:
-        grid = traj_u.grid
-        js = np.array(block_indices(grid))
-        mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
-        mat = np.empty((len(js), len(traj_u)))
-        energy = np.empty(len(traj_u))
-        dissipation = np.empty(len(traj_u))
-        for i in range(len(traj_u)):
-            power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
-            mat[:, i] = np.sqrt(grid.volume * np.tensordot(
-                mults, power, axes=grid.dim))
-            energy[i] = grid.volume * float(np.sum(power))
-            dissipation[i] = grid.volume * float(np.sum(grid.k_sq * power))
-        entry = (traj_v, _WRecord(BlockSeries(traj_u.times, js, mat),
-                                  energy, dissipation))
-        traj_u.cache[key] = entry
-    return entry[1]
+    grid = traj_u.grid
+    js = np.array(block_indices(grid))
+    mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
+    mat = np.empty((len(js), len(traj_u)))
+    energy = np.empty(len(traj_u))
+    dissipation = np.empty(len(traj_u))
+    for i in range(len(traj_u)):
+        power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
+        mat[:, i] = np.sqrt(grid.volume * np.tensordot(
+            mults, power, axes=grid.dim))
+        energy[i] = grid.volume * float(np.sum(power))
+        dissipation[i] = grid.volume * float(np.sum(grid.k_sq * power))
+    return BlockSeries(traj_u.times, js, mat), energy, dissipation
 
 
 def block_series(traj_u: Trajectory, traj_v: Trajectory) -> BlockSeries:
     """L2 norm of every dyadic block of w = u - v at every snapshot."""
-    return _w_record(traj_u, traj_v).blocks
+    return _w_record(traj_u, traj_v)[0]
+
+
+def _w_sup(blocks: BlockSeries, s: float):
+    weighted = 2.0 ** (-blocks.js[:, None] * s) * blocks.values
+    idx = np.argmax(weighted, axis=0)  # first occurrence = smallest j
+    return weighted[idx, np.arange(weighted.shape[1])], blocks.js[idx]
 
 
 def diff_norm_series(traj_u: Trajectory, traj_v: Trajectory, s: float):
     """W(t) = sup_j 2^{-js} ||w_j||_2 per snapshot, with the smallest
     attaining j reported alongside."""
     blocks = block_series(traj_u, traj_v)
-    weighted = 2.0 ** (-blocks.js[:, None] * s) * blocks.values
-    idx = np.argmax(weighted, axis=0)  # first occurrence = smallest j
-    values = weighted[idx, np.arange(weighted.shape[1])]
-    return blocks.times, values, blocks.js[idx]
+    return (blocks.times,) + _w_sup(blocks, s)
 
 
 def diff_norm_W(traj_u: Trajectory, traj_v: Trajectory, s: float,
@@ -203,15 +182,22 @@ def diff_norm_W(traj_u: Trajectory, traj_v: Trajectory, s: float,
 
 # --- drift weights -----------------------------------------------------------
 
-def _linf_block_matrix(traj: Trajectory):
-    """(js, L^inf block-norm matrix), the drift weights' input."""
-    return _block_matrix(traj, math.inf)
-
-
 def b1_series(traj: Trajectory) -> np.ndarray:
-    """Per-snapshot B^1_{inf,inf} norms from the cached block matrix."""
-    js, mat = _linf_block_matrix(traj)
-    return np.max(2.0 ** js[:, None] * mat, axis=0)
+    """Per-snapshot B^1_{inf,inf} norms."""
+    js, linf, _ = _linf_block_matrix(traj)
+    return _b1(js, linf)
+
+
+def _epsilon(times: np.ndarray, js: np.ndarray, linf_u: np.ndarray,
+             linf_v: np.ndarray) -> np.ndarray:
+    weighted = 2.0 ** js[:, None] * (linf_u + linf_v)
+    prefix = np.cumsum(weighted, axis=0)  # sum over j' <= row index
+    eps = np.empty_like(prefix)
+    jmax = js[-1]
+    for row, j in enumerate(js):
+        cut = min(j + 4, jmax)
+        eps[row] = _cumtrapz(prefix[cut - js[0]], times)
+    return eps
 
 
 def epsilon_weights(traj_u: Trajectory, traj_v: Trajectory):
@@ -223,16 +209,9 @@ def epsilon_weights(traj_u: Trajectory, traj_v: Trajectory):
     Returns (times, js, eps) with eps shaped (len(js), len(times)).
     """
     _require_aligned(traj_u, traj_v)
-    js, mat_u = _linf_block_matrix(traj_u)
-    _, mat_v = _linf_block_matrix(traj_v)
-    weighted = 2.0 ** js[:, None] * (mat_u + mat_v)
-    prefix = np.cumsum(weighted, axis=0)  # sum over j' <= row index
-    eps = np.empty_like(prefix)
-    jmax = js[-1]
-    for row, j in enumerate(js):
-        cut = min(j + 4, jmax)
-        eps[row] = _cumtrapz(prefix[cut - js[0]], traj_u.times)
-    return traj_u.times, js, eps
+    js, linf_u, _ = _linf_block_matrix(traj_u)
+    _, linf_v, _ = _linf_block_matrix(traj_v)
+    return traj_u.times, js, _epsilon(traj_u.times, js, linf_u, linf_v)
 
 
 def losing_weight(blocks: BlockSeries, eps: np.ndarray, lam: float,
@@ -245,6 +224,14 @@ def losing_weight(blocks: BlockSeries, eps: np.ndarray, lam: float,
             * np.exp(-params.lam * eps) * blocks.values)
 
 
+def _t_star(times: np.ndarray, b1_total: np.ndarray,
+            params: LosingParams) -> float:
+    ok = params.lam * _cumtrapz(b1_total, times) < (1.0 - params.s) * LOG2
+    if not np.any(ok):
+        return 0.0
+    return float(times[np.nonzero(ok)[0][-1]])
+
+
 def smallness_window(traj_u: Trajectory, traj_v: Trajectory, s: float,
                      lam: float) -> float:
     """Largest snapshot time t* with
@@ -255,11 +242,8 @@ def smallness_window(traj_u: Trajectory, traj_v: Trajectory, s: float,
     """
     params = LosingParams(s, lam)
     _require_aligned(traj_u, traj_v)
-    total = _cumtrapz(b1_series(traj_u) + b1_series(traj_v), traj_u.times)
-    ok = params.lam * total < (1.0 - params.s) * LOG2
-    if not np.any(ok):
-        return 0.0
-    return float(traj_u.times[np.nonzero(ok)[0][-1]])
+    return _t_star(traj_u.times, b1_series(traj_u) + b1_series(traj_v),
+                   params)
 
 
 # --- per-block energy audit --------------------------------------------------
@@ -365,7 +349,7 @@ def integral_identity_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     grad_uv = _pair_series(traj_u, traj_v, weight=grid.k_sq)
     tri = np.empty(len(traj_u))
     for i in range(len(traj_u)):
-        w = _diff_field(traj_u, traj_v, i)
+        w = Field(grid, _diff_spec(traj_u, traj_v, i), SPECTRAL)
         tri[i] = trilinear(w, traj_u.snapshots[i], w)
     lhs = uv + 2.0 * nu * _cumtrapz(grad_uv, traj_u.times)
     rhs = uv[0] + _cumtrapz(tri, traj_u.times)
@@ -391,26 +375,28 @@ class GronwallFit:
         return not self.degenerate and math.isfinite(self.c_sup)
 
 
+def _gronwall_fit(times: np.ndarray, e_w: np.ndarray, d_w: np.ndarray,
+                  integral: np.ndarray) -> GronwallFit:
+    lhs = e_w + _cumtrapz(d_w, times)
+    w0_sq = e_w[0]
+    if w0_sq == 0.0:
+        nanv = np.full(len(times), np.nan)
+        return GronwallFit(times, lhs, integral, nanv, math.nan, 0.0, True)
+    c_series = np.full(len(times), np.nan)
+    positive = integral > 0
+    c_series[positive] = np.log(lhs[positive] / w0_sq) / integral[positive]
+    c_sup = float(np.nanmax(c_series)) if np.any(positive) else 0.0
+    return GronwallFit(times, lhs, integral, c_series, c_sup, w0_sq, False)
+
+
 def gronwall_check(traj_u: Trajectory, traj_v: Trajectory,
                    triple: CriterionTriple) -> GronwallFit:
     """Fit the envelope constant: C(t) = log(LHS(t)/||w0||^2) / I(t) with
     LHS(t) = ||w(t)||^2 + int_0^t ||grad w||^2 and I the criterion
     integral of the base flow.  The sup over t is the fitted constant."""
-    record = _w_record(traj_u, traj_v)
-    e_w = record.energy
-    lhs = e_w + _cumtrapz(record.dissipation, traj_u.times)
+    _, e_w, d_w = _w_record(traj_u, traj_v)
     crit = criterion_integral(traj_u, triple)
-    w0_sq = e_w[0]
-    if w0_sq == 0.0:
-        nanv = np.full(len(traj_u), np.nan)
-        return GronwallFit(traj_u.times, lhs, crit.integral, nanv, math.nan,
-                           0.0, True)
-    c_series = np.full(len(traj_u), np.nan)
-    positive = crit.integral > 0
-    c_series[positive] = np.log(lhs[positive] / w0_sq) / crit.integral[positive]
-    c_sup = float(np.nanmax(c_series)) if np.any(positive) else 0.0
-    return GronwallFit(traj_u.times, lhs, crit.integral, c_series, c_sup,
-                       w0_sq, False)
+    return _gronwall_fit(traj_u.times, e_w, d_w, crit.integral)
 
 
 def envelope_holds(fit: GronwallFit, c: float) -> bool:
@@ -521,13 +507,16 @@ class CriterionReport:
 def build_report(traj_u: Trajectory, traj_v: Trajectory,
                  triple: CriterionTriple, s: float, lam: float) -> CriterionReport:
     params = LosingParams(s, lam)
-    crit = criterion_integral(traj_u, triple)
-    blocks = block_series(traj_u, traj_v)
-    times, w_values, w_attain = diff_norm_series(traj_u, traj_v, s)
-    _, _, eps = epsilon_weights(traj_u, traj_v)
+    js, linf_u, lp_u = _criterion_mats(traj_u, triple)
+    blocks, e_w, d_w = _w_record(traj_u, traj_v)
+    _, linf_v, _ = _linf_block_matrix(traj_v)
+    times = traj_u.times
+    crit = _criterion_series(times, js, lp_u, triple)
+    w_values, w_attain = _w_sup(blocks, s)
+    eps = _epsilon(times, js, linf_u, linf_v)
     losing = losing_weight(blocks, eps, lam, s)
-    fit = gronwall_check(traj_u, traj_v, triple)
-    t_star = smallness_window(traj_u, traj_v, s, lam)
+    fit = _gronwall_fit(times, e_w, d_w, crit.integral)
+    t_star = _t_star(times, _b1(js, linf_u) + _b1(js, linf_v), params)
     return CriterionReport(triple, params, times, crit.norms, crit.integrand,
                            crit.integral, blocks, w_values, w_attain, eps,
                            losing, fit, t_star)

@@ -127,8 +127,8 @@ def save_trajectory(outdir, traj: Trajectory) -> list:
 
 
 def load_trajectory(outdir) -> Trajectory:
-    """Read a trajectory directory; a malformed trajectory.json raises a
-    ValueError naming it."""
+    """Read a trajectory directory; a malformed trajectory.json, or one
+    that lists no snapshots, raises a ValueError naming it."""
     path = os.path.join(outdir, "trajectory.json")
     with open(path) as fh:
         try:
@@ -137,6 +137,8 @@ def load_trajectory(outdir) -> Trajectory:
             grid = Grid(config.dim, config.n)
             names, times = meta["snapshots"], np.asarray(meta["times"])
             series = {k: np.asarray(v) for k, v in meta["series"].items()}
+            if len(names) == 0:
+                raise ValueError("lists no snapshots")
         except KeyError as exc:
             raise ValueError(f"{path}: has no key {exc}") from None
         except (ValueError, TypeError, AttributeError, GridError) as exc:

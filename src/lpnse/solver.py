@@ -41,7 +41,7 @@ scipy.integrate (which pulls in optimize, sparse, linalg and spatial).
 """
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -119,13 +119,14 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     series: dict
-    cache: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.times) != len(self.snapshots):
             raise ValueError("one snapshot per time required")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("snapshot times must increase strictly")
+        if not (np.all(np.isfinite(self.times))
+                and np.all(np.diff(self.times) > 0)):
+            raise ValueError("snapshot times must be finite and increase "
+                             "strictly")
 
     def __len__(self):
         return len(self.snapshots)
@@ -142,10 +143,27 @@ class Trajectory:
                 if mine[key] != theirs[key]
                 and key not in ("ic", "seed", "slope", "ic_kmax")}
 
+    def alignment_fault(self, other: "Trajectory") -> str:
+        """What keeps the two runs from being snapshot-aligned, or ""."""
+        mismatch = self.config_mismatch(other)
+        if mismatch:
+            return "come from different configs: " + ", ".join(
+                f"{key} = {a!r} vs {b!r}" for key, (a, b) in mismatch.items())
+        if len(self) != len(other):
+            fault = f"{len(self)} vs {len(other)} snapshots"
+        elif self.grid != other.grid:
+            fault = f"grids {self.grid} vs {other.grid}"
+        else:
+            differ = np.flatnonzero(self.times != other.times)
+            if len(differ) == 0:
+                return ""
+            i = differ[0]
+            fault = (f"times differ first at snapshot {i}: "
+                     f"{float(self.times[i])!r} vs {float(other.times[i])!r}")
+        return f"are not snapshot-aligned: {fault}"
+
     def aligned_with(self, other: "Trajectory") -> bool:
-        return (not self.config_mismatch(other) and self.grid == other.grid
-                and len(self) == len(other)
-                and bool(np.all(self.times == other.times)))
+        return not self.alignment_fault(other)
 
 
 def taylor_green(grid: Grid) -> Field:
@@ -394,8 +412,8 @@ def twin_run(config: SolverConfig, delta: float, seed: int,
     factor = delta * l2_norm_spectral(u0) / pnorm if pnorm > 0 else 0.0
     if factor == 0.0:
         # v0 equals u0 exactly and the flow map is deterministic, so the
-        # twin is the base trajectory bit for bit (a fresh container, so
-        # downstream caches stay per-trajectory)
+        # twin is the base trajectory bit for bit (its own container, so a
+        # change to one leaves the other alone)
         twin = Trajectory(config, grid, base.times, list(base.snapshots),
                           dict(base.series))
         return base, twin

@@ -321,21 +321,24 @@ def test_besov_rejects_malformed_snapshot(tmp_path, capsys, blob, message):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("config", None, "no key 'config'"),
-    ("times", [0.0], "one snapshot per time"),
-], ids=["no-config", "short-times"])
+@pytest.mark.parametrize("changes, message", [
+    ({"config": None}, "no key 'config'"),
+    ({"times": [0.0]}, "one snapshot per time"),
+    ({"times": [0.0, math.nan, 0.01]}, "times must be finite"),
+    ({"times": [], "snapshots": []}, "lists no snapshots"),
+], ids=["no-config", "short-times", "nan-time", "no-snapshots"])
 def test_report_rejects_malformed_trajectory(stored_pair, tmp_path, capsys,
-                                             key, value, message):
-    # a key removed (value None) or changed: a usage error naming the file
+                                             changes, message):
+    # keys removed (value None) or changed: a usage error naming the file
     pair = tmp_path / "pair"
     shutil.copytree(stored_pair, pair)
     meta_path = pair / "v" / "trajectory.json"
     meta = json.loads(meta_path.read_text())
-    if value is None:
-        del meta[key]
-    else:
-        meta[key] = value
+    for key, value in changes.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
     meta_path.write_text(json.dumps(meta))
     out = tmp_path / "report"
     assert _report(pair, out) == 2

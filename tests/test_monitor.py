@@ -19,8 +19,8 @@ from lpnse.errors import BlockRangeError, TripleError
 from lpnse.field import (Field, SPECTRAL, from_components, h1_seminorm,
                          l2_norm_spectral, lp_norm, spectral_data, zero_field)
 from lpnse.grid import Grid
-from lpnse.monitor import (LosingParams, _cumtrapz, _diff_spec, b1_series,
-                           besov_series,
+from lpnse.monitor import (LosingParams, _cumtrapz, _diff_spec,
+                           _linf_block_matrix, b1_series, besov_series,
                            block_energy_audit, block_series, build_report,
                            criterion_integral, diff_norm_W, diff_norm_series,
                            envelope_holds, epsilon_weights, gronwall_check,
@@ -126,34 +126,23 @@ def test_criterion_integral_empty_trajectory(grid2):
         criterion_integral(traj, TRIPLE)
 
 
-def test_besov_series_cached_per_spec(tg2d_traj):
-    spec = BesovSpec(TRIPLE.r, TRIPLE.p, math.inf)
-    first = besov_series(tg2d_traj, spec)
-    assert besov_series(tg2d_traj, spec) is first
-    assert len(first) == len(tg2d_traj)
-
-
-def _fresh(traj):
-    # the same snapshots with an empty cache
-    return Trajectory(traj.config, traj.grid, traj.times, traj.snapshots,
-                      traj.series)
-
-
 def test_besov_and_b1_series_match_per_snapshot_norms(twin_pair):
-    u = _fresh(twin_pair[0])
+    u = twin_pair[0]
     js = np.array(block_indices(u.grid))
     for spec in (BesovSpec(0.5, 4.0, math.inf), BesovSpec(0.25, 2.5, 2.0),
                  BesovSpec(1.0, 2.0, math.inf),
                  BesovSpec(0.5, math.inf, math.inf)):
         reference = [besov_norm(snap, spec) for snap in u.snapshots]
-        assert np.array_equal(besov_series(u, spec), reference)
+        mat_js, _, mat = _linf_block_matrix(u, spec.p)
+        assert np.array_equal(mat_js, js)
+        assert np.array_equal(besov_series(js, mat, spec), reference)
     reference = [np.max(2.0 ** js * block_norms(snap, math.inf))
                  for snap in u.snapshots]
     assert np.array_equal(b1_series(u), reference)
 
 
 def test_w_record_matches_diff_spec_loops(twin_pair):
-    u, v = (_fresh(traj) for traj in twin_pair)
+    u, v = twin_pair
     grid = u.grid
     js = np.array(block_indices(grid))
     mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
@@ -197,6 +186,54 @@ def test_build_report_transforms_each_block_once(monkeypatch, triple):
         monkeypatch.setattr(module, "_irfftn_half", counting)
     build_report(u, v, triple, s=0.5, lam=1.0)
     assert len(calls) == 2 * len(times) * len(block_indices(grid))
+
+
+@pytest.mark.parametrize("triple", [TRIPLE, CriterionTriple(1.0, 2.0, 4.0),
+                                    CriterionTriple(0.5, math.inf, 4.0 / 3.0)])
+def test_build_report_matches_public_series(twin_pair, triple):
+    # the report folds the same block matrices as the public functions,
+    # so every series agrees bit for bit
+    u, v = twin_pair
+    s, lam = 0.5, 1.0
+    rep = build_report(u, v, triple, s=s, lam=lam)
+    crit = criterion_integral(u, triple)
+    blocks = block_series(u, v)
+    times, w_values, w_attain = diff_norm_series(u, v, s)
+    _, js, eps = epsilon_weights(u, v)
+    fit = gronwall_check(u, v, triple)
+    for mine, theirs in (
+            (rep.times, crit.times), (rep.times, times),
+            (rep.besov_u, crit.norms), (rep.integrand, crit.integrand),
+            (rep.integral, crit.integral), (rep.blocks.js, js),
+            (rep.blocks.js, blocks.js), (rep.blocks.values, blocks.values),
+            (rep.w_values, w_values), (rep.w_attain, w_attain),
+            (rep.eps, eps), (rep.losing, losing_weight(blocks, eps, lam, s)),
+            (rep.fit.lhs, fit.lhs), (rep.fit.integral, fit.integral),
+            (rep.fit.c_series, fit.c_series)):
+        assert np.array_equal(mine, theirs, equal_nan=True)
+    assert rep.fit.c_sup == fit.c_sup and rep.fit.w0_sq == fit.w0_sq
+    assert rep.fit.degenerate == fit.degenerate
+    assert rep.t_star == smallness_window(u, v, s, lam)
+
+
+def test_series_follow_changed_snapshots(twin_pair):
+    # nothing is kept between calls: after a snapshot changes, the series
+    # read the new one
+    base = twin_pair[0]
+    u = Trajectory(base.config, base.grid, base.times, list(base.snapshots),
+                   base.series)
+    before = criterion_integral(u, TRIPLE)
+    b1_before = b1_series(u)
+    u.snapshots[2] = Field(u.grid, 10.0 * spectral_data(u.snapshots[2]),
+                           SPECTRAL)
+    after = criterion_integral(u, TRIPLE)
+    b1_after = b1_series(u)
+    spec = BesovSpec(TRIPLE.r, TRIPLE.p, math.inf)
+    assert after.norms[2] == besov_norm(u.snapshots[2], spec)
+    assert after.norms[2] == pytest.approx(10.0 * before.norms[2], rel=1e-12)
+    assert after.integral[-1] > before.integral[-1]
+    assert b1_after[2] == pytest.approx(10.0 * b1_before[2], rel=1e-12)
+    assert np.array_equal(np.delete(b1_after, 2), np.delete(b1_before, 2))
 
 
 # --- difference norms --------------------------------------------------------
@@ -248,10 +285,9 @@ def test_diff_norm_time_lookup(twin_pair):
         diff_norm_W(u, v, 0.5, t=0.0123)
 
 
-def test_block_series_cached_and_consistent(twin_pair):
+def test_block_series_consistent(twin_pair):
     u, v = twin_pair
     blocks = block_series(u, v)
-    assert block_series(u, v) is blocks
     assert blocks.values.shape == (len(blocks.js), len(u))
     assert list(blocks.js) == list(range(-1, u.grid.jmax + 1))
     # one column equals the direct per-block norms of w at that snapshot
@@ -266,6 +302,15 @@ def test_misaligned_trajectories_rejected(twin_pair):
         block_series(u, sub)
     with pytest.raises(ValueError, match="aligned"):
         epsilon_weights(u, sub)
+    # the message names what differs
+    with pytest.raises(ValueError, match=f"snapshot-aligned: {len(u)} vs "
+                                         f"{len(sub)} snapshots"):
+        smallness_window(u, sub, 0.5, 1.0)
+    shifted = Trajectory(v.config, v.grid, v.times + 1e-3, list(v.snapshots),
+                         {})
+    with pytest.raises(ValueError, match="times differ first at snapshot 0: "
+                                         "0.0 vs 0.001"):
+        block_series(u, shifted)
 
 
 def test_twin_configs_may_differ_only_in_initial_data(twin_pair):

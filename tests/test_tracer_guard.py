@@ -59,7 +59,7 @@ def test_traced_build_report_records_monitor_spans(monkeypatch):
         tracer.uninstall()
     names = {rec[spans.NAME] for rec in tracer.spans}
     assert {"monitor.build_report", "monitor.linf_blocks",
-            "monitor.besov_series"} <= names
+            "monitor.besov_series", "monitor.diff_spec"} <= names
 
 
 def test_traced_products_record_pad_and_truncate(monkeypatch):
