@@ -31,26 +31,36 @@ def block_indices(grid: Grid) -> range:
     return range(-1, grid.jmax + 1)
 
 
-def block_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
-    """Cached radial multiplier for the shell block ('block') or the
-    low-pass partial sum ('low') at index j."""
+def _half_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
+    """Cached planes 0 <= k_last <= n/2 of block_multiplier(grid, j, kind),
+    the planes a half spectrum holds."""
     key = (grid.dim, grid.n, j, kind)
     cached = _MULTIPLIER_CACHE.get(key)
     if cached is not None:
         return cached
+    k_mag = grid.k_mag[..., :grid.n // 2 + 1]
     if kind == "block":
         if j == -1:
-            mult = cutoffs.chi(grid.k_mag)
+            mult = cutoffs.chi(k_mag)
         else:
-            mult = cutoffs.phi(grid.k_mag / 2.0**j)
+            mult = cutoffs.phi(k_mag / 2.0**j)
     elif kind == "low":
-        mult = cutoffs.chi(grid.k_mag / 2.0**j)
+        mult = cutoffs.chi(k_mag / 2.0**j)
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     mult = np.ascontiguousarray(mult)
     mult.flags.writeable = False
     _MULTIPLIER_CACHE[key] = mult
     return mult
+
+
+def block_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
+    """Radial multiplier for the shell block ('block') or the low-pass
+    partial sum ('low') at index j, on the full spectral layout.  It is
+    built from the cached half planes: |k| is unchanged under
+    k_last -> -k_last, so plane n - k is plane k, bit for bit."""
+    half = _half_multiplier(grid, j, kind)
+    return np.concatenate([half, half[..., grid.n // 2 - 1:0:-1]], axis=-1)
 
 
 def delta_j(f: Field, j: int) -> Field:
@@ -108,7 +118,8 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     foot of its ramp.  So the block is zero wherever some |k_i| exceeds
     r, the floor of that radius (at most n/2).  Only its support box,
     the 2^(dim-1) corners |k_i| <= r of the half-spectrum planes
-    0 <= k_last <= r, is multiplied into one zeroed n//2+1-plane buffer
+    0 <= k_last <= r, is multiplied by the cached half planes of the
+    multiplier into one zeroed n//2+1-plane buffer
     (all of those planes when the box spans the leading axes), and
     _irfftn_half transforms only the lines that meet the box, so the c2r
     pads nothing; every dropped coefficient is a true zero."""
@@ -123,12 +134,13 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
         buf = np.zeros(spec.shape[:-1] + (grid.n // 2 + 1,), dtype=spec.dtype)
         dirty = 0  # planes of buf that may hold a transformed block
     for col, j in enumerate(js):
-        mult = block_multiplier(grid, j, "block")
         for row, p in enumerate(ps):
             if p == 2:
+                mult = block_multiplier(grid, j, "block")
                 out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
         if not physical:
             continue
+        half_mult = _half_multiplier(grid, j)
         radius = _block_radius(grid, j)
         planes = radius + 1
         if 2 * radius + 1 < grid.n:  # only the corners are written
@@ -136,7 +148,7 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
         dirty = planes  # else radius = n/2: every plane is overwritten
         for box in itertools.product(*[_box(grid.n, radius)] * (grid.dim - 1)):
             box += (slice(0, planes),)
-            np.multiply(spec[(Ellipsis,) + box], mult[box],
+            np.multiply(spec[(Ellipsis,) + box], half_mult[box],
                         out=buf[(Ellipsis,) + box])
         phys = _irfftn_half(buf, grid.shape, radius)
         np.square(phys, out=phys)

@@ -20,7 +20,7 @@ import numpy as np
 from .besov import BesovSpec, CriterionTriple, besov_norm, split_low_high
 from .config import load_config
 from .errors import GridError, LpnseError, NonFiniteError, SolverAbort
-from .field import set_fft_workers, to_physical
+from .field import _thread_map, set_fft_workers, to_physical
 from .manifest import build_manifest, write_manifest
 from .monitor import LosingParams, build_report
 from .snapshots import (load_trajectory, read_field, save_trajectory,
@@ -144,8 +144,7 @@ def cmd_report(args) -> int:
     # validate the cheap scalar inputs before touching any trajectory
     triple = _parse_triple(args.triple).validate(args.mode)
     params = LosingParams(args.s, args.lam)
-    traj_u = load_trajectory(args.u)
-    traj_v = load_trajectory(args.v)
+    traj_u, traj_v = _thread_map(load_trajectory, (args.u, args.v))
     outdir = _outpath(args)  # made by report.write, once the report is valid
     started = time.perf_counter()
     report = build_report(traj_u, traj_v, triple, params.s, params.lam)
@@ -228,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lpnse",
         description="Dyadic-block diagnostics for incompressible flows")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap FFT worker threads")
+                        help="threads for per-snapshot work (default 2, or "
+                        "1 on one CPU; capped at the available CPUs)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -295,6 +295,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:
+            print(f"error: --threads must be >= 1, got {args.threads}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         set_fft_workers(args.threads)
     try:
         return args.func(args)

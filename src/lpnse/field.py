@@ -51,7 +51,11 @@ Conventions
   bit for bit.
 """
 
+import contextvars
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +67,70 @@ from .grid import Grid
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-_fft_workers = 1
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads of _thread_map: the caller plus a pool of _fft_workers - 1.
+# Every transform itself runs on one thread: splitting one transform
+# across threads made the solver slower.
+_fft_workers = min(2, _available_cpus())
+_pool = None  # (size, ThreadPoolExecutor), made by the first map needing it
+_pool_lock = threading.Lock()
+_mapping = contextvars.ContextVar("lpnse_mapping", default=False)
 
 
 def set_fft_workers(workers: int) -> None:
-    """Set the worker count passed to scipy.fft for all transforms."""
+    """Set the thread count of the per-snapshot work (_thread_map),
+    capped at the CPUs this process may run on."""
     global _fft_workers
-    _fft_workers = max(1, int(workers))
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"thread count must be >= 1, got {workers}")
+    _fft_workers = min(workers, _available_cpus())
+
+
+def _thread_map(fn, items) -> list:
+    """[fn(item) for item in items], computed on the caller and on a pool
+    of _fft_workers - 1 threads: item i runs on the caller when
+    i % _fft_workers == 0, else on the pool.  Each pool item runs in a
+    copy of the caller's context, so numpy's errstate, a context
+    variable, holds there too.  fn must not change what another item
+    reads.  A call from inside fn runs serially (a pool thread waiting on
+    its own pool could deadlock).  If an item raises, the exception is
+    raised once every started item has finished."""
+    global _pool
+    items = list(items)
+    threads = _fft_workers
+    if threads == 1 or len(items) < 2 or _mapping.get():
+        return [fn(item) for item in items]
+    token = _mapping.set(True)  # seen by fn here and in every copy below
+    try:
+        with _pool_lock:  # a resized pool replaces the old one
+            if _pool is None or _pool[0] != threads - 1:
+                if _pool is not None:
+                    _pool[1].shutdown(wait=False)
+                _pool = (threads - 1, ThreadPoolExecutor(
+                    threads - 1, thread_name_prefix="lpnse"))
+            futures = {i: _pool[1].submit(contextvars.copy_context().run,
+                                          fn, item)
+                       for i, item in enumerate(items) if i % threads}
+        try:
+            mine = {i: fn(items[i]) for i in range(0, len(items), threads)}
+        except BaseException:
+            for future in futures.values():
+                future.cancel()
+            raise
+        finally:
+            wait(futures.values())
+    finally:
+        _mapping.reset(token)
+    return [mine[i] if i in mine else futures[i].result()
+            for i in range(len(items))]
 
 
 def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
@@ -78,10 +139,10 @@ def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
     are transformed in place in the r2c output, so the result is a view
     of it.  Planes 0 and m/2 (m = a.shape[-1]) are their own mirrors
     and come out exactly Hermitian, not only to round-off."""
-    half = _sfft.rfftn(a, axes=(-1,), norm="forward", workers=_fft_workers)
+    half = _sfft.rfftn(a, axes=(-1,), norm="forward")
     axes = tuple(range(a.ndim - dim, a.ndim - 1))
     out = _sfft.fftn(half[..., :planes], axes=axes, norm="forward",
-                     workers=_fft_workers, overwrite_x=True)
+                     overwrite_x=True)
     ends = out[..., ::a.shape[-1] // 2]  # plane 0, and m/2 if returned
     ends[...] = 0.5 * (ends + np.conj(_mirror(ends, dim)))
     return out
@@ -129,11 +190,10 @@ def _irfftn_half(a: np.ndarray, shape: tuple, radius: int = None) -> np.ndarray:
         for box in itertools.product(*boxes):
             part = slab[(slice(None),) * (lead + i + 1) + box]
             out = _sfft.ifftn(part, axes=(lead + i,), norm="forward",
-                              workers=_fft_workers, overwrite_x=True)
+                              overwrite_x=True)
             if not np.may_share_memory(out, part):  # overwrite_x is a hint
                 part[...] = out
-    return _sfft.irfftn(a, s=shape[-1:], axes=(a.ndim - 1,), norm="forward",
-                        workers=_fft_workers)
+    return _sfft.irfftn(a, s=shape[-1:], axes=(a.ndim - 1,), norm="forward")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
                     besov_from_blocks)
 from .blocks import block_indices, block_multiplier, block_norm_table, delta_j
 from .errors import BlockRangeError, NonFiniteError
-from .field import Field, SPECTRAL, advect, inner, spectral_data
+from .field import (Field, SPECTRAL, _thread_map, advect, inner,
+                    spectral_data)
 from .solver import Trajectory
 
 LOG2 = math.log(2.0)
@@ -68,9 +69,10 @@ class LosingParams:
 
 def _linf_block_matrix(traj: Trajectory, p: float = math.inf):
     """(js, L^inf, L^p block norms), each shaped (len(js), len(traj)):
-    every block is transformed once for the drift weights and the norm."""
-    table = np.stack([block_norm_table(snap, (math.inf, p))
-                      for snap in traj.snapshots], axis=-1)
+    every block is transformed once for the drift weights and the norm.
+    The snapshots' tables are computed on the threads of _thread_map."""
+    table = np.stack(_thread_map(lambda snap: block_norm_table(
+        snap, (math.inf, p)), traj.snapshots), axis=-1)
     return np.array(block_indices(traj.grid)), table[0], table[1]
 
 

@@ -10,9 +10,19 @@ import time
 import numpy as np
 import pytest
 
-from lpnse import Grid, SolverConfig, run, twin_run
+import lpnse.field
+from lpnse import Grid, SolverConfig, run, twin_run, set_fft_workers
 from lpnse.field import _full_spectrum, _hermitian_half
 from lpnse.verify import solver_checks_2d, solver_checks_3d
+
+
+@pytest.fixture(autouse=True)
+def _restore_thread_count():
+    """`--threads` and set_fft_workers set a process-wide count; every
+    test starts from the count the previous one started from."""
+    saved = lpnse.field._fft_workers
+    yield
+    set_fft_workers(saved)
 
 
 @pytest.fixture(scope="session")

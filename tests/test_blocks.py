@@ -7,8 +7,8 @@ import scipy.fft
 
 from lpnse import (bernstein_report, block_indices, block_norms, delta_j,
                    reconstruct, reverse_bernstein_report, s_j)
-from lpnse.blocks import (_bernstein_norms, _shell_translate, block_multiplier,
-                          block_norm_table)
+from lpnse.blocks import (_MULTIPLIER_CACHE, _bernstein_norms, _shell_translate,
+                          block_multiplier, block_norm_table)
 from lpnse import cutoffs
 from lpnse.ensembles import band_noise
 from lpnse.errors import BlockRangeError, ResolutionError
@@ -65,6 +65,25 @@ def test_multiplier_telescoping(grid3):
         total = total + block_multiplier(grid3, j)
     low = cutoffs.chi(grid3.k_mag / 2.0 ** (grid3.jmax + 1))
     np.testing.assert_allclose(total, low, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [16, 32])
+def test_half_plane_multiplier_cache(dim, n):
+    # the cache holds planes 0 <= k_last <= n/2 only, and the full layout
+    # rebuilt from them equals the radial formula on the full grid bit
+    # for bit
+    grid = Grid(dim, n)
+    for j in block_indices(grid):
+        for kind, full in (
+                ("block", cutoffs.chi(grid.k_mag) if j == -1
+                 else cutoffs.phi(grid.k_mag / 2.0 ** j)),
+                ("low", cutoffs.chi(grid.k_mag / 2.0 ** j))):
+            mult = block_multiplier(grid, j, kind)
+            assert mult.shape == grid.shape
+            assert mult.tobytes() == np.ascontiguousarray(full).tobytes()
+            cached = _MULTIPLIER_CACHE[(dim, n, j, kind)]
+            assert cached.shape == grid.shape[:-1] + (n // 2 + 1,)
 
 
 def test_sj_minus_sj_is_block(grid2, rng):

@@ -10,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+import lpnse.field
 from lpnse.cli import main
-from lpnse.field import scale
+from lpnse.field import _available_cpus, scale
 from lpnse.manifest import file_hash
 from lpnse.snapshots import MAGIC, load_trajectory, read_field, write_field
 
@@ -23,6 +24,23 @@ def test_verify_lp_exit_zero(capsys):
     assert main(["--threads", "1", "verify", "--suite", "lp", "--n", "32"]) == 0
     out = capsys.readouterr().out
     assert "suite: lp" in out and "=> PASS" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_threads_below_one_usage_error(count, capsys):
+    before = lpnse.field._fft_workers
+    assert main(["--threads", count, "verify", "--suite", "lp"]) == 2
+    assert f"--threads must be >= 1, got {count}" in capsys.readouterr().err
+    assert lpnse.field._fft_workers == before
+
+
+def test_threads_capped_at_available_cpus(capsys):
+    # the count is checked as computed: no test starts more threads than
+    # the host has CPUs
+    assert main(["--threads", "1000000", "report", "--u", "missing",
+                 "--v", "missing", "--triple", "0.5,4,2.6666666666666665",
+                 "--s", "0.5", "--lambda", "1"]) == 2
+    assert lpnse.field._fft_workers == _available_cpus()
 
 
 def test_verify_unknown_suite_usage_error():
