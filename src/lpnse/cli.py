@@ -4,8 +4,9 @@ Exit codes: 0 all checks passed / work done, 1 a verification assertion
 failed, 2 usage or configuration error, 3 numerical abort (CFL violation
 or non-finite energy), a snapshot holding non-finite values, or a
 snapshot whose Besov norm overflows.
-Artifact-producing commands drop a manifest.json next to their outputs
-listing every file with its content hash.
+Artifact-producing commands write their outputs, and a manifest.json
+listing every file with its content hash, only once their work has
+succeeded: a failed command makes no --out directory.
 """
 
 import argparse
@@ -45,10 +46,18 @@ def _outpath(args) -> str:
     return args.out or os.environ.get(OUTDIR_ENV) or "."
 
 
-def _outdir(args) -> str:
-    path = _outpath(args)
-    os.makedirs(path, exist_ok=True)
-    return path
+def _publish(args, command, parameters, started, write) -> str:
+    """Make the --out directory, write a command's artifacts there with
+    write(outdir) -> paths, and the manifest listing them, timed from
+    `started`; returns the directory.  Called once the command's work has
+    succeeded, so a failed command makes no directory."""
+    outdir = _outpath(args)
+    os.makedirs(outdir, exist_ok=True)
+    paths = write(outdir)
+    manifest = build_manifest(command, parameters, paths,
+                              time.perf_counter() - started)
+    write_manifest(os.path.join(outdir, "manifest.json"), manifest)
+    return outdir
 
 
 def _overrides(pairs) -> dict:
@@ -82,23 +91,23 @@ def cmd_verify(args) -> int:
     results = run_suites(names, n=args.n, seed=args.seed,
                          ensemble=args.ensemble,
                          dealias=not args.no_dealias)
-    elapsed = time.perf_counter() - started
-    outputs = []
+    reports = {}
     for result in results:
         print(result.table())
-        if args.out is not None or os.environ.get(OUTDIR_ENV):
-            outdir = _outdir(args)
-            for name, report in result.reports.items():
-                path = os.path.join(outdir, f"{name}.csv")
-                report.to_csv(path)
-                outputs.append(path)
-    if outputs:
-        outdir = _outdir(args)
-        manifest = build_manifest(
-            "verify", {"suite": args.suite,
-                       "options": {r.name: r.options for r in results}},
-            outputs, elapsed)
-        write_manifest(os.path.join(outdir, "manifest.json"), manifest)
+        reports.update(result.reports)
+
+    def write(outdir):
+        paths = [os.path.join(outdir, f"{name}.csv") for name in reports]
+        for path, report in zip(paths, reports.values()):
+            report.to_csv(path)
+        return paths
+
+    # the constants are written whether or not every check passed
+    if reports and (args.out is not None or os.environ.get(OUTDIR_ENV)):
+        _publish(args, "verify",
+                 {"suite": args.suite,
+                  "options": {r.name: r.options for r in results}},
+                 started, write)
     for result in results:
         for check, measured, bound, ok in result.rows:
             if not ok:
@@ -110,13 +119,10 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_solver_config(args)
-    outdir = _outdir(args)
     started = time.perf_counter()
     traj = run(config)
-    paths = save_trajectory(outdir, traj)
-    elapsed = time.perf_counter() - started
-    manifest = build_manifest("simulate", config.to_mapping(), paths, elapsed)
-    write_manifest(os.path.join(outdir, "manifest.json"), manifest)
+    outdir = _publish(args, "simulate", config.to_mapping(), started,
+                      lambda outdir: save_trajectory(outdir, traj))
     print(f"steps={len(traj.series['t']) - 1} snapshots={len(traj)} "
           f"final_energy={traj.series['energy'][-1]:.6e} -> {outdir}")
     return EXIT_PASS
@@ -124,17 +130,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_twin(args) -> int:
     config = _load_solver_config(args)
-    outdir = _outdir(args)
     started = time.perf_counter()
     traj_u, traj_v = twin_run(config, args.delta, args.seed,
                               pert_kmax=args.kmax)
-    paths = save_trajectory(os.path.join(outdir, "u"), traj_u)
-    paths += save_trajectory(os.path.join(outdir, "v"), traj_v)
-    elapsed = time.perf_counter() - started
     params = dict(config.to_mapping(), delta=args.delta,
                   perturbation_seed=args.seed, perturbation_kmax=args.kmax)
-    manifest = build_manifest("twin", params, paths, elapsed)
-    write_manifest(os.path.join(outdir, "manifest.json"), manifest)
+    outdir = _publish(args, "twin", params, started, lambda outdir: (
+        save_trajectory(os.path.join(outdir, "u"), traj_u)
+        + save_trajectory(os.path.join(outdir, "v"), traj_v)))
     print(f"twin trajectories written to {outdir}/u and {outdir}/v")
     return EXIT_PASS
 
@@ -145,18 +148,14 @@ def cmd_report(args) -> int:
     triple = _parse_triple(args.triple).validate(args.mode)
     params = LosingParams(args.s, args.lam)
     traj_u, traj_v = _thread_map(load_trajectory, (args.u, args.v))
-    outdir = _outpath(args)  # made by report.write, once the report is valid
     started = time.perf_counter()
     report = build_report(traj_u, traj_v, triple, params.s, params.lam)
-    paths = report.write(outdir)
-    elapsed = time.perf_counter() - started
-    manifest = build_manifest(
-        "report", {"u": str(args.u), "v": str(args.v), "triple": args.triple,
-                   "s": args.s, "lambda": args.lam, "mode": args.mode},
-        paths, elapsed)
-    write_manifest(os.path.join(outdir, "manifest.json"), manifest)
-    print(json.dumps(report.summary(), indent=2, sort_keys=True,
-                     allow_nan=False))
+    summary = report.summary()  # checked before --out is made
+    _publish(args, "report",
+             {"u": str(args.u), "v": str(args.v), "triple": args.triple,
+              "s": args.s, "lambda": args.lam, "mode": args.mode},
+             started, report.write)
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_PASS
 
 
@@ -208,16 +207,16 @@ def cmd_split(args) -> int:
         "low": low_path,
         "high": high_path,
     }, indent=2, sort_keys=True, allow_nan=False)
-    _outdir(args)  # made once the split and its summary are known
-    write_field(low_path, result.u_low, time=header.get("time"),
-                viscosity=header.get("viscosity"))
-    write_field(high_path, result.u_high, time=header.get("time"),
-                viscosity=header.get("viscosity"))
-    elapsed = time.perf_counter() - started
-    manifest = build_manifest(
-        "split", {"snapshot": str(args.snapshot), "r": args.r, "p": args.p,
-                  "q": args.q}, [low_path, high_path], elapsed)
-    write_manifest(os.path.join(outdir, "manifest.json"), manifest)
+
+    def write(_):
+        for path, part in ((low_path, result.u_low),
+                           (high_path, result.u_high)):
+            write_field(path, part, time=header.get("time"),
+                        viscosity=header.get("viscosity"))
+        return [low_path, high_path]
+
+    _publish(args, "split", {"snapshot": str(args.snapshot), "r": args.r,
+                             "p": args.p, "q": args.q}, started, write)
     print(meta)
     return EXIT_PASS
 

@@ -54,8 +54,7 @@ Conventions
 import contextvars
 import itertools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +78,6 @@ def _available_cpus() -> int:
 # Every transform itself runs on one thread: splitting one transform
 # across threads made the solver slower.
 _fft_workers = min(2, _available_cpus())
-_pool = None  # (size, ThreadPoolExecutor), made by the first map needing it
-_pool_lock = threading.Lock()
 _mapping = contextvars.ContextVar("lpnse_mapping", default=False)
 
 
@@ -96,37 +93,25 @@ def set_fft_workers(workers: int) -> None:
 
 def _thread_map(fn, items) -> list:
     """[fn(item) for item in items], computed on the caller and on a pool
-    of _fft_workers - 1 threads: item i runs on the caller when
-    i % _fft_workers == 0, else on the pool.  Each pool item runs in a
-    copy of the caller's context, so numpy's errstate, a context
-    variable, holds there too.  fn must not change what another item
-    reads.  A call from inside fn runs serially (a pool thread waiting on
-    its own pool could deadlock).  If an item raises, the exception is
-    raised once every started item has finished."""
-    global _pool
+    of _fft_workers - 1 threads made for this call: item i runs on the
+    caller when i % _fft_workers == 0, else on the pool.  Each pool item
+    runs in a copy of the caller's context, so numpy's errstate, a
+    context variable, holds there too.  fn must not change what another
+    item reads.  A call from inside fn runs serially (a pool thread
+    waiting on its own pool could deadlock).  If an item raises, the
+    exception is raised once every submitted item has finished."""
     items = list(items)
     threads = _fft_workers
     if threads == 1 or len(items) < 2 or _mapping.get():
         return [fn(item) for item in items]
     token = _mapping.set(True)  # seen by fn here and in every copy below
     try:
-        with _pool_lock:  # a resized pool replaces the old one
-            if _pool is None or _pool[0] != threads - 1:
-                if _pool is not None:
-                    _pool[1].shutdown(wait=False)
-                _pool = (threads - 1, ThreadPoolExecutor(
-                    threads - 1, thread_name_prefix="lpnse"))
-            futures = {i: _pool[1].submit(contextvars.copy_context().run,
-                                          fn, item)
+        with ThreadPoolExecutor(threads - 1,
+                                thread_name_prefix="lpnse") as pool:
+            futures = {i: pool.submit(contextvars.copy_context().run,
+                                      fn, item)
                        for i, item in enumerate(items) if i % threads}
-        try:
             mine = {i: fn(items[i]) for i in range(0, len(items), threads)}
-        except BaseException:
-            for future in futures.values():
-                future.cancel()
-            raise
-        finally:
-            wait(futures.values())
     finally:
         _mapping.reset(token)
     return [mine[i] if i in mine else futures[i].result()

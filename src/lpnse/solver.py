@@ -72,23 +72,40 @@ class SolverConfig:
     dealias: bool = True
 
     def __post_init__(self):
+        """The one check of a run's config: every fault raises here, with
+        a message that names the key, before anything is computed."""
+        Grid(self.dim, self.n)
         for name in ("nu", "dt", "t_end", "slope", "ic_kmax", "cfl_safety"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"config key {name!r} must be finite, "
                                  f"got {value!r}")
-        if self.nu < 0:
-            raise ValueError("viscosity must be non-negative")
-        for name in ("dt", "t_end"):
+        for name in ("dt", "t_end", "cfl_safety"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"config key {name!r} must be positive, "
                                  f"got {value!r}")
+        for name in ("nu", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"config key {name!r} must be non-negative, "
+                                 f"got {value!r}")
         if self.snap_every < 1:
-            raise ValueError("snapshot cadence must be >= 1")
+            raise ValueError(f"config key 'snap_every' must be >= 1, "
+                             f"got {self.snap_every!r}")
+        if not (math.isfinite(self.t_end / self.dt) and self.nsteps >= 1
+                and abs(self.nsteps * self.dt - self.t_end)
+                <= 1e-9 * self.t_end):
+            raise ValueError(f"config key 't_end' must be a whole number of "
+                             f"steps of dt={self.dt!r}, got {self.t_end!r}")
         if self.ic not in INITIAL_CONDITIONS:
-            raise ValueError(f"unknown initial condition {self.ic!r}; "
-                             f"choose from {INITIAL_CONDITIONS}")
+            raise ValueError(f"config key 'ic': unknown initial condition "
+                             f"{self.ic!r}; choose from {INITIAL_CONDITIONS}")
+
+    @property
+    def nsteps(self) -> int:
+        """The number of steps of dt that make up t_end."""
+        return round(self.t_end / self.dt)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "SolverConfig":
@@ -103,7 +120,10 @@ class SolverConfig:
                     raise ValueError(f"boolean key {key!r} got {raw!r}")
                 kwargs[key] = low in ("true", "1")
             else:
-                kwargs[key] = types[key](raw)
+                try:
+                    kwargs[key] = types[key](raw)
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
@@ -187,10 +207,15 @@ def initial_condition(config: SolverConfig, grid: Grid) -> Field:
     if config.ic == "taylor-green":
         return taylor_green(grid)
     kmax = min(config.ic_kmax, grid.dealias_radius)
-    u = ensembles.solenoidal_field(grid, kmax, config.seed, config.slope)
-    norm = l2_norm_spectral(u)
-    if norm == 0.0:
-        raise ValueError("random initial condition is empty; increase ic_kmax")
+    # a steep slope can underflow every amplitude, or overflow one
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = ensembles.solenoidal_field(grid, kmax, config.seed, config.slope)
+        norm = l2_norm_spectral(u)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"random initial condition has norm {norm!r}: "
+                         f"config keys ic_kmax={config.ic_kmax!r} and "
+                         f"slope={config.slope!r} give no finite nonzero "
+                         f"field")
     return scale(u, 1.0 / norm)
 
 
@@ -218,8 +243,10 @@ class _Integrator:
         self.grid = grid
         self.config = config
         planes = slice(0, grid.n // 2 + 1)
-        self.e_half = np.exp(-config.nu * grid.k_sq[..., planes]
-                             * (config.dt / 2.0))
+        # an exponent that overflows to -inf gives the exact factor 0
+        with np.errstate(over="ignore"):
+            self.e_half = np.exp(-config.nu * grid.k_sq[..., planes]
+                                 * (config.dt / 2.0))
         self.e_full = self.e_half**2
         self.zero = (slice(None),) + (0,) * grid.dim
         # 0 on every plane with some k_i = -n/2, 1 elsewhere
@@ -289,6 +316,18 @@ def step(u: Field, config: SolverConfig) -> Field:
     return Field(grid, _full_spectrum(out, grid.dim), SPECTRAL)
 
 
+def _initial_half(config: SolverConfig, grid: Grid,
+                  initial: Field = None) -> np.ndarray:
+    """The state run() starts from: the half spectrum of the projected
+    `initial`, or of the config's initial condition."""
+    if initial is None:
+        initial = initial_condition(config, grid)
+    grid.require_same(initial.grid)
+    if initial.ncomp != grid.dim:
+        raise GridError("velocity field must have dim components")
+    return _hermitian_half(spectral_data(leray_project(initial)), grid.dim)
+
+
 def run(config: SolverConfig, initial: Field = None) -> Trajectory:
     """Integrate from t=0 to t_end, recording snapshots on the cadence
     and per-step energy/dissipation series for the balance audit.
@@ -296,15 +335,8 @@ def run(config: SolverConfig, initial: Field = None) -> Trajectory:
     The state is the half spectrum of the projected initial data; the
     snapshots are its full-layout spectra."""
     grid = Grid(config.dim, config.n)
-    if initial is None:
-        initial = initial_condition(config, grid)
-    grid.require_same(initial.grid)
-    if initial.ncomp != grid.dim:
-        raise GridError("velocity field must have dim components")
-    spec = _hermitian_half(spectral_data(leray_project(initial)), grid.dim)
-    nsteps = int(round(config.t_end / config.dt))
-    if nsteps < 1 or abs(nsteps * config.dt - config.t_end) > 1e-9 * config.t_end:
-        raise ValueError("t_end must be a whole number of steps")
+    spec = _initial_half(config, grid, initial)
+    nsteps = config.nsteps
     integ = _Integrator(grid, config)
     weight = _plane_weights(grid.n)
     k_sq = grid.k_sq[..., :grid.n // 2 + 1]
@@ -312,13 +344,16 @@ def run(config: SolverConfig, initial: Field = None) -> Trajectory:
     s_t, s_energy, s_diss = [], [], []
     for i in range(nsteps + 1):
         t = i * config.dt
-        power = np.abs(spec) ** 2 * weight
-        energy = grid.volume * float(np.sum(power))
+        # a blow-up is reported by the SolverAbort below, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.abs(spec) ** 2 * weight
+            energy = grid.volume * float(np.sum(power))
+            dissipation = grid.volume * float(np.sum(k_sq * power))
         if not math.isfinite(energy):
             raise SolverAbort("nan", f"non-finite energy at t={t:.6g}", t, i)
         s_t.append(t)
         s_energy.append(energy)
-        s_diss.append(grid.volume * float(np.sum(k_sq * power)))
+        s_diss.append(dissipation)
         if i % config.snap_every == 0 or i == nsteps:
             times.append(t)
             snaps.append(Field(grid, _full_spectrum(spec, grid.dim), SPECTRAL))
@@ -393,30 +428,51 @@ def twin_run(config: SolverConfig, delta: float, seed: int,
 
     Returns (base trajectory, perturbed trajectory) with identical
     stepping and aligned snapshot times.  Pass a previously computed
-    base trajectory to amortize delta sweeps.
+    base trajectory to amortize delta sweeps.  delta = 0 gives the
+    degenerate pair, whose twin is the base.  Before any step, a
+    ValueError naming the argument rejects a perturbation that cannot
+    give the pair: a negative seed, a positive delta with no lattice mode
+    in 0 < |k| <= pert_kmax, or a delta whose perturbed initial energy is
+    not finite.
     """
     for name, value in (("delta", delta), ("kmax", pert_kmax)):
         if not math.isfinite(value):
             raise ValueError(f"perturbation {name} must be finite, "
                              f"got {value!r}")
-    if delta < 0:
-        raise ValueError("perturbation size must be non-negative")
-    grid = Grid(config.dim, config.n)
-    if base is None:
-        base = run(config)
-    elif base.config != config:
+    for name, value in (("delta", delta), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"perturbation {name} must be non-negative, "
+                             f"got {value!r}")
+    if base is not None and base.config != config:
         raise ValueError("base trajectory was produced by a different config")
-    u0 = base.snapshots[0]
+    grid = Grid(config.dim, config.n)
     pert = perturbation_field(grid, seed, pert_kmax)
     pnorm = l2_norm_spectral(pert)
-    factor = delta * l2_norm_spectral(u0) / pnorm if pnorm > 0 else 0.0
-    if factor == 0.0:
-        # v0 equals u0 exactly and the flow map is deterministic, so the
-        # twin is the base trajectory bit for bit (its own container, so a
-        # change to one leaves the other alone)
+    if delta > 0 and pnorm == 0:
+        raise ValueError(f"perturbation kmax={pert_kmax!r} holds no lattice "
+                         f"mode with 0 < |k| <= kmax, so delta={delta!r} "
+                         f"cannot be applied")
+    v0 = None
+    if delta > 0:
+        # u0 is base.snapshots[0] bit for bit, formed before any step
+        u0 = base.snapshots[0] if base is not None else Field(
+            grid, _full_spectrum(_initial_half(config, grid), grid.dim),
+            SPECTRAL)
+        factor = delta * l2_norm_spectral(u0) / pnorm
+        with np.errstate(over="ignore", invalid="ignore"):
+            v0 = Field(grid, spectral_data(u0) + factor * spectral_data(pert),
+                       SPECTRAL)
+            energy = l2_norm_spectral(v0)
+        if not math.isfinite(energy):
+            raise ValueError(f"perturbation delta={delta!r} gives a "
+                             f"non-finite initial energy")
+    if base is None:
+        base = run(config)
+    if v0 is None:
+        # delta = 0: v0 equals u0 exactly and the flow map is deterministic,
+        # so the twin is the base trajectory bit for bit (its own
+        # container, so a change to one leaves the other alone)
         twin = Trajectory(config, grid, base.times, list(base.snapshots),
                           dict(base.series))
         return base, twin
-    v0 = Field(grid, spectral_data(u0) + factor * spectral_data(pert), SPECTRAL)
-    twin = run(config, initial=v0)
-    return base, twin
+    return base, run(config, initial=v0)

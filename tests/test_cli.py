@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lpnse.cli
 import lpnse.field
 from lpnse.cli import main
 from lpnse.field import _available_cpus, scale
@@ -97,6 +98,35 @@ def test_verify_manifest_records_options_as_run(tmp_path, capsys):
         parameters = json.load(fh)["parameters"]
     assert parameters["options"] == {
         "bernstein": {"n": 16, "seed": 7, "ensemble": 2}}
+
+
+def test_verify_failed_check_still_writes_constants(tmp_path, monkeypatch,
+                                                   capsys):
+    # a failed check exits 1, and the measured constants are still kept
+    real = lpnse.cli.run_suites
+
+    def failing(*args, **kwargs):
+        results = real(*args, **kwargs)
+        check, measured, bound, _ = results[0].rows[0]
+        results[0].rows[0] = (check, measured, bound, False)
+        return results
+
+    monkeypatch.setattr(lpnse.cli, "run_suites", failing)
+    out = tmp_path / "verify"
+    assert main(["verify", "--suite", "bernstein", "--n", "16",
+                 "--ensemble", "2", "--out", str(out)]) == 1
+    assert "first failure: bernstein/" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bernstein_forward.csv", "bernstein_reverse.csv", "manifest.json"]
+
+
+def test_verify_without_constants_makes_no_out_directory(tmp_path, capsys):
+    # the lp suite writes no CSV, so there is nothing to publish
+    out = tmp_path / "verify"
+    assert main(["verify", "--suite", "lp", "--n", "16",
+                 "--out", str(out)]) == 0
+    assert "=> PASS" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
@@ -533,4 +563,36 @@ def test_non_finite_solver_flags_usage_error(tmp_path, capsys, command,
     assert main([command, *SIM_ARGS, *flags, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, exit_code, message", [
+    ("simulate", ["--set", "dim=4"], 2, "dim must be 2 or 3, got 4"),
+    ("simulate", ["--set", "n=12"], 2, "n must be a power of two >= 8, got 12"),
+    ("simulate", ["--set", "t_end=0.0015"], 2,
+     "config key 't_end' must be a whole number of steps"),
+    ("simulate", ["--set", "ic=random-divfree", "--set", "seed=-1"], 2,
+     "config key 'seed' must be non-negative, got -1"),
+    ("simulate", ["--set", "dt=0.5", "--set", "t_end=1"], 3,
+     "numerical abort [cfl]: advective CFL violated at t=0: dt=0.5"),
+    ("twin", ["--delta", "1e-4", "--seed", "-1"], 2,
+     "perturbation seed must be non-negative, got -1"),
+    ("twin", ["--delta", "1e300", "--seed", "5"], 2,
+     "perturbation delta=1e+300 gives a non-finite initial energy"),
+    ("twin", ["--kmax", "0", "--delta", "1e-4", "--seed", "5"], 2,
+     "perturbation kmax=0.0 holds no lattice mode"),
+], ids=["dim", "n", "t_end-steps", "seed", "cfl", "twin-seed", "twin-delta",
+        "twin-kmax"])
+def test_failed_run_leaves_no_out_directory(tmp_path, capsys, command, flags,
+                                            exit_code, message):
+    # each fault is reported by the command's own message, with no raw
+    # numpy warning, before the --out directory is made
+    out = tmp_path / "run"
+    with _no_warnings():
+        assert main([command, *SIM_ARGS, *flags, "--out", str(out)]) == \
+            exit_code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Warning" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()

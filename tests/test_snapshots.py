@@ -127,3 +127,20 @@ def test_snapshot_headers_carry_time_and_viscosity(tmp_path):
     _, header = read_field(tmp_path / "snap_000001.fld")
     assert header["time"] == pytest.approx(float(traj.times[1]))
     assert header["viscosity"] == 0.5
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("t_end", 0.0015, "config key 't_end' must be a whole number of steps"),
+    ("n", 12, "n must be a power of two >= 8, got 12"),
+    ("seed", -1, "config key 'seed' must be non-negative, got -1"),
+])
+def test_trajectory_config_checked_on_load(tmp_path, key, value, message):
+    # a stored config faces the same one check as a config given to run()
+    save_trajectory(tmp_path, run(SMALL))
+    path = tmp_path / "trajectory.json"
+    meta = json.loads(path.read_text())
+    meta["config"][key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as exc:
+        load_trajectory(tmp_path)
+    assert str(path) in str(exc.value) and message in str(exc.value)

@@ -1,8 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+import lpnse.solver
 from lpnse import (Grid, SolverConfig, energy_balance_residual, nse_rhs, run,
                    step, taylor_green, twin_run)
 from lpnse.errors import GridError, SolverAbort
@@ -55,6 +58,34 @@ def test_config_validation():
         SolverConfig(snap_every=0)
     with pytest.raises(ValueError, match="unknown initial condition"):
         SolverConfig(ic="vortex-sheet")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"dim": 4}, "dim must be 2 or 3, got 4"),
+    ({"n": 12}, "n must be a power of two >= 8, got 12"),
+    ({"seed": -1}, "config key 'seed' must be non-negative, got -1"),
+    ({"snap_every": 0}, "config key 'snap_every' must be >= 1, got 0"),
+    ({"cfl_safety": 0.0}, "config key 'cfl_safety' must be positive, got 0.0"),
+    ({"dt": 3e-3, "t_end": 1e-2}, "config key 't_end' must be a whole number "
+     "of steps of dt=0.003, got 0.01"),
+    ({"dt": 1e-3, "t_end": 1e308}, "config key 't_end' must be a whole number"),
+], ids=["dim", "n", "seed", "snap_every", "cfl_safety", "t_end", "t_end-huge"])
+def test_config_is_the_one_run_check(changes, message):
+    # every fault of a run's config raises at construction, naming the key
+    with pytest.raises((ValueError, GridError), match=re.escape(message)):
+        SolverConfig(**changes)
+
+
+@pytest.mark.parametrize("key, raw", [("n", "abc"), ("seed", "1e300"),
+                                      ("nu", "fast")])
+def test_config_from_mapping_names_unparsable_key(key, raw):
+    with pytest.raises(ValueError, match=f"config key '{key}': "):
+        SolverConfig.from_mapping({key: raw})
+
+
+def test_config_step_count():
+    assert SolverConfig(dt=2.5e-3, t_end=0.01).nsteps == 4
+    assert SolverConfig(dt=1e-3, t_end=0.5).nsteps == 500
 
 
 def test_run_validates_grid_parameters():
@@ -387,6 +418,33 @@ def test_nan_abort(grid2):
     assert exc.value.reason == "nan"
 
 
+@pytest.mark.parametrize("changes, norm", [
+    ({"ic_kmax": 0.0}, "0.0"), ({"slope": 1e300}, "0.0"),
+    ({"slope": -1e300}, "nan")], ids=["empty-band", "steep", "growing"])
+def test_random_initial_condition_names_its_keys(grid2, changes, norm):
+    # no amplitude survives the slope, or one overflows: a usage error
+    # naming both keys, with no numpy warning
+    config = SolverConfig(dim=2, n=32, ic="random-divfree", **changes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            initial_condition(config, grid2)
+    message = str(exc.value)
+    assert f"has norm {norm}" in message
+    assert "ic_kmax=" in message and "slope=" in message
+
+
+def test_overflowing_energy_aborts_without_numpy_warning(grid2):
+    # the energy check runs with numpy's warnings off: the abort alone
+    # reports the blow-up
+    config = SolverConfig(dim=2, n=32, nu=1.0, dt=1e-3, t_end=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort) as exc:
+            run(config, initial=scale(taylor_green(grid2), 1e200))
+    assert exc.value.reason == "nan" and exc.value.step == 0
+
+
 # --- reversibility and discrete residual --------------------------------------
 
 def _reversal_error(dt):
@@ -465,6 +523,38 @@ def test_twin_rejects_negative_delta():
     config = SolverConfig(dim=2, n=32, dt=2e-3, t_end=0.02)
     with pytest.raises(ValueError, match="non-negative"):
         twin_run(config, delta=-1e-3, seed=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"delta": 1e-4, "seed": -1}, "perturbation seed must be non-negative, "
+     "got -1"),
+    ({"delta": 1e-4, "seed": 5, "pert_kmax": 0.0}, "perturbation kmax=0.0 "
+     "holds no lattice mode with 0 < |k| <= kmax, so delta=0.0001 cannot"),
+    ({"delta": 1e-4, "seed": 5, "pert_kmax": -1.0}, "perturbation kmax=-1.0"),
+    ({"delta": 1e300, "seed": 5}, "perturbation delta=1e+300 gives a "
+     "non-finite initial energy"),
+    ({"delta": 1e308, "seed": 5}, "perturbation delta=1e+308 gives a "
+     "non-finite initial energy"),
+], ids=["seed", "kmax-0", "kmax-negative", "delta-1e300", "delta-1e308"])
+def test_twin_rejects_unusable_perturbation_before_any_step(
+        monkeypatch, kwargs, message):
+    def no_run(*args, **kw):
+        raise AssertionError("run() called before the inputs were checked")
+
+    config = SolverConfig(dim=2, n=16, dt=2.5e-3, t_end=0.01)
+    monkeypatch.setattr(lpnse.solver, "run", no_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            twin_run(config, **kwargs)
+
+
+def test_twin_zero_delta_with_empty_perturbation_is_degenerate():
+    # delta = 0 asks for no perturbation, so an empty band is fine
+    config = SolverConfig(dim=2, n=16, dt=2.5e-3, t_end=0.01)
+    base, twin = twin_run(config, delta=0.0, seed=5, pert_kmax=0.0)
+    assert len(twin) == len(base)
+    assert all(a is b for a, b in zip(twin.snapshots, base.snapshots))
 
 
 def test_twin_rejects_mismatched_base():
