@@ -21,7 +21,7 @@ import numpy as np
 from .besov import BesovSpec, CriterionTriple, besov_norm, split_low_high
 from .config import load_config
 from .errors import GridError, LpnseError, NonFiniteError, SolverAbort
-from .field import _thread_map, set_fft_workers, to_physical
+from .field import set_fft_workers, to_physical
 from .manifest import build_manifest, write_manifest
 from .monitor import LosingParams, build_report
 from .snapshots import (load_trajectory, read_field, save_trajectory,
@@ -147,7 +147,8 @@ def cmd_report(args) -> int:
     # validate the cheap scalar inputs before touching any trajectory
     triple = _parse_triple(args.triple).validate(args.mode)
     params = LosingParams(args.s, args.lam)
-    traj_u, traj_v = _thread_map(load_trajectory, (args.u, args.v))
+    # the snapshots are read, one pair per thread, inside build_report
+    traj_u, traj_v = load_trajectory(args.u), load_trajectory(args.v)
     started = time.perf_counter()
     report = build_report(traj_u, traj_v, triple, params.s, params.lam)
     summary = report.summary()  # checked before --out is made

@@ -10,10 +10,12 @@ integrals over snapshots use the trapezoid rule (the solver's per-step
 series handle the high-accuracy energy audit separately).
 
 Nothing is kept between calls.  _linf_block_matrix reads a trajectory
-once for its L^inf and L^p block norms, and _w_record reads a pair once
-for the block L^2 norms, ||w||^2 and ||grad w||^2 of w.  Every series is
-a fold over those matrices: each public function runs the producers it
-needs, and build_report runs each once and folds every series.
+once for its L^inf and L^p block norms, or a pair once for those of u,
+the L^inf norms of v, and the block L^2 norms, ||w||^2 and ||grad w||^2
+of w; _w_record reads a pair once for w's alone.  Each is one pass that
+holds a snapshot, or a pair, per thread.  Every series is a fold over
+those matrices: each public function runs the producers it needs, and
+build_report runs one pass over the pair and folds every series.
 """
 
 import json
@@ -46,8 +48,8 @@ def _require_aligned(traj_u: Trajectory, traj_v: Trajectory) -> None:
         raise ValueError(f"trajectories {fault}")
 
 
-def _diff_spec(traj_u: Trajectory, traj_v: Trajectory, i: int) -> np.ndarray:
-    return spectral_data(traj_u.snapshots[i]) - spectral_data(traj_v.snapshots[i])
+def _diff_spec(u: Field, v: Field) -> np.ndarray:
+    return spectral_data(u) - spectral_data(v)
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,50 @@ class LosingParams:
 
 # --- block-norm matrices and the criterion integral --------------------------
 
-def _linf_block_matrix(traj: Trajectory, p: float = math.inf):
+def _columns(rows) -> list:
+    """Per-snapshot rows of values, stacked along a last, snapshot axis."""
+    return [np.stack(col, axis=-1) for col in zip(*rows)]
+
+
+def _w_rows(grid, weights: np.ndarray, u: Field, v: Field) -> tuple:
+    """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v, all from one
+    |w^|^2; weights are the squared block multipliers of _w_weights."""
+    power = np.sum(np.abs(_diff_spec(u, v)) ** 2, axis=0)
+    return (np.sqrt(grid.volume * np.tensordot(weights, power,
+                                                axes=grid.dim)),
+            grid.volume * float(np.sum(power)),
+            grid.volume * float(np.sum(grid.k_sq * power)))
+
+
+def _w_weights(grid) -> np.ndarray:
+    return np.stack([block_multiplier(grid, j) ** 2
+                     for j in block_indices(grid)])
+
+
+def _linf_block_matrix(traj: Trajectory, p: float = math.inf,
+                       traj_v: Trajectory = None) -> tuple:
     """(js, L^inf, L^p block norms), each shaped (len(js), len(traj)):
     every block is transformed once for the drift weights and the norm.
-    The snapshots' tables are computed on the threads of _thread_map."""
-    table = np.stack(_thread_map(lambda snap: block_norm_table(
-        snap, (math.inf, p)), traj.snapshots), axis=-1)
-    return np.array(block_indices(traj.grid)), table[0], table[1]
+    With traj_v, which must be snapshot-aligned, the tuple goes on with
+    v's L^inf block norms and w = u - v's block L^2 norms, ||w||^2 and
+    ||grad w||^2 (_w_rows).  One pass on the threads of _thread_map reads
+    each snapshot, or each pair (u_i, v_i), and drops it before its
+    thread takes the next."""
+    grid = traj.grid
+    if traj_v is None:
+        def step(i):
+            return (block_norm_table(traj.snapshots[i], (math.inf, p)),)
+    else:
+        _require_aligned(traj, traj_v)
+        weights = _w_weights(grid)
+
+        def step(i):
+            u, v = traj.snapshots[i], traj_v.snapshots[i]
+            return ((block_norm_table(u, (math.inf, p)),
+                     block_norm_table(v, (math.inf,))[0])
+                    + _w_rows(grid, weights, u, v))
+    table, *rest = _columns(_thread_map(step, range(len(traj))))
+    return (np.array(block_indices(grid)), table[0], table[1], *rest)
 
 
 def besov_series(js: np.ndarray, mat: np.ndarray,
@@ -95,8 +134,10 @@ class CriterionSeries:
     integral: np.ndarray
 
 
-def _criterion_mats(traj: Trajectory, triple: CriterionTriple):
-    """Check the triple and the cadence, then read the block norms."""
+def _criterion_mats(traj: Trajectory, triple: CriterionTriple,
+                    traj_v: Trajectory = None):
+    """Check the triple and the cadence, then read the block norms
+    (_linf_block_matrix, with traj_v's if given)."""
     triple.validate(EXTENDED_MODE)
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -104,7 +145,7 @@ def _criterion_mats(traj: Trajectory, triple: CriterionTriple):
     if len(gaps) and np.max(gaps) > 10.0 * traj.config.dt + 1e-12:
         raise ValueError("snapshot cadence too coarse for criterion integrals "
                          "(need <= 10 steps between snapshots)")
-    return _linf_block_matrix(traj, triple.p)
+    return _linf_block_matrix(traj, triple.p, traj_v)
 
 
 def _criterion_series(times: np.ndarray, js: np.ndarray, mat: np.ndarray,
@@ -133,21 +174,16 @@ class BlockSeries:
 
 def _w_record(traj_u: Trajectory, traj_v: Trajectory):
     """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v at every
-    snapshot, all from one |w^|^2 per snapshot."""
+    snapshot (_w_rows), in one pass over the pairs on the threads of
+    _thread_map."""
     _require_aligned(traj_u, traj_v)
     grid = traj_u.grid
-    js = np.array(block_indices(grid))
-    mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
-    mat = np.empty((len(js), len(traj_u)))
-    energy = np.empty(len(traj_u))
-    dissipation = np.empty(len(traj_u))
-    for i in range(len(traj_u)):
-        power = np.sum(np.abs(_diff_spec(traj_u, traj_v, i)) ** 2, axis=0)
-        mat[:, i] = np.sqrt(grid.volume * np.tensordot(
-            mults, power, axes=grid.dim))
-        energy[i] = grid.volume * float(np.sum(power))
-        dissipation[i] = grid.volume * float(np.sum(grid.k_sq * power))
-    return BlockSeries(traj_u.times, js, mat), energy, dissipation
+    weights = _w_weights(grid)
+    mat, energy, dissipation = _columns(_thread_map(
+        lambda i: _w_rows(grid, weights, traj_u.snapshots[i],
+                          traj_v.snapshots[i]), range(len(traj_u))))
+    return (BlockSeries(traj_u.times, np.array(block_indices(grid)), mat),
+            energy, dissipation)
 
 
 def block_series(traj_u: Trajectory, traj_v: Trajectory) -> BlockSeries:
@@ -271,7 +307,9 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     t0, t1, t2 = traj_u.times[i - 1: i + 2]
     h_minus, h_plus = t1 - t0, t2 - t1
     mult_sq = block_multiplier(grid, j) ** 2
-    diffs = [_diff_spec(traj_u, traj_v, k) for k in (i - 1, i, i + 1)]
+    pairs = [(traj_u.snapshots[k], traj_v.snapshots[k])
+             for k in (i - 1, i, i + 1)]
+    diffs = [_diff_spec(u, v) for u, v in pairs]
     powers = [np.sum(np.abs(d) ** 2, axis=0) for d in diffs]
     e_prev, e_here, e_next = (0.5 * grid.volume * float(np.sum(mult_sq * p))
                               for p in powers)
@@ -280,8 +318,7 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
             / (h_plus * h_minus * (h_plus + h_minus)))
 
     w = Field(grid, diffs[1], SPECTRAL)
-    u = traj_u.snapshots[i]
-    v = traj_v.snapshots[i]
+    u, v = pairs[1]
     w_j = delta_j(w, j)
     power_w = powers[1]
     wj_sq = grid.volume * float(np.sum(mult_sq * power_w))
@@ -325,19 +362,6 @@ def trilinear(u: Field, v: Field, w: Field) -> float:
     return inner(advect(u, v), w)
 
 
-def _pair_series(traj_u: Trajectory, traj_v: Trajectory, weight: np.ndarray = None):
-    grid = traj_u.grid
-    out = np.empty(len(traj_u))
-    for i in range(len(traj_u)):
-        su = spectral_data(traj_u.snapshots[i])
-        sv = spectral_data(traj_v.snapshots[i])
-        prod = np.real(su * np.conj(sv))
-        if weight is not None:
-            prod = prod * weight
-        out[i] = grid.volume * float(np.sum(prod))
-    return out
-
-
 def integral_identity_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     """Residual of the cross-energy identity
 
@@ -347,12 +371,14 @@ def integral_identity_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     _require_aligned(traj_u, traj_v)
     grid = traj_u.grid
     nu = traj_u.config.nu
-    uv = _pair_series(traj_u, traj_v)
-    grad_uv = _pair_series(traj_u, traj_v, weight=grid.k_sq)
-    tri = np.empty(len(traj_u))
+    uv, grad_uv, tri = (np.empty(len(traj_u)) for _ in range(3))
     for i in range(len(traj_u)):
-        w = Field(grid, _diff_spec(traj_u, traj_v, i), SPECTRAL)
-        tri[i] = trilinear(w, traj_u.snapshots[i], w)
+        u, v = traj_u.snapshots[i], traj_v.snapshots[i]
+        prod = np.real(spectral_data(u) * np.conj(spectral_data(v)))
+        uv[i] = grid.volume * float(np.sum(prod))
+        grad_uv[i] = grid.volume * float(np.sum(prod * grid.k_sq))
+        w = Field(grid, _diff_spec(u, v), SPECTRAL)
+        tri[i] = trilinear(w, u, w)
     lhs = uv + 2.0 * nu * _cumtrapz(grad_uv, traj_u.times)
     rhs = uv[0] + _cumtrapz(tri, traj_u.times)
     scale = grid.volume * float(
@@ -509,10 +535,10 @@ class CriterionReport:
 def build_report(traj_u: Trajectory, traj_v: Trajectory,
                  triple: CriterionTriple, s: float, lam: float) -> CriterionReport:
     params = LosingParams(s, lam)
-    js, linf_u, lp_u = _criterion_mats(traj_u, triple)
-    blocks, e_w, d_w = _w_record(traj_u, traj_v)
-    _, linf_v, _ = _linf_block_matrix(traj_v)
+    js, linf_u, lp_u, linf_v, w_mat, e_w, d_w = _criterion_mats(
+        traj_u, triple, traj_v)
     times = traj_u.times
+    blocks = BlockSeries(times, js, w_mat)
     crit = _criterion_series(times, js, lp_u, triple)
     w_values, w_attain = _w_sup(blocks, s)
     eps = _epsilon(times, js, linf_u, linf_v)

@@ -7,11 +7,14 @@ physical samples, interleaved complex128 for spectral coefficients).
 
 A trajectory directory holds one snapshot file per stored time plus
 trajectory.json with the config echo, times, series, and file names.
+A loaded trajectory reads each snapshot file when it is accessed, so it
+holds none of them itself.
 """
 
 import json
 import os
 import struct
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -126,9 +129,35 @@ def save_trajectory(outdir, traj: Trajectory) -> list:
     return paths
 
 
+class _SnapshotFiles(Sequence):
+    """The snapshots of a stored trajectory, each read from its file on
+    access with read_field (looked up at each read) and checked against
+    the trajectory's grid; every fault raises naming the file."""
+
+    def __init__(self, paths, grid: Grid):
+        self._paths = paths
+        self._grid = grid
+
+    def __len__(self):
+        return len(self._paths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        path = self._paths[i]
+        f, _ = read_field(path)
+        try:
+            self._grid.require_same(f.grid)
+        except GridError as exc:
+            raise GridError(f"{path}: {exc}") from None
+        return f
+
+
 def load_trajectory(outdir) -> Trajectory:
-    """Read a trajectory directory; a malformed trajectory.json, or one
-    that lists no snapshots, raises a ValueError naming it."""
+    """Read a trajectory directory's trajectory.json; a malformed one, or
+    one that lists no snapshots, raises a ValueError naming it.  The
+    snapshots are read from their files when accessed, with read_field's
+    checks and the grid's."""
     path = os.path.join(outdir, "trajectory.json")
     with open(path) as fh:
         try:
@@ -139,15 +168,12 @@ def load_trajectory(outdir) -> Trajectory:
             series = {k: np.asarray(v) for k, v in meta["series"].items()}
             if len(names) == 0:
                 raise ValueError("lists no snapshots")
+            snaps = _SnapshotFiles([os.path.join(outdir, name)
+                                    for name in names], grid)
         except KeyError as exc:
             raise ValueError(f"{path}: has no key {exc}") from None
         except (ValueError, TypeError, AttributeError, GridError) as exc:
             raise ValueError(f"{path}: {exc}") from None
-    snaps = []
-    for name in names:
-        f, _ = read_field(os.path.join(outdir, name))
-        grid.require_same(f.grid)
-        snaps.append(f)
     try:
         return Trajectory(config, grid, times, snaps, series)
     except (ValueError, TypeError) as exc:

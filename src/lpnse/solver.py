@@ -335,7 +335,13 @@ def run(config: SolverConfig, initial: Field = None) -> Trajectory:
     The state is the half spectrum of the projected initial data; the
     snapshots are its full-layout spectra."""
     grid = Grid(config.dim, config.n)
-    spec = _initial_half(config, grid, initial)
+    return _integrate(config, grid, _initial_half(config, grid, initial))
+
+
+def _integrate(config: SolverConfig, grid: Grid,
+               spec: np.ndarray) -> Trajectory:
+    """run() from the half-spectrum state `spec` at t=0, which is not
+    written to."""
     nsteps = config.nsteps
     integ = _Integrator(grid, config)
     weight = _plane_weights(grid.n)
@@ -452,12 +458,13 @@ def twin_run(config: SolverConfig, delta: float, seed: int,
         raise ValueError(f"perturbation kmax={pert_kmax!r} holds no lattice "
                          f"mode with 0 < |k| <= kmax, so delta={delta!r} "
                          f"cannot be applied")
+    # the base's initial state, formed once for v0 and the base run
+    u_half = _initial_half(config, grid) if base is None else None
     v0 = None
     if delta > 0:
         # u0 is base.snapshots[0] bit for bit, formed before any step
         u0 = base.snapshots[0] if base is not None else Field(
-            grid, _full_spectrum(_initial_half(config, grid), grid.dim),
-            SPECTRAL)
+            grid, _full_spectrum(u_half, grid.dim), SPECTRAL)
         factor = delta * l2_norm_spectral(u0) / pnorm
         with np.errstate(over="ignore", invalid="ignore"):
             v0 = Field(grid, spectral_data(u0) + factor * spectral_data(pert),
@@ -467,7 +474,7 @@ def twin_run(config: SolverConfig, delta: float, seed: int,
             raise ValueError(f"perturbation delta={delta!r} gives a "
                              f"non-finite initial energy")
     if base is None:
-        base = run(config)
+        base = _integrate(config, grid, u_half)
     if v0 is None:
         # delta = 0: v0 equals u0 exactly and the flow map is deterministic,
         # so the twin is the base trajectory bit for bit (its own

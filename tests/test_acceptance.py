@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lpnse import cutoffs, ensembles
 from lpnse.besov import CriterionTriple, split_constants, split_low_high
@@ -48,6 +49,27 @@ TWIN_CONFIGS = {n: SolverConfig(dim=2, n=n, nu=1.0, dt=2.5e-3, t_end=0.25,
                 for n in (64, 128)}
 TWIN_DELTAS = (1e-3, 1e-4, 1e-5)
 TWIN_SEED = 5
+
+
+def _twin_sweep():
+    """((n, delta), (base, twin)) for every config and delta, each base
+    run once and shared by its deltas; criteria 6 and 8's sweep."""
+    for n, cfg in TWIN_CONFIGS.items():
+        base = run(cfg)
+        for delta in TWIN_DELTAS:
+            yield (n, delta), twin_run(cfg, delta=delta, seed=TWIN_SEED,
+                                       base=base)
+
+
+@pytest.fixture(scope="session")
+def twin_sweep():
+    """The sweep, run and timed once per session: ({(n, delta): (base,
+    twin)}, seconds).  Criterion 6 checks it, and criterion 8 takes it as
+    the first of its two independently computed sweeps; each counts its
+    seconds against its own budget."""
+    start = time.perf_counter()
+    pairs = dict(_twin_sweep())
+    return pairs, time.perf_counter() - start
 
 
 def _timed(budget, label, fn):
@@ -236,14 +258,14 @@ def test_criterion_5_solver_validation(solver_checks):
 
 # --- criterion 6: perturbation envelope ----------------------------------------
 
-def test_criterion_6_twin_envelope():
+def test_criterion_6_twin_envelope(twin_sweep):
+    pairs, sweep_s = twin_sweep
     start = time.perf_counter()
     c_values = []
-    for n, cfg in TWIN_CONFIGS.items():
-        base = run(cfg)
+    for n in TWIN_CONFIGS:
         ratio_series = []
         for delta in TWIN_DELTAS:
-            u, v = twin_run(cfg, delta=delta, seed=TWIN_SEED, base=base)
+            u, v = pairs[n, delta]
             fit = gronwall_check(u, v, GRONWALL_TRIPLE)
             assert not fit.degenerate
             assert fit.finite
@@ -263,7 +285,7 @@ def test_criterion_6_twin_envelope():
     assert len(signs) == 1
     magnitudes = [abs(c) for c in c_values]
     assert max(magnitudes) / min(magnitudes) <= 2.0
-    elapsed = time.perf_counter() - start
+    elapsed = sweep_s + time.perf_counter() - start
     assert elapsed <= 300.0
     print(f"PASS: criterion 6 - envelope constants finite and consistent "
           f"(spread {max(magnitudes) / min(magnitudes):.6f} <= 2) across "
@@ -330,30 +352,29 @@ def test_criterion_7_losing_weights(twin_pair, grid2):
 
 # --- criterion 8: reproducibility ----------------------------------------------
 
-def test_criterion_8_reproducible_reports(tmp_path):
+def test_criterion_8_reproducible_reports(tmp_path, twin_sweep):
+    # the first sweep is criterion 6's, the second is computed afresh
+    pairs, sweep_s = twin_sweep
     start = time.perf_counter()
 
-    def sweep(root):
+    def reports(root, sweep):
         out = {}
-        for n, cfg in TWIN_CONFIGS.items():
-            base = run(cfg)
-            for delta in TWIN_DELTAS:
-                u, v = twin_run(cfg, delta=delta, seed=TWIN_SEED, base=base)
-                outdir = root / f"n{n}_delta{delta:g}"
-                outdir.mkdir(parents=True)
-                report = build_report(u, v, GRONWALL_TRIPLE, s=0.5, lam=1.0)
-                for path in report.write(outdir):
-                    path = Path(path)
-                    out[str(path.relative_to(root))] = path.read_bytes()
+        for (n, delta), (u, v) in sweep:
+            outdir = root / f"n{n}_delta{delta:g}"
+            outdir.mkdir(parents=True)
+            report = build_report(u, v, GRONWALL_TRIPLE, s=0.5, lam=1.0)
+            for path in report.write(outdir):
+                path = Path(path)
+                out[str(path.relative_to(root))] = path.read_bytes()
         return out
 
-    first = sweep(tmp_path / "a")
-    second = sweep(tmp_path / "b")
+    first = reports(tmp_path / "a", pairs.items())
+    second = reports(tmp_path / "b", _twin_sweep())
     assert len(first) == len(TWIN_CONFIGS) * len(TWIN_DELTAS) * 7
     assert first.keys() == second.keys()
     mismatched = [name for name in first if first[name] != second[name]]
     assert mismatched == []
-    elapsed = time.perf_counter() - start
+    elapsed = sweep_s + time.perf_counter() - start
     assert elapsed <= 300.0
     print(f"PASS: criterion 8 - {len(first)} report files byte-identical "
           f"across repeated runs, {elapsed:.1f}s")

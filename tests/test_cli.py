@@ -13,7 +13,8 @@ import pytest
 import lpnse.cli
 import lpnse.field
 from lpnse.cli import main
-from lpnse.field import _available_cpus, scale
+from lpnse.field import _available_cpus, scale, zero_field
+from lpnse.grid import Grid
 from lpnse.manifest import file_hash
 from lpnse.snapshots import MAGIC, load_trajectory, read_field, write_field
 
@@ -227,24 +228,46 @@ def test_report_rejects_mismatched_configs(tmp_path, capsys):
     assert not (report_dir / "summary.json").exists()
 
 
-def test_report_rejects_non_finite_snapshot(tmp_path, capsys):
-    # one NaN coefficient in a stored snapshot: numeric exit, no report
+def _nan_payload(snap):
+    blob = bytearray(snap.read_bytes())
+    blob[-16:-8] = struct.pack("<d", math.nan)
+    snap.write_bytes(bytes(blob))
+
+
+def _cut_payload(snap):
+    snap.write_bytes(snap.read_bytes()[:-8])
+
+
+def _other_grid(snap):
+    write_field(snap, zero_field(Grid(2, 8), ncomp=2), time=0.0025)
+
+
+@pytest.mark.parametrize("damage, code, message", [
+    (_nan_payload, 3, "payload holds 1 non-finite value"),
+    (_cut_payload, 2, "payload is"),
+    (_other_grid, 2, "grid mismatch"),
+], ids=["nan", "truncated", "other-grid"])
+def test_report_rejects_non_finite_snapshot(tmp_path, capsys, damage, code,
+                                            message):
+    # a damaged stored snapshot of odd index, which the pool thread reads
+    # when there are two threads: the report exits with its code, naming
+    # the file, and makes no --out directory
     twin_dir = tmp_path / "twin"
     assert main(["twin", *SIM_ARGS, "--delta", "1e-4", "--seed", "5",
                  "--out", str(twin_dir)]) == 0
     capsys.readouterr()
     snap = twin_dir / "v" / "snap_000001.fld"
-    blob = bytearray(snap.read_bytes())
-    blob[-16:-8] = struct.pack("<d", math.nan)
-    snap.write_bytes(bytes(blob))
+    damage(snap)
     report_dir = tmp_path / "report"
-    assert main(["report", "--u", str(twin_dir / "u"),
-                 "--v", str(twin_dir / "v"),
-                 "--triple", f"0.5,4,{8.0 / 3.0!r}", "--s", "0.5",
-                 "--lambda", "1.0", "--out", str(report_dir)]) == 3
+    with _no_warnings():
+        assert main(["report", "--u", str(twin_dir / "u"),
+                     "--v", str(twin_dir / "v"),
+                     "--triple", f"0.5,4,{8.0 / 3.0!r}", "--s", "0.5",
+                     "--lambda", "1.0", "--out", str(report_dir)]) == code
     err = capsys.readouterr().err
-    assert str(snap) in err and "non-finite" in err
-    assert not (report_dir / "summary.json").exists()
+    assert f"{snap}: {message}" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not report_dir.exists()
 
 
 def test_report_malformed_triple_usage_error(capsys):

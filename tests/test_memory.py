@@ -7,6 +7,8 @@ measured peak plus a margin well below one more full-layout temporary.
 The earlier code, which built its masked, damped and projected noise and
 the two split parts as separate arrays, peaked at 3.7 such fields in
 divfree_noise and in split_constants, and block_norms at 1.5.
+The twin report on stored trajectories is bounded in units of one of its
+snapshots, and must not grow with the snapshot count.
 """
 
 import math
@@ -20,18 +22,21 @@ from lpnse.besov import BesovSpec, CriterionTriple, besov_norm, split_constants
 from lpnse.blocks import block_norms
 from lpnse.ensembles import divfree_noise
 from lpnse.field import scale
+from lpnse.monitor import build_report
+from lpnse.snapshots import load_trajectory, save_trajectory
+from lpnse.solver import SolverConfig, twin_run
 
 GRID = Grid(3, 64)
 FULL_BYTES = 16 * 3 * 64**3  # one 3-component n=64 full-layout spectrum
 
 
-def _peak_fields(call):
-    """The traced peak of call() in full-layout fields; whatever call
-    returns is counted too."""
+def _peak_fields(call, unit=FULL_BYTES):
+    """The traced peak of call() in full-layout fields, or in units of
+    `unit` bytes; whatever call returns is counted too."""
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1] / FULL_BYTES
+        return tracemalloc.get_traced_memory()[1] / unit
     finally:
         tracemalloc.stop()
 
@@ -71,3 +76,39 @@ def test_block_norms_peak_memory(unit_field):
     u, _ = unit_field
     peak = _peak_fields(lambda: block_norms(u, math.inf))
     assert peak <= 1.2
+
+
+@pytest.fixture(scope="module")
+def stored_pairs(tmp_path_factory):
+    """{T: directory} of stored 3D n=16 twin pairs with T = 6 and 12
+    snapshots per run."""
+    pairs = {}
+    for count in (6, 12):
+        config = SolverConfig(dim=3, n=16, nu=0.05, dt=5e-3,
+                              t_end=(count - 1) * 5e-3, ic="random-divfree",
+                              seed=1, snap_every=1)
+        root = tmp_path_factory.mktemp(f"pair{count}")
+        for side, traj in zip("uv", twin_run(config, delta=1e-3, seed=2)):
+            save_trajectory(root / side, traj)
+        pairs[count] = root
+    return pairs
+
+
+def test_report_peak_memory_does_not_grow_with_snapshots(stored_pairs):
+    # measured 7.7-8.5 snapshots at both counts with two threads: each
+    # thread holds one pair (u_i, v_i) and the w and block-table
+    # temporaries of one step.  Holding both whole runs, as the earlier
+    # report did, peaked at 15.1 and 27.1.
+    snapshot_bytes = 16 * 3 * 16**3
+    triple = CriterionTriple(0.5, 4.0, 8.0 / 3.0)
+
+    def report(root):
+        return lambda: build_report(load_trajectory(root / "u"),
+                                    load_trajectory(root / "v"), triple,
+                                    0.5, 1.0)
+
+    report(stored_pairs[6])()  # fills the multiplier caches
+    peaks = {count: _peak_fields(report(root), snapshot_bytes)
+             for count, root in stored_pairs.items()}
+    assert abs(peaks[12] - peaks[6]) <= 2.0
+    assert max(peaks.values()) <= 10.0

@@ -150,7 +150,8 @@ def test_w_record_matches_diff_spec_loops(twin_pair):
     e_w = np.empty(len(u))
     d_w = np.empty(len(u))
     for i in range(len(u)):
-        power = np.sum(np.abs(_diff_spec(u, v, i)) ** 2, axis=0)
+        power = np.sum(np.abs(_diff_spec(u.snapshots[i], v.snapshots[i]))
+                       ** 2, axis=0)
         blocks[:, i] = np.sqrt(grid.volume * np.tensordot(
             mults, power, axes=grid.dim))
         e_w[i] = grid.volume * float(np.sum(power))

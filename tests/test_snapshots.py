@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from lpnse.ensembles import divfree_noise
-from lpnse.errors import NonFiniteError
-from lpnse.field import Field, from_components
+from lpnse.errors import GridError, NonFiniteError
+from lpnse.field import Field, from_components, scale, zero_field
+from lpnse.grid import Grid
 from lpnse.snapshots import (MAGIC, load_trajectory, read_field,
                              save_trajectory, write_field)
 from lpnse.solver import SolverConfig, run
@@ -119,6 +120,28 @@ def test_trajectory_round_trip(tmp_path):
     for key in traj.series:
         assert np.array_equal(np.asarray(loaded.series[key]),
                               np.asarray(traj.series[key]))
+
+
+def test_loaded_trajectory_reads_snapshots_on_access(tmp_path):
+    # load_trajectory reads trajectory.json only; each access reads the
+    # file as it is then, and a fault raises naming the file
+    traj = run(SMALL)
+    save_trajectory(tmp_path, traj)
+    loaded = load_trajectory(tmp_path)
+    assert len(loaded) == len(traj)
+    write_field(tmp_path / "snap_000001.fld", scale(traj.snapshots[1], 2.0))
+    assert np.array_equal(loaded.snapshots[1].data,
+                          2.0 * traj.snapshots[1].data)
+    assert np.array_equal(loaded.final.data, traj.final.data)
+    other = tmp_path / "snap_000000.fld"
+    write_field(other, zero_field(Grid(2, 8), ncomp=2))
+    with pytest.raises(GridError, match=f"^{other}: grid mismatch"):
+        loaded.snapshots[0]
+    removed = tmp_path / "snap_000002.fld"
+    removed.unlink()
+    with pytest.raises(OSError) as exc:
+        loaded.snapshots[2]
+    assert str(removed) in str(exc.value)
 
 
 def test_snapshot_headers_carry_time_and_viscosity(tmp_path):

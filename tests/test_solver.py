@@ -542,11 +542,35 @@ def test_twin_rejects_unusable_perturbation_before_any_step(
         raise AssertionError("run() called before the inputs were checked")
 
     config = SolverConfig(dim=2, n=16, dt=2.5e-3, t_end=0.01)
-    monkeypatch.setattr(lpnse.solver, "run", no_run)
+    for name in ("run", "_integrate"):  # the twin and the base
+        monkeypatch.setattr(lpnse.solver, name, no_run)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
             twin_run(config, **kwargs)
+
+
+def test_twin_forms_the_initial_state_once(monkeypatch):
+    # u0 for the perturbation and the base run share one initial state,
+    # and the base is run(config) bit for bit
+    config = SolverConfig(dim=2, n=16, nu=0.1, dt=2.5e-3, t_end=0.01,
+                          ic="random-divfree", seed=4, snap_every=2)
+    reference = run(config)
+    original = lpnse.solver.initial_condition
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lpnse.solver, "initial_condition", counting)
+    base, _ = twin_run(config, delta=1e-4, seed=5)
+    assert len(calls) == 1
+    assert np.array_equal(base.times, reference.times)
+    for a, b in zip(base.snapshots, reference.snapshots):
+        assert a.data.tobytes() == b.data.tobytes()
+    for key, values in reference.series.items():
+        assert base.series[key].tobytes() == values.tobytes()
 
 
 def test_twin_zero_delta_with_empty_perturbation_is_degenerate():

@@ -12,12 +12,14 @@ from pathlib import Path
 import numpy as np
 
 import lpnse.blocks
+import lpnse.cli
 import lpnse.field
 import lpnse.monitor
 import lpnse.solver
 from lpnse.besov import CriterionTriple
 from lpnse.ensembles import divfree_noise
 from lpnse.grid import Grid
+from lpnse.snapshots import save_trajectory
 from lpnse.solver import SolverConfig, taylor_green, twin_run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,6 +62,37 @@ def test_traced_build_report_records_monitor_spans(monkeypatch):
     names = {rec[spans.NAME] for rec in tracer.spans}
     assert {"monitor.build_report", "monitor.linf_blocks",
             "monitor.besov_series", "monitor.diff_spec"} <= names
+
+
+def test_traced_cli_report_records_snapshot_reads(monkeypatch, tmp_path,
+                                                 capsys):
+    # `lpnse report` reads each stored snapshot inside build_report, once:
+    # report3d's snapshots.read_*, monitor.diff_spec_per_snapshot and
+    # monitor.linf_blocks_s metrics count these spans
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    config = SolverConfig(dim=2, n=16, nu=0.1, dt=5e-3, t_end=0.02,
+                          ic="random-divfree", snap_every=1)
+    pair = twin_run(config, delta=1e-3, seed=3)
+    for side, traj in zip("uv", pair):
+        save_trajectory(tmp_path / side, traj)
+    snapshots = len(pair[0])
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        code = lpnse.cli.main([
+            "report", "--u", str(tmp_path / "u"), "--v", str(tmp_path / "v"),
+            "--triple", "0.5,4,2.6666666666666665", "--s", "0.5",
+            "--lambda", "1.0", "--out", str(tmp_path / "report")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    names = [rec[spans.NAME] for rec in tracer.spans]
+    assert names.count("snapshots.read_field") == 2 * snapshots
+    assert names.count("monitor.diff_spec") == snapshots
+    assert names.count("monitor.linf_blocks") >= 1
 
 
 def test_traced_products_record_pad_and_truncate(monkeypatch):
