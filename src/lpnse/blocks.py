@@ -19,8 +19,8 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, SPECTRAL, _box, _ik, _irfftn_half, h1_seminorm,
-                    l2_norm_spectral, spectral_data)
+from .field import (Field, SPECTRAL, _box, _ik, _irfftn_half, _map_threads,
+                    _thread_map, h1_seminorm, l2_norm_spectral, spectral_data)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -104,25 +104,34 @@ def _block_radius(grid: Grid, j: int) -> int:
 def block_norm_table(f: Field, ps) -> np.ndarray:
     """L^p norms of every block of block_indices for every exponent in ps,
     shaped (len(ps), jmax + 2); row i equals block_norms(f, ps[i]) bit for
-    bit.
+    bit, at every thread count.
 
     p = 2 is evaluated spectrally (Parseval) and is exact.  Any other p
-    costs one inverse transform per block, all components together, from
-    the half spectrum, so f must be real (true for every field this
-    package produces); every such p of a block is read from the same
-    squared pointwise magnitude: its max (one square root) for p = inf,
-    its (p/2)-th power sum otherwise.  The ball multiplier chi(|k|) is
-    exactly 0 for |k| >= support (4/3) and the shell multiplier
-    chi(|k|/2^{j+1}) - chi(|k|/2^j) for |k| >= 2^{j+1} support, that is
-    (8/3) 2^j, because smooth_step returns exactly 0 at and below the
-    foot of its ramp.  So the block is zero wherever some |k_i| exceeds
-    r, the floor of that radius (at most n/2).  Only its support box,
-    the 2^(dim-1) corners |k_i| <= r of the half-spectrum planes
-    0 <= k_last <= r, is multiplied by the cached half planes of the
-    multiplier into one zeroed n//2+1-plane buffer
-    (all of those planes when the box spans the leading axes), and
+    costs inverse transforms of each block from the half spectrum, so f
+    must be real (true for every field this package produces); every
+    such p of a block is read from the same squared pointwise magnitude
+    sq = c0^2 + c1^2 + ..., summed in component order: its max (one
+    square root) for p = inf, its (p/2)-th power sum otherwise.  The
+    ball multiplier chi(|k|) is exactly 0 for |k| >= support (4/3) and
+    the shell multiplier chi(|k|/2^{j+1}) - chi(|k|/2^j) for |k| >=
+    2^{j+1} support, that is (8/3) 2^j, because smooth_step returns
+    exactly 0 at and below the foot of its ramp.  So the block is zero
+    wherever some |k_i| exceeds r, the floor of that radius (at most
+    n/2).  Only its support box, the 2^(dim-1) corners |k_i| <= r of the
+    half-spectrum planes 0 <= k_last <= r, is multiplied by the cached
+    half planes of the multiplier into a zeroed n//2+1-plane buffer (all
+    of those planes when the box spans the leading axes), and
     _irfftn_half transforms only the lines that meet the box, so the c2r
-    pads nothing; every dropped coefficient is a true zero."""
+    pads nothing; every dropped coefficient is a true zero.
+
+    The blocks run in the lanes of one _thread_map call, one lane per
+    thread (_map_threads: 1 when called from inside a map item, as in a
+    report's snapshot step): lane t takes the blocks t, t + lanes, ...
+    and writes their columns.  With one lane each block is one transform
+    of all components together.  With more, each lane transforms one
+    component at a time into its own one-component buffer, so a lane
+    holds one component's buffer, transform and sq, and two lanes hold
+    about what one lane of all components holds."""
     grid = f.grid
     js = block_indices(grid)
     spec = spectral_data(f)
@@ -130,39 +139,56 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     physical = [row for row, p in enumerate(ps) if p != 2]
     if len(physical) < len(ps):
         power = np.sum(np.abs(spec) ** 2, axis=0)
-    if physical:
-        buf = np.zeros(spec.shape[:-1] + (grid.n // 2 + 1,), dtype=spec.dtype)
-        dirty = 0  # planes of buf that may hold a transformed block
-    for col, j in enumerate(js):
         for row, p in enumerate(ps):
             if p == 2:
-                mult = block_multiplier(grid, j, "block")
-                out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
-        if not physical:
-            continue
-        half_mult = _half_multiplier(grid, j)
-        radius = _block_radius(grid, j)
-        planes = radius + 1
-        if 2 * radius + 1 < grid.n:  # only the corners are written
-            buf[..., :dirty] = 0
-        dirty = planes  # else radius = n/2: every plane is overwritten
-        for box in itertools.product(*[_box(grid.n, radius)] * (grid.dim - 1)):
-            box += (slice(0, planes),)
-            np.multiply(spec[(Ellipsis,) + box], half_mult[box],
-                        out=buf[(Ellipsis,) + box])
-        phys = _irfftn_half(buf, grid.shape, radius)
-        np.square(phys, out=phys)
-        sq = phys[0]
-        for comp in range(1, len(phys)):
-            sq += phys[comp]
-        for row in physical:
-            p = ps[row]
-            if np.isinf(p):
-                out[row, col] = np.sqrt(np.max(sq))
-            else:
-                out[row, col] = (np.sum(sq ** (p / 2.0))
-                                 * grid.cell_volume) ** (1.0 / p)
-        del phys, sq  # freed before the next block's transform
+                for col, j in enumerate(js):
+                    mult = block_multiplier(grid, j, "block")
+                    out[row, col] = np.sqrt(grid.volume
+                                            * np.sum(mult**2 * power))
+    if not physical:
+        return out
+    lanes = min(_map_threads(), len(js))
+    step = len(spec) if lanes == 1 else 1  # components per transform
+    # the cache is filled here, on the caller, not on a pool thread
+    half_mults = [_half_multiplier(grid, j) for j in js]
+    bufs = [np.zeros((step,) + spec.shape[1:-1] + (grid.n // 2 + 1,),
+                     dtype=spec.dtype) for _ in range(lanes)]
+
+    def lane(t):
+        buf = bufs[t]
+        dirty = 0  # planes of buf that may hold a transformed block
+        for col in range(t, len(js), lanes):
+            radius = _block_radius(grid, js[col])
+            planes = radius + 1
+            boxes = [box + (slice(0, planes),) for box in itertools.product(
+                *[_box(grid.n, radius)] * (grid.dim - 1))]
+            sq = None
+            for first in range(0, len(spec), step):
+                if 2 * radius + 1 < grid.n:  # only the corners are written
+                    buf[..., :dirty] = 0
+                dirty = planes  # else radius = n/2: every plane is overwritten
+                for box in boxes:
+                    np.multiply(spec[(slice(first, first + step),) + box],
+                                half_mults[col][box],
+                                out=buf[(Ellipsis,) + box])
+                phys = _irfftn_half(buf, grid.shape, radius)
+                np.square(phys, out=phys)
+                for comp in phys:
+                    if sq is None:
+                        sq = comp
+                    else:
+                        sq += comp
+                del phys, comp  # freed before the next transform
+            for row in physical:
+                p = ps[row]
+                if np.isinf(p):
+                    out[row, col] = np.sqrt(np.max(sq))
+                else:
+                    out[row, col] = (np.sum(sq ** (p / 2.0))
+                                     * grid.cell_volume) ** (1.0 / p)
+            del sq  # freed before the next block's transform
+
+    _thread_map(lane, range(lanes))
     return out
 
 

@@ -227,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lpnse",
         description="Dyadic-block diagnostics for incompressible flows")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for per-snapshot work (default 2, or "
-                        "1 on one CPU; capped at the available CPUs)")
+                        help="threads for per-snapshot work and block-norm "
+                        "lanes (default 2, or 1 on one CPU; capped at the "
+                        "available CPUs)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

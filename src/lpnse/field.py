@@ -75,20 +75,28 @@ def _available_cpus() -> int:
 
 
 # Threads of _thread_map: the caller plus a pool of _fft_workers - 1.
-# Every transform itself runs on one thread: splitting one transform
-# across threads made the solver slower.
+# They run the per-snapshot work of a report and the block lanes of one
+# block_norm_table call.  Every transform itself runs on one thread:
+# splitting one transform across threads made the solver slower.
 _fft_workers = min(2, _available_cpus())
 _mapping = contextvars.ContextVar("lpnse_mapping", default=False)
 
 
 def set_fft_workers(workers: int) -> None:
-    """Set the thread count of the per-snapshot work (_thread_map),
-    capped at the CPUs this process may run on."""
+    """Set the thread count of _thread_map (a report's snapshot pairs,
+    one block table's block lanes), capped at the CPUs this process may
+    run on."""
     global _fft_workers
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"thread count must be >= 1, got {workers}")
     _fft_workers = min(workers, _available_cpus())
+
+
+def _map_threads() -> int:
+    """The threads a _thread_map call made here would use: 1 inside an
+    item of another map."""
+    return 1 if _mapping.get() else _fft_workers
 
 
 def _thread_map(fn, items) -> list:
@@ -101,8 +109,8 @@ def _thread_map(fn, items) -> list:
     waiting on its own pool could deadlock).  If an item raises, the
     exception is raised once every submitted item has finished."""
     items = list(items)
-    threads = _fft_workers
-    if threads == 1 or len(items) < 2 or _mapping.get():
+    threads = _map_threads()
+    if threads == 1 or len(items) < 2:
         return [fn(item) for item in items]
     token = _mapping.set(True)  # seen by fn here and in every copy below
     try:

@@ -85,8 +85,13 @@ def _w_rows(grid, weights: np.ndarray, u: Field, v: Field) -> tuple:
 
 
 def _w_weights(grid) -> np.ndarray:
-    return np.stack([block_multiplier(grid, j) ** 2
-                     for j in block_indices(grid)])
+    """The squared block multipliers, one row per block, each squared
+    into its row: only one multiplier is held besides the result."""
+    js = block_indices(grid)
+    weights = np.empty((len(js),) + grid.shape)
+    for row, j in zip(weights, js):
+        np.square(block_multiplier(grid, j), out=row)
+    return weights
 
 
 def _linf_block_matrix(traj: Trajectory, p: float = math.inf,

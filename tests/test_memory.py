@@ -21,8 +21,8 @@ from lpnse import Grid
 from lpnse.besov import BesovSpec, CriterionTriple, besov_norm, split_constants
 from lpnse.blocks import block_norms
 from lpnse.ensembles import divfree_noise
-from lpnse.field import scale
-from lpnse.monitor import build_report
+from lpnse.field import _available_cpus, scale, set_fft_workers
+from lpnse.monitor import _w_weights, build_report
 from lpnse.snapshots import load_trajectory, save_trajectory
 from lpnse.solver import SolverConfig, twin_run
 
@@ -70,12 +70,23 @@ def test_split_constants_peak_memory(unit_field):
 
 
 def test_block_norms_peak_memory(unit_field):
-    # measured 1.02: the zeroed half-spectrum buffer and one block's
-    # physical values; the earlier loop kept the last block's values
-    # alive through the next transform and peaked at 1.52
+    # measured 1.02 with one thread: the zeroed half-spectrum buffer and
+    # one block's physical values; the earlier loop kept the last block's
+    # values alive through the next transform and peaked at 1.52.  With
+    # two threads, measured 1.01: each lane holds one component's buffer,
+    # transform and sum of squares
     u, _ = unit_field
-    peak = _peak_fields(lambda: block_norms(u, math.inf))
-    assert peak <= 1.2
+    for threads in (1, min(2, _available_cpus())):
+        set_fft_workers(threads)
+        peak = _peak_fields(lambda: block_norms(u, math.inf))
+        assert peak <= 1.2, threads
+
+
+def test_w_weights_peak_memory(unit_field):
+    # measured 1.17: the 12 MiB of squared multipliers and one full-layout
+    # multiplier; stacking a list of the squares peaked at 2.0
+    peak = _peak_fields(lambda: _w_weights(GRID))
+    assert peak <= 1.3
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
-"""The per-snapshot thread map and the thread count that sizes it.
+"""The thread map (a report's snapshot pairs, a block table's lanes)
+and the thread count that sizes it.
 
 No test here starts more threads than the host has CPUs: counts are
 checked as computed, and only the tests that need a pool thread make
 one."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -11,15 +13,21 @@ import threading
 import numpy as np
 import pytest
 
+import lpnse.blocks
 import lpnse.field
-from lpnse.besov import CriterionTriple
-from lpnse.blocks import _MULTIPLIER_CACHE
-from lpnse.field import _available_cpus, _thread_map, set_fft_workers
+from lpnse import Grid
+from lpnse.besov import (BesovSpec, CriterionTriple, besov_norm, bkm_ratio,
+                         split_constants)
+from lpnse.blocks import (_MULTIPLIER_CACHE, _block_radius, block_indices,
+                          block_norm_table)
+from lpnse.ensembles import divfree_noise
+from lpnse.field import _available_cpus, _thread_map, scale, set_fft_workers
 from lpnse.monitor import _linf_block_matrix, build_report
 from lpnse.solver import SolverConfig, twin_run
 
 two_cpus = pytest.mark.skipif(_available_cpus() < 2,
                               reason="a pool thread needs a second CPU")
+DEFAULT_THREADS = min(2, _available_cpus())
 
 
 def _thread_name(_):
@@ -142,3 +150,69 @@ def test_block_tables_under_fast_thread_switching(twin_pair):
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert a.tobytes() == b.tobytes()
+
+
+TABLE_PS = [(2.0,), (4.0,), (math.inf,), (math.inf, 4.0), (math.inf, 6.0),
+            (2.0, math.inf, 3.0)]
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_block_tables_identical_across_thread_counts(dim, n):
+    # one lane of all components, or one lane per thread of one
+    # component each: the same table bit for bit for every exponent mix
+    u = divfree_noise(Grid(dim, n), np.random.default_rng(11), slope=2.0)
+    digests = {}
+    for threads in (1, DEFAULT_THREADS):
+        set_fft_workers(threads)
+        digests[threads] = [
+            hashlib.sha256(block_norm_table(u, ps).tobytes()).hexdigest()
+            for ps in TABLE_PS]
+    assert digests[1] == digests[DEFAULT_THREADS]
+
+
+def test_bkm_ratio_and_split_constants_identical_across_thread_counts():
+    # criterion 4's first triple on one seeded 3D n=64 field at unit norm
+    triple = CriterionTriple(0.25, 4.0, 4.0)
+    u = divfree_noise(Grid(3, 64), np.random.default_rng(3), slope=2.0)
+    u = scale(u, 1.0 / besov_norm(u, BesovSpec(triple.r, triple.p,
+                                                math.inf)))
+    values = {}
+    for threads in (1, DEFAULT_THREADS):
+        set_fft_workers(threads)
+        values[threads] = repr((bkm_ratio(u), split_constants(u, triple)))
+    assert values[1] == values[DEFAULT_THREADS]
+
+
+@two_cpus
+def test_block_table_lanes(monkeypatch):
+    # called on its own, a table runs block j's column col on lane
+    # col % 2, lane 0 on the caller, one component per transform; from
+    # inside a map item it runs one lane, all components per transform
+    set_fft_workers(2)
+    grid = Grid(3, 16)
+    u = divfree_noise(grid, np.random.default_rng(4))
+    js = block_indices(grid)
+    col_of = {_block_radius(grid, j): col for col, j in enumerate(js)}
+    assert len(col_of) == len(js)
+    transforms = []
+    irfftn_half = lpnse.blocks._irfftn_half
+
+    def record(a, shape, radius):
+        transforms.append((threading.current_thread().name, len(a), radius))
+        return irfftn_half(a, shape, radius)
+
+    monkeypatch.setattr(lpnse.blocks, "_irfftn_half", record)
+    caller = threading.current_thread().name
+    block_norm_table(u, (math.inf,))
+    assert len(transforms) == u.ncomp * len(js)
+    assert {comps for _, comps, _ in transforms} == {1}
+    for name, _, radius in transforms:
+        assert (name == caller) == (col_of[radius] % 2 == 0)
+
+    transforms.clear()
+    _thread_map(lambda _: block_norm_table(u, (math.inf,)), range(2))
+    assert len(transforms) == 2 * len(js)
+    assert {comps for _, comps, _ in transforms} == {u.ncomp}
+    names = [name for name, _, _ in transforms]
+    assert len(set(names)) == 2
+    assert [names.count(name) for name in set(names)] == [len(js)] * 2

@@ -18,6 +18,7 @@ import lpnse.monitor
 import lpnse.solver
 from lpnse.besov import CriterionTriple
 from lpnse.ensembles import divfree_noise
+from lpnse.field import _available_cpus, set_fft_workers
 from lpnse.grid import Grid
 from lpnse.snapshots import save_trajectory
 from lpnse.solver import SolverConfig, taylor_green, twin_run
@@ -117,22 +118,28 @@ def test_traced_products_record_pad_and_truncate(monkeypatch):
 
 def test_traced_block_norms_record_every_pruned_pass(monkeypatch):
     # the pruned inverse transform runs its leading-axes passes through
-    # scipy.fft.ifftn, which the tracer wraps, so fft.* metrics see them
+    # scipy.fft.ifftn, which the tracer wraps, so fft.* metrics see them.
+    # One lane (one thread) transforms each block once, all components
+    # together; two or more lanes transform each component of a block
+    # on its own (block_norm_table)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
     grid = Grid(3, 16)
     u = divfree_noise(grid, np.random.default_rng(5))
     blocks = len(lpnse.blocks.block_indices(grid))
-    tracer = spans.Tracer()
-    try:
-        spans.install(tracer)
-        lpnse.blocks.block_norms(u, math.inf)
-    finally:
-        tracer.uninstall()
-    names = [rec[spans.NAME] for rec in tracer.spans]
-    assert names.count("fft.irfftn") == blocks
-    assert names.count("fft.ifftn") >= blocks
+    for threads in (1, min(2, _available_cpus())):
+        set_fft_workers(threads)
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            lpnse.blocks.block_norms(u, math.inf)
+        finally:
+            tracer.uninstall()
+        names = [rec[spans.NAME] for rec in tracer.spans]
+        transforms = blocks if threads == 1 else u.ncomp * blocks
+        assert names.count("fft.irfftn") == transforms
+        assert names.count("fft.ifftn") >= blocks
 
 
 def test_perfbench_imported_names_exist():
