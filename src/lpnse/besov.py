@@ -223,8 +223,8 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
     The parts are those of split_low_high, held one at a time in one
     buffer: S_N u for the Lipschitz norm, then u - S_N u, written over it.
     """
-    norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
     triple.validate(UNIQUENESS_MODE)
+    norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
     N, p_tilde, q_tilde = _split_exponents(u.grid, triple, norm_value)
     lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * N) * norm_value
     high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / p_tilde - triple.r) * N)
@@ -250,8 +250,9 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
 def gn_ratio(w: Field, p_tilde: float) -> float:
     """Interpolation-inequality ratio ||w||_s / (||w||_2^{1-3/p~} *
     ||grad w||_2^{3/p~}) with s = 2p~/(p~-2).  Zero field returns 0."""
-    if p_tilde <= 3:
-        raise ValueError(f"auxiliary exponent must exceed 3, got {p_tilde}")
+    if not p_tilde > 3:  # NaN fails too
+        raise ValueError(f"auxiliary exponent p_tilde must exceed 3, "
+                         f"got {p_tilde}")
     norm2 = l2_norm_spectral(w)
     if norm2 == 0.0:
         return 0.0

@@ -20,7 +20,8 @@ from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
 from .field import (Field, SPECTRAL, _box, _ik, _irfftn_half, _map_threads,
-                    _thread_map, h1_seminorm, l2_norm_spectral, spectral_data)
+                    _plane_weights, _thread_map, h1_seminorm,
+                    l2_norm_spectral, spectral_data)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -106,12 +107,14 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     shaped (len(ps), jmax + 2); row i equals block_norms(f, ps[i]) bit for
     bit, at every thread count.
 
-    p = 2 is evaluated spectrally (Parseval) and is exact.  Any other p
-    costs inverse transforms of each block from the half spectrum, so f
-    must be real (true for every field this package produces); every
-    such p of a block is read from the same squared pointwise magnitude
-    sq = c0^2 + c1^2 + ..., summed in component order: its max (one
-    square root) for p = inf, its (p/2)-th power sum otherwise.  The
+    Every row is read from the half spectrum, so f must be real (true
+    for every field this package produces).  p = 2 is Parseval's sum of
+    the squared half multiplier times |c^|^2 over those planes, weighted
+    by _plane_weights.  Any other p costs inverse transforms of each
+    block; every such p of a block is read from the same squared
+    pointwise magnitude sq = c0^2 + c1^2 + ..., summed in component
+    order: its max (one square root) for p = inf, its (p/2)-th power sum
+    otherwise.  The
     ball multiplier chi(|k|) is exactly 0 for |k| >= support (4/3) and
     the shell multiplier chi(|k|/2^{j+1}) - chi(|k|/2^j) for |k| >=
     2^{j+1} support, that is (8/3) 2^j, because smooth_step returns
@@ -137,20 +140,18 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     spec = spectral_data(f)
     out = np.empty((len(ps), len(js)))
     physical = [row for row, p in enumerate(ps) if p != 2]
+    # the cache is filled here, on the caller, not on a pool thread
+    half_mults = [_half_multiplier(grid, j) for j in js]
     if len(physical) < len(ps):
-        power = np.sum(np.abs(spec) ** 2, axis=0)
-        for row, p in enumerate(ps):
-            if p == 2:
-                for col, j in enumerate(js):
-                    mult = block_multiplier(grid, j, "block")
-                    out[row, col] = np.sqrt(grid.volume
-                                            * np.sum(mult**2 * power))
+        power = (np.sum(np.abs(spec[..., :grid.n // 2 + 1]) ** 2, axis=0)
+                 * _plane_weights(grid.n))
+        out[[row for row, p in enumerate(ps) if p == 2]] = [
+            np.sqrt(grid.volume * np.sum(mult**2 * power))
+            for mult in half_mults]
     if not physical:
         return out
     lanes = min(_map_threads(), len(js))
     step = len(spec) if lanes == 1 else 1  # components per transform
-    # the cache is filled here, on the caller, not on a pool thread
-    half_mults = [_half_multiplier(grid, j) for j in js]
     bufs = [np.zeros((step,) + spec.shape[1:-1] + (grid.n // 2 + 1,),
                      dtype=spec.dtype) for _ in range(lanes)]
 

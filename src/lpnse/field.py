@@ -290,7 +290,7 @@ def lp_norm(f: Field, p: float) -> float:
     polynomials when |f|^p is itself band-limited (always true for p = 2)
     and spectrally accurate otherwise.  p = inf returns the grid maximum.
     """
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     mag = magnitude(f)
     if np.isinf(p):

@@ -7,7 +7,9 @@ the cross-energy identity residual, and the Gronwall-envelope fit.
 
 Conventions: w = u - v, w_j is the dyadic block of w, and all time
 integrals over snapshots use the trapezoid rule (the solver's per-step
-series handle the high-accuracy energy audit separately).
+series handle the high-accuracy energy audit separately).  Every block
+L^2 norm here, ||w_j||_2 and ||grad w_j||_2 alike, is a p = 2 row of
+block_norms.
 
 Nothing is kept between calls.  _linf_block_matrix reads a trajectory
 once for its L^inf and L^p block norms, or a pair once for those of u,
@@ -26,9 +28,9 @@ import numpy as np
 
 from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
                     besov_from_blocks)
-from .blocks import block_indices, block_multiplier, block_norm_table, delta_j
+from .blocks import block_indices, block_norm_table, block_norms, delta_j
 from .errors import BlockRangeError, NonFiniteError
-from .field import (Field, SPECTRAL, _thread_map, advect, inner,
+from .field import (Field, SPECTRAL, _ik, _thread_map, advect, inner,
                     spectral_data)
 from .solver import Trajectory
 
@@ -74,24 +76,15 @@ def _columns(rows) -> list:
     return [np.stack(col, axis=-1) for col in zip(*rows)]
 
 
-def _w_rows(grid, weights: np.ndarray, u: Field, v: Field) -> tuple:
-    """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v, all from one
-    |w^|^2; weights are the squared block multipliers of _w_weights."""
-    power = np.sum(np.abs(_diff_spec(u, v)) ** 2, axis=0)
-    return (np.sqrt(grid.volume * np.tensordot(weights, power,
-                                                axes=grid.dim)),
+def _w_rows(u: Field, v: Field) -> tuple:
+    """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v: block_norms
+    of w, and Parseval's sums over |w^|^2."""
+    grid = u.grid
+    diff = _diff_spec(u, v)
+    power = np.sum(np.abs(diff) ** 2, axis=0)
+    return (block_norms(Field(grid, diff, SPECTRAL), 2.0),
             grid.volume * float(np.sum(power)),
             grid.volume * float(np.sum(grid.k_sq * power)))
-
-
-def _w_weights(grid) -> np.ndarray:
-    """The squared block multipliers, one row per block, each squared
-    into its row: only one multiplier is held besides the result."""
-    js = block_indices(grid)
-    weights = np.empty((len(js),) + grid.shape)
-    for row, j in zip(weights, js):
-        np.square(block_multiplier(grid, j), out=row)
-    return weights
 
 
 def _linf_block_matrix(traj: Trajectory, p: float = math.inf,
@@ -109,13 +102,11 @@ def _linf_block_matrix(traj: Trajectory, p: float = math.inf,
             return (block_norm_table(traj.snapshots[i], (math.inf, p)),)
     else:
         _require_aligned(traj, traj_v)
-        weights = _w_weights(grid)
 
         def step(i):
             u, v = traj.snapshots[i], traj_v.snapshots[i]
             return ((block_norm_table(u, (math.inf, p)),
-                     block_norm_table(v, (math.inf,))[0])
-                    + _w_rows(grid, weights, u, v))
+                     block_norm_table(v, (math.inf,))[0]) + _w_rows(u, v))
     table, *rest = _columns(_thread_map(step, range(len(traj))))
     return (np.array(block_indices(grid)), table[0], table[1], *rest)
 
@@ -183,10 +174,9 @@ def _w_record(traj_u: Trajectory, traj_v: Trajectory):
     _thread_map."""
     _require_aligned(traj_u, traj_v)
     grid = traj_u.grid
-    weights = _w_weights(grid)
     mat, energy, dissipation = _columns(_thread_map(
-        lambda i: _w_rows(grid, weights, traj_u.snapshots[i],
-                          traj_v.snapshots[i]), range(len(traj_u))))
+        lambda i: _w_rows(traj_u.snapshots[i], traj_v.snapshots[i]),
+        range(len(traj_u))))
     return (BlockSeries(traj_u.times, np.array(block_indices(grid)), mat),
             energy, dissipation)
 
@@ -311,23 +301,22 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     nu = traj_u.config.nu
     t0, t1, t2 = traj_u.times[i - 1: i + 2]
     h_minus, h_plus = t1 - t0, t2 - t1
-    mult_sq = block_multiplier(grid, j) ** 2
     pairs = [(traj_u.snapshots[k], traj_v.snapshots[k])
              for k in (i - 1, i, i + 1)]
-    diffs = [_diff_spec(u, v) for u, v in pairs]
-    powers = [np.sum(np.abs(d) ** 2, axis=0) for d in diffs]
-    e_prev, e_here, e_next = (0.5 * grid.volume * float(np.sum(mult_sq * p))
-                              for p in powers)
+    ws = [Field(grid, _diff_spec(u, v), SPECTRAL) for u, v in pairs]
+    norms = [float(block_norms(w, 2.0)[j + 1]) for w in ws]
+    e_prev, e_here, e_next = (0.5 * norm**2 for norm in norms)
     dedt = ((h_minus**2 * e_next + (h_plus**2 - h_minus**2) * e_here
              - h_plus**2 * e_prev)
             / (h_plus * h_minus * (h_plus + h_minus)))
 
-    w = Field(grid, diffs[1], SPECTRAL)
-    u, v = pairs[1]
+    w, (u, v) = ws[1], pairs[1]
     w_j = delta_j(w, j)
-    power_w = powers[1]
-    wj_sq = grid.volume * float(np.sum(mult_sq * power_w))
-    grad_sq = grid.volume * float(np.sum(grid.k_sq * mult_sq * power_w))
+    wj_sq = norms[1] ** 2
+    grad_w = Field(grid, np.concatenate(
+        [spectral_data(w) * _ik(grid.shape, grid.n, axis)
+         for axis in range(grid.dim)]), SPECTRAL)
+    grad_sq = float(block_norms(grad_w, 2.0)[j + 1]) ** 2
 
     transport = -inner(delta_j(advect(w, u), j), w_j)
     drift_full = inner(delta_j(advect(v, w), j), w_j)

@@ -109,20 +109,27 @@ class SolverConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "SolverConfig":
+        """The config of a mapping of keys to strings or to values: no
+        value is truncated, and no bool passes as a number or vice versa."""
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, raw in mapping.items():
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            if types[key] is bool and isinstance(raw, str):
+            kind = types[key]
+            if kind is bool and isinstance(raw, str):
                 low = raw.strip().lower()
                 if low not in ("true", "false", "0", "1"):
                     raise ValueError(f"boolean key {key!r} got {raw!r}")
                 kwargs[key] = low in ("true", "1")
+            elif (isinstance(raw, bool) != (kind is bool) or kind is int
+                  and isinstance(raw, float) and not raw.is_integer()):
+                raise ValueError(f"config key {key!r}: expected "
+                                 f"{kind.__name__}, got {raw!r}")
             else:
                 try:
-                    kwargs[key] = types[key](raw)
-                except ValueError as exc:
+                    kwargs[key] = kind(raw)
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lpnse.blocks
 from lpnse import (BesovSpec, CriterionTriple, besov_norm, biot_savart,
                    bkm_ratio, curl, gn_ratio, split_low_high)
 from lpnse.besov import (EXTENDED_MODE, UNIQUENESS_MODE, choose_p_tilde,
@@ -313,6 +314,25 @@ def test_split_constants_keys(grid3, rng):
     assert out["c_high"] >= 0
 
 
+@pytest.mark.parametrize("triple", [CriterionTriple(0.5, math.nan, 4.0),
+                                    CriterionTriple(0.5, 4.0, 4.0)],
+                         ids=["nan-p", "scaling-violated"])
+def test_split_constants_checks_the_triple_first(grid3, rng, monkeypatch,
+                                                 triple):
+    # an invalid triple is a TripleError before any block table is made
+    calls = []
+    original = lpnse.blocks.block_norm_table
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lpnse.blocks, "block_norm_table", counting)
+    with pytest.raises(TripleError):
+        split_constants(divfree_noise(grid3, rng, kmax=10.0), triple)
+    assert calls == []
+
+
 # --- interpolation ratio -----------------------------------------------------
 
 def test_gn_ratio_scale_invariant(grid3, rng):
@@ -327,3 +347,8 @@ def test_gn_ratio_guards(grid3, rng):
     assert gn_ratio(zero_field(grid3, 3), 6.0) == 0.0
     with pytest.raises(ValueError):
         gn_ratio(divfree_noise(grid3, rng, kmax=4.0), 3.0)
+
+
+def test_gn_ratio_rejects_nan_exponent(grid3, rng):
+    with pytest.raises(ValueError, match="p_tilde must exceed 3, got nan"):
+        gn_ratio(divfree_noise(grid3, rng, kmax=4.0), math.nan)

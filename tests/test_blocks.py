@@ -148,7 +148,12 @@ def _dense_block_norm_table(f, ps, js):
     all leading axes, then the c2r."""
     grid = f.grid
     spec = _hermitian_half(spectral_data(f), grid.dim)
-    power = np.sum(np.abs(spectral_data(f)) ** 2, axis=0)
+    # p = 2: Parseval over the planes 0 <= k_last <= n/2 of sum_c |c^|^2,
+    # planes 0 and n/2 weighted 1 and the rest 2, for their mirrors
+    weight = np.full(grid.n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    power = (np.sum(np.abs(spectral_data(f)) ** 2, axis=0)
+             [..., :grid.n // 2 + 1] * weight)
     axes = tuple(range(1, grid.dim + 1))
     out = np.empty((len(ps), len(js)))
     for col, j in enumerate(js):
@@ -167,7 +172,9 @@ def _dense_block_norm_table(f, ps, js):
             sq += comp
         for row, p in enumerate(ps):
             if p == 2:
-                out[row, col] = np.sqrt(grid.volume * np.sum(mult**2 * power))
+                half_mult = mult[..., :grid.n // 2 + 1]
+                out[row, col] = np.sqrt(grid.volume
+                                        * np.sum(half_mult**2 * power))
             elif np.isinf(p):
                 out[row, col] = np.sqrt(np.max(sq))
             else:

@@ -418,6 +418,29 @@ def test_report_rejects_malformed_trajectory(stored_pair, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 32.5, "config key 'n': expected int, got 32.5"),
+    ("seed", 1.7, "config key 'seed': expected int, got 1.7"),
+    ("nu", True, "config key 'nu': expected float, got True"),
+    ("dealias", 0.5, "config key 'dealias': expected bool, got 0.5"),
+], ids=["n", "seed", "nu", "dealias"])
+def test_report_rejects_config_numbers_it_would_truncate(
+        stored_pair, tmp_path, capsys, key, value, message):
+    # both runs say the same, so only the value itself can be at fault
+    pair = tmp_path / "pair"
+    shutil.copytree(stored_pair, pair)
+    for side in "uv":
+        meta_path = pair / side / "trajectory.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"][key] = value
+        meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "report"
+    assert _report(pair, out) == 2
+    err = capsys.readouterr().err
+    assert str(pair / "u" / "trajectory.json") in err and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("triple, lam, message", [
     ("0.5,4,nan", "1.0", "q is NaN"),
     (f"0.5,4,{8.0 / 3.0!r}", "nan", "lambda must be positive and finite"),

@@ -197,6 +197,12 @@ def test_lp_norm_rejects_small_p(grid2):
         lp_norm(_sin_x(grid2), 0.5)
 
 
+def test_lp_norm_rejects_nan_p(grid2):
+    # a NaN exponent is no exponent: it fails the guard, not as a nan norm
+    with pytest.raises(ValueError, match="p >= 1, got nan"):
+        lp_norm(_sin_x(grid2), float("nan"))
+
+
 def test_vector_magnitude(grid2):
     f = from_components(grid2, lambda x, y: np.cos(x), lambda x, y: np.sin(x))
     np.testing.assert_allclose(magnitude(f), 1.0, rtol=0.0, atol=1e-14)

@@ -22,7 +22,7 @@ from lpnse.besov import BesovSpec, CriterionTriple, besov_norm, split_constants
 from lpnse.blocks import block_norms
 from lpnse.ensembles import divfree_noise
 from lpnse.field import _available_cpus, scale, set_fft_workers
-from lpnse.monitor import _w_weights, build_report
+from lpnse.monitor import build_report
 from lpnse.snapshots import load_trajectory, save_trajectory
 from lpnse.solver import SolverConfig, twin_run
 
@@ -80,13 +80,6 @@ def test_block_norms_peak_memory(unit_field):
         set_fft_workers(threads)
         peak = _peak_fields(lambda: block_norms(u, math.inf))
         assert peak <= 1.2, threads
-
-
-def test_w_weights_peak_memory(unit_field):
-    # measured 1.17: the 12 MiB of squared multipliers and one full-layout
-    # multiplier; stacking a list of the squares peaked at 2.0
-    peak = _peak_fields(lambda: _w_weights(GRID))
-    assert peak <= 1.3
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ import pytest
 
 import lpnse
 from lpnse.besov import BesovSpec, CriterionTriple, besov_norm
-from lpnse.blocks import block_indices, block_multiplier, block_norms
+from lpnse.blocks import block_indices, block_norms
 from lpnse import cutoffs
 from lpnse.ensembles import divfree_noise
 from lpnse.errors import BlockRangeError, TripleError
@@ -145,15 +145,13 @@ def test_w_record_matches_diff_spec_loops(twin_pair):
     u, v = twin_pair
     grid = u.grid
     js = np.array(block_indices(grid))
-    mults = np.stack([block_multiplier(grid, j) ** 2 for j in js])
     blocks = np.empty((len(js), len(u)))
     e_w = np.empty(len(u))
     d_w = np.empty(len(u))
     for i in range(len(u)):
         power = np.sum(np.abs(_diff_spec(u.snapshots[i], v.snapshots[i]))
                        ** 2, axis=0)
-        blocks[:, i] = np.sqrt(grid.volume * np.tensordot(
-            mults, power, axes=grid.dim))
+        blocks[:, i] = block_norms(_diff_field(u, v, i), 2.0)
         e_w[i] = grid.volume * float(np.sum(power))
         d_w[i] = grid.volume * float(np.sum(grid.k_sq * power))
     series = block_series(u, v)
@@ -293,7 +291,7 @@ def test_block_series_consistent(twin_pair):
     assert list(blocks.js) == list(range(-1, u.grid.jmax + 1))
     # one column equals the direct per-block norms of w at that snapshot
     direct = block_norms(_diff_field(u, v, 3), 2.0)
-    assert np.allclose(blocks.values[:, 3], direct, rtol=0.0, atol=1e-13)
+    assert np.array_equal(blocks.values[:, 3], direct)
 
 
 def test_misaligned_trajectories_rejected(twin_pair):

@@ -83,6 +83,31 @@ def test_config_from_mapping_names_unparsable_key(key, raw):
         SolverConfig.from_mapping({key: raw})
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({"n": 32.5}, "config key 'n': expected int, got 32.5"),
+    ({"seed": 1.7}, "config key 'seed': expected int, got 1.7"),
+    ({"snap_every": 2.9}, "config key 'snap_every': expected int, got 2.9"),
+    ({"n": True}, "config key 'n': expected int, got True"),
+    ({"nu": True}, "config key 'nu': expected float, got True"),
+    ({"dealias": 0.5}, "config key 'dealias': expected bool, got 0.5"),
+    ({"dealias": 1}, "config key 'dealias': expected bool, got 1"),
+], ids=["n", "seed", "snap_every", "bool-n", "bool-nu", "dealias-float",
+        "dealias-int"])
+def test_config_from_mapping_truncates_nothing(mapping, message):
+    # trajectory.json gives numbers, not strings: none is truncated to an
+    # int or read as a bool, and no bool passes as a number
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SolverConfig.from_mapping(mapping)
+
+
+def test_config_from_mapping_takes_whole_floats_and_bools():
+    config = SolverConfig.from_mapping({"n": 32.0, "seed": 3.0, "nu": 1,
+                                        "dealias": False})
+    assert (config.n, config.seed, config.nu, config.dealias) == (32, 3, 1.0,
+                                                                  False)
+    assert type(config.n) is int and type(config.nu) is float
+
+
 def test_config_step_count():
     assert SolverConfig(dt=2.5e-3, t_end=0.01).nsteps == 4
     assert SolverConfig(dt=1e-3, t_end=0.5).nsteps == 500
