@@ -102,6 +102,22 @@ def _block_radius(grid: Grid, j: int) -> int:
     return min(int(cutoffs.SUPPORT_RADIUS * 2.0 ** (j + 1)), grid.n // 2)
 
 
+def _half_power(spec: np.ndarray, n: int) -> np.ndarray:
+    """Parseval's density of the real fields with spectra `spec`, full
+    or half: sum_c |c^|^2 on the planes 0 <= k_last <= n/2, weighted by
+    _plane_weights, so its sum is the sum over the full spectrum."""
+    return (np.sum(np.abs(spec[..., :n // 2 + 1]) ** 2, axis=0)
+            * _plane_weights(n))
+
+
+def _block_l2_norms(grid: Grid, power: np.ndarray) -> np.ndarray:
+    """The L^2 norm of every block of block_indices of the field with
+    half-plane power `power` (_half_power): the p = 2 row of
+    block_norm_table."""
+    return np.array([np.sqrt(grid.volume * np.sum(
+        _half_multiplier(grid, j)**2 * power)) for j in block_indices(grid)])
+
+
 def block_norm_table(f: Field, ps) -> np.ndarray:
     """L^p norms of every block of block_indices for every exponent in ps,
     shaped (len(ps), jmax + 2); row i equals block_norms(f, ps[i]) bit for
@@ -143,11 +159,8 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     # the cache is filled here, on the caller, not on a pool thread
     half_mults = [_half_multiplier(grid, j) for j in js]
     if len(physical) < len(ps):
-        power = (np.sum(np.abs(spec[..., :grid.n // 2 + 1]) ** 2, axis=0)
-                 * _plane_weights(grid.n))
-        out[[row for row, p in enumerate(ps) if p == 2]] = [
-            np.sqrt(grid.volume * np.sum(mult**2 * power))
-            for mult in half_mults]
+        out[[row for row, p in enumerate(ps) if p == 2]] = _block_l2_norms(
+            grid, _half_power(spec, grid.n))
     if not physical:
         return out
     lanes = min(_map_threads(), len(js))

@@ -9,7 +9,8 @@ Conventions: w = u - v, w_j is the dyadic block of w, and all time
 integrals over snapshots use the trapezoid rule (the solver's per-step
 series handle the high-accuracy energy audit separately).  Every block
 L^2 norm here, ||w_j||_2 and ||grad w_j||_2 alike, is a p = 2 row of
-block_norms.
+block_norms, read in _w_rows from the half-plane power that also gives
+||w||^2 and ||grad w||^2.
 
 Nothing is kept between calls.  _linf_block_matrix reads a trajectory
 once for its L^inf and L^p block norms, or a pair once for those of u,
@@ -28,7 +29,8 @@ import numpy as np
 
 from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
                     besov_from_blocks)
-from .blocks import block_indices, block_norm_table, block_norms, delta_j
+from .blocks import (_block_l2_norms, _half_power, block_indices,
+                     block_norm_table, block_norms, delta_j)
 from .errors import BlockRangeError, NonFiniteError
 from .field import (Field, SPECTRAL, _ik, _thread_map, advect, inner,
                     spectral_data)
@@ -77,14 +79,14 @@ def _columns(rows) -> list:
 
 
 def _w_rows(u: Field, v: Field) -> tuple:
-    """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v: block_norms
-    of w, and Parseval's sums over |w^|^2."""
+    """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v, all three
+    read from one half-plane power of w's spectrum (Parseval)."""
     grid = u.grid
-    diff = _diff_spec(u, v)
-    power = np.sum(np.abs(diff) ** 2, axis=0)
-    return (block_norms(Field(grid, diff, SPECTRAL), 2.0),
+    power = _half_power(_diff_spec(u, v), grid.n)
+    return (_block_l2_norms(grid, power),
             grid.volume * float(np.sum(power)),
-            grid.volume * float(np.sum(grid.k_sq * power)))
+            grid.volume * float(np.sum(grid.k_sq[..., :grid.n // 2 + 1]
+                                       * power)))
 
 
 def _linf_block_matrix(traj: Trajectory, p: float = math.inf,

@@ -12,6 +12,7 @@ holds none of them itself.
 """
 
 import json
+import math
 import os
 import struct
 from collections.abc import Sequence
@@ -35,7 +36,7 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
         "time": time,
         "viscosity": viscosity,
     }
-    blob = json.dumps(header, sort_keys=True).encode()
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode()
     data = np.ascontiguousarray(f.data)
     if f.representation == SPECTRAL:
         data = data.astype("<c16", copy=False)
@@ -50,7 +51,8 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
 
 def _parse_header(path, blob: bytes):
     """(header dict, grid, payload shape, payload dtype) of a snapshot
-    header; a ValueError naming the file for any fault in it."""
+    header; a ValueError naming the file for any fault in it, a time or
+    viscosity that is not null or a finite number included."""
     try:
         header = json.loads(blob.decode())
         grid = Grid(header["dim"], header["n"])
@@ -60,6 +62,13 @@ def _parse_header(path, blob: bytes):
         if type(ncomp) is not int or ncomp < 1:
             raise ValueError(f"components must be a positive integer, "
                              f"got {ncomp!r}")
+        for key in ("time", "viscosity"):
+            value = header.get(key)
+            # abs(v) < inf: false for nan and +-inf, exact for big ints
+            if value is not None and not (type(value) in (int, float)
+                                          and abs(value) < math.inf):
+                raise ValueError(f"key {key!r} must be null or a finite "
+                                 f"number, got {value!r}")
     except KeyError as exc:
         raise ValueError(f"{path}: snapshot header has no key {exc}") from None
     except (ValueError, TypeError, GridError) as exc:

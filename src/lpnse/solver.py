@@ -4,9 +4,9 @@ Integrating-factor RK4: the viscous semigroup is applied exactly through
 exp(-nu |k|^2 dt) multipliers and the projected nonlinear term is treated
 with classical RK4 in the transformed variable.  The nonlinear term is
 taken in rotational form, -P(u.grad u) = P(u x omega) with omega = curl u
-(the two differ by the gradient of |u|^2/2, which P removes): one padded
-inverse transform of [u; omega] (6 components in 3D, 3 in 2D), a pointwise
-cross product and one forward transform.  The product is formed on a 3/2
+(the two differ by the gradient of |u|^2/2, which P removes): a padded
+inverse transform of u, then one of omega, a pointwise cross product
+and one forward transform.  The product is formed on a 3/2
 padded grid, so the Galerkin truncation conserves energy through the
 nonlinearity to round-off and the energy balance measures
 time-integration error only.  The term is zeroed on every plane with some
@@ -28,7 +28,10 @@ return full-layout Fields.
 
 The padded transforms are field's one product kernel, _Padding: each
 integrator holds one, whose buffer is allocated once and reused on
-every call, so an integrator is not reentrant.
+every call, so an integrator is not reentrant.  u and omega go through
+that buffer one after the other, and the RK4 sum is folded into the
+stage terms in place, so only the arrays a stage needs are alive at once
+(the low-storage habit of pseudospectral DNS codes, Rogallo 1981).
 
 Twin runs integrate a base flow and a perturbed flow with identical
 stepping so their snapshots align exactly in time.
@@ -242,7 +245,7 @@ def nse_rhs(u: Field, nu: float) -> Field:
 class _Integrator:
     """Precomputed multipliers for repeated IF-RK4 steps on half spectra
     (planes 0 <= k_last <= n/2), and the nonlinear term's workspace: a
-    _Padding, the coarse [u; omega] and the real cross product, all
+    _Padding, omega's half spectra and the real cross product, all
     overwritten on every nonlinear() call, so an integrator is not
     reentrant: one thread, one call at a time."""
 
@@ -263,8 +266,8 @@ class _Integrator:
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
         self.ik = [_ik(half, grid.n, axis) for axis in range(grid.dim)]
         self.padding = _Padding(grid, config.dealias)
-        ncomp = grid.dim + (3 if grid.dim == 3 else 1)
-        self.coarse = np.empty((ncomp,) + half, dtype=np.complex128)
+        self.omega = np.empty((3 if grid.dim == 3 else 1,) + half,
+                              dtype=np.complex128)
         self.cross = np.empty((grid.dim,) + (self.padding.m,) * grid.dim)
 
     def nonlinear(self, half: np.ndarray, speed: bool = True):
@@ -274,27 +277,29 @@ class _Integrator:
 
         Takes and returns half spectra and leaves `half` unchanged; the
         k_last = 0 plane of `half` must be Hermitian, as every solver
-        state's is.  u and omega are written into the workspace and go
-        through one padded inverse transform together; the cross product
-        goes through one forward transform.  The result is a new array,
-        not a view of the workspace."""
+        state's is.  u is padded and inverse-transformed straight from
+        `half`, then omega from the workspace's half spectra, through
+        the _Padding buffer (in 3D one 3-component buffer serves both);
+        the cross product goes through one forward transform.  The
+        result is a new array, not a view of the workspace."""
         grid = self.grid
-        dim = grid.dim
-        self.coarse[:dim] = half
-        _cross(self.ik, half, out=self.coarse[dim:])
-        fine = self.padding.to_fine(self.coarse)
-        u, w = fine[:dim], fine[dim:]
+        u = self.padding.to_fine(half)
         umax = (float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
                 if speed else None)
+        w = self.padding.to_fine(_cross(self.ik, half, out=self.omega))
         cross = _cross(u, w, out=self.cross)
-        del fine, u, w  # freed before the forward transform: lower peak memory
+        del u, w  # freed before the forward transform: lower peak memory
         out = _leray_project_spec(self.padding.to_coarse(cross), grid)
         out *= self.keep
         out[self.zero] = 0.0
         return out, umax
 
     def step(self, spec: np.ndarray, time: float, index: int) -> np.ndarray:
-        """One IF-RK4 step of the half-spectrum state `spec`."""
+        """One IF-RK4 step of the half-spectrum state `spec`:
+        e2 spec + (dt/6) (e2 a + 2 e1 (b + c) + d), with the sum folded
+        into the stage terms in place as soon as each is last read, in
+        the order of operations of that expression, so a, b, c and d are
+        never all alive."""
         dt = self.config.dt
         a, umax = self.nonlinear(spec)
         if umax > 0:
@@ -307,11 +312,20 @@ class _Integrator:
                     time, index)
         e1, e2 = self.e_half, self.e_full
         b, _ = self.nonlinear(e1 * (spec + 0.5 * dt * a), speed=False)
+        a *= e2
         c, _ = self.nonlinear(e1 * spec + 0.5 * dt * b, speed=False)
-        d, _ = self.nonlinear(e2 * spec + dt * e1 * c, speed=False)
+        stage = e2 * spec + dt * e1 * c
+        b += c
+        del c  # freed before the last stage
+        d, _ = self.nonlinear(stage, speed=False)
+        b *= 2.0 * e1
+        a += b
+        a += d
+        del b, d, stage  # freed before the sum's last two arrays
         # no projection here: spec and every stage term are projected and
         # the integrating factors are scalar per mode
-        return e2 * spec + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c) + d)
+        a *= dt / 6.0
+        return e2 * spec + a
 
 
 def step(u: Field, config: SolverConfig) -> Field:

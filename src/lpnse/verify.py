@@ -20,7 +20,8 @@ import numpy as np
 from . import cutoffs, ensembles
 from .besov import bkm_ratio
 from .blocks import (bernstein_report, block_indices, block_multiplier,
-                     delta_j, reconstruct, reverse_bernstein_report, s_j)
+                     block_norms, delta_j, reconstruct,
+                     reverse_bernstein_report, s_j)
 from .field import (Field, SPECTRAL, add, advect, dealiased_product,
                     divergence, gradient, h1_seminorm, inner,
                     l2_norm_spectral, leray_project, scale)
@@ -121,17 +122,18 @@ def advection_cancellation(v: Field, g: Field, dealias: bool = True) -> float:
 
 def block_cancellation(v: Field, w: Field, dealias: bool = True) -> float:
     """max over j and |j' - j| <= 1 of the relative <Delta_j' v . grad
-    w_j, w_j>, w_j = Delta_j w; zero for divergence-free v."""
+    w_j, w_j>, w_j = Delta_j w; zero for divergence-free v.  The block
+    L^2 norms are the p = 2 rows of block_norms of v and w."""
     jmax = w.grid.jmax
+    v_norms, w_norms = block_norms(v, 2.0), block_norms(w, 2.0)
     worst = 0.0
     for j in range(0, jmax + 1):
         w_j = delta_j(w, j)
+        scale_j = w_norms[j + 1] * h1_seminorm(w_j)
         for jp in range(max(-1, j - 1), min(jmax, j + 1) + 1):
             val = abs(inner(advect(delta_j(v, jp), w_j, dealias=dealias), w_j))
-            s = max(l2_norm_spectral(delta_j(v, jp))
-                    * l2_norm_spectral(w_j) * h1_seminorm(w_j), 1e-30)
-            worst = max(worst, val / s)
-    return worst
+            worst = max(worst, val / max(v_norms[jp + 1] * scale_j, 1e-30))
+    return float(worst)
 
 
 def bkm_ratios(ns, seed: int, ensemble: int) -> dict:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lpnse.cli
+import lpnse.ensembles
 import lpnse.field
 from lpnse.cli import main
 from lpnse.field import _available_cpus, scale, zero_field
@@ -527,6 +528,41 @@ def test_split_overflowing_norm_numeric_exit(snapshot_3d, tmp_path, capsys):
     captured = capsys.readouterr()
     assert str(snap) in captured.err and "norm is inf" in captured.err
     assert "RuntimeWarning" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _with_header_value(snap, key, text, path):
+    """A copy of snapshot file snap whose header's key holds the raw JSON
+    text `text`, NaN and Infinity included."""
+    blob = snap.read_bytes()
+    start = len(MAGIC) + 4
+    (hlen,) = struct.unpack("<I", blob[len(MAGIC):start])
+    header = json.loads(blob[start:start + hlen])
+    header[key] = "@"
+    raw = json.dumps(header, sort_keys=True).replace('"@"', text).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw
+                     + blob[start + hlen:])
+    return path
+
+
+@pytest.mark.parametrize("key, text", [("time", "NaN"),
+                                       ("viscosity", "Infinity"),
+                                       ("time", '"abc"')])
+def test_split_rejects_non_finite_header_value(tmp_path, capsys, key, text):
+    # the header values were copied into u_low.fld and u_high.fld, NaN
+    # and Infinity as they are, which no strict JSON reader takes
+    grid = Grid(2, 64)
+    f = lpnse.ensembles.divfree_noise(grid, np.random.default_rng(4))
+    good = tmp_path / "good.fld"
+    write_field(good, f, time=0.5, viscosity=0.01)
+    snap = _with_header_value(good, key, text, tmp_path / "bad.fld")
+    out = tmp_path / "split"
+    assert main(["split", "--snapshot", str(snap), "--r", "1.0",
+                 "--p", "6", "--q", f"{4.0 / 3.0!r}",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(snap) in captured.err and repr(key) in captured.err
     assert captured.out == ""
     assert not out.exists()
 

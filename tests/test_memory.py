@@ -8,7 +8,9 @@ The earlier code, which built its masked, damped and projected noise and
 the two split parts as separate arrays, peaked at 3.7 such fields in
 divfree_noise and in split_constants, and block_norms at 1.5.
 The twin report on stored trajectories is bounded in units of one of its
-snapshots, and must not grow with the snapshot count.
+snapshots, and must not grow with the snapshot count.  One solver
+integrator and its step are bounded at n=64, where the workspace's
+fine-grid arrays dwarf everything else a step holds.
 """
 
 import math
@@ -21,10 +23,11 @@ from lpnse import Grid
 from lpnse.besov import BesovSpec, CriterionTriple, besov_norm, split_constants
 from lpnse.blocks import block_norms
 from lpnse.ensembles import divfree_noise
-from lpnse.field import _available_cpus, scale, set_fft_workers
+from lpnse.field import (_available_cpus, _hermitian_half, scale,
+                         set_fft_workers, spectral_data)
 from lpnse.monitor import build_report
 from lpnse.snapshots import load_trajectory, save_trajectory
-from lpnse.solver import SolverConfig, twin_run
+from lpnse.solver import SolverConfig, _Integrator, twin_run
 
 GRID = Grid(3, 64)
 FULL_BYTES = 16 * 3 * 64**3  # one 3-component n=64 full-layout spectrum
@@ -116,3 +119,22 @@ def test_report_peak_memory_does_not_grow_with_snapshots(stored_pairs):
              for count, root in stored_pairs.items()}
     assert abs(peaks[12] - peaks[6]) <= 2.0
     assert max(peaks.values()) <= 10.0
+
+
+def test_integrator_step_peak_memory():
+    # measured 10.18: the half-spectrum state, one 3-component padded
+    # buffer that u and then omega go through, both their fine-grid
+    # values, the cross product and the stage terms, folded into the RK4
+    # sum as each is last read.  Padding a 6-component [u; omega] copy
+    # through a 6-component buffer, with a, b, c, d and the sum's
+    # temporaries all alive at the end of the step, peaked at 12.94
+    config = SolverConfig(dim=3, n=64, nu=0.05, dt=1e-3, t_end=1e-3,
+                          ic="random-divfree")
+    u = divfree_noise(GRID, np.random.default_rng(3), slope=2.0)
+
+    def integrate():
+        state = _hermitian_half(spectral_data(u), GRID.dim)
+        _Integrator(GRID, config).step(state, 0.0, 0)
+
+    integrate()  # a warm step: the grid's wavenumber arrays exist
+    assert _peak_fields(integrate) <= 11.0

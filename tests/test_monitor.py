@@ -148,12 +148,17 @@ def test_w_record_matches_diff_spec_loops(twin_pair):
     blocks = np.empty((len(js), len(u)))
     e_w = np.empty(len(u))
     d_w = np.empty(len(u))
+    # Parseval over the half planes 0 <= k_last <= n/2, each plane but
+    # 0 and n/2 standing for itself and its conjugate mirror
+    planes = grid.n // 2 + 1
+    weights = np.full(planes, 2.0)
+    weights[[0, -1]] = 1.0
     for i in range(len(u)):
-        power = np.sum(np.abs(_diff_spec(u.snapshots[i], v.snapshots[i]))
-                       ** 2, axis=0)
+        half = _diff_spec(u.snapshots[i], v.snapshots[i])[..., :planes]
+        power = np.sum(np.abs(half) ** 2, axis=0) * weights
         blocks[:, i] = block_norms(_diff_field(u, v, i), 2.0)
         e_w[i] = grid.volume * float(np.sum(power))
-        d_w[i] = grid.volume * float(np.sum(grid.k_sq * power))
+        d_w[i] = grid.volume * float(np.sum(grid.k_sq[..., :planes] * power))
     series = block_series(u, v)
     assert np.array_equal(series.js, js)
     assert np.array_equal(series.values, blocks)

@@ -1,7 +1,8 @@
-"""No BLAS call on the block and report paths.
+"""No BLAS call on the block, report and solver step paths.
 
-The block tables run their dyadic blocks in two lanes, and the report
-runs a pair of snapshots per thread.  OpenBLAS's worker threads keep
+The block tables run their dyadic blocks in two lanes, the report runs
+a pair of snapshots per thread, and independent solver runs are to
+share a host's cores the same way.  OpenBLAS's worker threads keep
 spinning for a while after a call returns, and there they compete with
 those lanes: a variant that put one np.tensordot on the p = 2 rows of a
 3D n=64 field made a unit of bkm_ratio, split_constants and block_norms
@@ -17,13 +18,13 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lpnse"
-MODULES = ("field.py", "blocks.py", "besov.py", "monitor.py")
+MODULES = ("field.py", "blocks.py", "besov.py", "monitor.py", "solver.py")
 NUMPY = ("np", "numpy")
 BLAS_FUNCTIONS = ("dot", "tensordot", "matmul", "inner", "vdot")
 WHY = ("BLAS worker threads spin after a call and slow the two block-table "
        "lanes: an np.tensordot on the 3D n=64 p = 2 rows took a diag3d-like "
-       "unit from 209-230 to 237-280 ms on 2 cores; keep the block and "
-       "report paths free of BLAS")
+       "unit from 209-230 to 237-280 ms on 2 cores; keep the block, "
+       "report and solver step paths free of BLAS")
 
 
 def _dotted(node) -> str:

@@ -1,7 +1,9 @@
 """Binary snapshot format and trajectory persistence."""
 
 import json
+import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -40,6 +42,39 @@ def test_physical_round_trip(grid2, tmp_path):
     assert loaded.representation == "physical"
     assert np.array_equal(loaded.data, f.data)
     assert header["time"] is None and header["viscosity"] is None
+
+
+def test_header_time_and_viscosity_round_trip(grid2, rng, tmp_path):
+    # null, whole and fractional values all come back as written
+    f = divfree_noise(grid2, rng)
+    for time, viscosity in ((None, 0.01), (3, None), (1e-300, 2)):
+        path = tmp_path / "f.fld"
+        write_field(path, f, time=time, viscosity=viscosity)
+        _, header = read_field(path)
+        assert (header["time"], header["viscosity"]) == (time, viscosity)
+
+
+@pytest.mark.parametrize("key", ["time", "viscosity"])
+def test_write_field_refuses_a_non_finite_header_value(grid2, tmp_path, key):
+    f = zero_field(grid2, 1)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_field(tmp_path / "f.fld", f, **{key: math.nan})
+    assert not (tmp_path / "f.fld").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "abc",
+                                   True, [1.0]])
+@pytest.mark.parametrize("key", ["time", "viscosity"])
+def test_non_finite_header_value_rejected(tmp_path, key, value):
+    header = {"dim": 2, "n": 8, "components": 1, "representation": "physical",
+              "time": None, "viscosity": None}
+    header[key] = value
+    blob = json.dumps(header).encode()
+    path = tmp_path / "bad.fld"
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                     + np.zeros(64).tobytes())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + f".*'{key}'"):
+        read_field(path)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -241,8 +241,9 @@ def _random_half_states(grid, count, seed):
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 def test_nonlinear_workspace_reuse_is_bit_identical(dim, n, dealias):
-    # the integrator reuses its transform workspace: nothing of one call
-    # may leak into the next
+    # the integrator reuses its transform workspace, and u and then
+    # omega share its padded buffer (a plain copy with dealias=False):
+    # nothing of one transform or call may leak into the next
     grid = Grid(dim, n)
     config = SolverConfig(dim=dim, n=n, dealias=dealias)
     reused = _Integrator(grid, config)
@@ -267,7 +268,10 @@ def test_nonlinear_leaves_input_unchanged(dim, n, dealias):
     before = state.copy()
     term, _ = integ.nonlinear(state)
     np.testing.assert_array_equal(state, before)
-    assert not np.may_share_memory(term, state)
+    # nor does the result alias the workspace the next call overwrites
+    workspace = [state, integ.omega, integ.cross,
+                 *integ.padding._buffers.values()]
+    assert not any(np.shares_memory(term, buf) for buf in workspace)
 
 
 def test_state_stays_hermitian_without_nyquist_content():
