@@ -11,7 +11,6 @@ j <= -1, so S_{j+1} - S_j equals the shell block at j and the ball block
 coincides with S_0.
 """
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -19,9 +18,9 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, SPECTRAL, _box, _ik, _irfftn_half, _map_threads,
-                    _plane_weights, _thread_map, h1_seminorm,
-                    l2_norm_spectral, spectral_data)
+from .field import (Field, SPECTRAL, _ik, _irfftn_half, _map_threads,
+                    _plane_weights, _thread_map, h1_seminorm, l2_norm_spectral,
+                    spectral_data)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -136,12 +135,13 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     2^{j+1} support, that is (8/3) 2^j, because smooth_step returns
     exactly 0 at and below the foot of its ramp.  So the block is zero
     wherever some |k_i| exceeds r, the floor of that radius (at most
-    n/2).  Only its support box, the 2^(dim-1) corners |k_i| <= r of the
-    half-spectrum planes 0 <= k_last <= r, is multiplied by the cached
-    half planes of the multiplier into a zeroed n//2+1-plane buffer (all
-    of those planes when the box spans the leading axes), and
-    _irfftn_half transforms only the lines that meet the box, so the c2r
-    pads nothing; every dropped coefficient is a true zero.
+    n/2).  The half-spectrum planes 0 <= k_last <= r are multiplied
+    whole by the cached half planes of the multiplier into an
+    n//2+1-plane buffer, and _irfftn_half prunes to the support box: it
+    transforms only the lines that meet |k_i| <= r, so the c2r pads
+    nothing; every dropped coefficient is a true zero.  A lane takes its
+    blocks in ascending j, so in ascending r, and the planes above r
+    still hold the buffer's initial zeros.
 
     The blocks run in the lanes of one _thread_map call, one lane per
     thread (_map_threads: 1 when called from inside a map item, as in a
@@ -170,21 +170,13 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
 
     def lane(t):
         buf = bufs[t]
-        dirty = 0  # planes of buf that may hold a transformed block
         for col in range(t, len(js), lanes):
             radius = _block_radius(grid, js[col])
-            planes = radius + 1
-            boxes = [box + (slice(0, planes),) for box in itertools.product(
-                *[_box(grid.n, radius)] * (grid.dim - 1))]
             sq = None
             for first in range(0, len(spec), step):
-                if 2 * radius + 1 < grid.n:  # only the corners are written
-                    buf[..., :dirty] = 0
-                dirty = planes  # else radius = n/2: every plane is overwritten
-                for box in boxes:
-                    np.multiply(spec[(slice(first, first + step),) + box],
-                                half_mults[col][box],
-                                out=buf[(Ellipsis,) + box])
+                np.multiply(spec[first:first + step, ..., :radius + 1],
+                            half_mults[col][..., :radius + 1],
+                            out=buf[..., :radius + 1])
                 phys = _irfftn_half(buf, grid.shape, radius)
                 np.square(phys, out=phys)
                 for comp in phys:

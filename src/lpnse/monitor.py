@@ -12,13 +12,12 @@ L^2 norm here, ||w_j||_2 and ||grad w_j||_2 alike, is a p = 2 row of
 block_norms, read in _w_rows from the half-plane power that also gives
 ||w||^2 and ||grad w||^2.
 
-Nothing is kept between calls.  _linf_block_matrix reads a trajectory
-once for its L^inf and L^p block norms, or a pair once for those of u,
-the L^inf norms of v, and the block L^2 norms, ||w||^2 and ||grad w||^2
-of w; _w_record reads a pair once for w's alone.  Each is one pass that
-holds a snapshot, or a pair, per thread.  Every series is a fold over
-those matrices: each public function runs the producers it needs, and
-build_report runs one pass over the pair and folds every series.
+Nothing is kept between calls.  _pass is the one walk over a trajectory
+or a snapshot-aligned pair: it checks the alignment, reads each snapshot
+or pair on the threads of _thread_map, one per thread, and stacks the
+rows it computes.  Every public function makes one _pass and folds its
+rows; build_report's pass is _linf_block_matrix over the pair.  Only
+block_energy_audit reads snapshots itself, the three around one time.
 """
 
 import json
@@ -32,7 +31,7 @@ from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
 from .blocks import (_block_l2_norms, _half_power, block_indices,
                      block_norm_table, block_norms, delta_j)
 from .errors import BlockRangeError, NonFiniteError
-from .field import (Field, SPECTRAL, _ik, _thread_map, advect, inner,
+from .field import (Field, SPECTRAL, _ik, _thread_map, add, advect, inner,
                     spectral_data)
 from .solver import Trajectory
 
@@ -53,7 +52,9 @@ def _require_aligned(traj_u: Trajectory, traj_v: Trajectory) -> None:
 
 
 def _diff_spec(u: Field, v: Field) -> np.ndarray:
-    return spectral_data(u) - spectral_data(v)
+    """The half spectrum of w = u - v: planes 0 <= k_last <= n/2."""
+    planes = u.grid.n // 2 + 1
+    return spectral_data(u)[..., :planes] - spectral_data(v)[..., :planes]
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,20 @@ class LosingParams:
                              f"got {self.lam}")
 
 
-# --- block-norm matrices and the criterion integral --------------------------
+# --- the walk, block-norm matrices and the criterion integral ----------------
 
-def _columns(rows) -> list:
-    """Per-snapshot rows of values, stacked along a last, snapshot axis."""
+def _pass(row, traj_u: Trajectory, traj_v: Trajectory = None) -> list:
+    """row(u_i), or row(u_i, v_i) with a snapshot-aligned traj_v, for
+    every snapshot i, read on the threads of _thread_map and dropped
+    before its thread reads the next: row's values, each stacked along a
+    last, snapshot axis."""
+    trajs = (traj_u,) if traj_v is None else (traj_u, traj_v)
+    if traj_v is not None:
+        _require_aligned(traj_u, traj_v)
+    if len(traj_u) == 0:
+        raise ValueError("empty trajectory")
+    rows = _thread_map(lambda i: row(*[t.snapshots[i] for t in trajs]),
+                       range(len(traj_u)))
     return [np.stack(col, axis=-1) for col in zip(*rows)]
 
 
@@ -91,26 +102,28 @@ def _w_rows(u: Field, v: Field) -> tuple:
 
 def _linf_block_matrix(traj: Trajectory, p: float = math.inf,
                        traj_v: Trajectory = None) -> tuple:
-    """(js, L^inf, L^p block norms), each shaped (len(js), len(traj)):
-    every block is transformed once for the drift weights and the norm.
-    With traj_v, which must be snapshot-aligned, the tuple goes on with
+    """(js, L^inf, L^p block norms), each shaped (len(js), len(traj)), in
+    one _pass: every block is transformed once for the drift weights and
+    the norm.  With traj_v, build_report's pass, the tuple goes on with
     v's L^inf block norms and w = u - v's block L^2 norms, ||w||^2 and
-    ||grad w||^2 (_w_rows).  One pass on the threads of _thread_map reads
-    each snapshot, or each pair (u_i, v_i), and drops it before its
-    thread takes the next."""
-    grid = traj.grid
+    ||grad w||^2 (_w_rows)."""
     if traj_v is None:
-        def step(i):
-            return (block_norm_table(traj.snapshots[i], (math.inf, p)),)
+        def row(u):
+            return (block_norm_table(u, (math.inf, p)),)
     else:
-        _require_aligned(traj, traj_v)
-
-        def step(i):
-            u, v = traj.snapshots[i], traj_v.snapshots[i]
+        def row(u, v):
             return ((block_norm_table(u, (math.inf, p)),
                      block_norm_table(v, (math.inf,))[0]) + _w_rows(u, v))
-    table, *rest = _columns(_thread_map(step, range(len(traj))))
-    return (np.array(block_indices(grid)), table[0], table[1], *rest)
+    table, *rest = _pass(row, traj, traj_v)
+    return (np.array(block_indices(traj.grid)), table[0], table[1], *rest)
+
+
+def _linf_pair(traj_u: Trajectory, traj_v: Trajectory) -> tuple:
+    """(js, L^inf block norms of u, of v) in one _pass over the pairs."""
+    linf_u, linf_v = _pass(
+        lambda u, v: (block_norms(u, math.inf), block_norms(v, math.inf)),
+        traj_u, traj_v)
+    return np.array(block_indices(traj_u.grid)), linf_u, linf_v
 
 
 def besov_series(js: np.ndarray, mat: np.ndarray,
@@ -132,33 +145,31 @@ class CriterionSeries:
     integral: np.ndarray
 
 
-def _criterion_mats(traj: Trajectory, triple: CriterionTriple,
-                    traj_v: Trajectory = None):
-    """Check the triple and the cadence, then read the block norms
-    (_linf_block_matrix, with traj_v's if given)."""
+def _check_criterion(traj: Trajectory, triple: CriterionTriple) -> None:
+    """Check the triple and the snapshot cadence of a criterion integral."""
     triple.validate(EXTENDED_MODE)
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
     gaps = np.diff(traj.times)
     if len(gaps) and np.max(gaps) > 10.0 * traj.config.dt + 1e-12:
         raise ValueError("snapshot cadence too coarse for criterion integrals "
                          "(need <= 10 steps between snapshots)")
-    return _linf_block_matrix(traj, triple.p, traj_v)
 
 
-def _criterion_series(times: np.ndarray, js: np.ndarray, mat: np.ndarray,
+def _criterion_series(traj: Trajectory, mat: np.ndarray,
                       triple: CriterionTriple) -> CriterionSeries:
-    norms = besov_series(js, mat, BesovSpec(triple.r, triple.p, math.inf))
+    norms = besov_series(np.array(block_indices(traj.grid)), mat,
+                         BesovSpec(triple.r, triple.p, math.inf))
     integrand = (math.e + norms) ** triple.q
-    return CriterionSeries(times, norms, integrand, _cumtrapz(integrand, times))
+    return CriterionSeries(traj.times, norms, integrand,
+                           _cumtrapz(integrand, traj.times))
 
 
 def criterion_integral(traj: Trajectory,
                        triple: CriterionTriple) -> CriterionSeries:
     """Cumulative integral of (e + ||u||_{B^r_{p,inf}})^q over snapshots;
     the norm is defined for every extended-mode triple."""
-    js, _, mat = _criterion_mats(traj, triple)
-    return _criterion_series(traj.times, js, mat, triple)
+    _check_criterion(traj, triple)
+    _, _, mat = _linf_block_matrix(traj, triple.p)
+    return _criterion_series(traj, mat, triple)
 
 
 # --- difference block norms --------------------------------------------------
@@ -170,22 +181,11 @@ class BlockSeries:
     values: np.ndarray  # shape (len(js), len(times))
 
 
-def _w_record(traj_u: Trajectory, traj_v: Trajectory):
-    """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v at every
-    snapshot (_w_rows), in one pass over the pairs on the threads of
-    _thread_map."""
-    _require_aligned(traj_u, traj_v)
-    grid = traj_u.grid
-    mat, energy, dissipation = _columns(_thread_map(
-        lambda i: _w_rows(traj_u.snapshots[i], traj_v.snapshots[i]),
-        range(len(traj_u))))
-    return (BlockSeries(traj_u.times, np.array(block_indices(grid)), mat),
-            energy, dissipation)
-
-
 def block_series(traj_u: Trajectory, traj_v: Trajectory) -> BlockSeries:
     """L2 norm of every dyadic block of w = u - v at every snapshot."""
-    return _w_record(traj_u, traj_v)[0]
+    mat = _pass(_w_rows, traj_u, traj_v)[0]
+    return BlockSeries(traj_u.times, np.array(block_indices(traj_u.grid)),
+                       mat)
 
 
 def _w_sup(blocks: BlockSeries, s: float):
@@ -243,9 +243,7 @@ def epsilon_weights(traj_u: Trajectory, traj_v: Trajectory):
     truncated at the grid's top shell.  Nondecreasing in t and in j.
     Returns (times, js, eps) with eps shaped (len(js), len(times)).
     """
-    _require_aligned(traj_u, traj_v)
-    js, linf_u, _ = _linf_block_matrix(traj_u)
-    _, linf_v, _ = _linf_block_matrix(traj_v)
+    js, linf_u, linf_v = _linf_pair(traj_u, traj_v)
     return traj_u.times, js, _epsilon(traj_u.times, js, linf_u, linf_v)
 
 
@@ -276,9 +274,8 @@ def smallness_window(traj_u: Trajectory, traj_v: Trajectory, s: float,
     the window on which the drift-weighted estimate closes.
     """
     params = LosingParams(s, lam)
-    _require_aligned(traj_u, traj_v)
-    return _t_star(traj_u.times, b1_series(traj_u) + b1_series(traj_v),
-                   params)
+    js, linf_u, linf_v = _linf_pair(traj_u, traj_v)
+    return _t_star(traj_u.times, _b1(js, linf_u) + _b1(js, linf_v), params)
 
 
 # --- per-block energy audit --------------------------------------------------
@@ -305,7 +302,7 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     h_minus, h_plus = t1 - t0, t2 - t1
     pairs = [(traj_u.snapshots[k], traj_v.snapshots[k])
              for k in (i - 1, i, i + 1)]
-    ws = [Field(grid, _diff_spec(u, v), SPECTRAL) for u, v in pairs]
+    ws = [add(u, v, -1.0) for u, v in pairs]
     norms = [float(block_norms(w, 2.0)[j + 1]) for w in ws]
     e_prev, e_here, e_next = (0.5 * norm**2 for norm in norms)
     dedt = ((h_minus**2 * e_next + (h_plus**2 - h_minus**2) * e_here
@@ -364,22 +361,19 @@ def integral_identity_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
         <u(t),v(t)> + 2 nu int <grad u, grad v> = <u0,v0> + int <w.grad u, w>,
 
     reported as the max over snapshots relative to ||u0||_2^2."""
-    _require_aligned(traj_u, traj_v)
     grid = traj_u.grid
-    nu = traj_u.config.nu
-    uv, grad_uv, tri = (np.empty(len(traj_u)) for _ in range(3))
-    for i in range(len(traj_u)):
-        u, v = traj_u.snapshots[i], traj_v.snapshots[i]
+
+    def row(u, v):
         prod = np.real(spectral_data(u) * np.conj(spectral_data(v)))
-        uv[i] = grid.volume * float(np.sum(prod))
-        grad_uv[i] = grid.volume * float(np.sum(prod * grid.k_sq))
-        w = Field(grid, _diff_spec(u, v), SPECTRAL)
-        tri[i] = trilinear(w, u, w)
-    lhs = uv + 2.0 * nu * _cumtrapz(grad_uv, traj_u.times)
+        w = add(u, v, -1.0)
+        return (grid.volume * float(np.sum(prod)),
+                grid.volume * float(np.sum(prod * grid.k_sq)),
+                trilinear(w, u, w),
+                grid.volume * float(np.sum(np.abs(spectral_data(u)) ** 2)))
+    uv, grad_uv, tri, u_sq = _pass(row, traj_u, traj_v)
+    lhs = uv + 2.0 * traj_u.config.nu * _cumtrapz(grad_uv, traj_u.times)
     rhs = uv[0] + _cumtrapz(tri, traj_u.times)
-    scale = grid.volume * float(
-        np.sum(np.abs(spectral_data(traj_u.snapshots[0])) ** 2))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return float(np.max(np.abs(lhs - rhs)) / u_sq[0])
 
 
 # --- Gronwall envelope -------------------------------------------------------
@@ -418,8 +412,11 @@ def gronwall_check(traj_u: Trajectory, traj_v: Trajectory,
     """Fit the envelope constant: C(t) = log(LHS(t)/||w0||^2) / I(t) with
     LHS(t) = ||w(t)||^2 + int_0^t ||grad w||^2 and I the criterion
     integral of the base flow.  The sup over t is the fitted constant."""
-    _, e_w, d_w = _w_record(traj_u, traj_v)
-    crit = criterion_integral(traj_u, triple)
+    _check_criterion(traj_u, triple)
+    lp_u, _, e_w, d_w = _pass(
+        lambda u, v: (block_norms(u, triple.p),) + _w_rows(u, v),
+        traj_u, traj_v)
+    crit = _criterion_series(traj_u, lp_u, triple)
     return _gronwall_fit(traj_u.times, e_w, d_w, crit.integral)
 
 
@@ -531,11 +528,12 @@ class CriterionReport:
 def build_report(traj_u: Trajectory, traj_v: Trajectory,
                  triple: CriterionTriple, s: float, lam: float) -> CriterionReport:
     params = LosingParams(s, lam)
-    js, linf_u, lp_u, linf_v, w_mat, e_w, d_w = _criterion_mats(
-        traj_u, triple, traj_v)
+    _check_criterion(traj_u, triple)
+    js, linf_u, lp_u, linf_v, w_mat, e_w, d_w = _linf_block_matrix(
+        traj_u, triple.p, traj_v)
     times = traj_u.times
     blocks = BlockSeries(times, js, w_mat)
-    crit = _criterion_series(times, js, lp_u, triple)
+    crit = _criterion_series(traj_u, lp_u, triple)
     w_values, w_attain = _w_sup(blocks, s)
     eps = _epsilon(times, js, linf_u, linf_v)
     losing = losing_weight(blocks, eps, lam, s)

@@ -18,7 +18,7 @@ from .blocks import block_indices, block_norms, delta_j, s_j
 from .errors import BlockRangeError
 from .field import (Field, SPECTRAL, add, advect, dealiased_product,
                     divergence, grad_norm_inf, h1_seminorm, l2_norm_spectral,
-                    spectral_data, zero_field)
+                    spectral_data)
 
 
 def paraproduct_t(u: Field, v: Field, dealias: bool = True) -> Field:
@@ -33,8 +33,6 @@ def paraproduct_t(u: Field, v: Field, dealias: bool = True) -> Field:
     for j in range(1, grid.jmax + 1):
         term = dealiased_product(s_j(u, j - 1), delta_j(v, j), dealias)
         total = term.data if total is None else total + term.data
-    if total is None:
-        return zero_field(grid, max(u.ncomp, v.ncomp))
     return Field(grid, total, SPECTRAL)
 
 
@@ -113,8 +111,6 @@ def commutator(v: Field, j: int, w: Field, dealias: bool = True) -> Field:
         projected = delta_j(advect(low_v, w_block, dealias), j)
         term = direct.data - spectral_data(projected)
         total = term if total is None else total + term
-    if total is None:
-        return zero_field(grid, w.ncomp)
     return Field(grid, total, SPECTRAL)
 
 

@@ -27,7 +27,21 @@ from .solver import SolverConfig, Trajectory
 MAGIC = b"LPNSFLD1"
 
 
+def _header_fault(header: dict) -> str:
+    """Why a header's time or viscosity is refused, or "": each must be
+    null or a finite int or float (a numpy float64 is one), not a bool."""
+    for key in ("time", "viscosity"):
+        value = header.get(key)
+        # abs(v) < inf: false for nan and +-inf, exact for big ints
+        if value is not None and (isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and abs(value) < math.inf)):
+            return f"key {key!r} must be null or a finite number, got {value!r}"
+    return ""
+
+
 def write_field(path, f: Field, time: float = None, viscosity: float = None) -> None:
+    """Write f; a time or viscosity that read_field refuses raises a
+    ValueError naming the file and the key before the file is opened."""
     header = {
         "dim": f.grid.dim,
         "n": f.grid.n,
@@ -36,6 +50,8 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
         "time": time,
         "viscosity": viscosity,
     }
+    if fault := _header_fault(header):
+        raise ValueError(f"{path}: {fault}")
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode()
     data = np.ascontiguousarray(f.data)
     if f.representation == SPECTRAL:
@@ -62,13 +78,8 @@ def _parse_header(path, blob: bytes):
         if type(ncomp) is not int or ncomp < 1:
             raise ValueError(f"components must be a positive integer, "
                              f"got {ncomp!r}")
-        for key in ("time", "viscosity"):
-            value = header.get(key)
-            # abs(v) < inf: false for nan and +-inf, exact for big ints
-            if value is not None and not (type(value) in (int, float)
-                                          and abs(value) < math.inf):
-                raise ValueError(f"key {key!r} must be null or a finite "
-                                 f"number, got {value!r}")
+        if fault := _header_fault(header):
+            raise ValueError(fault)
     except KeyError as exc:
         raise ValueError(f"{path}: snapshot header has no key {exc}") from None
     except (ValueError, TypeError, GridError) as exc:

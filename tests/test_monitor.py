@@ -5,12 +5,14 @@ envelope fit."""
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lpnse
+import lpnse.snapshots
 from lpnse.besov import BesovSpec, CriterionTriple, besov_norm
 from lpnse.blocks import block_indices, block_norms
 from lpnse import cutoffs
@@ -19,6 +21,7 @@ from lpnse.errors import BlockRangeError, TripleError
 from lpnse.field import (Field, SPECTRAL, from_components, h1_seminorm,
                          l2_norm_spectral, lp_norm, spectral_data, zero_field)
 from lpnse.grid import Grid
+from lpnse.snapshots import load_trajectory, save_trajectory
 from lpnse.monitor import (LosingParams, _cumtrapz, _diff_spec,
                            _linf_block_matrix, b1_series, besov_series,
                            block_energy_audit, block_series, build_report,
@@ -120,10 +123,17 @@ def test_criterion_integral_cadence_guard(grid2):
 
 
 def test_criterion_integral_empty_trajectory(grid2):
+    # the one walk rejects an empty trajectory or pair, whoever folds it
     config = SolverConfig(dim=2, n=32, dt=1e-3, t_end=0.01, snap_every=1)
     traj = Trajectory(config, grid2, np.array([]), [], {})
-    with pytest.raises(ValueError, match="empty"):
-        criterion_integral(traj, TRIPLE)
+    for diagnostic in (lambda: criterion_integral(traj, TRIPLE),
+                       lambda: b1_series(traj),
+                       lambda: block_series(traj, traj),
+                       lambda: epsilon_weights(traj, traj),
+                       lambda: integral_identity_check(traj, traj),
+                       lambda: gronwall_check(traj, traj, TRIPLE)):
+        with pytest.raises(ValueError, match="empty trajectory"):
+            diagnostic()
 
 
 def test_besov_and_b1_series_match_per_snapshot_norms(twin_pair):
@@ -141,7 +151,7 @@ def test_besov_and_b1_series_match_per_snapshot_norms(twin_pair):
     assert np.array_equal(b1_series(u), reference)
 
 
-def test_w_record_matches_diff_spec_loops(twin_pair):
+def test_w_rows_match_diff_spec_loops(twin_pair):
     u, v = twin_pair
     grid = u.grid
     js = np.array(block_indices(grid))
@@ -154,7 +164,8 @@ def test_w_record_matches_diff_spec_loops(twin_pair):
     weights = np.full(planes, 2.0)
     weights[[0, -1]] = 1.0
     for i in range(len(u)):
-        half = _diff_spec(u.snapshots[i], v.snapshots[i])[..., :planes]
+        half = _diff_spec(u.snapshots[i], v.snapshots[i])
+        assert half.shape[-1] == planes
         power = np.sum(np.abs(half) ** 2, axis=0) * weights
         blocks[:, i] = block_norms(_diff_field(u, v, i), 2.0)
         e_w[i] = grid.volume * float(np.sum(power))
@@ -218,6 +229,44 @@ def test_build_report_matches_public_series(twin_pair, triple):
     assert rep.fit.c_sup == fit.c_sup and rep.fit.w0_sq == fit.w0_sq
     assert rep.fit.degenerate == fit.degenerate
     assert rep.t_star == smallness_window(u, v, s, lam)
+
+
+def test_pair_diagnostics_read_each_file_once(twin_pair, tmp_path,
+                                             monkeypatch):
+    # every pair diagnostic folds one walk over the stored pair, so each
+    # of the 2 T snapshot files is read once; the energy audit reads the
+    # three pairs around its snapshot, the trajectory ones T files
+    for name, traj in zip("uv", twin_pair):
+        save_trajectory(tmp_path / name, traj)
+    u, v = (load_trajectory(tmp_path / name) for name in "uv")
+    files = [str(tmp_path / name / f"snap_{i:06d}.fld")
+             for name in "uv" for i in range(len(u))]
+    original = lpnse.snapshots.read_field
+    reads = []
+
+    def counting(path):
+        reads.append(str(path))
+        return original(path)
+
+    monkeypatch.setattr(lpnse.snapshots, "read_field", counting)
+    pair_calls = (lambda: build_report(u, v, TRIPLE, 0.5, 1.0),
+                  lambda: block_series(u, v),
+                  lambda: diff_norm_series(u, v, 0.5),
+                  lambda: epsilon_weights(u, v),
+                  lambda: smallness_window(u, v, 0.5, 1.0),
+                  lambda: gronwall_check(u, v, TRIPLE),
+                  lambda: integral_identity_check(u, v))
+    for call in pair_calls:
+        reads.clear()
+        call()
+        assert Counter(reads) == Counter(files)
+    for call in (lambda: criterion_integral(u, TRIPLE), lambda: b1_series(u)):
+        reads.clear()
+        call()
+        assert Counter(reads) == Counter(files[:len(u)])
+    reads.clear()
+    block_energy_audit(u, v, 1, 5)
+    assert Counter(reads) == Counter(files[4:7] + files[len(u) + 4:len(u) + 7])
 
 
 def test_series_follow_changed_snapshots(twin_pair):
@@ -304,8 +353,10 @@ def test_misaligned_trajectories_rejected(twin_pair):
     sub = Trajectory(v.config, v.grid, v.times[::2], list(v.snapshots[::2]), {})
     with pytest.raises(ValueError, match="aligned"):
         block_series(u, sub)
-    with pytest.raises(ValueError, match="aligned"):
-        epsilon_weights(u, sub)
+    for diagnostic in (epsilon_weights, integral_identity_check,
+                       lambda a, b: gronwall_check(a, b, TRIPLE)):
+        with pytest.raises(ValueError, match="aligned"):
+            diagnostic(u, sub)
     # the message names what differs
     with pytest.raises(ValueError, match=f"snapshot-aligned: {len(u)} vs "
                                          f"{len(sub)} snapshots"):

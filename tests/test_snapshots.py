@@ -56,10 +56,14 @@ def test_header_time_and_viscosity_round_trip(grid2, rng, tmp_path):
 
 @pytest.mark.parametrize("key", ["time", "viscosity"])
 def test_write_field_refuses_a_non_finite_header_value(grid2, tmp_path, key):
+    # the values read_field refuses, refused before the file is opened
     f = zero_field(grid2, 1)
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        write_field(tmp_path / "f.fld", f, **{key: math.nan})
-    assert not (tmp_path / "f.fld").exists()
+    path = tmp_path / "f.fld"
+    for value in (math.nan, math.inf, -math.inf, True, "abc"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: ") + f".*'{key}'"):
+            write_field(path, f, **{key: value})
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "abc",

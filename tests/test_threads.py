@@ -22,7 +22,8 @@ from lpnse.blocks import (_MULTIPLIER_CACHE, _block_radius, block_indices,
                           block_norm_table)
 from lpnse.ensembles import divfree_noise
 from lpnse.field import _available_cpus, _thread_map, scale, set_fft_workers
-from lpnse.monitor import _linf_block_matrix, build_report
+from lpnse.monitor import (_linf_block_matrix, build_report, gronwall_check,
+                           integral_identity_check)
 from lpnse.solver import SolverConfig, twin_run
 
 two_cpus = pytest.mark.skipif(_available_cpus() < 2,
@@ -168,6 +169,22 @@ def test_block_tables_identical_across_thread_counts(dim, n):
             hashlib.sha256(block_norm_table(u, ps).tobytes()).hexdigest()
             for ps in TABLE_PS]
     assert digests[1] == digests[DEFAULT_THREADS]
+
+
+def test_pair_checks_identical_across_thread_counts(twin_pair):
+    # gronwall_check and integral_identity_check walk the pairs on the
+    # thread map; every value is the same at every thread count
+    u, v = twin_pair
+    triple = CriterionTriple(0.5, 4.0, 8.0 / 3.0)
+    values = {}
+    for threads in (1, DEFAULT_THREADS):
+        set_fft_workers(threads)
+        fit = gronwall_check(u, v, triple)
+        values[threads] = repr(
+            ({key: np.asarray(value).tolist()
+              for key, value in vars(fit).items()},
+             integral_identity_check(u, v)))
+    assert values[1] == values[DEFAULT_THREADS]
 
 
 def test_bkm_ratio_and_split_constants_identical_across_thread_counts():
