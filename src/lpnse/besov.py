@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (block_indices, block_multiplier, block_norms, delta_j,
-                     s_j)
+from .blocks import (_block_radius, _block_table, _half_multiplier,
+                     block_indices, block_norms, s_j)
 from .errors import GridError, ResolutionError, TripleError
-from .field import (Field, SPECTRAL, _cross, _ik, divergence,
-                    grad_norm_inf, h1_seminorm, l2_norm_spectral, lp_norm,
-                    spectral_data)
+from .field import (Field, SPECTRAL, _cross, _grad_norm_inf_half,
+                    _hermitian_half, _hermitian_residue, _ik, _magnitude_half,
+                    _norm_of_magnitude, divergence, h1_seminorm,
+                    l2_norm_spectral, lp_norm, spectral_data)
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,15 @@ def curl(u: Field) -> Field:
     grid = u.grid
     if u.ncomp != grid.dim:
         raise GridError(f"curl expects a {grid.dim}-component field")
-    ik = [_ik(grid.shape, grid.n, axis) for axis in range(grid.dim)]
-    return Field(grid, _cross(ik, spectral_data(u)), SPECTRAL)
+    return Field(grid, _curl_spectrum(spectral_data(u), grid.n), SPECTRAL)
+
+
+def _curl_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
+    """i k x spec (_cross) on full or half spectra spec on the n-point
+    grid: a half spectrum's curl is the planes 0 <= k_last <= n/2 of the
+    full spectrum's, bit for bit."""
+    ik = [_ik(spec.shape[1:], n, axis) for axis in range(spec.ndim - 1)]
+    return _cross(ik, spec)
 
 
 def biot_savart(w: Field) -> Field:
@@ -93,13 +101,15 @@ def biot_savart(w: Field) -> Field:
             raise ValueError("3D vorticity must be divergence-free (a curl)")
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_ksq = np.where(grid.k_sq > 0, 1.0 / grid.k_sq, 0.0)
-    ik = [_ik(grid.shape, grid.n, axis) for axis in range(grid.dim)]
-    return Field(grid, _cross(ik, spec) * inv_ksq, SPECTRAL)
+    return Field(grid, _curl_spectrum(spec, grid.n) * inv_ksq, SPECTRAL)
 
 
 def bkm_ratio(u: Field) -> float:
     """Ratio of the Lipschitz-type norm of u to the energy norm plus the
-    sup-type vorticity norm.  Zero field returns 0 by convention."""
+    sup-type vorticity norm.  Zero field returns 0 by convention.  The
+    vorticity is formed on u's planes 0 <= k_last <= n/2 only, the planes
+    its block table reads, not as a full-layout curl(u)."""
+    grid = u.grid
     norm_u2 = l2_norm_spectral(u)
     if norm_u2 == 0.0:
         return 0.0
@@ -107,7 +117,11 @@ def bkm_ratio(u: Field) -> float:
     if div > 1e-10 * max(h1_seminorm(u), 1e-30):
         raise ValueError("bkm_ratio expects a divergence-free field")
     num = besov_norm(u, BesovSpec(1.0, math.inf, math.inf))
-    den = norm_u2 + besov_norm(curl(u), BesovSpec(0.0, math.inf, math.inf))
+    omega = _curl_spectrum(spectral_data(u)[..., :grid.n // 2 + 1], grid.n)
+    omega_blocks = _block_table(omega, grid, (math.inf,))[0]
+    den = norm_u2 + besov_from_blocks(np.array(block_indices(grid)),
+                                      omega_blocks,
+                                      BesovSpec(0.0, math.inf, math.inf))
     return num / den
 
 
@@ -220,21 +234,30 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
       c_lip  = ||grad u_low||_inf / (2^{2(1-1/q)N} ||u||)
       c_high = ||u_high||_{p~}   / (2^{(3/p-3/p~-r)N} ||u||)
 
-    The parts are those of split_low_high, held one at a time in one
-    buffer: S_N u for the Lipschitz norm, then u - S_N u, written over it.
+    The parts are those of split_low_high, formed on the Hermitian half
+    of u's spectrum (_hermitian_half), taken once: S_N u is the half
+    times the cached half multiplier over the planes of its support box,
+    for the Lipschitz norm, and u - S_N u is then written over the half.
+    The check that u is real (to_physical's) runs once, on all of u.
     """
     triple.validate(UNIQUENESS_MODE)
+    grid = u.grid
     norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
-    N, p_tilde, q_tilde = _split_exponents(u.grid, triple, norm_value)
+    N, p_tilde, q_tilde = _split_exponents(grid, triple, norm_value)
     lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * N) * norm_value
     high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / p_tilde - triple.r) * N)
                   * norm_value)
     spec = spectral_data(u)
-    part = spec * block_multiplier(u.grid, N, "low")  # s_j(u, N)'s data
-    # each Field freezes a view of part, not part itself
-    lip_low = grad_norm_inf(Field(u.grid, part.view(), SPECTRAL))
-    np.subtract(spec, part, out=part)
-    high_norm = lp_norm(Field(u.grid, part.view(), SPECTRAL), p_tilde)
+    half = _hermitian_half(spec, grid.dim)
+    residue = _hermitian_residue(spec, half)
+    # chi(|k|/2^N) is exactly 0 for |k| >= (4/3) 2^N, block N-1's support
+    planes = _block_radius(grid, N - 1) + 1
+    low = half[..., :planes] * _half_multiplier(grid, N, "low")[..., :planes]
+    lip_low = _grad_norm_inf_half(low, grid)
+    np.subtract(half[..., :planes], low, out=half[..., :planes])
+    del low
+    high_norm = _norm_of_magnitude(
+        _magnitude_half(half, grid.shape, residue), p_tilde, grid)
     return {
         "N": N,
         "p_tilde": p_tilde,

@@ -18,7 +18,7 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, SPECTRAL, _ik, _irfftn_half, _map_threads,
+from .field import (Field, SPECTRAL, _box, _ik, _irfftn_half, _map_threads,
                     _plane_weights, _thread_map, h1_seminorm, l2_norm_spectral,
                     spectral_data)
 from .grid import Grid
@@ -135,13 +135,14 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     2^{j+1} support, that is (8/3) 2^j, because smooth_step returns
     exactly 0 at and below the foot of its ramp.  So the block is zero
     wherever some |k_i| exceeds r, the floor of that radius (at most
-    n/2).  The half-spectrum planes 0 <= k_last <= r are multiplied
-    whole by the cached half planes of the multiplier into an
-    n//2+1-plane buffer, and _irfftn_half prunes to the support box: it
-    transforms only the lines that meet |k_i| <= r, so the c2r pads
-    nothing; every dropped coefficient is a true zero.  A lane takes its
-    blocks in ascending j, so in ascending r, and the planes above r
-    still hold the buffer's initial zeros.
+    n/2).  The rows |k_1| <= r of the half-spectrum planes
+    0 <= k_last <= r are multiplied by the cached half planes of the
+    multiplier into an n//2+1-plane buffer, and _irfftn_half prunes to
+    the support box: it transforms only the lines that meet |k_i| <= r,
+    so the c2r pads nothing; every dropped coefficient is a true zero.
+    A lane takes its blocks in ascending j, so in ascending r: the
+    planes above r still hold the buffer's initial zeros, and the rows
+    |k_1| > r are zeroed on the planes an earlier transform wrote.
 
     The blocks run in the lanes of one _thread_map call, one lane per
     thread (_map_threads: 1 when called from inside a map item, as in a
@@ -151,9 +152,13 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     component at a time into its own one-component buffer, so a lane
     holds one component's buffer, transform and sq, and two lanes hold
     about what one lane of all components holds."""
-    grid = f.grid
+    return _block_table(spectral_data(f), f.grid, ps)
+
+
+def _block_table(spec: np.ndarray, grid: Grid, ps) -> np.ndarray:
+    """block_norm_table of the real fields with full or half spectra
+    `spec`: only their planes 0 <= k_last <= n/2 are read."""
     js = block_indices(grid)
-    spec = spectral_data(f)
     out = np.empty((len(ps), len(js)))
     physical = [row for row, p in enumerate(ps) if p != 2]
     # the cache is filled here, on the caller, not on a pool thread
@@ -170,14 +175,19 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
 
     def lane(t):
         buf = bufs[t]
+        written = 0  # planes 0 ... written - 1 hold a transform's values
         for col in range(t, len(js), lanes):
             radius = _block_radius(grid, js[col])
             sq = None
             for first in range(0, len(spec), step):
-                np.multiply(spec[first:first + step, ..., :radius + 1],
-                            half_mults[col][..., :radius + 1],
-                            out=buf[..., :radius + 1])
+                buf[:, radius + 1:grid.n - radius, ..., :written] = 0.0
+                for rows in _box(grid.n, radius):
+                    box = (rows, Ellipsis, slice(0, radius + 1))
+                    np.multiply(spec[(slice(first, first + step),) + box],
+                                half_mults[col][box],
+                                out=buf[(slice(None),) + box])
                 phys = _irfftn_half(buf, grid.shape, radius)
+                written = radius + 1
                 np.square(phys, out=phys)
                 for comp in phys:
                     if sq is None:

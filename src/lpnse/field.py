@@ -9,13 +9,19 @@ Conventions
   holds full spectra, exactly Hermitian from to_spectral and products:
   _rfftn_half makes its self-mirrored planes exact, and _full_spectrum
   mirrors the rest with _mirror (row 0 kept, rows 1 ... n-1 reversed,
-  by block copies).  to_physical,
-  products and grad_norm_inf transform the half spectrum of the
-  Hermitian part (c(k) + conj c(-k))/2; to_physical first checks that
-  the rest, a, is at round-off level (sum |a| bounds the imaginary part
-  a complex inverse transform would leave).  The solver state is such a
-  half spectrum, so _leray_project_spec takes full or half spectra (told
-  apart by the last axis's length).
+  by block copies).  to_physical, magnitude (so lp_norm), products and
+  grad_norm_inf transform the half spectrum of the Hermitian part
+  (c(k) + conj c(-k))/2; to_physical and magnitude check that the rest,
+  a, is at round-off level (sum |a| bounds the imaginary part a complex
+  inverse transform would leave: _hermitian_residue, _require_hermitian).
+  grad_norm_inf and magnitude are wrappers over half-spectrum cores,
+  _grad_norm_inf_half and _magnitude_half, which besov.split_constants
+  calls on u's Hermitian half directly; the cores transform one
+  component at a time in the lanes of _thread_map and sum squares in
+  component, then axis, order, so their values are the same at every
+  thread count.  The solver state is such a half spectrum, so
+  _leray_project_spec takes full or half spectra (told apart by the last
+  axis's length).
 * Memory: a full-layout field holds 16 ncomp n^dim bytes, and the
   helpers on the n=64 diagnostics path make few such temporaries.
   _mirror writes its blocks into a given array; _hermitian_half fills
@@ -75,17 +81,19 @@ def _available_cpus() -> int:
 
 
 # Threads of _thread_map: the caller plus a pool of _fft_workers - 1.
-# They run the per-snapshot work of a report and the block lanes of one
-# block_norm_table call.  Every transform itself runs on one thread:
-# splitting one transform across threads made the solver slower.
+# They run the per-snapshot work of a report, the block lanes of one
+# block_norm_table call, the axis lanes of grad_norm_inf and the
+# component lanes of magnitude (so lp_norm).  Every transform itself
+# runs on one thread: splitting one transform across threads made the
+# solver slower.
 _fft_workers = min(2, _available_cpus())
 _mapping = contextvars.ContextVar("lpnse_mapping", default=False)
 
 
 def set_fft_workers(workers: int) -> None:
     """Set the thread count of _thread_map (a report's snapshot pairs,
-    one block table's block lanes), capped at the CPUs this process may
-    run on."""
+    the lanes of a block table, grad_norm_inf and magnitude), capped at
+    the CPUs this process may run on."""
     global _fft_workers
     workers = int(workers)
     if workers < 1:
@@ -257,18 +265,32 @@ def to_spectral(f: Field) -> Field:
 def to_physical(f: Field) -> Field:
     if not f.is_spectral:
         return f
-    n, dim = f.grid.n, f.grid.dim
-    half = _hermitian_half(f.data, dim)
-    weight = _plane_weights(n)
-    worst = max(np.sum(np.abs(c[..., :n // 2 + 1] - h) * weight)
-                for c, h in zip(f.data, half))
+    half = _hermitian_half(f.data, f.grid.dim)
+    residue = _hermitian_residue(f.data, half)
     phys = _irfftn_half(half, f.grid.shape)
-    scale = max(phys.max(), -phys.min())  # max |phys|, without a |phys| copy
-    if worst > 1e-8 * max(scale, 1e-300) and worst > 1e-12:
-        raise GridError(
-            f"spectral data is not Hermitian symmetric (imag residue bound {worst:.3e})"
-        )
+    # max |phys|, without a |phys| copy
+    _require_hermitian(residue, max(phys.max(), -phys.min()))
     return Field(f.grid, phys, PHYSICAL)
+
+
+def _hermitian_residue(spec: np.ndarray, half: np.ndarray) -> float:
+    """sum |a| over the half-spectrum planes, weighted by _plane_weights,
+    for the worst component of a = spec - half, the rest of full spectra
+    spec beside their Hermitian half `half` (_hermitian_half): it bounds
+    the imaginary part a complex inverse transform would leave."""
+    weight = _plane_weights(spec.shape[-1])
+    return max(np.sum(np.abs(c[..., :len(weight)] - h) * weight)
+               for c, h in zip(spec, half))
+
+
+def _require_hermitian(residue: float, scale: float) -> None:
+    """Raise GridError unless `residue` (_hermitian_residue) is at
+    round-off level against `scale`, the max |value| of the real field
+    the Hermitian half transforms to."""
+    if residue > 1e-8 * max(scale, 1e-300) and residue > 1e-12:
+        raise GridError(
+            f"spectral data is not Hermitian symmetric (imag residue bound {residue:.3e})"
+        )
 
 
 def spectral_data(f: Field) -> np.ndarray:
@@ -276,11 +298,36 @@ def spectral_data(f: Field) -> np.ndarray:
 
 
 def magnitude(f: Field) -> np.ndarray:
-    """Pointwise Euclidean magnitude on the grid."""
-    phys = to_physical(f).data
-    if phys.shape[0] == 1:
-        return np.abs(phys[0])
-    return np.sqrt(np.sum(phys**2, axis=0))
+    """Pointwise Euclidean magnitude on the grid.  A spectral f is checked
+    as in to_physical and transformed by _magnitude_half."""
+    if f.is_spectral:
+        half = _hermitian_half(f.data, f.grid.dim)
+        return _magnitude_half(half, f.grid.shape,
+                               _hermitian_residue(f.data, half))
+    if f.ncomp == 1:
+        return np.abs(f.data[0])
+    return np.sqrt(np.sum(f.data**2, axis=0))
+
+
+def _magnitude_half(half: np.ndarray, shape: tuple,
+                    residue: float) -> np.ndarray:
+    """magnitude of the real fields with half spectra `half`, which it
+    overwrites, once _require_hermitian has passed `residue` against
+    their max |value|.  Each component is transformed in place, and
+    squared (taken in absolute value if it is the only one), on its own
+    item of _thread_map; the squares are summed in component order, so
+    the result is the same at every thread count."""
+    def component(c):
+        phys = _irfftn_half(half[c:c + 1], shape)[0]
+        scale = max(phys.max(), -phys.min())
+        return scale, (np.abs if len(half) == 1 else np.square)(phys, out=phys)
+
+    scales, comps = zip(*_thread_map(component, range(len(half))))
+    _require_hermitian(residue, max(scales))
+    mag = comps[0]
+    for sq in comps[1:]:
+        mag += sq
+    return np.sqrt(mag, out=mag) if len(comps) > 1 else mag
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -292,10 +339,14 @@ def lp_norm(f: Field, p: float) -> float:
     """
     if not p >= 1:  # NaN fails too
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    mag = magnitude(f)
+    return _norm_of_magnitude(magnitude(f), p, f.grid)
+
+
+def _norm_of_magnitude(mag: np.ndarray, p: float, grid: Grid) -> float:
+    """The L^p norm (lp_norm) behind the pointwise magnitude `mag`."""
     if np.isinf(p):
         return float(np.max(mag))
-    return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
 
 
 def l2_norm_spectral(f: Field) -> float:
@@ -360,22 +411,56 @@ def laplacian(f: Field) -> Field:
 
 
 def grad_norm_inf(f: Field) -> float:
-    """sup over the grid of the Frobenius norm of the Jacobian.  The
-    inverse transforms run over the spectrum's support box only, so a
-    low-pass field (S_N u, |k| < (4/3) 2^N) costs little more than its
-    c2r transforms.  Each derivative is formed in a fresh Hermitian half,
-    so one half spectrum is alive at a time, not two."""
-    spec, dim = spectral_data(f), f.grid.dim
-    total = np.zeros(f.grid.shape)
-    for axis in range(dim):
-        half = _hermitian_half(spec, dim)
-        if axis == 0:
-            radius = _support_radius(half, dim)
-        half *= _ik(half.shape[1:], f.grid.n, axis)
-        d = _irfftn_half(half, f.grid.shape, radius)
-        del half
-        total += np.sum(np.square(d, out=d), axis=0)
-        del d  # freed before the next transform: lower peak memory
+    """sup over the grid of the Frobenius norm of the Jacobian, from the
+    Hermitian half of f's spectrum cut to its support box
+    (_support_radius), so a low-pass field (S_N u, |k| < (4/3) 2^N) costs
+    little more than its c2r transforms (_grad_norm_inf_half)."""
+    half = _hermitian_half(spectral_data(f), f.grid.dim)
+    radius = _support_radius(half, f.grid.dim)
+    return _grad_norm_inf_half(half[..., :radius + 1], f.grid)
+
+
+def _grad_norm_inf_half(spec: np.ndarray, grid: Grid) -> float:
+    """grad_norm_inf of the real fields whose half spectra have their
+    planes 0 <= k_last < P in spec and are zero wherever some |k_i| >= P.
+    The axes run in the lanes of one _thread_map call (_map_threads of
+    them, at most one per axis), lane t on the t-th of consecutive runs
+    of axes.  A lane forms each derivative, one component at a time, in
+    its one-component n//2+1-plane buffer (the planes from P on stay
+    zero) and transforms it over the box |k_i| < P.  Squares are summed
+    in component order, an axis's sum is added to its lane's total in
+    axis order and the lanes' totals in lane order: the order of the sum
+    over all axes, so the result is the same at every thread count."""
+    n, planes = grid.n, spec.shape[-1]
+
+    def lane(axes):
+        buf = np.zeros((1,) + spec.shape[1:-1] + (n // 2 + 1,),
+                       dtype=np.complex128)
+        total = None
+        for axis in axes:
+            ik = _ik(spec.shape[1:], n, axis)
+            axis_sum = None
+            for comp in spec:
+                np.multiply(comp, ik, out=buf[0, ..., :planes])
+                d = _irfftn_half(buf, grid.shape, planes - 1)[0]
+                np.square(d, out=d)
+                if axis_sum is None:
+                    axis_sum = d
+                else:
+                    axis_sum += d
+                del d  # freed before the next transform: lower peak memory
+            if total is None:
+                total = axis_sum
+            else:
+                total += axis_sum
+            del axis_sum
+        return total
+
+    lanes = min(_map_threads(), grid.dim)
+    totals = _thread_map(lane, np.array_split(range(grid.dim), lanes))
+    total = totals[0]
+    for lane_total in totals[1:]:
+        total += lane_total
     return float(np.sqrt(np.max(total)))
 
 

@@ -14,8 +14,9 @@ from lpnse.blocks import block_norms
 from lpnse import cutoffs
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError, ResolutionError, TripleError
-from lpnse.field import (add, from_components, grad_norm_inf, gradient,
-                         l2_norm_spectral, lp_norm, scale, spectral_data)
+from lpnse.field import (SPECTRAL, Field, add, from_components, grad_norm_inf,
+                         gradient, l2_norm_spectral, lp_norm, scale,
+                         spectral_data)
 
 TRIPLE = CriterionTriple(0.5, 4.0, 8.0 / 3.0)  # 2/q + 3/p = 3/4 + 3/4 = 1.5
 
@@ -331,6 +332,25 @@ def test_split_constants_checks_the_triple_first(grid3, rng, monkeypatch,
     with pytest.raises(TripleError):
         split_constants(divfree_noise(grid3, rng, kmax=10.0), triple)
     assert calls == []
+
+
+@pytest.mark.parametrize("band", ["high", "low"])
+def test_split_constants_rejects_a_non_hermitian_field(grid3, rng, band):
+    # one mode (k, 0, 0) with no conjugate partner: at k = 15 it lies in
+    # u - S_N u's band, which lp_norm's to_physical rejected when the
+    # split made it a Field; at k = 1 it lies where chi(|k|/2^N) = 1, in
+    # S_N u alone, which nothing checked then.  The one check on all of u
+    # rejects both
+    u = divfree_noise(grid3, rng, kmax=10.0)
+    u = scale(u, 1.0 / besov_norm(u, BesovSpec(TRIPLE.r, TRIPLE.p, math.inf)))
+    N = split_constants(u, TRIPLE)["N"]
+    k = {"high": grid3.n // 2 - 1, "low": 1}[band]
+    inside = float(lpnse.blocks._half_multiplier(grid3, N, "low")[k, 0, 0])
+    assert inside == (1.0 if band == "low" else 0.0)
+    spec = spectral_data(u).copy()
+    spec[0, k, 0, 0] += 1e-3j
+    with pytest.raises(GridError, match="Hermitian"):
+        split_constants(Field(grid3, spec, SPECTRAL), TRIPLE)
 
 
 # --- interpolation ratio -----------------------------------------------------

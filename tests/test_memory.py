@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 
 from lpnse import Grid
-from lpnse.besov import BesovSpec, CriterionTriple, besov_norm, split_constants
+from lpnse.besov import (BesovSpec, CriterionTriple, besov_norm, bkm_ratio,
+                         split_constants)
 from lpnse.blocks import block_norms
 from lpnse.ensembles import divfree_noise
-from lpnse.field import (_available_cpus, _hermitian_half, scale,
-                         set_fft_workers, spectral_data)
+from lpnse.field import (_available_cpus, _hermitian_half, grad_norm_inf,
+                         scale, set_fft_workers, spectral_data)
 from lpnse.monitor import build_report
 from lpnse.snapshots import load_trajectory, save_trajectory
 from lpnse.solver import SolverConfig, _Integrator, twin_run
@@ -64,12 +65,37 @@ def test_divfree_noise_peak_memory(unit_field):
 
 
 def test_split_constants_peak_memory(unit_field):
-    # measured 2.18: the one split buffer plus, in grad_norm_inf, one
-    # derivative's half spectrum and its physical values (and as much in
-    # lp_norm's to_physical)
+    # measured 1.53 with one thread: u's Hermitian half, S_N u over the
+    # planes of its support box, and the gradient's one-component buffer,
+    # derivative and sums of squares.  With two threads, measured 1.87:
+    # a second lane holds its own buffer, derivative and sum.  The
+    # earlier split, a full-layout buffer for S_N u and then u - S_N u,
+    # peaked at 2.18
     u, triple = unit_field
-    peak = _peak_fields(lambda: split_constants(u, triple))
-    assert peak <= 2.5
+    for threads in (1, min(2, _available_cpus())):
+        set_fft_workers(threads)
+        peak = _peak_fields(lambda: split_constants(u, triple))
+        assert peak <= 2.5, threads
+
+
+def test_bkm_ratio_peak_memory(unit_field):
+    # measured 1.53: the energy and H^1 sums' full-layout temporaries, and
+    # then the vorticity on the planes 0 <= k_last <= n/2 with its block
+    # table's lanes.  The full-layout curl peaked at 2.01
+    u, _ = unit_field
+    bkm_ratio(u)  # fills the grid's wavenumber caches
+    assert _peak_fields(lambda: bkm_ratio(u)) <= 1.75
+
+
+def test_grad_norm_inf_peak_memory(unit_field):
+    # measured 1.19 with one thread: the Hermitian half, one derivative's
+    # one-component buffer and physical values, its axis's sum of squares
+    # and the running total.  With two threads, measured 1.53: the second
+    # lane's buffer, derivative and sum
+    u, _ = unit_field
+    for threads, bound in ((1, 1.3), (min(2, _available_cpus()), 1.7)):
+        set_fft_workers(threads)
+        assert _peak_fields(lambda: grad_norm_inf(u)) <= bound, threads
 
 
 def test_block_norms_peak_memory(unit_field):

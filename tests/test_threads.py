@@ -1,5 +1,6 @@
-"""The thread map (a report's snapshot pairs, a block table's lanes)
-and the thread count that sizes it.
+"""The thread map (a report's snapshot pairs, the lanes of a block
+table, of grad_norm_inf and of lp_norm) and the thread count that sizes
+it.
 
 No test here starts more threads than the host has CPUs: counts are
 checked as computed, and only the tests that need a pool thread make
@@ -19,9 +20,10 @@ from lpnse import Grid
 from lpnse.besov import (BesovSpec, CriterionTriple, besov_norm, bkm_ratio,
                          split_constants)
 from lpnse.blocks import (_MULTIPLIER_CACHE, _block_radius, block_indices,
-                          block_norm_table)
+                          block_norm_table, s_j)
 from lpnse.ensembles import divfree_noise
-from lpnse.field import _available_cpus, _thread_map, scale, set_fft_workers
+from lpnse.field import (_available_cpus, _thread_map, grad_norm_inf, lp_norm,
+                         scale, set_fft_workers)
 from lpnse.monitor import (_linf_block_matrix, build_report, gronwall_check,
                            integral_identity_check)
 from lpnse.solver import SolverConfig, twin_run
@@ -188,15 +190,33 @@ def test_pair_checks_identical_across_thread_counts(twin_pair):
 
 
 def test_bkm_ratio_and_split_constants_identical_across_thread_counts():
-    # criterion 4's first triple on one seeded 3D n=64 field at unit norm
-    triple = CriterionTriple(0.25, 4.0, 4.0)
-    u = divfree_noise(Grid(3, 64), np.random.default_rng(3), slope=2.0)
-    u = scale(u, 1.0 / besov_norm(u, BesovSpec(triple.r, triple.p,
-                                                math.inf)))
+    # criterion 4's three triples, each on a seeded 3D n=64 field at unit
+    # norm for it, as in the diag3d benchmark's pool
+    rng = np.random.default_rng(3)
+    for triple in (CriterionTriple(0.25, 4.0, 4.0),
+                   CriterionTriple(0.5, 6.0, 2.0),
+                   CriterionTriple(1.0, 6.0, 4.0 / 3.0)):
+        u = divfree_noise(Grid(3, 64), rng, slope=2.0)
+        u = scale(u, 1.0 / besov_norm(u, BesovSpec(triple.r, triple.p,
+                                                    math.inf)))
+        values = {}
+        for threads in (1, DEFAULT_THREADS):
+            set_fft_workers(threads)
+            values[threads] = repr((bkm_ratio(u), split_constants(u, triple)))
+        assert values[1] == values[DEFAULT_THREADS], triple
+
+
+def test_grad_and_lp_norms_identical_across_thread_counts():
+    # grad_norm_inf runs its axes and lp_norm its components in lanes of
+    # one-component transforms; every value is the same at every thread
+    # count, for a full field and for a low-pass one
+    u = divfree_noise(Grid(3, 64), np.random.default_rng(5), slope=2.0)
     values = {}
     for threads in (1, DEFAULT_THREADS):
         set_fft_workers(threads)
-        values[threads] = repr((bkm_ratio(u), split_constants(u, triple)))
+        values[threads] = repr(
+            [grad_norm_inf(u), grad_norm_inf(s_j(u, 2))]
+            + [lp_norm(u, p) for p in (2.5, 5.0, 9.0, math.inf)])
     assert values[1] == values[DEFAULT_THREADS]
 
 
@@ -233,3 +253,33 @@ def test_block_table_lanes(monkeypatch):
     names = [name for name, _, _ in transforms]
     assert len(set(names)) == 2
     assert [names.count(name) for name in set(names)] == [len(js)] * 2
+
+
+@two_cpus
+def test_grad_and_lp_norm_lanes(monkeypatch):
+    # every transform is of one component: on their own, grad_norm_inf's
+    # lanes take axes 0-1 on the caller and axis 2 on the pool, and
+    # lp_norm's components 0 and 2 on the caller and 1 on the pool; from
+    # inside a map item each call runs on the item's thread only
+    set_fft_workers(2)
+    u = divfree_noise(Grid(3, 16), np.random.default_rng(4))
+    transforms = []
+    irfftn_half = lpnse.field._irfftn_half
+
+    def record(a, shape, radius=None):
+        transforms.append((threading.current_thread().name, len(a)))
+        return irfftn_half(a, shape, radius)
+
+    monkeypatch.setattr(lpnse.field, "_irfftn_half", record)
+    caller = threading.current_thread().name
+    grad_norm_inf(u)
+    lp_norm(u, 3.0)
+    assert {comps for _, comps in transforms} == {1}
+    names = [name for name, _ in transforms]
+    assert (names.count(caller), len(names)) == (6 + 2, 9 + 3)
+
+    transforms.clear()
+    _thread_map(lambda _: (grad_norm_inf(u), lp_norm(u, 3.0)), range(2))
+    names = [name for name, _ in transforms]
+    assert len(set(names)) == 2
+    assert [names.count(name) for name in set(names)] == [9 + 3] * 2
