@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (_block_radius, _block_table, _half_multiplier,
-                     block_indices, block_norms, s_j)
+from .blocks import (_block_radius, _half_multiplier, block_indices,
+                     block_norms, s_j)
 from .errors import GridError, ResolutionError, TripleError
 from .field import (Field, SPECTRAL, _cross, _grad_norm_inf_half,
-                    _hermitian_half, _hermitian_residue, _ik, _magnitude_half,
-                    _norm_of_magnitude, divergence, h1_seminorm,
-                    l2_norm_spectral, lp_norm, spectral_data)
+                    _half_k_sq, _ik, _magnitude_half, _norm_of_magnitude,
+                    divergence, h1_seminorm, l2_norm_spectral, lp_norm)
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,11 @@ def curl(u: Field) -> Field:
     grid = u.grid
     if u.ncomp != grid.dim:
         raise GridError(f"curl expects a {grid.dim}-component field")
-    return Field(grid, _curl_spectrum(spectral_data(u), grid.n), SPECTRAL)
+    return Field(grid, _curl_spectrum(u.half, grid.n), SPECTRAL)
 
 
 def _curl_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
-    """i k x spec (_cross) on full or half spectra spec on the n-point
-    grid: a half spectrum's curl is the planes 0 <= k_last <= n/2 of the
-    full spectrum's, bit for bit."""
+    """i k x spec (_cross) on half spectra spec on the n-point grid."""
     ik = [_ik(spec.shape[1:], n, axis) for axis in range(spec.ndim - 1)]
     return _cross(ik, spec)
 
@@ -85,7 +82,7 @@ def biot_savart(w: Field) -> Field:
     scalar vorticity.  Spectrally: u = i k x w / |k|^2 with k = 0 zeroed.
     """
     grid = w.grid
-    spec = spectral_data(w)
+    spec = w.half
     zero = (0,) * grid.dim
     mean = np.max(np.abs(spec[(slice(None),) + zero]))
     scale_ = np.max(np.abs(spec))
@@ -99,17 +96,15 @@ def biot_savart(w: Field) -> Field:
         div = l2_norm_spectral(divergence(w))
         if div > 1e-10 * max(l2_norm_spectral(w), 1e-30):
             raise ValueError("3D vorticity must be divergence-free (a curl)")
+    k_sq = _half_k_sq(grid)
     with np.errstate(invalid="ignore", divide="ignore"):
-        inv_ksq = np.where(grid.k_sq > 0, 1.0 / grid.k_sq, 0.0)
+        inv_ksq = np.where(k_sq > 0, 1.0 / k_sq, 0.0)
     return Field(grid, _curl_spectrum(spec, grid.n) * inv_ksq, SPECTRAL)
 
 
 def bkm_ratio(u: Field) -> float:
     """Ratio of the Lipschitz-type norm of u to the energy norm plus the
-    sup-type vorticity norm.  Zero field returns 0 by convention.  The
-    vorticity is formed on u's planes 0 <= k_last <= n/2 only, the planes
-    its block table reads, not as a full-layout curl(u)."""
-    grid = u.grid
+    sup-type vorticity norm.  Zero field returns 0 by convention."""
     norm_u2 = l2_norm_spectral(u)
     if norm_u2 == 0.0:
         return 0.0
@@ -117,12 +112,8 @@ def bkm_ratio(u: Field) -> float:
     if div > 1e-10 * max(h1_seminorm(u), 1e-30):
         raise ValueError("bkm_ratio expects a divergence-free field")
     num = besov_norm(u, BesovSpec(1.0, math.inf, math.inf))
-    omega = _curl_spectrum(spectral_data(u)[..., :grid.n // 2 + 1], grid.n)
-    omega_blocks = _block_table(omega, grid, (math.inf,))[0]
-    den = norm_u2 + besov_from_blocks(np.array(block_indices(grid)),
-                                      omega_blocks,
-                                      BesovSpec(0.0, math.inf, math.inf))
-    return num / den
+    return num / (norm_u2 + besov_norm(curl(u),
+                                       BesovSpec(0.0, math.inf, math.inf)))
 
 
 # --- criterion triples and the low/high split ------------------------------
@@ -213,7 +204,7 @@ def split_low_high(u: Field, triple: CriterionTriple,
         norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
     N, p_tilde, q_tilde = _split_exponents(u.grid, triple, norm_value)
     u_low = s_j(u, N)
-    u_high = Field(u.grid, spectral_data(u) - u_low.data, SPECTRAL)
+    u_high = Field(u.grid, u.half - u_low.half, SPECTRAL)
     return SplitResult(u_low, u_high, N, p_tilde, q_tilde)
 
 
@@ -234,11 +225,10 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
       c_lip  = ||grad u_low||_inf / (2^{2(1-1/q)N} ||u||)
       c_high = ||u_high||_{p~}   / (2^{(3/p-3/p~-r)N} ||u||)
 
-    The parts are those of split_low_high, formed on the Hermitian half
-    of u's spectrum (_hermitian_half), taken once: S_N u is the half
-    times the cached half multiplier over the planes of its support box,
-    for the Lipschitz norm, and u - S_N u is then written over the half.
-    The check that u is real (to_physical's) runs once, on all of u.
+    The parts are those of split_low_high, formed on a copy of u's half
+    spectrum: S_N u is the half times the cached half multiplier over
+    the planes of its support box, for the Lipschitz norm, and u - S_N u
+    is then written over the copy.
     """
     triple.validate(UNIQUENESS_MODE)
     grid = u.grid
@@ -247,9 +237,7 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
     lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * N) * norm_value
     high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / p_tilde - triple.r) * N)
                   * norm_value)
-    spec = spectral_data(u)
-    half = _hermitian_half(spec, grid.dim)
-    residue = _hermitian_residue(spec, half)
+    half = u.half.copy()
     # chi(|k|/2^N) is exactly 0 for |k| >= (4/3) 2^N, block N-1's support
     planes = _block_radius(grid, N - 1) + 1
     low = half[..., :planes] * _half_multiplier(grid, N, "low")[..., :planes]
@@ -257,7 +245,7 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
     np.subtract(half[..., :planes], low, out=half[..., :planes])
     del low
     high_norm = _norm_of_magnitude(
-        _magnitude_half(half, grid.shape, residue), p_tilde, grid)
+        _magnitude_half(half, grid.shape), p_tilde, grid)
     return {
         "N": N,
         "p_tilde": p_tilde,

@@ -18,9 +18,9 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, SPECTRAL, _box, _ik, _irfftn_half, _map_threads,
-                    _plane_weights, _thread_map, h1_seminorm, l2_norm_spectral,
-                    spectral_data)
+from .field import (Field, SPECTRAL, _box, _half_power, _ik, _irfftn_half,
+                    _map_threads, _thread_map, h1_seminorm, l2_norm_spectral,
+                    zero_field)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -69,9 +69,8 @@ def delta_j(f: Field, j: int) -> Field:
     if j > grid.jmax:
         raise BlockRangeError(f"block {j} exceeds jmax={grid.jmax} for n={grid.n}")
     if j <= -2:
-        return Field(grid, np.zeros_like(spectral_data(f)), SPECTRAL)
-    mult = block_multiplier(grid, j, "block")
-    return Field(grid, spectral_data(f) * mult, SPECTRAL)
+        return zero_field(grid, f.ncomp)
+    return Field(grid, f.half * _half_multiplier(grid, j), SPECTRAL)
 
 
 def s_j(f: Field, j: int) -> Field:
@@ -80,33 +79,22 @@ def s_j(f: Field, j: int) -> Field:
     if j > grid.jmax + 1:
         raise BlockRangeError(f"low-pass level {j} exceeds jmax+1={grid.jmax + 1}")
     if j <= -1:
-        return Field(grid, np.zeros_like(spectral_data(f)), SPECTRAL)
-    mult = block_multiplier(grid, j, "low")
-    return Field(grid, spectral_data(f) * mult, SPECTRAL)
+        return zero_field(grid, f.ncomp)
+    return Field(grid, f.half * _half_multiplier(grid, j, "low"),
+                 SPECTRAL)
 
 
 def reconstruct(f: Field) -> Field:
     """Sum of every resolved block.  Equals f (to round-off) whenever f
     is band-limited to |k| <= (3/4) 2^{jmax+1}."""
-    grid = f.grid
-    total = np.zeros_like(spectral_data(f))
-    for j in block_indices(grid):
-        total = total + delta_j(f, j).data
-    return Field(grid, total, SPECTRAL)
+    return Field(f.grid, sum(delta_j(f, j).half
+                             for j in block_indices(f.grid)), SPECTRAL)
 
 
 def _block_radius(grid: Grid, j: int) -> int:
     """r of block j's support box: no |k_i| > r carries block content
     (see block_norm_table)."""
     return min(int(cutoffs.SUPPORT_RADIUS * 2.0 ** (j + 1)), grid.n // 2)
-
-
-def _half_power(spec: np.ndarray, n: int) -> np.ndarray:
-    """Parseval's density of the real fields with spectra `spec`, full
-    or half: sum_c |c^|^2 on the planes 0 <= k_last <= n/2, weighted by
-    _plane_weights, so its sum is the sum over the full spectrum."""
-    return (np.sum(np.abs(spec[..., :n // 2 + 1]) ** 2, axis=0)
-            * _plane_weights(n))
 
 
 def _block_l2_norms(grid: Grid, power: np.ndarray) -> np.ndarray:
@@ -122,8 +110,7 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     shaped (len(ps), jmax + 2); row i equals block_norms(f, ps[i]) bit for
     bit, at every thread count.
 
-    Every row is read from the half spectrum, so f must be real (true
-    for every field this package produces).  p = 2 is Parseval's sum of
+    Every row is read from the half spectrum.  p = 2 is Parseval's sum of
     the squared half multiplier times |c^|^2 over those planes, weighted
     by _plane_weights.  Any other p costs inverse transforms of each
     block; every such p of a block is read from the same squared
@@ -152,12 +139,11 @@ def block_norm_table(f: Field, ps) -> np.ndarray:
     component at a time into its own one-component buffer, so a lane
     holds one component's buffer, transform and sq, and two lanes hold
     about what one lane of all components holds."""
-    return _block_table(spectral_data(f), f.grid, ps)
+    return _block_table(f.half, f.grid, ps)
 
 
 def _block_table(spec: np.ndarray, grid: Grid, ps) -> np.ndarray:
-    """block_norm_table of the real fields with full or half spectra
-    `spec`: only their planes 0 <= k_last <= n/2 are read."""
+    """block_norm_table of the real fields with half spectra `spec`."""
     js = block_indices(grid)
     out = np.empty((len(ps), len(js)))
     physical = [row for row, p in enumerate(ps) if p != 2]
@@ -165,7 +151,7 @@ def _block_table(spec: np.ndarray, grid: Grid, ps) -> np.ndarray:
     half_mults = [_half_multiplier(grid, j) for j in js]
     if len(physical) < len(ps):
         out[[row for row, p in enumerate(ps) if p == 2]] = _block_l2_norms(
-            grid, _half_power(spec, grid.n))
+            grid, _half_power(spec))
     if not physical:
         return out
     lanes = min(_map_threads(), len(js))
@@ -269,16 +255,14 @@ def _bernstein_norms(f: Field, j: int) -> dict:
 
     q = 2 is evaluated from coefficients (Parseval).  Both sup norms come
     from one inverse transform of f and its first derivatives, stacked,
-    over the block's support box.  An interior-shell block and the shell
-    kernel are exactly Hermitian with no -n/2 content, so the planes
-    0 <= k_last <= n/2 of their spectra are their half spectra."""
+    over the block's support box."""
     grid = f.grid
-    spec = spectral_data(f)
-    stack = np.concatenate([spec] + [spec * _ik(grid.shape, grid.n, axis)
+    half = f.half
+    stack = np.concatenate([half] + [half * _ik(grid.half_shape, grid.n, axis)
                                      for axis in range(grid.dim)])
-    l2 = [float(np.sqrt(grid.volume * np.sum(np.abs(s) ** 2))) for s in stack]
-    phys = np.abs(_irfftn_half(stack[..., :grid.n // 2 + 1], grid.shape,
-                               _block_radius(grid, j)))
+    l2 = [float(np.sqrt(grid.volume * np.sum(_half_power(s[np.newaxis]))))
+          for s in stack]
+    phys = np.abs(_irfftn_half(stack, grid.shape, _block_radius(grid, j)))
     return {(0, 2.0): l2[0], (1, 2.0): max(l2[1:]),
             (0, np.inf): float(np.max(phys[0])),
             (1, np.inf): float(np.max(phys[1:]))}
@@ -303,11 +287,10 @@ def _shell_translate(grid: Grid, j: int, x0: np.ndarray) -> Field:
     to the block multiplier with a translation phase.  Every norm ratio
     is translation-invariant, so one random translate represents the
     whole orbit."""
-    mult = block_multiplier(grid, j, "block")
-    phase = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        phase = phase + grid.k_components[axis] * x0[axis]
-    return Field(grid, (mult * np.exp(-1j * phase))[np.newaxis], SPECTRAL)
+    phase = sum(k[..., :grid.n // 2 + 1] * x
+                for k, x in zip(grid.k_components, x0))
+    return Field(grid, (_half_multiplier(grid, j) * np.exp(-1j * phase))[
+        np.newaxis], SPECTRAL)
 
 
 def bernstein_report(grid: Grid, ensemble: int = 64,

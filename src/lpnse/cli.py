@@ -20,8 +20,8 @@ import numpy as np
 
 from .besov import BesovSpec, CriterionTriple, besov_norm, split_low_high
 from .config import load_config
-from .errors import GridError, LpnseError, NonFiniteError, SolverAbort
-from .field import set_fft_workers, to_physical
+from .errors import LpnseError, NonFiniteError, SolverAbort
+from .field import set_fft_workers
 from .manifest import build_manifest, write_manifest
 from .monitor import LosingParams, build_report
 from .snapshots import (load_trajectory, read_field, save_trajectory,
@@ -160,16 +160,6 @@ def cmd_report(args) -> int:
     return EXIT_PASS
 
 
-def _read_real_field(path):
-    """read_field, rejecting (exit 2) a snapshot that is not a real field."""
-    f, header = read_field(path)
-    try:
-        to_physical(f)
-    except GridError as exc:
-        raise GridError(f"{path}: {exc}") from None
-    return f, header
-
-
 def _snapshot_norm(path, f, spec: BesovSpec) -> float:
     """besov_norm of the snapshot f read from path, rejecting (exit 3) a
     norm that overflowed to inf or nan."""
@@ -183,7 +173,7 @@ def _snapshot_norm(path, f, spec: BesovSpec) -> float:
 @_numeric_work
 def cmd_besov(args) -> int:
     spec = BesovSpec(args.s, args.p, args.q)
-    f, _ = _read_real_field(args.snapshot)
+    f, _ = read_field(args.snapshot)
     print(repr(_snapshot_norm(args.snapshot, f, spec)))
     return EXIT_PASS
 
@@ -191,7 +181,7 @@ def cmd_besov(args) -> int:
 @_numeric_work
 def cmd_split(args) -> int:
     triple = CriterionTriple(args.r, args.p, args.q).validate()
-    f, header = _read_real_field(args.snapshot)
+    f, header = read_field(args.snapshot)
     started = time.perf_counter()
     norm_value = _snapshot_norm(args.snapshot, f,
                                 BesovSpec(triple.r, triple.p, math.inf))

@@ -3,10 +3,9 @@
 Two flavours:
 
 * white-noise generators (band_noise, divfree_noise) draw a full grid
-  of Gaussians, take its half spectrum with one real transform, build
-  the full layout from it once, and mask, damp and (divfree_noise)
-  Leray-project that one array in place.  Cheap, but the field depends
-  on the grid resolution.
+  of Gaussians, take its half spectrum with one real transform, and
+  mask, damp and (divfree_noise) Leray-project that one array in place.
+  Cheap, but the field depends on the grid resolution.
 * the lattice-mode generator (solenoidal_field) enumerates integer
   wavenumbers in a fixed deterministic order and draws one coefficient
   per mode, so the same (kmax, seed) produces the same continuum field
@@ -17,7 +16,7 @@ Two flavours:
 import numpy as np
 
 from .errors import ResolutionError
-from .field import Field, SPECTRAL, _full_spectrum, _leray_project_spec, _rfftn_half
+from .field import Field, SPECTRAL, _leray_project_spec, _rfftn_half
 from .grid import Grid
 
 
@@ -46,24 +45,23 @@ def divfree_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
 def _masked_noise(grid: Grid, rng: np.random.Generator, kmin: float,
                   kmax: float, ncomp: int, slope: float,
                   keep_nyquist: bool) -> np.ndarray:
-    """Full spectra of ncomp white-noise fields times the band mask (with
+    """Half spectra of ncomp white-noise fields times the band mask (with
     the modes with some k_i = -n/2 unless keep_nyquist), then times the
-    damping, both in place.  The full layout is masked, not the half
-    spectrum before mirroring: a product with a zero mask keeps the signs
-    of the zeros it makes, and the conjugate of such a zero is not the
-    zero a product with the conjugate gives."""
+    damping, both in place."""
     if kmax is None:
         kmax = grid.dealias_radius
-    # the white noise and the r2c output are freed as soon as used
-    spec = _full_spectrum(_rfftn_half(rng.standard_normal((ncomp,) + grid.shape),
-                                      grid.dim, grid.n // 2 + 1), grid.dim)
-    mask = (grid.k_mag >= kmin - 1e-12) & (grid.k_mag <= kmax + 1e-12)
+    planes = slice(0, grid.n // 2 + 1)
+    # the white noise is freed as soon as it is transformed
+    spec = _rfftn_half(rng.standard_normal((ncomp,) + grid.shape), grid.dim,
+                       grid.n // 2 + 1)
+    k_mag = grid.k_mag[..., planes]
+    mask = (k_mag >= kmin - 1e-12) & (k_mag <= kmax + 1e-12)
     if not keep_nyquist:
         for k in grid.k_components:
-            mask &= k != -(grid.n // 2)
+            mask &= k[..., planes] != -(grid.n // 2)
     spec *= mask
     if slope:
-        spec *= (1.0 + grid.k_mag) ** (-slope)
+        spec *= (1.0 + k_mag) ** (-slope)
     return spec
 
 
@@ -111,7 +109,8 @@ def solenoidal_field(grid: Grid, kmax: float, seed: int,
     if outside.any():
         mode = tuple(int(c) for c in k[np.argmax(outside)])
         raise ResolutionError(f"mode {mode} not resolvable on n={n}")
-    spec = np.zeros((dim,) + grid.shape, dtype=np.complex128)
-    spec[(slice(None),) + tuple((k % n).T)] = coeff.T
-    spec[(slice(None),) + tuple((-k % n).T)] = np.conj(coeff.T)
+    spec = np.zeros((dim,) + grid.half_shape, dtype=np.complex128)
+    for sites, values in ((k % n, coeff.T), (-k % n, np.conj(coeff.T))):
+        held = sites[:, -1] <= n // 2  # the sites on the half planes
+        spec[(slice(None),) + tuple(sites[held].T)] = values[:, held]
     return Field(grid, spec, SPECTRAL)

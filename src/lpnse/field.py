@@ -5,31 +5,30 @@ Conventions
 * Spectral data holds genuine Fourier-series coefficients (norm="forward"),
   so a single mode exp(i k.x) has coefficient 1 at lattice site k.
 * Fields are real and every transform is a real one, over half spectra
-  (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  The API
-  holds full spectra, exactly Hermitian from to_spectral and products:
-  _rfftn_half makes its self-mirrored planes exact, and _full_spectrum
-  mirrors the rest with _mirror (row 0 kept, rows 1 ... n-1 reversed,
-  by block copies).  to_physical, magnitude (so lp_norm), products and
-  grad_norm_inf transform the half spectrum of the Hermitian part
-  (c(k) + conj c(-k))/2; to_physical and magnitude check that the rest,
-  a, is at round-off level (sum |a| bounds the imaginary part a complex
-  inverse transform would leave: _hermitian_residue, _require_hermitian).
-  grad_norm_inf and magnitude are wrappers over half-spectrum cores,
-  _grad_norm_inf_half and _magnitude_half, which besov.split_constants
-  calls on u's Hermitian half directly; the cores transform one
-  component at a time in the lanes of _thread_map and sum squares in
-  component, then axis, order, so their values are the same at every
-  thread count.  The solver state is such a half spectrum, so
-  _leray_project_spec takes full or half spectra (told apart by the last
-  axis's length).
-* Memory: a full-layout field holds 16 ncomp n^dim bytes, and the
-  helpers on the n=64 diagnostics path make few such temporaries.
-  _mirror writes its blocks into a given array; _hermitian_half fills
-  its one output with the mirror, then conjugates, adds and halves it
-  in place; _full_spectrum writes the half spectrum and its conjugated
-  mirror straight into the full layout.  _leray_project_spec projects
-  in place and returns its argument, so it is given fresh arrays (the
-  solver's to_coarse output, the noise generators' spectra);
+  (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  A
+  spectral Field stores its half spectrum, Field.half, and every
+  operation here reads and writes half spectra; Field.data, the full
+  layout for callers outside the package, is built on each access by
+  _full_spectrum, which mirrors the half with _mirror (row 0 kept, rows
+  1 ... n-1 reversed, by block copies).  Planes 0 and n/2 are their own
+  mirrors: _rfftn_half makes them exactly Hermitian (_hermitian_ends),
+  products and multipliers keep them so (but Leray projection of -n/2
+  content), and a c2r reads only their Hermitian part.  A full array is
+  checked once, when it is made a Field (_checked_half): the rest a
+  beside its Hermitian part (c(k) + conj c(-k))/2 must be at round-off
+  level (sum |a| bounds the imaginary part a complex inverse transform
+  would leave: _check_residue).  grad_norm_inf and magnitude are
+  wrappers over half-spectrum cores, _grad_norm_inf_half and
+  _magnitude_half, which besov.split_constants also calls; the cores
+  transform one component at a time in the lanes of _thread_map and sum
+  squares in component, then axis, order, so their values are the same
+  at every thread count.  Parseval sums weight every plane but 0 and
+  n/2 twice (_plane_weights, _half_power).
+* Memory: a spectral field holds 16 ncomp n^(dim-1) (n//2+1) bytes,
+  about half the full layout's.  _mirror, _hermitian_half and
+  _full_spectrum each fill one output in place.  _leray_project_spec
+  projects in place and returns its argument, so it is given fresh
+  arrays (the solver's to_coarse output, the noise generators' spectra);
   leray_project copies first.  Each in-place step does the operations
   of the out-of-place expression in the same order, so every byte of
   the result is the same.
@@ -144,9 +143,17 @@ def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
     axes = tuple(range(a.ndim - dim, a.ndim - 1))
     out = _sfft.fftn(half[..., :planes], axes=axes, norm="forward",
                      overwrite_x=True)
-    ends = out[..., ::a.shape[-1] // 2]  # plane 0, and m/2 if returned
-    ends[...] = 0.5 * (ends + np.conj(_mirror(ends, dim)))
+    ends, hermitian = _hermitian_ends(out, dim)
+    ends[...] = hermitian
     return out
+
+
+def _hermitian_ends(half: np.ndarray, dim: int) -> tuple:
+    """(view, Hermitian part) of the planes of half spectra `half` that
+    are their own mirrors: plane 0, and plane m/2 if `half` holds it (m =
+    half.shape[-2], the grid's points per axis)."""
+    ends = half[..., ::half.shape[-2] // 2]
+    return ends, 0.5 * (ends + np.conj(_mirror(ends, dim)))
 
 
 def _box(n: int, radius: int) -> list:
@@ -199,33 +206,85 @@ def _irfftn_half(a: np.ndarray, shape: tuple, radius: int = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """A field sampled on (or transformed from) a torus grid.
-
-    data has shape (ncomp, n, ..., n); scalars use ncomp = 1.
-    """
+    """A field sampled on (or transformed from) a torus grid: an array
+    of samples, shape (ncomp, n, ..., n), or of half spectra, shape
+    (ncomp, n, ..., n//2+1), made from a half array as given or from a
+    full one by _checked_half; scalars use ncomp = 1.  The array given
+    is made read-only."""
 
     grid: Grid
-    data: np.ndarray
+    array: np.ndarray
     representation: str
 
     def __post_init__(self):
+        grid, data = self.grid, self.array
         if self.representation not in (PHYSICAL, SPECTRAL):
             raise GridError(f"unknown representation {self.representation!r}")
-        if self.data.ndim != self.grid.dim + 1:
+        if data.ndim != grid.dim + 1:
             raise GridError(
-                f"data must have {self.grid.dim + 1} axes (ncomp first), got shape {self.data.shape}"
+                f"data must have {grid.dim + 1} axes (ncomp first), got shape {data.shape}"
             )
-        if self.data.shape[1:] != self.grid.shape:
-            raise GridError(f"data shape {self.data.shape} does not match grid {self.grid}")
-        self.data.flags.writeable = False
+        full = not self.is_spectral or data.shape[-1] == grid.n
+        if data.shape[1:] != (grid.shape if full else grid.half_shape):
+            raise GridError(f"data shape {data.shape} does not match grid {grid}")
+        data.flags.writeable = False
+        if full and self.is_spectral:
+            object.__setattr__(self, "array", _checked_half(data, grid))
+            self.array.flags.writeable = False
 
     @property
     def ncomp(self) -> int:
-        return self.data.shape[0]
+        return self.array.shape[0]
 
     @property
     def is_spectral(self) -> bool:
         return self.representation == SPECTRAL
+
+    @property
+    def half(self) -> np.ndarray:
+        """The half spectrum: stored, or a physical field's transform."""
+        return to_spectral(self).array
+
+    @property
+    def data(self) -> np.ndarray:
+        """The samples, or the full-layout spectrum, built on each access."""
+        if not self.is_spectral:
+            return self.array
+        full = _full_spectrum(self.array, self.grid.dim)
+        full.flags.writeable = False
+        return full
+
+
+def _checked_half(spec: np.ndarray, grid: Grid) -> np.ndarray:
+    """The half spectrum of the real fields with full spectra `spec`: a
+    view of its planes 0 <= k_last <= n/2 if they equal its Hermitian
+    part's (_hermitian_half), else that part's, once _check_residue has
+    passed the rest."""
+    planes = grid.n // 2 + 1
+    with np.errstate(invalid="ignore"):  # inf content: a NaN residue passes
+        half = _hermitian_half(spec, grid.dim)
+    if _check_residue(spec[..., :planes], half, half, grid,
+                      _plane_weights(grid.n)) == 0.0:
+        return spec[..., :planes]
+    return half
+
+
+def _check_residue(given, hermitian, half, grid: Grid, weight=1.0) -> float:
+    """sum |a| times `weight`, for the worst component of the rest a =
+    given - hermitian beside its Hermitian part: it bounds the imaginary
+    part a complex inverse transform would leave.  GridError unless it is
+    at round-off level against max |value| of the real fields with half
+    spectra `half` (an inverse transform, paid above 1e-12 only)."""
+    with np.errstate(invalid="ignore"):
+        residue = max(np.sum(np.abs(g - h) * weight)
+                      for g, h in zip(given, hermitian))
+    if residue > 1e-12:
+        phys = _irfftn_half(half.copy(), grid.shape)
+        scale = max(phys.max(), -phys.min())  # without a |phys| copy
+        if residue > 1e-8 * max(scale, 1e-300):
+            raise GridError(f"spectral data is not Hermitian symmetric "
+                            f"(imag residue bound {residue:.3e})")
+    return residue
 
 
 def from_physical(grid: Grid, data: np.ndarray) -> Field:
@@ -236,10 +295,13 @@ def from_physical(grid: Grid, data: np.ndarray) -> Field:
 
 
 def from_spectral(grid: Grid, data: np.ndarray) -> Field:
+    """The field with half or full spectra `data`, copied."""
     arr = np.asarray(data, dtype=np.complex128)
     if arr.ndim == grid.dim:
         arr = arr[np.newaxis]
-    return Field(grid, arr.copy(), SPECTRAL)
+    # checked through a view, so the caller's array stays writable
+    return Field(grid, np.array(Field(grid, arr.view(), SPECTRAL).array),
+                 SPECTRAL)
 
 
 def from_components(grid: Grid, *funcs) -> Field:
@@ -250,80 +312,49 @@ def from_components(grid: Grid, *funcs) -> Field:
 
 
 def zero_field(grid: Grid, ncomp: int = 1) -> Field:
-    return Field(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128),
-                 SPECTRAL)
+    return Field(grid, np.zeros((ncomp,) + grid.half_shape,
+                                dtype=np.complex128), SPECTRAL)
 
 
 def to_spectral(f: Field) -> Field:
     if f.is_spectral:
         return f
-    n, dim = f.grid.n, f.grid.dim
-    half = _rfftn_half(f.data, dim, n // 2 + 1)
-    return Field(f.grid, _full_spectrum(half, dim), SPECTRAL)
+    return Field(f.grid, _rfftn_half(f.data, f.grid.dim, f.grid.n // 2 + 1),
+                 SPECTRAL)
 
 
 def to_physical(f: Field) -> Field:
     if not f.is_spectral:
         return f
-    half = _hermitian_half(f.data, f.grid.dim)
-    residue = _hermitian_residue(f.data, half)
-    phys = _irfftn_half(half, f.grid.shape)
-    # max |phys|, without a |phys| copy
-    _require_hermitian(residue, max(phys.max(), -phys.min()))
-    return Field(f.grid, phys, PHYSICAL)
-
-
-def _hermitian_residue(spec: np.ndarray, half: np.ndarray) -> float:
-    """sum |a| over the half-spectrum planes, weighted by _plane_weights,
-    for the worst component of a = spec - half, the rest of full spectra
-    spec beside their Hermitian half `half` (_hermitian_half): it bounds
-    the imaginary part a complex inverse transform would leave."""
-    weight = _plane_weights(spec.shape[-1])
-    return max(np.sum(np.abs(c[..., :len(weight)] - h) * weight)
-               for c, h in zip(spec, half))
-
-
-def _require_hermitian(residue: float, scale: float) -> None:
-    """Raise GridError unless `residue` (_hermitian_residue) is at
-    round-off level against `scale`, the max |value| of the real field
-    the Hermitian half transforms to."""
-    if residue > 1e-8 * max(scale, 1e-300) and residue > 1e-12:
-        raise GridError(
-            f"spectral data is not Hermitian symmetric (imag residue bound {residue:.3e})"
-        )
+    return Field(f.grid, _irfftn_half(f.half.copy(), f.grid.shape), PHYSICAL)
 
 
 def spectral_data(f: Field) -> np.ndarray:
+    """The full-layout spectrum of f."""
     return to_spectral(f).data
 
 
 def magnitude(f: Field) -> np.ndarray:
-    """Pointwise Euclidean magnitude on the grid.  A spectral f is checked
-    as in to_physical and transformed by _magnitude_half."""
+    """Pointwise Euclidean magnitude on the grid; a spectral f is
+    transformed by _magnitude_half."""
     if f.is_spectral:
-        half = _hermitian_half(f.data, f.grid.dim)
-        return _magnitude_half(half, f.grid.shape,
-                               _hermitian_residue(f.data, half))
+        return _magnitude_half(f.half.copy(), f.grid.shape)
     if f.ncomp == 1:
         return np.abs(f.data[0])
     return np.sqrt(np.sum(f.data**2, axis=0))
 
 
-def _magnitude_half(half: np.ndarray, shape: tuple,
-                    residue: float) -> np.ndarray:
+def _magnitude_half(half: np.ndarray, shape: tuple) -> np.ndarray:
     """magnitude of the real fields with half spectra `half`, which it
-    overwrites, once _require_hermitian has passed `residue` against
-    their max |value|.  Each component is transformed in place, and
-    squared (taken in absolute value if it is the only one), on its own
-    item of _thread_map; the squares are summed in component order, so
-    the result is the same at every thread count."""
+    overwrites.  Each component is transformed in place, and squared
+    (taken in absolute value if it is the only one), on its own item of
+    _thread_map; the squares are summed in component order, so the
+    result is the same at every thread count."""
     def component(c):
         phys = _irfftn_half(half[c:c + 1], shape)[0]
-        scale = max(phys.max(), -phys.min())
-        return scale, (np.abs if len(half) == 1 else np.square)(phys, out=phys)
+        return (np.abs if len(half) == 1 else np.square)(phys, out=phys)
 
-    scales, comps = zip(*_thread_map(component, range(len(half))))
-    _require_hermitian(residue, max(scales))
+    comps = _thread_map(component, range(len(half)))
     mag = comps[0]
     for sq in comps[1:]:
         mag += sq
@@ -351,15 +382,14 @@ def _norm_of_magnitude(mag: np.ndarray, p: float, grid: Grid) -> float:
 
 def l2_norm_spectral(f: Field) -> float:
     """L^2 norm evaluated from coefficients (Parseval)."""
-    spec = spectral_data(f)
-    return float(np.sqrt(f.grid.volume * np.sum(np.abs(spec) ** 2)))
+    return float(np.sqrt(f.grid.volume * np.sum(_half_power(f.half))))
 
 
 def h1_seminorm(f: Field) -> float:
     """|k|-weighted L^2 norm from coefficients; equals ||grad f||_2 by
     Parseval for fields with no energy on the Nyquist planes."""
-    spec = spectral_data(f)
-    return float(np.sqrt(f.grid.volume * np.sum(f.grid.k_sq * np.abs(spec) ** 2)))
+    power = _half_power(f.half)
+    return float(np.sqrt(f.grid.volume * np.sum(_half_k_sq(f.grid) * power)))
 
 
 def inner(f: Field, g: Field) -> float:
@@ -369,9 +399,13 @@ def inner(f: Field, g: Field) -> float:
     f.grid.require_same(g.grid)
     if f.ncomp != g.ncomp:
         raise GridError(f"component mismatch: {f.ncomp} vs {g.ncomp}")
-    a = spectral_data(f)
-    b = spectral_data(g)
-    return float(np.real(np.sum(a * np.conj(b))) * f.grid.volume)
+    prod = f.half * np.conj(g.half)
+    return float(np.sum(prod.real * _plane_weights(f.grid.n)) * f.grid.volume)
+
+
+def _half_k_sq(grid: Grid) -> np.ndarray:
+    """|k|^2 on the planes of a half spectrum."""
+    return grid.k_sq[..., :grid.n // 2 + 1]
 
 
 def derivative(f: Field, orders) -> Field:
@@ -385,13 +419,13 @@ def derivative(f: Field, orders) -> Field:
     for axis, order in enumerate(orders):
         if order == 0:
             continue
-        factor = (1j * grid.k_components[axis]) ** order
+        factor = (1j * grid.k_components[axis][..., :grid.n // 2 + 1]) ** order
         if order % 2 == 1:
             # the lone -n/2 mode has no conjugate partner; an odd
             # derivative must kill it to keep real fields real
             factor[(0,) * axis + (grid.n // 2,)] = 0.0
         mult = mult * factor
-    return Field(grid, spectral_data(f) * mult, SPECTRAL)
+    return Field(grid, f.half * mult, SPECTRAL)
 
 
 def gradient(f: Field) -> Field:
@@ -399,23 +433,22 @@ def gradient(f: Field) -> Field:
     if f.ncomp != 1:
         raise GridError("gradient expects a scalar field")
     grid = f.grid
-    spec = spectral_data(f)[0]
-    comps = [spec * _ik(grid.shape, grid.n, axis)
+    half = f.half[0]
+    comps = [half * _ik(grid.half_shape, grid.n, axis)
              for axis in range(grid.dim)]
     return Field(grid, np.stack(comps), SPECTRAL)
 
 
 def laplacian(f: Field) -> Field:
-    spec = spectral_data(f)
-    return Field(f.grid, spec * (-f.grid.k_sq), SPECTRAL)
+    return Field(f.grid, f.half * -_half_k_sq(f.grid), SPECTRAL)
 
 
 def grad_norm_inf(f: Field) -> float:
-    """sup over the grid of the Frobenius norm of the Jacobian, from the
-    Hermitian half of f's spectrum cut to its support box
-    (_support_radius), so a low-pass field (S_N u, |k| < (4/3) 2^N) costs
-    little more than its c2r transforms (_grad_norm_inf_half)."""
-    half = _hermitian_half(spectral_data(f), f.grid.dim)
+    """sup over the grid of the Frobenius norm of the Jacobian, from f's
+    half spectrum cut to its support box (_support_radius), so a
+    low-pass field (S_N u, |k| < (4/3) 2^N) costs little more than its
+    c2r transforms (_grad_norm_inf_half)."""
+    half = f.half
     radius = _support_radius(half, f.grid.dim)
     return _grad_norm_inf_half(half[..., :radius + 1], f.grid)
 
@@ -468,8 +501,8 @@ def divergence(f: Field) -> Field:
     if f.ncomp != f.grid.dim:
         raise GridError(f"divergence expects a {f.grid.dim}-component field")
     grid = f.grid
-    out = sum(spec * _ik(grid.shape, grid.n, axis)
-              for axis, spec in enumerate(spectral_data(f)))
+    out = sum(half * _ik(grid.half_shape, grid.n, axis)
+              for axis, half in enumerate(f.half))
     return Field(grid, out[np.newaxis], SPECTRAL)
 
 
@@ -477,17 +510,15 @@ def leray_project(f: Field) -> Field:
     """Remove the gradient part: (P f)_i = f_i - k_i (k.f)/|k|^2."""
     if f.ncomp != f.grid.dim:
         raise GridError(f"projection expects a {f.grid.dim}-component field")
-    spec = spectral_data(f).copy()
-    return Field(f.grid, _leray_project_spec(spec, f.grid), SPECTRAL)
+    half = f.half.copy()
+    return Field(f.grid, _leray_project_spec(half, f.grid), SPECTRAL)
 
 
 def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Leray projection of full spectra, or of half spectra (a last axis
-    of n//2+1 planes; plane n/2 holds k_last = -n/2, as in the full
-    layout), in place: overwrites and returns `spec`."""
-    planes = slice(0, spec.shape[-1])
-    ks = [k[..., planes] for k in grid.k_components]
-    k_sq = grid.k_sq[..., planes]
+    """Leray projection of half spectra (plane n/2 holds k_last = -n/2,
+    as in the full layout), in place: overwrites and returns `spec`."""
+    ks = [k[..., :grid.n // 2 + 1] for k in grid.k_components]
+    k_sq = _half_k_sq(grid)
     kdot = np.zeros(spec.shape[1:], dtype=np.complex128)
     tmp = np.empty_like(kdot)
     for axis in range(grid.dim):
@@ -555,10 +586,8 @@ def _mirror(a: np.ndarray, dim: int, out: np.ndarray = None) -> np.ndarray:
 
 
 def _hermitian_half(spec: np.ndarray, dim: int) -> np.ndarray:
-    """Planes 0 <= k_last <= n/2 of (c(k) + conj c(-k))/2, computed in
-    place in one new array.  Not the identity on
-    projected spectra with -n/2 content: Leray projection leaves those
-    modes without conjugate partners."""
+    """Planes 0 <= k_last <= n/2 of (c(k) + conj c(-k))/2 of full spectra
+    `spec`, computed in place in one new array."""
     n = spec.shape[-1]
     out = np.empty(spec.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
     # plane k_last's mirror is plane (n - k_last) % n: 0, then n-1 down to n/2
@@ -577,6 +606,13 @@ def _plane_weights(n: int) -> np.ndarray:
     weight = np.full(n // 2 + 1, 2.0)
     weight[[0, -1]] = 1.0
     return weight
+
+
+def _half_power(half: np.ndarray) -> np.ndarray:
+    """Parseval's density of the real fields with half spectra `half`:
+    sum_c |c^|^2, weighted by _plane_weights, so its sum is the sum over
+    the full spectrum."""
+    return np.sum(np.abs(half) ** 2, axis=0) * _plane_weights(half.shape[-2])
 
 
 def _full_spectrum(half: np.ndarray, dim: int) -> np.ndarray:
@@ -655,20 +691,19 @@ class _Padding:
 
 def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
                     grad: bool = False) -> np.ndarray:
-    """The one product kernel: the full spectrum of the product of the
-    real fields behind full spectra a and b, formed on the 3/2-times
-    finer grid (on the coarse grid, aliased, with dealias=False).  With
+    """The one product kernel: the half spectrum of the product of the
+    real fields with half spectra a and b, formed on the 3/2-times finer
+    grid (on the coarse grid, aliased, with dealias=False).  With
     grad=True it is the advection sum_i a_i d_i b."""
     n, dim = grid.n, grid.dim
     pad = _Padding(grid, dealias)
-    ha, hb = _hermitian_half(a, dim), _hermitian_half(b, dim)
-    fa = pad.to_fine(ha)
+    fa = pad.to_fine(a)
     if grad:  # one derivative at a time bounds the fine-grid memory
-        prod = sum(fa[axis] * pad.to_fine(hb * _ik(hb.shape[-dim:], n, axis))
+        prod = sum(fa[axis] * pad.to_fine(b * _ik(b.shape[-dim:], n, axis))
                    for axis in range(dim))
     else:
-        prod = fa * pad.to_fine(hb)
-    return _full_spectrum(pad.to_coarse(prod), dim)
+        prod = fa * pad.to_fine(b)
+    return pad.to_coarse(prod)
 
 
 def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
@@ -681,7 +716,7 @@ def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
     f.grid.require_same(g.grid)
     if f.ncomp != g.ncomp and 1 not in (f.ncomp, g.ncomp):
         raise GridError(f"cannot broadcast components {f.ncomp} and {g.ncomp}")
-    out = _padded_product(spectral_data(f), spectral_data(g), f.grid, dealias)
+    out = _padded_product(f.half, g.half, f.grid, dealias)
     return Field(f.grid, out, SPECTRAL)
 
 
@@ -691,13 +726,13 @@ def advect(v: Field, f: Field, dealias: bool = True) -> Field:
     v.grid.require_same(f.grid)
     if v.ncomp != v.grid.dim:
         raise GridError("advecting velocity must have dim components")
-    out = _padded_product(spectral_data(v), spectral_data(f), v.grid,
+    out = _padded_product(v.half, f.half, v.grid,
                           dealias, grad=True)
     return Field(v.grid, out, SPECTRAL)
 
 
 def scale(f: Field, factor: float) -> Field:
-    return Field(f.grid, f.data * factor, f.representation)
+    return Field(f.grid, f.array * factor, f.representation)
 
 
 def add(f: Field, g: Field, alpha: float = 1.0) -> Field:
@@ -705,4 +740,4 @@ def add(f: Field, g: Field, alpha: float = 1.0) -> Field:
     f.grid.require_same(g.grid)
     if f.representation != g.representation:
         g = to_spectral(g) if f.is_spectral else to_physical(g)
-    return Field(f.grid, f.data + alpha * g.data, f.representation)
+    return Field(f.grid, f.array + alpha * g.array, f.representation)

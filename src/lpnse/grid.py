@@ -43,6 +43,11 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
+    def half_shape(self) -> tuple:
+        """The shape of a half spectrum: planes 0 <= k_last <= n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
+
+    @property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 

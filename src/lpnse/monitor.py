@@ -28,11 +28,11 @@ import numpy as np
 
 from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
                     besov_from_blocks)
-from .blocks import (_block_l2_norms, _half_power, block_indices,
-                     block_norm_table, block_norms, delta_j)
+from .blocks import (_block_l2_norms, block_indices, block_norm_table,
+                     block_norms, delta_j)
 from .errors import BlockRangeError, NonFiniteError
-from .field import (Field, SPECTRAL, _ik, _thread_map, add, advect, inner,
-                    spectral_data)
+from .field import (Field, SPECTRAL, _half_k_sq, _half_power, _ik,
+                    _plane_weights, _thread_map, add, advect, inner)
 from .solver import Trajectory
 
 LOG2 = math.log(2.0)
@@ -52,9 +52,8 @@ def _require_aligned(traj_u: Trajectory, traj_v: Trajectory) -> None:
 
 
 def _diff_spec(u: Field, v: Field) -> np.ndarray:
-    """The half spectrum of w = u - v: planes 0 <= k_last <= n/2."""
-    planes = u.grid.n // 2 + 1
-    return spectral_data(u)[..., :planes] - spectral_data(v)[..., :planes]
+    """The half spectrum of w = u - v."""
+    return u.half - v.half
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,10 @@ def _w_rows(u: Field, v: Field) -> tuple:
     """(block L2 norms, ||w||^2, ||grad w||^2) of w = u - v, all three
     read from one half-plane power of w's spectrum (Parseval)."""
     grid = u.grid
-    power = _half_power(_diff_spec(u, v), grid.n)
+    power = _half_power(_diff_spec(u, v))
     return (_block_l2_norms(grid, power),
             grid.volume * float(np.sum(power)),
-            grid.volume * float(np.sum(grid.k_sq[..., :grid.n // 2 + 1]
-                                       * power)))
+            grid.volume * float(np.sum(_half_k_sq(grid) * power)))
 
 
 def _linf_block_matrix(traj: Trajectory, p: float = math.inf,
@@ -313,7 +311,7 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     w_j = delta_j(w, j)
     wj_sq = norms[1] ** 2
     grad_w = Field(grid, np.concatenate(
-        [spectral_data(w) * _ik(grid.shape, grid.n, axis)
+        [w.half * _ik(grid.half_shape, grid.n, axis)
          for axis in range(grid.dim)]), SPECTRAL)
     grad_sq = float(block_norms(grad_w, 2.0)[j + 1]) ** 2
 
@@ -364,12 +362,13 @@ def integral_identity_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     grid = traj_u.grid
 
     def row(u, v):
-        prod = np.real(spectral_data(u) * np.conj(spectral_data(v)))
+        prod = (np.real(u.half * np.conj(v.half))
+                * _plane_weights(grid.n))
         w = add(u, v, -1.0)
         return (grid.volume * float(np.sum(prod)),
-                grid.volume * float(np.sum(prod * grid.k_sq)),
+                grid.volume * float(np.sum(prod * _half_k_sq(grid))),
                 trilinear(w, u, w),
-                grid.volume * float(np.sum(np.abs(spectral_data(u)) ** 2)))
+                grid.volume * float(np.sum(_half_power(u.half))))
     uv, grad_uv, tri, u_sq = _pass(row, traj_u, traj_v)
     lhs = uv + 2.0 * traj_u.config.nu * _cumtrapz(grad_uv, traj_u.times)
     rhs = uv[0] + _cumtrapz(tri, traj_u.times)

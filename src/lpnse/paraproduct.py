@@ -17,8 +17,7 @@ import numpy as np
 from .blocks import block_indices, block_norms, delta_j, s_j
 from .errors import BlockRangeError
 from .field import (Field, SPECTRAL, add, advect, dealiased_product,
-                    divergence, grad_norm_inf, h1_seminorm, l2_norm_spectral,
-                    spectral_data)
+                    divergence, grad_norm_inf, h1_seminorm, l2_norm_spectral)
 
 
 def paraproduct_t(u: Field, v: Field, dealias: bool = True) -> Field:
@@ -28,12 +27,9 @@ def paraproduct_t(u: Field, v: Field, dealias: bool = True) -> Field:
     there, so the sum effectively starts at j = 1.
     """
     u.grid.require_same(v.grid)
-    grid = u.grid
-    total = None
-    for j in range(1, grid.jmax + 1):
-        term = dealiased_product(s_j(u, j - 1), delta_j(v, j), dealias)
-        total = term.data if total is None else total + term.data
-    return Field(grid, total, SPECTRAL)
+    return Field(u.grid, sum(
+        dealiased_product(s_j(u, j - 1), delta_j(v, j), dealias).half
+        for j in range(1, u.grid.jmax + 1)), SPECTRAL)
 
 
 def remainder_r(u: Field, v: Field, dealias: bool = True) -> Field:
@@ -43,14 +39,10 @@ def remainder_r(u: Field, v: Field, dealias: bool = True) -> Field:
     grid = u.grid
     blocks_u = {j: delta_j(u, j) for j in block_indices(grid)}
     blocks_v = {j: delta_j(v, j) for j in block_indices(grid)}
-    total = None
-    for j in block_indices(grid):
-        for jp in (j - 1, j, j + 1):
-            if jp < -1 or jp > grid.jmax:
-                continue
-            term = dealiased_product(blocks_u[j], blocks_v[jp], dealias)
-            total = term.data if total is None else total + term.data
-    return Field(grid, total, SPECTRAL)
+    return Field(grid, sum(
+        dealiased_product(blocks_u[j], blocks_v[jp], dealias).half
+        for j in block_indices(grid) for jp in (j - 1, j, j + 1)
+        if jp in blocks_v), SPECTRAL)
 
 
 def t_prime(u: Field, v: Field) -> Field:
@@ -102,16 +94,14 @@ def commutator(v: Field, j: int, w: Field, dealias: bool = True) -> Field:
     if j > v.grid.jmax:
         raise BlockRangeError(f"block {j} exceeds jmax={v.grid.jmax}")
     _check_divfree(v, 1e-12)
-    grid = v.grid
-    total = None
-    for jp in range(max(1, j - 4), min(grid.jmax, j + 4) + 1):
+    total = 0
+    for jp in range(max(1, j - 4), min(v.grid.jmax, j + 4) + 1):
         low_v = s_j(v, jp - 1)
         w_block = delta_j(w, jp)
         direct = advect(low_v, delta_j(w_block, j), dealias)
         projected = delta_j(advect(low_v, w_block, dealias), j)
-        term = direct.data - spectral_data(projected)
-        total = term if total is None else total + term
-    return Field(grid, total, SPECTRAL)
+        total = total + (direct.half - projected.half)
+    return Field(v.grid, total, SPECTRAL)
 
 
 def commutator_bound_ratio(v: Field, j: int, w: Field) -> float:

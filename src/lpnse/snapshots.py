@@ -4,6 +4,9 @@ Snapshot container: 8 magic bytes, a little-endian uint32 header length,
 a JSON header {dim, n, components, representation, time, viscosity},
 then the raw data as row-major little-endian 64-bit values (float64 for
 physical samples, interleaved complex128 for spectral coefficients).
+Spectral data is written as half spectra, shape (components, n, ...,
+n//2+1), with the header key "layout": "half"; a spectral file without
+that key holds full spectra, shape (components, n, ..., n).
 
 A trajectory directory holds one snapshot file per stored time plus
 trajectory.json with the config echo, times, series, and file names.
@@ -20,7 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import GridError, NonFiniteError
-from .field import Field, PHYSICAL, SPECTRAL
+from .field import Field, PHYSICAL, SPECTRAL, _check_residue, _hermitian_ends
 from .grid import Grid
 from .solver import SolverConfig, Trajectory
 
@@ -52,12 +55,12 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
     }
     if fault := _header_fault(header):
         raise ValueError(f"{path}: {fault}")
-    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode()
-    data = np.ascontiguousarray(f.data)
-    if f.representation == SPECTRAL:
-        data = data.astype("<c16", copy=False)
+    if f.is_spectral:
+        header["layout"] = "half"
+        data = np.ascontiguousarray(f.half, dtype="<c16")
     else:
-        data = data.astype("<f8", copy=False)
+        data = np.ascontiguousarray(f.data, dtype="<f8")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
@@ -68,7 +71,8 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
 def _parse_header(path, blob: bytes):
     """(header dict, grid, payload shape, payload dtype) of a snapshot
     header; a ValueError naming the file for any fault in it, a time or
-    viscosity that is not null or a finite number included."""
+    viscosity that is not null or a finite number, or a layout other
+    than "half" of spectral data, included."""
     try:
         header = json.loads(blob.decode())
         grid = Grid(header["dim"], header["n"])
@@ -80,19 +84,25 @@ def _parse_header(path, blob: bytes):
                              f"got {ncomp!r}")
         if fault := _header_fault(header):
             raise ValueError(fault)
+        half = "layout" in header
+        if half and (rep != SPECTRAL or header["layout"] != "half"):
+            raise ValueError(f"unknown {rep} layout {header['layout']!r}")
     except KeyError as exc:
         raise ValueError(f"{path}: snapshot header has no key {exc}") from None
     except (ValueError, TypeError, GridError) as exc:
         raise ValueError(f"{path}: bad snapshot header: {exc}") from None
     dtype = np.dtype("<c16" if rep == SPECTRAL else "<f8")
-    return header, grid, (ncomp,) + grid.shape, dtype
+    shape = (ncomp,) + (grid.half_shape if half else grid.shape)
+    return header, grid, shape, dtype
 
 
 def read_field(path):
     """Returns (field, header dict).  The payload is read straight into
     the field's own array.  A truncated preamble, a malformed header, a
-    payload of the wrong length, or one holding NaN or infinite values
-    raises naming the file."""
+    payload of the wrong length or holding NaN or infinite values, or
+    spectra that are not Hermitian up to round-off raise naming the
+    file: Field checks a full spectrum, and _check_residue the planes 0
+    and n/2 of a half one, which are kept as written."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -117,7 +127,12 @@ def read_field(path):
         bad = finite.size - np.count_nonzero(finite)
         raise NonFiniteError(f"{path}: payload holds {bad} non-finite "
                              f"value(s)")
-    return Field(grid, data, header["representation"]), header
+    try:
+        if "layout" in header:
+            _check_residue(*_hermitian_ends(data, grid.dim), data, grid)
+        return Field(grid, data, header["representation"]), header
+    except GridError as exc:
+        raise GridError(f"{path}: {exc}") from None
 
 
 def _snap_name(i: int) -> str:

@@ -18,13 +18,10 @@ Hermitian, since the forward transform makes plane k_last = 0 exact;
 off those planes the term equals the convective -P(u.grad u) to
 round-off.
 
-The state is a half spectrum, the planes 0 <= k_last <= n/2 of the
-Hermitian part of the projected initial data: the nonlinear term, Leray
-projection, the integrating factors and the RK sums all run on it, and
-the energy and dissipation series weight every plane but 0 and n/2
-twice.  Snapshots are expanded to the full FFT layout, as the Field API
-and the snapshot files hold.  The public step() and nse_rhs() take and
-return full-layout Fields.
+The state is the half spectrum of the projected initial data: the
+nonlinear term, Leray projection, the integrating factors and the RK
+sums all run on it, the energy and dissipation series weight every
+plane but 0 and n/2 twice, and each snapshot is a Field holding it.
 
 The padded transforms are field's one product kernel, _Padding: each
 integrator holds one, whose buffer is allocated once and reused on
@@ -50,10 +47,9 @@ import numpy as np
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, SPECTRAL, _Padding, _cross, _full_spectrum,
-                    _hermitian_half, _ik, _leray_project_spec, _plane_weights,
-                    from_components, l2_norm_spectral, laplacian,
-                    leray_project, scale, spectral_data)
+from .field import (Field, SPECTRAL, _Padding, _cross, _half_k_sq, _ik,
+                    _plane_weights, _leray_project_spec, from_components,
+                    l2_norm_spectral, laplacian, leray_project, scale)
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
@@ -236,10 +232,8 @@ def nse_rhs(u: Field, nu: float) -> Field:
     if u.ncomp != grid.dim:
         raise GridError("velocity field must have dim components")
     config = SolverConfig(dim=grid.dim, n=grid.n, nu=nu)
-    term, _ = _Integrator(grid, config).nonlinear(
-        _hermitian_half(spectral_data(u), grid.dim), speed=False)
-    return Field(grid, _full_spectrum(term, grid.dim) + nu * laplacian(u).data,
-                 SPECTRAL)
+    term, _ = _Integrator(grid, config).nonlinear(u.half, speed=False)
+    return Field(grid, term + nu * laplacian(u).half, SPECTRAL)
 
 
 class _Integrator:
@@ -255,7 +249,7 @@ class _Integrator:
         planes = slice(0, grid.n // 2 + 1)
         # an exponent that overflows to -inf gives the exact factor 0
         with np.errstate(over="ignore"):
-            self.e_half = np.exp(-config.nu * grid.k_sq[..., planes]
+            self.e_half = np.exp(-config.nu * _half_k_sq(grid)
                                  * (config.dt / 2.0))
         self.e_full = self.e_half**2
         self.zero = (slice(None),) + (0,) * grid.dim
@@ -263,10 +257,10 @@ class _Integrator:
         nyquist = sum(k[..., planes] == -(grid.n // 2)
                       for k in grid.k_components)
         self.keep = (nyquist == 0).astype(np.float64)
-        half = grid.shape[:-1] + (grid.n // 2 + 1,)
-        self.ik = [_ik(half, grid.n, axis) for axis in range(grid.dim)]
+        self.ik = [_ik(grid.half_shape, grid.n, axis)
+                   for axis in range(grid.dim)]
         self.padding = _Padding(grid, config.dealias)
-        self.omega = np.empty((3 if grid.dim == 3 else 1,) + half,
+        self.omega = np.empty((3 if grid.dim == 3 else 1,) + grid.half_shape,
                               dtype=np.complex128)
         self.cross = np.empty((grid.dim,) + (self.padding.m,) * grid.dim)
 
@@ -332,9 +326,8 @@ def step(u: Field, config: SolverConfig) -> Field:
     """One IF-RK4 step of length config.dt of the projected equations
     (public, stateless)."""
     grid = u.grid
-    integ = _Integrator(grid, config)
-    out = integ.step(_hermitian_half(spectral_data(u), grid.dim), 0.0, 0)
-    return Field(grid, _full_spectrum(out, grid.dim), SPECTRAL)
+    out = _Integrator(grid, config).step(u.half, 0.0, 0)
+    return Field(grid, out, SPECTRAL)
 
 
 def _initial_half(config: SolverConfig, grid: Grid,
@@ -346,27 +339,27 @@ def _initial_half(config: SolverConfig, grid: Grid,
     grid.require_same(initial.grid)
     if initial.ncomp != grid.dim:
         raise GridError("velocity field must have dim components")
-    return _hermitian_half(spectral_data(leray_project(initial)), grid.dim)
+    return leray_project(initial).half
 
 
 def run(config: SolverConfig, initial: Field = None) -> Trajectory:
     """Integrate from t=0 to t_end, recording snapshots on the cadence
     and per-step energy/dissipation series for the balance audit.
 
-    The state is the half spectrum of the projected initial data; the
-    snapshots are its full-layout spectra."""
+    The state is the half spectrum of the projected initial data; each
+    snapshot holds the state at its time."""
     grid = Grid(config.dim, config.n)
     return _integrate(config, grid, _initial_half(config, grid, initial))
 
 
 def _integrate(config: SolverConfig, grid: Grid,
                spec: np.ndarray) -> Trajectory:
-    """run() from the half-spectrum state `spec` at t=0, which is not
-    written to."""
+    """run() from the half-spectrum state `spec` at t=0; no state is
+    written to once made, so the snapshots hold the states."""
     nsteps = config.nsteps
     integ = _Integrator(grid, config)
     weight = _plane_weights(grid.n)
-    k_sq = grid.k_sq[..., :grid.n // 2 + 1]
+    k_sq = _half_k_sq(grid)
     times, snaps = [], []
     s_t, s_energy, s_diss = [], [], []
     for i in range(nsteps + 1):
@@ -383,7 +376,7 @@ def _integrate(config: SolverConfig, grid: Grid,
         s_diss.append(dissipation)
         if i % config.snap_every == 0 or i == nsteps:
             times.append(t)
-            snaps.append(Field(grid, _full_spectrum(spec, grid.dim), SPECTRAL))
+            snaps.append(Field(grid, spec, SPECTRAL))
         if i < nsteps:
             spec = integ.step(spec, t, i)
     series = {
@@ -485,11 +478,10 @@ def twin_run(config: SolverConfig, delta: float, seed: int,
     if delta > 0:
         # u0 is base.snapshots[0] bit for bit, formed before any step
         u0 = base.snapshots[0] if base is not None else Field(
-            grid, _full_spectrum(u_half, grid.dim), SPECTRAL)
+            grid, u_half, SPECTRAL)
         factor = delta * l2_norm_spectral(u0) / pnorm
         with np.errstate(over="ignore", invalid="ignore"):
-            v0 = Field(grid, spectral_data(u0) + factor * spectral_data(pert),
-                       SPECTRAL)
+            v0 = Field(grid, u0.half + factor * pert.half, SPECTRAL)
             energy = l2_norm_spectral(v0)
         if not math.isfinite(energy):
             raise ValueError(f"perturbation delta={delta!r} gives a "

@@ -337,10 +337,9 @@ def test_split_constants_checks_the_triple_first(grid3, rng, monkeypatch,
 @pytest.mark.parametrize("band", ["high", "low"])
 def test_split_constants_rejects_a_non_hermitian_field(grid3, rng, band):
     # one mode (k, 0, 0) with no conjugate partner: at k = 15 it lies in
-    # u - S_N u's band, which lp_norm's to_physical rejected when the
-    # split made it a Field; at k = 1 it lies where chi(|k|/2^N) = 1, in
-    # S_N u alone, which nothing checked then.  The one check on all of u
-    # rejects both
+    # u - S_N u's band, at k = 1 where chi(|k|/2^N) = 1, in S_N u alone.
+    # Such a spectrum is refused when it is made a Field, so no split of
+    # it is ever measured
     u = divfree_noise(grid3, rng, kmax=10.0)
     u = scale(u, 1.0 / besov_norm(u, BesovSpec(TRIPLE.r, TRIPLE.p, math.inf)))
     N = split_constants(u, TRIPLE)["N"]
@@ -350,7 +349,7 @@ def test_split_constants_rejects_a_non_hermitian_field(grid3, rng, band):
     spec = spectral_data(u).copy()
     spec[0, k, 0, 0] += 1e-3j
     with pytest.raises(GridError, match="Hermitian"):
-        split_constants(Field(grid3, spec, SPECTRAL), TRIPLE)
+        Field(grid3, spec, SPECTRAL)
 
 
 # --- interpolation ratio -----------------------------------------------------

@@ -314,14 +314,16 @@ def test_besov_and_split_round_trip(tmp_path, capsys):
     ["split", "--r", "1.0", "--p", "6", "--q", f"{4.0 / 3.0!r}"],
 ])
 def test_besov_and_split_reject_non_real_snapshot(tmp_path, capsys, command):
-    # e^{-iz} alone has no conjugate partner: not a real field
-    from lpnse import Grid
-    from lpnse.field import Field
-    grid = Grid(3, 16)
-    spec = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    # e^{-iz} alone has no conjugate partner: not a real field, so no
+    # Field holds it; the snapshot is written as raw full-layout bytes
+    spec = np.zeros((1, 16, 16, 16), dtype="<c16")
     spec[0, 0, 0, -1] = 1.0
+    header = json.dumps({"components": 1, "dim": 3, "n": 16,
+                         "representation": "spectral", "time": 0.0,
+                         "viscosity": 1.0}, sort_keys=True).encode()
     snap = tmp_path / "complex.fld"
-    write_field(snap, Field(grid, spec, "spectral"), time=0.0, viscosity=1.0)
+    snap.write_bytes(MAGIC + struct.pack("<I", len(header)) + header
+                     + spec.tobytes())
     argv = command[:1] + ["--snapshot", str(snap)] + command[1:]
     if command[0] == "split":
         argv += ["--out", str(tmp_path / "split")]

@@ -60,10 +60,46 @@ def test_shape_validation(grid2):
 
 
 def test_to_physical_rejects_non_hermitian(grid2):
+    # the check runs once, when the spectrum is made a Field
     spec = np.zeros((1,) + grid2.shape, dtype=np.complex128)
     spec[0, 1, 0] = 1.0  # e^{ix} alone is complex in physical space
     with pytest.raises(GridError, match="Hermitian"):
-        to_physical(from_spectral(grid2, spec))
+        from_spectral(grid2, spec)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_unpartnered_mode_is_refused_at_construction(dim, n):
+    # negative control: a real field's full spectrum is accepted, and
+    # the same spectrum with one mode that has no conjugate partner is not
+    grid = Grid(dim, n)
+    data = np.random.default_rng(29).standard_normal((2,) + grid.shape)
+    spec = np.array(to_spectral(from_physical(grid, data)).data)
+    f = Field(grid, spec, "spectral")
+    # exactly Hermitian: the half is a view of the given array, not a copy
+    assert np.shares_memory(f.half, spec) and f.half.shape[-1] == n // 2 + 1
+    assert np.array_equal(f.data, spec)
+    bad = spec.copy()
+    bad[(1, 1) + (0,) * (dim - 2) + (2,)] += 0.25
+    for make in (Field, lambda g, s, rep: from_spectral(g, s)):
+        with pytest.raises(GridError, match="Hermitian"):
+            make(grid, bad.copy(), "spectral")
+
+
+def test_spectral_field_holds_its_half_spectrum(grid2, rng):
+    f = band_noise(grid2, rng, kmax=9.0, ncomp=2)
+    assert f.half.shape == (2, 32, 17) and f.data.shape == (2, 32, 32)
+    assert np.array_equal(f.data[..., :17], f.half)
+    with pytest.raises(ValueError):  # the built full layout is read-only
+        f.data[0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        f.grid = Grid(2, 16)
+    phys = _sin_x(grid2)  # holds samples; its half spectrum is transformed
+    assert np.array_equal(phys.half, to_spectral(phys).half)
+    # from_spectral copies a half or full array, and gives the same field
+    for given in (f.half, f.data):
+        g = from_spectral(grid2, given)
+        assert not np.shares_memory(g.half, given)
+        assert np.array_equal(g.half, f.half)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -304,12 +340,12 @@ def _full_grid_multiplier(grid, orders):
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 def test_derivative_multipliers_match_full_grid_reference(dim, n):
-    # arbitrary complex spectra, -n/2 content included
+    # the spectra of random real fields, -n/2 content included
     grid = Grid(dim, n)
     rng = np.random.default_rng(31)
-    shape = (dim,) + grid.shape
-    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    vec = Field(grid, spec, "spectral")
+    vec = to_spectral(from_physical(grid, rng.standard_normal(
+        (dim,) + grid.shape)))
+    spec = vec.data
     for orders in itertools.product(range(3), repeat=dim):
         np.testing.assert_array_equal(
             derivative(vec, orders).data,
@@ -390,6 +426,20 @@ def test_advect_is_contracted_product(grid2, rng):
                                spectral_data(manual), rtol=0.0, atol=1e-12)
 
 
+def _hermitian_part(spec, dim):
+    """The full layout of (c(k) + conj c(-k))/2."""
+    return _full_spectrum(_hermitian_half(spec, dim), dim)
+
+
+def _leray_full(spec, grid):
+    """Reference: f_i - k_i (k.f)/|k|^2 on full spectra, into a new array."""
+    kdot = sum(k * spec[axis] for axis, k in enumerate(grid.k_components))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kdot = np.where(grid.k_sq > 0, kdot / grid.k_sq, 0.0)
+    return np.stack([spec[axis] - k * kdot
+                     for axis, k in enumerate(grid.k_components)])
+
+
 def _c2c_padded(spec, dim, dealias):
     """Reference: the real part of the complex inverse transform, on the
     3/2-times finer grid with every Nyquist coefficient split evenly
@@ -443,15 +493,15 @@ def _c2c_rotational(u, grid):
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 8), (3, 16)])
 def test_product_kernel_matches_c2c_reference(dim, n, dealias, nonlinear_full):
-    # arbitrary complex spectra: not Hermitian anywhere, the Nyquist
-    # planes included, so the kernel must take the Hermitian part that
-    # the reference's .real takes
+    # the Hermitian parts of arbitrary complex spectra, the Nyquist
+    # planes included: what the reference's .real transforms
     rng = np.random.default_rng(7)
     grid = Grid(dim, n)
 
     def noise(ncomp):
         shape = (ncomp,) + grid.shape
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return _hermitian_part(rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape), dim)
 
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -486,7 +536,7 @@ def test_product_kernel_matches_c2c_reference(dim, n, dealias, nonlinear_full):
         want = -gradient_term(fine_u, u)
     else:
         want = _c2c_rotational(u, grid)
-    want = _leray_project_spec(want, grid) * keep
+    want = _leray_full(want, grid) * keep
     want[(slice(None),) + (0,) * dim] = 0.0
     config = SolverConfig(dim=dim, n=n, dealias=dealias)
     term, umax = nonlinear_full(_Integrator(grid, config), u)
@@ -500,7 +550,8 @@ def test_grad_norm_inf_matches_c2c_reference(dim, n):
     rng = np.random.default_rng(8)
     grid = Grid(dim, n)
     shape = (dim,) + grid.shape
-    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec = _hermitian_part(rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape), dim)
     total = 0.0
     for axis in range(dim):
         k = grid.k_components[axis]
@@ -569,13 +620,13 @@ def test_grad_norm_inf_of_low_pass_field_is_bit_identical(dim, n):
     rng = np.random.default_rng(43)
     grid = Grid(dim, n)
     for radius in (1, 3, n // 4):
-        spec = _full_spectrum(_box_spectrum(rng, (dim,), dim, n, radius), dim)
-        half = _hermitian_half(spec, dim)
+        half = _hermitian_half(_full_spectrum(
+            _box_spectrum(rng, (dim,), dim, n, radius), dim), dim)
         total = 0.0
         for axis in range(dim):
             d = _unpruned_inverse(half * _ik(half.shape[1:], n, axis), dim)
             total = total + np.sum(d**2, axis=0)
-        assert grad_norm_inf(Field(grid, spec, "spectral")) == float(
+        assert grad_norm_inf(Field(grid, half, "spectral")) == float(
             np.sqrt(np.max(total)))
 
 
@@ -621,20 +672,20 @@ def test_leray_output_divergence_free(grid3, rng):
 
 @pytest.mark.parametrize("planes", ["full", "half"])
 def test_leray_projects_in_place_and_leray_project_copies(grid3, rng, planes):
-    # _leray_project_spec overwrites its argument with the projection,
-    # full spectra or half; leray_project leaves its input Field alone
+    # _leray_project_spec overwrites its half-spectrum argument with the
+    # projection; leray_project leaves its input Field alone, and with no
+    # -n/2 content its full layout is the full-layout reference's
     u = band_noise(grid3, rng, kmax=12.0, ncomp=3)
-    before = u.data.tobytes()
+    before = u.half.tobytes()
     proj = leray_project(u)
-    assert u.data.tobytes() == before
-    spec = u.data.copy()
-    if planes == "half":
-        spec = np.ascontiguousarray(spec[..., :grid3.n // 2 + 1])
+    assert u.half.tobytes() == before
+    if planes == "full":
+        assert np.array_equal(proj.data, _leray_full(u.data, grid3))
+        return
+    spec = u.half.copy()
     want = _leray_project_spec(spec.copy(), grid3)
     assert _leray_project_spec(spec, grid3) is spec
-    assert spec.tobytes() == want.tobytes()
-    if planes == "full":
-        assert spec.tobytes() == proj.data.tobytes()
+    assert spec.tobytes() == want.tobytes() == proj.half.tobytes()
 
 
 def test_leray_fixes_divergence_free_fields(grid2, rng):

@@ -7,10 +7,11 @@ measured peak plus a margin well below one more full-layout temporary.
 The earlier code, which built its masked, damped and projected noise and
 the two split parts as separate arrays, peaked at 3.7 such fields in
 divfree_noise and in split_constants, and block_norms at 1.5.
-The twin report on stored trajectories is bounded in units of one of its
-snapshots, and must not grow with the snapshot count.  One solver
-integrator and its step are bounded at n=64, where the workspace's
-fine-grid arrays dwarf everything else a step holds.
+A spectral field holds its half spectrum, 33/64 of a full-layout field
+at n=64.  The twin report on stored trajectories is bounded in units of
+one of its snapshots, and must not grow with the snapshot count.  One
+solver integrator and its step are bounded at n=64, where the
+workspace's fine-grid arrays dwarf everything else a step holds.
 """
 
 import math
@@ -24,11 +25,11 @@ from lpnse.besov import (BesovSpec, CriterionTriple, besov_norm, bkm_ratio,
                          split_constants)
 from lpnse.blocks import block_norms
 from lpnse.ensembles import divfree_noise
-from lpnse.field import (_available_cpus, _hermitian_half, grad_norm_inf,
-                         scale, set_fft_workers, spectral_data)
+from lpnse.field import (_available_cpus, grad_norm_inf, scale,
+                         set_fft_workers)
 from lpnse.monitor import build_report
 from lpnse.snapshots import load_trajectory, save_trajectory
-from lpnse.solver import SolverConfig, _Integrator, twin_run
+from lpnse.solver import SolverConfig, _Integrator, run, twin_run
 
 GRID = Grid(3, 64)
 FULL_BYTES = 16 * 3 * 64**3  # one 3-component n=64 full-layout spectrum
@@ -37,10 +38,17 @@ FULL_BYTES = 16 * 3 * 64**3  # one 3-component n=64 full-layout spectrum
 def _peak_fields(call, unit=FULL_BYTES):
     """The traced peak of call() in full-layout fields, or in units of
     `unit` bytes; whatever call returns is counted too."""
+    return _traced(call, unit)[1]
+
+
+def _traced(call, unit=FULL_BYTES):
+    """(held, peak): the traced memory that call()'s result holds once it
+    returns, and the traced peak of the call, in units of `unit` bytes."""
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / unit
+        result = call()  # noqa: F841 -- held while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+        return held / unit, peak / unit
     finally:
         tracemalloc.stop()
 
@@ -57,11 +65,15 @@ def unit_field():
 
 
 def test_divfree_noise_peak_memory(unit_field):
-    # measured 1.69: the r2c half spectrum and the full layout built from
-    # it, then the projection's k.f and one temporary
-    peak = _peak_fields(
+    # measured 1.08: the white noise and its r2c half spectrum, then the
+    # projection's k.f and one temporary on the half planes.  The field
+    # holds its half spectrum, measured 0.516 (33/64 and a few bytes).
+    # Masking and projecting a full layout built from the r2c output
+    # peaked at 1.69, and the field held 1.0
+    held, peak = _traced(
         lambda: divfree_noise(GRID, np.random.default_rng(2), slope=2.0))
-    assert peak <= 2.0
+    assert held <= 0.52
+    assert peak <= 1.25
 
 
 def test_split_constants_peak_memory(unit_field):
@@ -88,12 +100,14 @@ def test_bkm_ratio_peak_memory(unit_field):
 
 
 def test_grad_norm_inf_peak_memory(unit_field):
-    # measured 1.19 with one thread: the Hermitian half, one derivative's
-    # one-component buffer and physical values, its axis's sum of squares
-    # and the running total.  With two threads, measured 1.53: the second
-    # lane's buffer, derivative and sum
+    # measured 0.67 with one thread: one derivative's one-component
+    # buffer and physical values, its axis's sum of squares and the
+    # running total, read straight from the stored half spectrum.  With
+    # two threads, measured 1.01: the second lane's buffer, derivative
+    # and sum.  A Hermitian half copied from the full layout first
+    # peaked at 1.19 and 1.53
     u, _ = unit_field
-    for threads, bound in ((1, 1.3), (min(2, _available_cpus()), 1.7)):
+    for threads, bound in ((1, 0.8), (min(2, _available_cpus()), 1.2)):
         set_fft_workers(threads)
         assert _peak_fields(lambda: grad_norm_inf(u)) <= bound, threads
 
@@ -147,6 +161,17 @@ def test_report_peak_memory_does_not_grow_with_snapshots(stored_pairs):
     assert max(peaks.values()) <= 10.0
 
 
+def test_run_holds_half_spectrum_snapshots():
+    # a trajectory's snapshots hold the solver's half-spectrum states:
+    # measured 0.53 full-layout snapshots per snapshot (33/64, and the
+    # grid's |k|^2 and the series over all 11).  Full-layout snapshots
+    # held 1.03 each
+    config = SolverConfig(dim=3, n=32, nu=0.05, dt=5e-3, t_end=5e-2,
+                          ic="random-divfree", seed=1, snap_every=1)
+    held, _ = _traced(lambda: run(config), 16 * 3 * 32**3)
+    assert held <= 0.6 * (config.nsteps + 1)
+
+
 def test_integrator_step_peak_memory():
     # measured 10.18: the half-spectrum state, one 3-component padded
     # buffer that u and then omega go through, both their fine-grid
@@ -159,7 +184,7 @@ def test_integrator_step_peak_memory():
     u = divfree_noise(GRID, np.random.default_rng(3), slope=2.0)
 
     def integrate():
-        state = _hermitian_half(spectral_data(u), GRID.dim)
+        state = u.half.copy()
         _Integrator(GRID, config).step(state, 0.0, 0)
 
     integrate()  # a warm step: the grid's wavenumber arrays exist

@@ -31,7 +31,64 @@ def test_spectral_round_trip(grid2, rng, tmp_path):
     assert loaded.grid == grid2
     assert header == {"dim": 2, "n": 32, "components": 2,
                       "representation": "spectral", "time": 0.25,
-                      "viscosity": 0.7}
+                      "viscosity": 0.7, "layout": "half"}
+
+
+def _raw_snapshot(path, header, payload):
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                     + payload.tobytes())
+
+
+def test_full_layout_file_loads_equal(grid2, rng, tmp_path):
+    # a spectral file with no layout key, as earlier versions wrote it,
+    # holds full spectra and is read through Field's Hermitian check
+    spec = divfree_noise(grid2, rng).data.astype("<c16")
+    path = tmp_path / "full.fld"
+    _raw_snapshot(path, {"dim": 2, "n": 32, "components": 2,
+                         "representation": "spectral", "time": 0.5,
+                         "viscosity": 0.1}, spec)
+    loaded, header = read_field(path)
+    assert "layout" not in header and header["time"] == 0.5
+    assert np.array_equal(loaded.data, spec)
+
+
+def test_half_file_round_trips_byte_identically(tmp_path):
+    # a solver snapshot, whose -n/2 plane carries round-off content
+    snap = run(SMALL).final
+    first, second = tmp_path / "a.fld", tmp_path / "b.fld"
+    write_field(first, snap, time=0.01, viscosity=0.5)
+    loaded, _ = read_field(first)
+    assert np.array_equal(loaded.half, snap.half)
+    write_field(second, loaded, time=0.01, viscosity=0.5)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("plane", [0, 16])
+def test_half_file_with_non_hermitian_end_plane_rejected(grid2, rng,
+                                                         tmp_path, plane):
+    # planes 0 and n/2 of a half spectrum are their own mirrors: a mode
+    # there without its conjugate partner names the file
+    data = divfree_noise(grid2, rng).half.astype("<c16")
+    data[0, 3, plane] += 1e-3
+    path = tmp_path / "f.fld"
+    _raw_snapshot(path, {"dim": 2, "n": 32, "components": 2,
+                         "representation": "spectral", "time": None,
+                         "viscosity": None, "layout": "half"}, data)
+    with pytest.raises(GridError, match="Hermitian") as exc:
+        read_field(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("representation, layout", [("spectral", "full"),
+                                                    ("physical", "half")])
+def test_unknown_layout_rejected(tmp_path, representation, layout):
+    path = tmp_path / "f.fld"
+    _raw_snapshot(path, {"dim": 2, "n": 8, "components": 1,
+                         "representation": representation, "time": None,
+                         "viscosity": None, "layout": layout}, np.zeros(128))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*layout"):
+        read_field(path)
 
 
 def test_physical_round_trip(grid2, tmp_path):
@@ -101,12 +158,12 @@ def test_unknown_representation_rejected(tmp_path):
 @pytest.mark.parametrize("change", [-16, 1, 8, 2 * 32**2 * 16])
 def test_payload_length_checked(grid2, rng, tmp_path, change):
     # a truncated payload, or one followed by trailing bytes (a single
-    # byte, one value, a whole second payload), names the file and both
-    # byte counts
+    # byte, one value, a whole full-layout payload), names the file and
+    # both byte counts; the half spectrum holds n (n/2 + 1) values
     path = tmp_path / "f.fld"
     write_field(path, divfree_noise(grid2, rng))
     blob = path.read_bytes()
-    expected = 2 * grid2.n**2 * 16
+    expected = 2 * grid2.n * (grid2.n // 2 + 1) * 16
     if change < 0:
         path.write_bytes(blob[:change])
     else:
@@ -138,9 +195,9 @@ def test_read_field_returns_owned_aligned_array(grid2, rng, tmp_path):
     path = tmp_path / "f.fld"
     f = divfree_noise(grid2, rng)
     write_field(path, f)
-    data = read_field(path)[0].data
+    data = read_field(path)[0].half
     assert data.flags.owndata and data.flags.aligned
-    assert data.flags.c_contiguous and np.array_equal(data, f.data)
+    assert data.flags.c_contiguous and np.array_equal(data, f.half)
 
 
 def test_trajectory_round_trip(tmp_path):
