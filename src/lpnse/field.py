@@ -29,9 +29,11 @@ Conventions
   _full_spectrum each fill one output in place.  _leray_project_spec
   projects in place and returns its argument, so it is given fresh
   arrays (the solver's to_coarse output, the noise generators' spectra);
-  leray_project copies first.  Each in-place step does the operations
-  of the out-of-place expression in the same order, so every byte of
-  the result is the same.
+  leray_project copies first.  _leray_project_spec zeroes k.f/|k|^2 at
+  k = 0 by index, and _cross subtracts through one scratch product.
+  Each in-place step does the operations of the out-of-place
+  expression in the same order, so every byte of the result is the
+  same.
 * Every first derivative multiplies by _ik: i k_axis, zero on the lone
   -n/2 mode, which has no conjugate partner; every cross product, the
   curl's i k x and the solver's u x omega alike, is _cross.
@@ -45,7 +47,10 @@ Conventions
 * _Padding is the one padded-product kernel (dealiased_product, advect,
   the solver's rotational term).  Its buffer holds m//2+1 planes on the
   m-point grid, of which _pad_spectrum writes the first n//2+1; the rest
-  stay zero, so the c2r in _irfftn_half needs no zero-padded copy.  The
+  stay zero, so the c2r in _irfftn_half needs no zero-padded copy.
+  _pad_spectrum and _truncate_spectrum move the coarse modes with
+  2^(dim-1) block copies (_coarse_blocks), as _mirror does, and
+  _truncate_spectrum folds only the planes it keeps.  The
   leading-axes c2c transforms of _irfftn_half and _rfftn_half run in
   place, over the nonzero planes only: _irfftn_half overwrites its
   input, and _rfftn_half returns a view of its r2c output.
@@ -525,7 +530,7 @@ def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
         kdot += np.multiply(ks[axis], spec[axis], out=tmp)
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(kdot, k_sq, out=kdot)
-    kdot[k_sq == 0] = 0.0
+    kdot[(0,) * grid.dim] = 0.0  # k = 0, the one mode with |k|^2 = 0
     for axis in range(grid.dim):
         spec[axis] -= np.multiply(ks[axis], kdot, out=tmp)
     return spec
@@ -533,10 +538,16 @@ def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
 
 # --- padded products -------------------------------------------------------
 
-def _coarse_index(n: int, m: int, dim: int, lead: int) -> tuple:
-    """Where the coarse modes sit on the m-point grid's leading dim-1 axes."""
-    src = np.fft.fftfreq(n, 1.0 / n).astype(np.int64) % m
-    return (slice(None),) * lead + np.ix_(*((src,) * (dim - 1)))
+def _coarse_blocks(n: int, m: int, dim: int, lead: int):
+    """(fine, coarse) index pairs of the 2^(dim-1) blocks in which the
+    coarse modes sit on the m-point grid's leading dim-1 axes: rows 0 ...
+    n/2-1 (k >= 0) stay, rows n/2 ... n-1 (k < 0) move to m-n/2 ... m-1."""
+    rows = ((slice(0, n // 2), slice(0, n // 2)),
+            (slice(m - n // 2, m), slice(n // 2, n)))
+    at = (slice(None),) * lead
+    for pairs in itertools.product(rows, repeat=dim - 1):
+        fine, coarse = zip(*pairs)
+        yield at + fine, at + coarse
 
 
 def _ik(shape: tuple, n: int, axis: int) -> np.ndarray:
@@ -564,9 +575,10 @@ def _cross(a, b, out: np.ndarray = None) -> np.ndarray:
         return out
     # component i: a_{i+1} b_{i+2} - a_{i+2} b_{i+1}, indices mod 3
     pairs = [(i - 2, i - 1) for i in range(3)] if len(b) == 3 else [(0, 1)]
+    product = np.empty_like(out[0])
     for row, (i, j) in zip(out, pairs):
         np.multiply(a[i], b[j], out=row)
-        row -= a[j] * b[i]
+        row -= np.multiply(a[j], b[i], out=product)
     return out
 
 
@@ -635,7 +647,8 @@ def _pad_spectrum(half: np.ndarray, out: np.ndarray, n: int, m: int,
     lead = half.ndim - dim
     for axis in range(lead, out.ndim - 1):  # rows no coarse mode lands on
         out[(slice(None),) * axis + (slice(n // 2, m - n // 2),)] = 0.0
-    out[_coarse_index(n, m, dim, lead)] = half
+    for fine, coarse in _coarse_blocks(n, m, dim, lead):
+        out[fine] = half[coarse]
     for axis in range(lead, out.ndim - 1):
         at = (slice(None),) * axis
         out[at + (n // 2,)] = 0.5 * out[at + (m - n // 2,)]
@@ -645,14 +658,19 @@ def _pad_spectrum(half: np.ndarray, out: np.ndarray, n: int, m: int,
 
 
 def _truncate_spectrum(fine: np.ndarray, m: int, n: int, dim: int) -> np.ndarray:
-    """Adjoint of _pad_spectrum; overwrites `fine`.  The last-axis n/2
-    plane is folded with the conjugate of its mirror, the
-    -n/2 plane that the half layout leaves implicit."""
+    """Adjoint of _pad_spectrum; overwrites the planes k_last <= n/2 of
+    `fine`, the only ones it reads.  The last-axis n/2 plane is folded
+    with the conjugate of its mirror, the -n/2 plane that the half
+    layout leaves implicit."""
     lead = fine.ndim - dim
+    fine = fine[..., :n // 2 + 1]
     for axis in range(lead, fine.ndim - 1):
         at = (slice(None),) * axis
         fine[at + (m - n // 2,)] += fine[at + (n // 2,)]
-    out = fine[..., :n // 2 + 1][_coarse_index(n, m, dim, lead)]
+    out = np.empty(fine.shape[:lead] + (n,) * (dim - 1) + (n // 2 + 1,),
+                   dtype=fine.dtype)
+    for fine_at, coarse in _coarse_blocks(n, m, dim, lead):
+        out[coarse] = fine[fine_at]
     out[..., n // 2:] += np.conj(_mirror(out[..., n // 2:], dim))
     return out
 

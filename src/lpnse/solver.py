@@ -6,7 +6,8 @@ with classical RK4 in the transformed variable.  The nonlinear term is
 taken in rotational form, -P(u.grad u) = P(u x omega) with omega = curl u
 (the two differ by the gradient of |u|^2/2, which P removes): a padded
 inverse transform of u, then one of omega, a pointwise cross product
-and one forward transform.  The product is formed on a 3/2
+written back over u's fine values and one forward transform of them.
+The product is formed on a 3/2
 padded grid, so the Galerkin truncation conserves energy through the
 nonlinearity to round-off and the energy balance measures
 time-integration error only.  The term is zeroed on every plane with some
@@ -26,9 +27,13 @@ plane but 0 and n/2 twice, and each snapshot is a Field holding it.
 The padded transforms are field's one product kernel, _Padding: each
 integrator holds one, whose buffer is allocated once and reused on
 every call, so an integrator is not reentrant.  u and omega go through
-that buffer one after the other, and the RK4 sum is folded into the
-stage terms in place, so only the arrays a stage needs are alive at once
-(the low-storage habit of pseudospectral DNS codes, Rogallo 1981).
+that buffer one after the other; u x omega is formed _SLAB rows of the
+first axis at a time in one small slab buffer and written back over u
+(in 2D omega has one component and u x omega two, as u has), so there
+is no cross-product array; the stage arguments are formed in place in
+one array, and the RK4 sum is folded into the stage terms in place, so
+only the arrays a stage needs are alive at once (the low-storage habit
+of pseudospectral DNS codes, Rogallo 1981).
 
 Twin runs integrate a base flow and a perturbed flow with identical
 stepping so their snapshots align exactly in time.
@@ -53,6 +58,13 @@ from .field import (Field, SPECTRAL, _Padding, _cross, _half_k_sq, _ik,
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
+
+# Rows of the first spatial axis per slab of u x omega.  In a
+# micro-benchmark of the slab loop alone on a 2-core x86-64 host with a
+# 2 MiB L2 per core, 8 beat 4 and 16 on the 48-point product grid of 3D
+# n=32 (0.60, 0.70 and 0.82 ms); on the 96-point grid of n=64, 4 read
+# 6.2 ms against 7.7 for 8, under 2% of that term's time.
+_SLAB = 8
 
 
 @dataclass(frozen=True)
@@ -239,9 +251,9 @@ def nse_rhs(u: Field, nu: float) -> Field:
 class _Integrator:
     """Precomputed multipliers for repeated IF-RK4 steps on half spectra
     (planes 0 <= k_last <= n/2), and the nonlinear term's workspace: a
-    _Padding, omega's half spectra and the real cross product, all
-    overwritten on every nonlinear() call, so an integrator is not
-    reentrant: one thread, one call at a time."""
+    _Padding, omega's half spectra and a slab of _SLAB rows of the real
+    cross product, all overwritten on every nonlinear() call, so an
+    integrator is not reentrant: one thread, one call at a time."""
 
     def __init__(self, grid: Grid, config: SolverConfig):
         self.grid = grid
@@ -262,7 +274,8 @@ class _Integrator:
         self.padding = _Padding(grid, config.dealias)
         self.omega = np.empty((3 if grid.dim == 3 else 1,) + grid.half_shape,
                               dtype=np.complex128)
-        self.cross = np.empty((grid.dim,) + (self.padding.m,) * grid.dim)
+        m = self.padding.m
+        self.slab = np.empty((grid.dim, min(_SLAB, m)) + (m,) * (grid.dim - 1))
 
     def nonlinear(self, half: np.ndarray, speed: bool = True):
         """P(u x omega), with omega = curl u, zeroed on the -n/2 planes and
@@ -274,16 +287,20 @@ class _Integrator:
         state's is.  u is padded and inverse-transformed straight from
         `half`, then omega from the workspace's half spectra, through
         the _Padding buffer (in 3D one 3-component buffer serves both);
-        the cross product goes through one forward transform.  The
-        result is a new array, not a view of the workspace."""
+        u x omega is written over u's fine values, a slab of rows at a
+        time, and goes through one forward transform.  The result is a
+        new array, not a view of the workspace."""
         grid = self.grid
         u = self.padding.to_fine(half)
         umax = (float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
                 if speed else None)
         w = self.padding.to_fine(_cross(self.ik, half, out=self.omega))
-        cross = _cross(u, w, out=self.cross)
-        del u, w  # freed before the forward transform: lower peak memory
-        out = _leray_project_spec(self.padding.to_coarse(cross), grid)
+        for start in range(0, self.padding.m, _SLAB):
+            rows = u[:, start:start + _SLAB]
+            rows[...] = _cross(rows, w[:, start:start + _SLAB],
+                               out=self.slab[:, :rows.shape[1]])
+        del w  # freed before the forward transform: lower peak memory
+        out = _leray_project_spec(self.padding.to_coarse(u), grid)
         out *= self.keep
         out[self.zero] = 0.0
         return out, umax
@@ -293,7 +310,8 @@ class _Integrator:
         e2 spec + (dt/6) (e2 a + 2 e1 (b + c) + d), with the sum folded
         into the stage terms in place as soon as each is last read, in
         the order of operations of that expression, so a, b, c and d are
-        never all alive."""
+        never all alive.  The three stage arguments and then the result
+        are formed in place in one new array, which is returned."""
         dt = self.config.dt
         a, umax = self.nonlinear(spec)
         if umax > 0:
@@ -305,21 +323,30 @@ class _Integrator:
                     f"> {dt_max:.3g} (umax={umax:.3g})",
                     time, index)
         e1, e2 = self.e_half, self.e_full
-        b, _ = self.nonlinear(e1 * (spec + 0.5 * dt * a), speed=False)
+        arg = np.multiply(0.5 * dt, a)
+        np.add(spec, arg, out=arg)
+        np.multiply(e1, arg, out=arg)
+        b, _ = self.nonlinear(arg, speed=False)
         a *= e2
-        c, _ = self.nonlinear(e1 * spec + 0.5 * dt * b, speed=False)
-        stage = e2 * spec + dt * e1 * c
+        np.multiply(e1, spec, out=arg)
+        arg += 0.5 * dt * b
+        c, _ = self.nonlinear(arg, speed=False)
         b += c
+        c *= dt * e1
+        np.multiply(e2, spec, out=arg)
+        arg += c
         del c  # freed before the last stage
-        d, _ = self.nonlinear(stage, speed=False)
+        d, _ = self.nonlinear(arg, speed=False)
         b *= 2.0 * e1
         a += b
         a += d
-        del b, d, stage  # freed before the sum's last two arrays
+        del b, d  # freed before the sum's last two arrays
         # no projection here: spec and every stage term are projected and
         # the integrating factors are scalar per mode
         a *= dt / 6.0
-        return e2 * spec + a
+        np.multiply(e2, spec, out=arg)
+        arg += a
+        return arg
 
 
 def step(u: Field, config: SolverConfig) -> Field:

@@ -173,12 +173,15 @@ def test_run_holds_half_spectrum_snapshots():
 
 
 def test_integrator_step_peak_memory():
-    # measured 10.18: the half-spectrum state, one 3-component padded
+    # measured 8.66: the half-spectrum state, one 3-component padded
     # buffer that u and then omega go through, both their fine-grid
-    # values, the cross product and the stage terms, folded into the RK4
-    # sum as each is last read.  Padding a 6-component [u; omega] copy
-    # through a 6-component buffer, with a, b, c, d and the sum's
-    # temporaries all alive at the end of the step, peaked at 12.94
+    # values (u x omega is written back over u's, a slab of rows at a
+    # time: there is no cross-product array) and the stage terms, folded
+    # into the RK4 sum as each is last read.  A whole-grid cross-product
+    # array held by the integrator peaked at 10.18; padding a
+    # 6-component [u; omega] copy through a 6-component buffer, with a,
+    # b, c, d and the sum's temporaries all alive at the end of the
+    # step, at 12.94
     config = SolverConfig(dim=3, n=64, nu=0.05, dt=1e-3, t_end=1e-3,
                           ic="random-divfree")
     u = divfree_noise(GRID, np.random.default_rng(3), slope=2.0)
@@ -188,4 +191,4 @@ def test_integrator_step_peak_memory():
         _Integrator(GRID, config).step(state, 0.0, 0)
 
     integrate()  # a warm step: the grid's wavenumber arrays exist
-    assert _peak_fields(integrate) <= 11.0
+    assert _peak_fields(integrate) <= 9.0

@@ -10,7 +10,8 @@ from lpnse import (Grid, SolverConfig, energy_balance_residual, nse_rhs, run,
                    step, taylor_green, twin_run)
 from lpnse.errors import GridError, SolverAbort
 from lpnse.ensembles import divfree_noise
-from lpnse.field import (Field, _full_spectrum, _hermitian_half, add, advect,
+from lpnse.field import (Field, _cross, _full_spectrum, _hermitian_half,
+                         _leray_project_spec, add, advect,
                          divergence, h1_seminorm, inner, l2_norm_spectral,
                          laplacian, leray_project, scale, spectral_data)
 from lpnse.solver import (_Integrator, _cumulative_simpson, initial_condition,
@@ -269,9 +270,57 @@ def test_nonlinear_leaves_input_unchanged(dim, n, dealias):
     term, _ = integ.nonlinear(state)
     np.testing.assert_array_equal(state, before)
     # nor does the result alias the workspace the next call overwrites
-    workspace = [state, integ.omega, integ.cross,
+    workspace = [state, integ.omega, integ.slab,
                  *integ.padding._buffers.values()]
     assert not any(np.shares_memory(term, buf) for buf in workspace)
+
+
+def _whole_grid_nonlinear(integ, half):
+    """The term with u x omega formed over the whole fine grid in one
+    _cross call, the reference for the integrator's slabs."""
+    u = integ.padding.to_fine(half)
+    umax = float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
+    w = integ.padding.to_fine(_cross(integ.ik, half))
+    out = _leray_project_spec(integ.padding.to_coarse(_cross(u, w)),
+                              integ.grid)
+    out *= integ.keep
+    out[integ.zero] = 0.0
+    return out, umax
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 8), (3, 16)])
+def test_slab_product_matches_whole_grid_product(dim, n, dealias):
+    # u x omega is written over u's fine values a slab of rows at a time;
+    # every element sees the same operations, so the term is the
+    # whole-grid one bit for bit, on grids whose m = 12 the slab height
+    # does not divide (n = 8 with dealias) as on those it does
+    grid = Grid(dim, n)
+    integ = _Integrator(grid, SolverConfig(dim=dim, n=n, dealias=dealias))
+    for state in _random_half_states(grid, 2, 23):
+        term, umax = integ.nonlinear(state)
+        want, want_umax = _whole_grid_nonlinear(
+            _Integrator(grid, SolverConfig(dim=dim, n=n, dealias=dealias)),
+            state)
+        assert np.array_equal(term, want)
+        assert umax == want_umax
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_step_matches_out_of_place_stages(dim, n):
+    # step forms its stage arguments and its result in one array, in
+    # place, with the operations of the out-of-place IF-RK4 expressions
+    grid = Grid(dim, n)
+    config = SolverConfig(dim=dim, n=n, dt=1e-3)
+    integ = _Integrator(grid, config)
+    state = _random_half_states(grid, 1, 24)[0]
+    dt, e1, e2 = config.dt, integ.e_half, integ.e_full
+    a, _ = integ.nonlinear(state)
+    b, _ = integ.nonlinear(e1 * (state + 0.5 * dt * a))
+    c, _ = integ.nonlinear(e1 * state + 0.5 * dt * b)
+    d, _ = integ.nonlinear(e2 * state + dt * e1 * c)
+    want = e2 * state + dt / 6.0 * (e2 * a + 2.0 * e1 * (b + c) + d)
+    assert np.array_equal(integ.step(state, 0.0, 0), want)
 
 
 def test_state_stays_hermitian_without_nyquist_content():
