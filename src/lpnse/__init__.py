@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .grid import Grid
 from .field import (Field, from_physical, from_spectral, from_components,
-                    to_physical, to_spectral, lp_norm, inner, derivative,
-                    dealiased_product, advect, leray_project, set_fft_workers)
+                    to_physical, lp_norm, inner, derivative, dealiased_product,
+                    advect, leray_project, set_fft_workers)
 from .blocks import (block_indices, delta_j, s_j, reconstruct, block_norms,
                      bernstein_report, reverse_bernstein_report, ConstantReport)
 from .paraproduct import (paraproduct_t, remainder_r, t_prime, commutator,

@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import (_block_radius, _half_multiplier, block_indices,
                      block_norms, s_j)
 from .errors import GridError, ResolutionError, TripleError
-from .field import (Field, SPECTRAL, _cross, _grad_norm_inf_half,
+from .field import (Field, _cross, _grad_norm_inf_half,
                     _half_k_sq, _ik, _magnitude_half, _norm_of_magnitude,
                     divergence, h1_seminorm, l2_norm_spectral, lp_norm)
 
@@ -66,7 +66,7 @@ def curl(u: Field) -> Field:
     grid = u.grid
     if u.ncomp != grid.dim:
         raise GridError(f"curl expects a {grid.dim}-component field")
-    return Field(grid, _curl_spectrum(u.half, grid.n), SPECTRAL)
+    return Field(grid, _curl_spectrum(u.half, grid.n))
 
 
 def _curl_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
@@ -99,7 +99,7 @@ def biot_savart(w: Field) -> Field:
     k_sq = _half_k_sq(grid)
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_ksq = np.where(k_sq > 0, 1.0 / k_sq, 0.0)
-    return Field(grid, _curl_spectrum(spec, grid.n) * inv_ksq, SPECTRAL)
+    return Field(grid, _curl_spectrum(spec, grid.n) * inv_ksq)
 
 
 def bkm_ratio(u: Field) -> float:
@@ -204,7 +204,7 @@ def split_low_high(u: Field, triple: CriterionTriple,
         norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
     N, p_tilde, q_tilde = _split_exponents(u.grid, triple, norm_value)
     u_low = s_j(u, N)
-    u_high = Field(u.grid, u.half - u_low.half, SPECTRAL)
+    u_high = Field(u.grid, u.half - u_low.half)
     return SplitResult(u_low, u_high, N, p_tilde, q_tilde)
 
 

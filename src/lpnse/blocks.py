@@ -18,7 +18,7 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, SPECTRAL, _box, _half_power, _ik, _irfftn_half,
+from .field import (Field, _box, _half_power, _ik, _irfftn_half,
                     _map_threads, _thread_map, h1_seminorm, l2_norm_spectral,
                     zero_field)
 from .grid import Grid
@@ -70,7 +70,7 @@ def delta_j(f: Field, j: int) -> Field:
         raise BlockRangeError(f"block {j} exceeds jmax={grid.jmax} for n={grid.n}")
     if j <= -2:
         return zero_field(grid, f.ncomp)
-    return Field(grid, f.half * _half_multiplier(grid, j), SPECTRAL)
+    return Field(grid, f.half * _half_multiplier(grid, j))
 
 
 def s_j(f: Field, j: int) -> Field:
@@ -80,15 +80,14 @@ def s_j(f: Field, j: int) -> Field:
         raise BlockRangeError(f"low-pass level {j} exceeds jmax+1={grid.jmax + 1}")
     if j <= -1:
         return zero_field(grid, f.ncomp)
-    return Field(grid, f.half * _half_multiplier(grid, j, "low"),
-                 SPECTRAL)
+    return Field(grid, f.half * _half_multiplier(grid, j, "low"))
 
 
 def reconstruct(f: Field) -> Field:
     """Sum of every resolved block.  Equals f (to round-off) whenever f
     is band-limited to |k| <= (3/4) 2^{jmax+1}."""
     return Field(f.grid, sum(delta_j(f, j).half
-                             for j in block_indices(f.grid)), SPECTRAL)
+                             for j in block_indices(f.grid)))
 
 
 def _block_radius(grid: Grid, j: int) -> int:
@@ -290,7 +289,7 @@ def _shell_translate(grid: Grid, j: int, x0: np.ndarray) -> Field:
     phase = sum(k[..., :grid.n // 2 + 1] * x
                 for k, x in zip(grid.k_components, x0))
     return Field(grid, (_half_multiplier(grid, j) * np.exp(-1j * phase))[
-        np.newaxis], SPECTRAL)
+        np.newaxis])
 
 
 def bernstein_report(grid: Grid, ensemble: int = 64,

@@ -16,7 +16,7 @@ Two flavours:
 import numpy as np
 
 from .errors import ResolutionError
-from .field import Field, SPECTRAL, _leray_project_spec, _rfftn_half
+from .field import Field, _leray_project_spec, _paired, _rfftn_half
 from .grid import Grid
 
 
@@ -28,7 +28,7 @@ def band_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
     by (1+|k|)^-slope for smoother samples.
     """
     spec = _masked_noise(grid, rng, kmin, kmax, ncomp, slope, keep_nyquist=True)
-    return Field(grid, spec, SPECTRAL)
+    return Field(grid, spec)
 
 
 def divfree_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
@@ -39,7 +39,7 @@ def divfree_noise(grid: Grid, rng: np.random.Generator, kmin: float = 0.0,
     is real for every kmax; only kmax >= n/2 reaches them."""
     spec = _masked_noise(grid, rng, kmin, kmax, grid.dim, slope,
                          keep_nyquist=False)
-    return Field(grid, _leray_project_spec(spec, grid), SPECTRAL)
+    return Field(grid, _leray_project_spec(spec, grid))
 
 
 def _masked_noise(grid: Grid, rng: np.random.Generator, kmin: float,
@@ -50,15 +50,13 @@ def _masked_noise(grid: Grid, rng: np.random.Generator, kmin: float,
     damping, both in place."""
     if kmax is None:
         kmax = grid.dealias_radius
-    planes = slice(0, grid.n // 2 + 1)
     # the white noise is freed as soon as it is transformed
     spec = _rfftn_half(rng.standard_normal((ncomp,) + grid.shape), grid.dim,
                        grid.n // 2 + 1)
-    k_mag = grid.k_mag[..., planes]
+    k_mag = grid.k_mag[..., :grid.n // 2 + 1]
     mask = (k_mag >= kmin - 1e-12) & (k_mag <= kmax + 1e-12)
     if not keep_nyquist:
-        for k in grid.k_components:
-            mask &= k[..., planes] != -(grid.n // 2)
+        mask &= _paired(grid)
     spec *= mask
     if slope:
         spec *= (1.0 + k_mag) ** (-slope)
@@ -113,4 +111,4 @@ def solenoidal_field(grid: Grid, kmax: float, seed: int,
     for sites, values in ((k % n, coeff.T), (-k % n, np.conj(coeff.T))):
         held = sites[:, -1] <= n // 2  # the sites on the half planes
         spec[(slice(None),) + tuple(sites[held].T)] = values[:, held]
-    return Field(grid, spec, SPECTRAL)
+    return Field(grid, spec)

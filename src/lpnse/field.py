@@ -5,15 +5,17 @@ Conventions
 * Spectral data holds genuine Fourier-series coefficients (norm="forward"),
   so a single mode exp(i k.x) has coefficient 1 at lattice site k.
 * Fields are real and every transform is a real one, over half spectra
-  (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  A
-  spectral Field stores its half spectrum, Field.half, and every
-  operation here reads and writes half spectra; Field.data, the full
-  layout for callers outside the package, is built on each access by
+  (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  A Field
+  is its half spectrum, Field.half (from_physical transforms samples
+  once; to_physical returns them as a plain array), and every operation
+  here reads and writes half spectra; Field.data, the full layout for
+  callers outside the package, is built on each access by
   _full_spectrum, which mirrors the half with _mirror (row 0 kept, rows
   1 ... n-1 reversed, by block copies).  Planes 0 and n/2 are their own
   mirrors: _rfftn_half makes them exactly Hermitian (_hermitian_ends),
-  products and multipliers keep them so (but Leray projection of -n/2
-  content), and a c2r reads only their Hermitian part.  A full array is
+  products and multipliers keep them so, leray_project zeroes the -n/2
+  content it would leave unpartnered (_paired), and a c2r reads only
+  their Hermitian part.  A full array is
   checked once, when it is made a Field (_checked_half): the rest a
   beside its Hermitian part (c(k) + conj c(-k))/2 must be at round-off
   level (sum |a| bounds the imaginary part a complex inverse transform
@@ -24,7 +26,7 @@ Conventions
   squares in component, then axis, order, so their values are the same
   at every thread count.  Parseval sums weight every plane but 0 and
   n/2 twice (_plane_weights, _half_power).
-* Memory: a spectral field holds 16 ncomp n^(dim-1) (n//2+1) bytes,
+* Memory: a field holds 16 ncomp n^(dim-1) (n//2+1) bytes,
   about half the full layout's.  _mirror, _hermitian_half and
   _full_spectrum each fill one output in place.  _leray_project_spec
   projects in place and returns its argument, so it is given fresh
@@ -73,7 +75,6 @@ import scipy.fft as _sfft
 from .errors import GridError
 from .grid import Grid
 
-PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 
@@ -211,51 +212,39 @@ def _irfftn_half(a: np.ndarray, shape: tuple, radius: int = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """A field sampled on (or transformed from) a torus grid: an array
-    of samples, shape (ncomp, n, ..., n), or of half spectra, shape
-    (ncomp, n, ..., n//2+1), made from a half array as given or from a
-    full one by _checked_half; scalars use ncomp = 1.  The array given
-    is made read-only."""
+    """A real field on a torus grid, held as its half spectra, shape
+    (ncomp, n, ..., n//2+1): stored as given, or taken from full spectra,
+    shape (ncomp, n, ..., n), by _checked_half; scalars use ncomp = 1.
+    The array given is made read-only.  `representation` has one legal
+    value, SPECTRAL."""
 
     grid: Grid
-    array: np.ndarray
-    representation: str
+    half: np.ndarray
+    representation: str = SPECTRAL
 
     def __post_init__(self):
-        grid, data = self.grid, self.array
-        if self.representation not in (PHYSICAL, SPECTRAL):
+        grid, data = self.grid, self.half
+        if self.representation != SPECTRAL:
             raise GridError(f"unknown representation {self.representation!r}")
         if data.ndim != grid.dim + 1:
-            raise GridError(
-                f"data must have {grid.dim + 1} axes (ncomp first), got shape {data.shape}"
-            )
-        full = not self.is_spectral or data.shape[-1] == grid.n
+            raise GridError(f"data must have {grid.dim + 1} axes (ncomp "
+                            f"first), got shape {data.shape}")
+        full = data.shape[-1] == grid.n
         if data.shape[1:] != (grid.shape if full else grid.half_shape):
             raise GridError(f"data shape {data.shape} does not match grid {grid}")
         data.flags.writeable = False
-        if full and self.is_spectral:
-            object.__setattr__(self, "array", _checked_half(data, grid))
-            self.array.flags.writeable = False
+        if full:
+            object.__setattr__(self, "half", _checked_half(data, grid))
+            self.half.flags.writeable = False
 
     @property
     def ncomp(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def is_spectral(self) -> bool:
-        return self.representation == SPECTRAL
-
-    @property
-    def half(self) -> np.ndarray:
-        """The half spectrum: stored, or a physical field's transform."""
-        return to_spectral(self).array
+        return self.half.shape[0]
 
     @property
     def data(self) -> np.ndarray:
-        """The samples, or the full-layout spectrum, built on each access."""
-        if not self.is_spectral:
-            return self.array
-        full = _full_spectrum(self.array, self.grid.dim)
+        """The full-layout spectrum, built on each access."""
+        full = _full_spectrum(self.half, self.grid.dim)
         full.flags.writeable = False
         return full
 
@@ -293,10 +282,15 @@ def _check_residue(given, hermitian, half, grid: Grid, weight=1.0) -> float:
 
 
 def from_physical(grid: Grid, data: np.ndarray) -> Field:
+    """The field with samples `data`, shape (ncomp,) + grid.shape (or
+    grid.shape for a scalar), transformed once."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == grid.dim:
         arr = arr[np.newaxis]
-    return Field(grid, arr.copy(), PHYSICAL)
+    if arr.shape[1:] != grid.shape:
+        raise GridError(f"sample shape {np.shape(data)} does not match "
+                        f"grid {grid}")
+    return Field(grid, _rfftn_half(arr, grid.dim, grid.n // 2 + 1))
 
 
 def from_spectral(grid: Grid, data: np.ndarray) -> Field:
@@ -305,48 +299,28 @@ def from_spectral(grid: Grid, data: np.ndarray) -> Field:
     if arr.ndim == grid.dim:
         arr = arr[np.newaxis]
     # checked through a view, so the caller's array stays writable
-    return Field(grid, np.array(Field(grid, arr.view(), SPECTRAL).array),
-                 SPECTRAL)
+    return Field(grid, np.array(Field(grid, arr.view()).half))
 
 
 def from_components(grid: Grid, *funcs) -> Field:
     """Evaluate callables f(x1, ..., xd) on the grid and stack them."""
     mesh = grid.meshes()
-    comps = [np.asarray(f(*mesh), dtype=np.float64) for f in funcs]
-    return Field(grid, np.stack(comps), PHYSICAL)
+    return from_physical(grid, [f(*mesh) for f in funcs])
 
 
 def zero_field(grid: Grid, ncomp: int = 1) -> Field:
     return Field(grid, np.zeros((ncomp,) + grid.half_shape,
-                                dtype=np.complex128), SPECTRAL)
+                                dtype=np.complex128))
 
 
-def to_spectral(f: Field) -> Field:
-    if f.is_spectral:
-        return f
-    return Field(f.grid, _rfftn_half(f.data, f.grid.dim, f.grid.n // 2 + 1),
-                 SPECTRAL)
-
-
-def to_physical(f: Field) -> Field:
-    if not f.is_spectral:
-        return f
-    return Field(f.grid, _irfftn_half(f.half.copy(), f.grid.shape), PHYSICAL)
-
-
-def spectral_data(f: Field) -> np.ndarray:
-    """The full-layout spectrum of f."""
-    return to_spectral(f).data
+def to_physical(f: Field) -> np.ndarray:
+    """The samples of f on the grid, shape (ncomp,) + grid.shape."""
+    return _irfftn_half(f.half.copy(), f.grid.shape)
 
 
 def magnitude(f: Field) -> np.ndarray:
-    """Pointwise Euclidean magnitude on the grid; a spectral f is
-    transformed by _magnitude_half."""
-    if f.is_spectral:
-        return _magnitude_half(f.half.copy(), f.grid.shape)
-    if f.ncomp == 1:
-        return np.abs(f.data[0])
-    return np.sqrt(np.sum(f.data**2, axis=0))
+    """Pointwise Euclidean magnitude on the grid (_magnitude_half)."""
+    return _magnitude_half(f.half.copy(), f.grid.shape)
 
 
 def _magnitude_half(half: np.ndarray, shape: tuple) -> np.ndarray:
@@ -430,7 +404,7 @@ def derivative(f: Field, orders) -> Field:
             # derivative must kill it to keep real fields real
             factor[(0,) * axis + (grid.n // 2,)] = 0.0
         mult = mult * factor
-    return Field(grid, f.half * mult, SPECTRAL)
+    return Field(grid, f.half * mult)
 
 
 def gradient(f: Field) -> Field:
@@ -441,11 +415,11 @@ def gradient(f: Field) -> Field:
     half = f.half[0]
     comps = [half * _ik(grid.half_shape, grid.n, axis)
              for axis in range(grid.dim)]
-    return Field(grid, np.stack(comps), SPECTRAL)
+    return Field(grid, np.stack(comps))
 
 
 def laplacian(f: Field) -> Field:
-    return Field(f.grid, f.half * -_half_k_sq(f.grid), SPECTRAL)
+    return Field(f.grid, f.half * -_half_k_sq(f.grid))
 
 
 def grad_norm_inf(f: Field) -> float:
@@ -508,15 +482,25 @@ def divergence(f: Field) -> Field:
     grid = f.grid
     out = sum(half * _ik(grid.half_shape, grid.n, axis)
               for axis, half in enumerate(f.half))
-    return Field(grid, out[np.newaxis], SPECTRAL)
+    return Field(grid, out[np.newaxis])
 
 
 def leray_project(f: Field) -> Field:
-    """Remove the gradient part: (P f)_i = f_i - k_i (k.f)/|k|^2."""
+    """Remove the gradient part: (P f)_i = f_i - k_i (k.f)/|k|^2, and
+    zero the modes with some k_i = -n/2, which it would leave without
+    conjugate partners (_paired): the result is exactly Hermitian."""
     if f.ncomp != f.grid.dim:
         raise GridError(f"projection expects a {f.grid.dim}-component field")
-    half = f.half.copy()
-    return Field(f.grid, _leray_project_spec(half, f.grid), SPECTRAL)
+    half = _leray_project_spec(f.half.copy(), f.grid)
+    half[:, ~_paired(f.grid)] = 0.0
+    return Field(f.grid, half)
+
+
+def _paired(grid: Grid) -> np.ndarray:
+    """True on the half-spectrum sites with no k_i = -n/2, the modes that
+    have a conjugate partner; False on the rest."""
+    return sum(k[..., :grid.n // 2 + 1] == -(grid.n // 2)
+               for k in grid.k_components) == 0
 
 
 def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
@@ -735,7 +719,7 @@ def dealiased_product(f: Field, g: Field, dealias: bool = True) -> Field:
     if f.ncomp != g.ncomp and 1 not in (f.ncomp, g.ncomp):
         raise GridError(f"cannot broadcast components {f.ncomp} and {g.ncomp}")
     out = _padded_product(f.half, g.half, f.grid, dealias)
-    return Field(f.grid, out, SPECTRAL)
+    return Field(f.grid, out)
 
 
 def advect(v: Field, f: Field, dealias: bool = True) -> Field:
@@ -746,16 +730,16 @@ def advect(v: Field, f: Field, dealias: bool = True) -> Field:
         raise GridError("advecting velocity must have dim components")
     out = _padded_product(v.half, f.half, v.grid,
                           dealias, grad=True)
-    return Field(v.grid, out, SPECTRAL)
+    return Field(v.grid, out)
 
 
 def scale(f: Field, factor: float) -> Field:
-    return Field(f.grid, f.array * factor, f.representation)
+    return Field(f.grid, f.half * factor)
 
 
 def add(f: Field, g: Field, alpha: float = 1.0) -> Field:
-    """f + alpha*g in whichever representation f uses."""
+    """f + alpha*g; f and g must have the same components."""
     f.grid.require_same(g.grid)
-    if f.representation != g.representation:
-        g = to_spectral(g) if f.is_spectral else to_physical(g)
-    return Field(f.grid, f.array + alpha * g.array, f.representation)
+    if f.ncomp != g.ncomp:
+        raise GridError(f"component mismatch: {f.ncomp} vs {g.ncomp}")
+    return Field(f.grid, f.half + alpha * g.half)

@@ -31,7 +31,7 @@ from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
 from .blocks import (_block_l2_norms, block_indices, block_norm_table,
                      block_norms, delta_j)
 from .errors import BlockRangeError, NonFiniteError
-from .field import (Field, SPECTRAL, _half_k_sq, _half_power, _ik,
+from .field import (Field, _half_k_sq, _half_power, _ik,
                     _plane_weights, _thread_map, add, advect, inner)
 from .solver import Trajectory
 
@@ -312,7 +312,7 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     wj_sq = norms[1] ** 2
     grad_w = Field(grid, np.concatenate(
         [w.half * _ik(grid.half_shape, grid.n, axis)
-         for axis in range(grid.dim)]), SPECTRAL)
+         for axis in range(grid.dim)]))
     grad_sq = float(block_norms(grad_w, 2.0)[j + 1]) ** 2
 
     transport = -inner(delta_j(advect(w, u), j), w_j)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import block_indices, block_norms, delta_j, s_j
 from .errors import BlockRangeError
-from .field import (Field, SPECTRAL, add, advect, dealiased_product,
+from .field import (Field, add, advect, dealiased_product,
                     divergence, grad_norm_inf, h1_seminorm, l2_norm_spectral)
 
 
@@ -29,7 +29,7 @@ def paraproduct_t(u: Field, v: Field, dealias: bool = True) -> Field:
     u.grid.require_same(v.grid)
     return Field(u.grid, sum(
         dealiased_product(s_j(u, j - 1), delta_j(v, j), dealias).half
-        for j in range(1, u.grid.jmax + 1)), SPECTRAL)
+        for j in range(1, u.grid.jmax + 1)))
 
 
 def remainder_r(u: Field, v: Field, dealias: bool = True) -> Field:
@@ -42,7 +42,7 @@ def remainder_r(u: Field, v: Field, dealias: bool = True) -> Field:
     return Field(grid, sum(
         dealiased_product(blocks_u[j], blocks_v[jp], dealias).half
         for j in block_indices(grid) for jp in (j - 1, j, j + 1)
-        if jp in blocks_v), SPECTRAL)
+        if jp in blocks_v))
 
 
 def t_prime(u: Field, v: Field) -> Field:
@@ -101,7 +101,7 @@ def commutator(v: Field, j: int, w: Field, dealias: bool = True) -> Field:
         direct = advect(low_v, delta_j(w_block, j), dealias)
         projected = delta_j(advect(low_v, w_block, dealias), j)
         total = total + (direct.half - projected.half)
-    return Field(v.grid, total, SPECTRAL)
+    return Field(v.grid, total)
 
 
 def commutator_bound_ratio(v: Field, j: int, w: Field) -> float:

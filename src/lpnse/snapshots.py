@@ -4,9 +4,10 @@ Snapshot container: 8 magic bytes, a little-endian uint32 header length,
 a JSON header {dim, n, components, representation, time, viscosity},
 then the raw data as row-major little-endian 64-bit values (float64 for
 physical samples, interleaved complex128 for spectral coefficients).
-Spectral data is written as half spectra, shape (components, n, ...,
-n//2+1), with the header key "layout": "half"; a spectral file without
-that key holds full spectra, shape (components, n, ..., n).
+write_field writes half spectra, shape (components, n, ..., n//2+1),
+with the header key "layout": "half".  read_field also reads full
+spectra (a spectral file without that key) and physical samples, both
+of shape (components, n, ..., n); it transforms samples (from_physical).
 
 A trajectory directory holds one snapshot file per stored time plus
 trajectory.json with the config echo, times, series, and file names.
@@ -23,7 +24,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import GridError, NonFiniteError
-from .field import Field, PHYSICAL, SPECTRAL, _check_residue, _hermitian_ends
+from .field import (Field, SPECTRAL, _check_residue, _hermitian_ends,
+                    from_physical)
 from .grid import Grid
 from .solver import SolverConfig, Trajectory
 
@@ -49,17 +51,14 @@ def write_field(path, f: Field, time: float = None, viscosity: float = None) -> 
         "dim": f.grid.dim,
         "n": f.grid.n,
         "components": f.ncomp,
-        "representation": f.representation,
+        "representation": SPECTRAL,
+        "layout": "half",
         "time": time,
         "viscosity": viscosity,
     }
     if fault := _header_fault(header):
         raise ValueError(f"{path}: {fault}")
-    if f.is_spectral:
-        header["layout"] = "half"
-        data = np.ascontiguousarray(f.half, dtype="<c16")
-    else:
-        data = np.ascontiguousarray(f.data, dtype="<f8")
+    data = np.ascontiguousarray(f.half, dtype="<c16")
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -77,7 +76,7 @@ def _parse_header(path, blob: bytes):
         header = json.loads(blob.decode())
         grid = Grid(header["dim"], header["n"])
         ncomp, rep = header["components"], header["representation"]
-        if rep not in (SPECTRAL, PHYSICAL):
+        if rep not in (SPECTRAL, "physical"):
             raise ValueError(f"unknown representation {rep!r}")
         if type(ncomp) is not int or ncomp < 1:
             raise ValueError(f"components must be a positive integer, "
@@ -97,12 +96,13 @@ def _parse_header(path, blob: bytes):
 
 
 def read_field(path):
-    """Returns (field, header dict).  The payload is read straight into
-    the field's own array.  A truncated preamble, a malformed header, a
-    payload of the wrong length or holding NaN or infinite values, or
-    spectra that are not Hermitian up to round-off raise naming the
-    file: Field checks a full spectrum, and _check_residue the planes 0
-    and n/2 of a half one, which are kept as written."""
+    """Returns (field, header dict): spectra are read straight into the
+    field's own array, samples go through from_physical.  A truncated
+    preamble, a malformed header, a payload of the wrong length or
+    holding NaN or infinite values, or spectra that are not Hermitian up
+    to round-off raise naming the file: Field checks a full spectrum,
+    and _check_residue the planes 0 and n/2 of a half one, which are
+    kept as written."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -127,10 +127,12 @@ def read_field(path):
         bad = finite.size - np.count_nonzero(finite)
         raise NonFiniteError(f"{path}: payload holds {bad} non-finite "
                              f"value(s)")
+    if header["representation"] != SPECTRAL:
+        return from_physical(grid, data), header
     try:
         if "layout" in header:
             _check_residue(*_hermitian_ends(data, grid.dim), data, grid)
-        return Field(grid, data, header["representation"]), header
+        return Field(grid, data), header
     except GridError as exc:
         raise GridError(f"{path}: {exc}") from None
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, SPECTRAL, _Padding, _cross, _half_k_sq, _ik,
+from .field import (Field, _Padding, _cross, _half_k_sq, _ik, _paired,
                     _plane_weights, _leray_project_spec, from_components,
                     l2_norm_spectral, laplacian, leray_project, scale)
 from .grid import Grid
@@ -245,7 +245,7 @@ def nse_rhs(u: Field, nu: float) -> Field:
         raise GridError("velocity field must have dim components")
     config = SolverConfig(dim=grid.dim, n=grid.n, nu=nu)
     term, _ = _Integrator(grid, config).nonlinear(u.half, speed=False)
-    return Field(grid, term + nu * laplacian(u).half, SPECTRAL)
+    return Field(grid, term + nu * laplacian(u).half)
 
 
 class _Integrator:
@@ -258,7 +258,6 @@ class _Integrator:
     def __init__(self, grid: Grid, config: SolverConfig):
         self.grid = grid
         self.config = config
-        planes = slice(0, grid.n // 2 + 1)
         # an exponent that overflows to -inf gives the exact factor 0
         with np.errstate(over="ignore"):
             self.e_half = np.exp(-config.nu * _half_k_sq(grid)
@@ -266,9 +265,7 @@ class _Integrator:
         self.e_full = self.e_half**2
         self.zero = (slice(None),) + (0,) * grid.dim
         # 0 on every plane with some k_i = -n/2, 1 elsewhere
-        nyquist = sum(k[..., planes] == -(grid.n // 2)
-                      for k in grid.k_components)
-        self.keep = (nyquist == 0).astype(np.float64)
+        self.keep = _paired(grid).astype(np.float64)
         self.ik = [_ik(grid.half_shape, grid.n, axis)
                    for axis in range(grid.dim)]
         self.padding = _Padding(grid, config.dealias)
@@ -354,7 +351,7 @@ def step(u: Field, config: SolverConfig) -> Field:
     (public, stateless)."""
     grid = u.grid
     out = _Integrator(grid, config).step(u.half, 0.0, 0)
-    return Field(grid, out, SPECTRAL)
+    return Field(grid, out)
 
 
 def _initial_half(config: SolverConfig, grid: Grid,
@@ -403,7 +400,7 @@ def _integrate(config: SolverConfig, grid: Grid,
         s_diss.append(dissipation)
         if i % config.snap_every == 0 or i == nsteps:
             times.append(t)
-            snaps.append(Field(grid, spec, SPECTRAL))
+            snaps.append(Field(grid, spec))
         if i < nsteps:
             spec = integ.step(spec, t, i)
     series = {
@@ -504,11 +501,10 @@ def twin_run(config: SolverConfig, delta: float, seed: int,
     v0 = None
     if delta > 0:
         # u0 is base.snapshots[0] bit for bit, formed before any step
-        u0 = base.snapshots[0] if base is not None else Field(
-            grid, u_half, SPECTRAL)
+        u0 = base.snapshots[0] if base is not None else Field(grid, u_half)
         factor = delta * l2_norm_spectral(u0) / pnorm
         with np.errstate(over="ignore", invalid="ignore"):
-            v0 = Field(grid, u0.half + factor * pert.half, SPECTRAL)
+            v0 = Field(grid, u0.half + factor * pert.half)
             energy = l2_norm_spectral(v0)
         if not math.isfinite(energy):
             raise ValueError(f"perturbation delta={delta!r} gives a "

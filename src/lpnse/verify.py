@@ -22,7 +22,7 @@ from .besov import bkm_ratio
 from .blocks import (bernstein_report, block_indices, block_multiplier,
                      block_norms, delta_j, reconstruct,
                      reverse_bernstein_report, s_j)
-from .field import (Field, SPECTRAL, add, advect, dealiased_product,
+from .field import (Field, add, advect, dealiased_product,
                     divergence, gradient, h1_seminorm, inner,
                     l2_norm_spectral, leray_project, scale)
 from .grid import Grid
@@ -299,7 +299,7 @@ def suite_bony(n: int = 32, seed: int = 1, pairs: int = 10,
     wband = ensembles.divfree_noise(grid, rng)
     data = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
     data[(slice(None),) + (0,) * grid.dim] = [0.7, -0.3, 1.1]
-    const = Field(grid, data, SPECTRAL)
+    const = Field(grid, data)
     czero = max(l2_norm_spectral(commutator(const, j, wband, dealias=dealias))
                 for j in range(0, grid.jmax + 1))
     res.add("commutator vanishes for constant drift", czero, 1e-13)

@@ -23,7 +23,7 @@ from lpnse import cutoffs, ensembles
 from lpnse.besov import CriterionTriple, split_constants, split_low_high
 from lpnse.blocks import bernstein_report, reverse_bernstein_report
 from lpnse.field import (Field, SPECTRAL, from_components, grad_norm_inf,
-                         l2_norm_spectral, lp_norm, scale, spectral_data)
+                         l2_norm_spectral, lp_norm, scale)
 from lpnse.grid import Grid
 from lpnse.monitor import (b1_series, block_series, build_report,
                            criterion_integral, epsilon_weights,
@@ -82,8 +82,8 @@ def _timed(budget, label, fn):
 
 def _l2_diff(traj_u, traj_v, i):
     return l2_norm_spectral(Field(traj_u.grid,
-                                  spectral_data(traj_v.snapshots[i])
-                                  - spectral_data(traj_u.snapshots[i]),
+                                  traj_v.snapshots[i].data
+                                  - traj_u.snapshots[i].data,
                                   SPECTRAL))
 
 

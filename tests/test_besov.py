@@ -15,8 +15,7 @@ from lpnse import cutoffs
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError, ResolutionError, TripleError
 from lpnse.field import (SPECTRAL, Field, add, from_components, grad_norm_inf,
-                         gradient, l2_norm_spectral, lp_norm, scale,
-                         spectral_data)
+                         gradient, l2_norm_spectral, lp_norm, scale)
 
 TRIPLE = CriterionTriple(0.5, 4.0, 8.0 / 3.0)  # 2/q + 3/p = 3/4 + 3/4 = 1.5
 
@@ -127,7 +126,7 @@ def test_curl_and_biot_savart_keep_nyquist_fields_real(dim):
     to_physical(biot_savart(w))
 
     def d(comp, axis):
-        comp_field = Field(grid, spectral_data(u)[comp:comp + 1], "spectral")
+        comp_field = Field(grid, u.data[comp:comp + 1], "spectral")
         return derivative(comp_field, [int(a == axis) for a in range(dim)]).data
 
     if dim == 2:
@@ -346,7 +345,7 @@ def test_split_constants_rejects_a_non_hermitian_field(grid3, rng, band):
     k = {"high": grid3.n // 2 - 1, "low": 1}[band]
     inside = float(lpnse.blocks._half_multiplier(grid3, N, "low")[k, 0, 0])
     assert inside == (1.0 if band == "low" else 0.0)
-    spec = spectral_data(u).copy()
+    spec = u.data.copy()
     spec[0, k, 0, 0] += 1e-3j
     with pytest.raises(GridError, match="Hermitian"):
         Field(grid3, spec, SPECTRAL)

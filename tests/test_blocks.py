@@ -13,8 +13,7 @@ from lpnse import cutoffs
 from lpnse.ensembles import band_noise
 from lpnse.errors import BlockRangeError, ResolutionError
 from lpnse.field import (_hermitian_half, _irfftn_half, add, derivative,
-                         from_components, l2_norm_spectral, lp_norm,
-                         spectral_data)
+                         from_components, l2_norm_spectral, lp_norm)
 from lpnse.grid import Grid
 
 
@@ -147,12 +146,12 @@ def _dense_block_norm_table(f, ps, js):
     transformed: planes 0 <= k_last <= the block's radius, one ifftn over
     all leading axes, then the c2r."""
     grid = f.grid
-    spec = _hermitian_half(spectral_data(f), grid.dim)
+    spec = _hermitian_half(f.data, grid.dim)
     # p = 2: Parseval over the planes 0 <= k_last <= n/2 of sum_c |c^|^2,
     # planes 0 and n/2 weighted 1 and the rest 2, for their mirrors
     weight = np.full(grid.n // 2 + 1, 2.0)
     weight[[0, -1]] = 1.0
-    power = (np.sum(np.abs(spectral_data(f)) ** 2, axis=0)
+    power = (np.sum(np.abs(f.data) ** 2, axis=0)
              [..., :grid.n // 2 + 1] * weight)
     axes = tuple(range(1, grid.dim + 1))
     out = np.empty((len(ps), len(js)))

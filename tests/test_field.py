@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ import scipy.fft
 
 from lpnse import (Field, Grid, advect, dealiased_product, derivative,
                    from_components, from_physical, from_spectral, inner,
-                   leray_project, lp_norm, to_physical, to_spectral)
+                   leray_project, lp_norm, to_physical)
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError
 from lpnse.field import (_cross, _full_spectrum, _hermitian_half, _ik,
                          _irfftn_half,
-                         _leray_project_spec, _mirror, _support_radius, add,
+                         _leray_project_spec, _mirror, _paired,
+                         _support_radius, add,
                          divergence, gradient,
                          grad_norm_inf, h1_seminorm, l2_norm_spectral,
-                         laplacian, magnitude, scale, spectral_data,
+                         laplacian, magnitude, scale,
                          zero_field)
 from lpnse.solver import SolverConfig, _Integrator
 
@@ -28,15 +30,15 @@ def _sin_x(grid):
 # --- representations ---------------------------------------------------------
 
 def test_round_trip(grid2, rng):
-    f = from_physical(grid2, rng.standard_normal(grid2.shape))
-    back = to_physical(to_spectral(f))
-    np.testing.assert_allclose(back.data, f.data, rtol=0.0, atol=1e-12)
+    data = rng.standard_normal(grid2.shape)
+    back = to_physical(from_physical(grid2, data))
+    np.testing.assert_allclose(back[0], data, rtol=0.0, atol=1e-12)
 
 
 def test_cosine_coefficients(grid2):
     # cos(x) = (e^{ix} + e^{-ix})/2: forward-normalized coefficients 1/2
     f = from_components(grid2, lambda x, y: np.cos(x))
-    spec = spectral_data(f)[0]
+    spec = f.data[0]
     assert spec[1, 0] == pytest.approx(0.5, abs=1e-14)
     assert spec[-1, 0] == pytest.approx(0.5, abs=1e-14)
     masked = spec.copy()
@@ -73,7 +75,7 @@ def test_unpartnered_mode_is_refused_at_construction(dim, n):
     # the same spectrum with one mode that has no conjugate partner is not
     grid = Grid(dim, n)
     data = np.random.default_rng(29).standard_normal((2,) + grid.shape)
-    spec = np.array(to_spectral(from_physical(grid, data)).data)
+    spec = np.array(from_physical(grid, data).data)
     f = Field(grid, spec, "spectral")
     # exactly Hermitian: the half is a view of the given array, not a copy
     assert np.shares_memory(f.half, spec) and f.half.shape[-1] == n // 2 + 1
@@ -93,8 +95,8 @@ def test_spectral_field_holds_its_half_spectrum(grid2, rng):
         f.data[0, 0, 0] = 1.0
     with pytest.raises(AttributeError):
         f.grid = Grid(2, 16)
-    phys = _sin_x(grid2)  # holds samples; its half spectrum is transformed
-    assert np.array_equal(phys.half, to_spectral(phys).half)
+    phys = _sin_x(grid2)  # samples, transformed once when it is made
+    assert phys.half is phys.half and not phys.half.flags.writeable
     # from_spectral copies a half or full array, and gives the same field
     for given in (f.half, f.data):
         g = from_spectral(grid2, given)
@@ -106,7 +108,7 @@ def test_spectral_field_holds_its_half_spectrum(grid2, rng):
 def test_to_spectral_is_exactly_hermitian(dim, n):
     grid = Grid(dim, n)
     data = np.random.default_rng(17).standard_normal((2,) + grid.shape)
-    spec = to_spectral(from_physical(grid, data)).data
+    spec = from_physical(grid, data).data
     flip = (slice(None),) + np.ix_(*([(-np.arange(n)) % n] * dim))
     np.testing.assert_array_equal(spec[flip], np.conj(spec))
     ref = np.fft.fftn(data, axes=tuple(range(1, dim + 1)), norm="forward")
@@ -119,7 +121,7 @@ def test_to_physical_matches_complex_inverse(dim, n):
     data = np.random.default_rng(19).standard_normal((2,) + grid.shape)
     spec = np.fft.fftn(data, axes=tuple(range(1, dim + 1)), norm="forward")
     ref = np.fft.ifftn(spec, axes=tuple(range(1, dim + 1)), norm="forward").real
-    phys = to_physical(from_spectral(grid, spec)).data
+    phys = to_physical(from_spectral(grid, spec))
     assert np.max(np.abs(phys - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -199,11 +201,11 @@ def test_mirror_helpers_match_index_reference(dim, n, lead):
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 16)])
 def test_products_are_exactly_hermitian(dim, n, dealias):
     # c(-k) == conj c(k) with no round-off for every product, as for
-    # to_spectral (test_to_spectral_is_exactly_hermitian)
+    # from_physical (test_to_spectral_is_exactly_hermitian)
     grid = Grid(dim, n)
     rng = np.random.default_rng(37)
-    u = to_spectral(from_physical(grid, rng.standard_normal((dim,) + grid.shape)))
-    s = to_spectral(from_physical(grid, rng.standard_normal(grid.shape)))
+    u = from_physical(grid, rng.standard_normal((dim,) + grid.shape))
+    s = from_physical(grid, rng.standard_normal(grid.shape))
     flip = _negate(n, dim)
     for spec in (dealiased_product(u, s, dealias).data,
                  dealiased_product(u, u, dealias).data,
@@ -265,7 +267,7 @@ def test_inner_orthogonal_modes(grid2):
 def test_inner_wide_band_exact(grid2, rng):
     # Parseval pairing stays exact even when f*g exceeds the resolved band
     f = band_noise(grid2, rng, kmax=grid2.n / 2.0 - 1.0)
-    spec = spectral_data(f)
+    spec = f.data
     expected = float(np.sum(np.abs(spec) ** 2)) * grid2.volume
     assert inner(f, f) == pytest.approx(expected, rel=1e-13)
 
@@ -275,19 +277,34 @@ def test_inner_component_mismatch(grid2):
         inner(zero_field(grid2, 1), zero_field(grid2, 2))
 
 
+@pytest.mark.parametrize("ncomp", [(2, 1), (1, 2), (3, 2)])
+def test_add_component_mismatch(grid2, ncomp):
+    # negative control: no broadcast of a scalar into each component, and
+    # a GridError, not numpy's ValueError, for two vectors
+    f, g = (zero_field(grid2, c) for c in ncomp)
+    with pytest.raises(GridError, match="component mismatch"):
+        add(f, g)
+
+
+def test_from_physical_checks_the_sample_shape(grid2):
+    for shape in ((16, 16), (2, 32, 16), (32,)):
+        with pytest.raises(GridError, match=re.escape(str(shape))):
+            from_physical(grid2, np.zeros(shape))
+
+
 # --- calculus ----------------------------------------------------------------
 
 def test_derivative_against_finite_differences(grid2, rng):
     # independent oracle: 4th-order centered stencil, O(h^4) for smooth f
-    f = to_physical(band_noise(grid2, rng, kmax=3.0))
+    f = band_noise(grid2, rng, kmax=3.0)
     df = to_physical(derivative(f, (1, 0)))
-    vals = f.data[0]
+    vals = to_physical(f)[0]
     h = grid2.spacing
     fd = (np.roll(vals, 2, axis=0) - 8.0 * np.roll(vals, 1, axis=0)
           + 8.0 * np.roll(vals, -1, axis=0) - np.roll(vals, -2, axis=0)) / (12.0 * h)
     # stencil truncation error ~ (h^4/30) max|f^(5)|; kmax=3 keeps it small
-    scale_ = np.max(np.abs(df.data[0]))
-    assert np.max(np.abs(df.data[0] - fd)) < 5e-3 * scale_
+    scale_ = np.max(np.abs(df[0]))
+    assert np.max(np.abs(df[0] - fd)) < 5e-3 * scale_
 
 
 def test_derivative_closed_form(grid3):
@@ -295,23 +312,23 @@ def test_derivative_closed_form(grid3):
     dxy = to_physical(derivative(f, (1, 1, 0)))
     mesh = grid3.meshes()
     expected = -2.0 * np.cos(mesh[0]) * np.sin(2 * mesh[1])
-    np.testing.assert_allclose(dxy.data[0], expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(dxy[0], expected, rtol=0.0, atol=1e-12)
 
 
 def test_laplacian(grid2):
     f = from_components(grid2, lambda x, y: np.sin(x) * np.sin(2 * y))
     lap = to_physical(laplacian(f))
-    np.testing.assert_allclose(lap.data, -5.0 * to_physical(f).data,
+    np.testing.assert_allclose(lap, -5.0 * to_physical(f),
                                rtol=0.0, atol=1e-12)
 
 
 def test_gradient_and_sup(grid2):
     f = from_components(grid2, lambda x, y: np.sin(x))
     g = to_physical(gradient(f))
-    assert g.ncomp == 2
+    assert len(g) == 2
     mesh = grid2.meshes()
-    np.testing.assert_allclose(g.data[0], np.cos(mesh[0]), rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(g.data[1], 0.0, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(g[0], np.cos(mesh[0]), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(g[1], 0.0, rtol=0.0, atol=1e-13)
     assert grad_norm_inf(f) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -319,7 +336,7 @@ def test_divergence(grid2):
     u = from_components(grid2, lambda x, y: np.sin(x), lambda x, y: np.sin(y))
     div = to_physical(divergence(u))
     mesh = grid2.meshes()
-    np.testing.assert_allclose(div.data[0], np.cos(mesh[0]) + np.cos(mesh[1]),
+    np.testing.assert_allclose(div[0], np.cos(mesh[0]) + np.cos(mesh[1]),
                                rtol=0.0, atol=1e-12)
 
 
@@ -343,8 +360,8 @@ def test_derivative_multipliers_match_full_grid_reference(dim, n):
     # the spectra of random real fields, -n/2 content included
     grid = Grid(dim, n)
     rng = np.random.default_rng(31)
-    vec = to_spectral(from_physical(grid, rng.standard_normal(
-        (dim,) + grid.shape)))
+    vec = from_physical(grid, rng.standard_normal(
+        (dim,) + grid.shape))
     spec = vec.data
     for orders in itertools.product(range(3), repeat=dim):
         np.testing.assert_array_equal(
@@ -366,7 +383,7 @@ def test_product_closed_form(grid2):
     f = from_components(grid2, lambda x, y: np.cos(x))
     prod = to_physical(dealiased_product(f, f))
     mesh = grid2.meshes()
-    np.testing.assert_allclose(prod.data[0], 0.5 * (1.0 + np.cos(2 * mesh[0])),
+    np.testing.assert_allclose(prod[0], 0.5 * (1.0 + np.cos(2 * mesh[0])),
                                rtol=0.0, atol=1e-13)
 
 
@@ -375,8 +392,8 @@ def test_product_matches_oversampled_grid(rng):
     # pointwise (exact: no wrap-around), and compare the shared modes
     coarse = Grid(2, 32)
     fine = Grid(2, 64)
-    spec_f = spectral_data(band_noise(coarse, rng, kmax=10.0))
-    spec_g = spectral_data(band_noise(coarse, rng, kmax=10.0))
+    spec_f = band_noise(coarse, rng, kmax=10.0).data
+    spec_g = band_noise(coarse, rng, kmax=10.0).data
 
     def embed(spec):
         out = np.zeros((1,) + fine.shape, dtype=np.complex128)
@@ -388,10 +405,10 @@ def test_product_matches_oversampled_grid(rng):
     prod_coarse = dealiased_product(
         Field(coarse, spec_f, "spectral"), Field(coarse, spec_g, "spectral"))
     idx = np.fft.fftfreq(coarse.n, 1.0 / coarse.n).astype(int)
-    shared = spectral_data(prod_fine)[np.ix_([0], idx, idx)]
+    shared = prod_fine.data[np.ix_([0], idx, idx)]
     # modes below the coarse dealias radius agree exactly
     mask = coarse.k_mag <= coarse.dealias_radius
-    diff = np.abs(spectral_data(prod_coarse)[0] - shared[0])
+    diff = np.abs(prod_coarse.data[0] - shared[0])
     assert np.max(diff[mask]) < 1e-13
 
 
@@ -399,7 +416,7 @@ def test_product_support_sumset(grid2):
     # modes at |k|=3 and |k|=2 only produce modes at 1 and 5
     f = from_components(grid2, lambda x, y: np.cos(3 * x))
     g = from_components(grid2, lambda x, y: np.cos(2 * x))
-    spec = spectral_data(dealiased_product(f, g))[0]
+    spec = dealiased_product(f, g).data[0]
     nonzero = np.argwhere(np.abs(spec) > 1e-14)
     ks = sorted({abs(int(grid2.k_axis[i])) for i, _ in nonzero})
     assert ks == [1, 5]
@@ -409,7 +426,7 @@ def test_product_identity(grid2, rng):
     f = band_noise(grid2, rng, kmax=8.0)
     one = from_physical(grid2, np.ones(grid2.shape))
     prod = dealiased_product(f, one)
-    np.testing.assert_allclose(spectral_data(prod), spectral_data(f),
+    np.testing.assert_allclose(prod.data, f.data,
                                rtol=0.0, atol=1e-14)
 
 
@@ -419,11 +436,11 @@ def test_advect_is_contracted_product(grid2, rng):
     manual = zero_field(grid2, 2)
     for a in range(2):
         term = dealiased_product(
-            Field(grid2, spectral_data(v)[a:a + 1], "spectral"),
+            Field(grid2, v.data[a:a + 1], "spectral"),
             derivative(f, tuple(1 if b == a else 0 for b in range(2))))
         manual = add(manual, term)
-    np.testing.assert_allclose(spectral_data(advect(v, f)),
-                               spectral_data(manual), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(advect(v, f).data,
+                               manual.data, rtol=0.0, atol=1e-12)
 
 
 def _hermitian_part(spec, dim):
@@ -685,7 +702,11 @@ def test_leray_projects_in_place_and_leray_project_copies(grid3, rng, planes):
     spec = u.half.copy()
     want = _leray_project_spec(spec.copy(), grid3)
     assert _leray_project_spec(spec, grid3) is spec
-    assert spec.tobytes() == want.tobytes() == proj.half.tobytes()
+    assert spec.tobytes() == want.tobytes()
+    # leray_project also zeroes the modes with some k_i = -n/2
+    paired = _paired(grid3)
+    assert proj.half[:, paired].tobytes() == want[:, paired].tobytes()
+    assert not np.any(proj.half[:, ~paired])
 
 
 def test_leray_fixes_divergence_free_fields(grid2, rng):
@@ -698,6 +719,6 @@ def test_scale_add(grid2, rng):
     f = band_noise(grid2, rng, kmax=5.0)
     g = band_noise(grid2, rng, kmax=5.0)
     combo = add(scale(f, 2.0), g, alpha=-3.0)
-    expected = 2.0 * spectral_data(f) - 3.0 * spectral_data(g)
-    np.testing.assert_allclose(spectral_data(combo), expected,
+    expected = 2.0 * f.data - 3.0 * g.data
+    np.testing.assert_allclose(combo.data, expected,
                                rtol=0.0, atol=1e-14)

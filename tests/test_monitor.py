@@ -19,7 +19,7 @@ from lpnse import cutoffs
 from lpnse.ensembles import divfree_noise
 from lpnse.errors import BlockRangeError, TripleError
 from lpnse.field import (Field, SPECTRAL, from_components, h1_seminorm,
-                         l2_norm_spectral, lp_norm, spectral_data, zero_field)
+                         l2_norm_spectral, lp_norm, zero_field)
 from lpnse.grid import Grid
 from lpnse.snapshots import load_trajectory, save_trajectory
 from lpnse.monitor import (LosingParams, _cumtrapz, _diff_spec,
@@ -186,8 +186,8 @@ def test_build_report_transforms_each_block_once(monkeypatch, triple):
     grid = Grid(3, 16)
     rng = np.random.default_rng(11)
     a = divfree_noise(grid, rng, kmax=5.0)
-    b = Field(grid, spectral_data(a) + 1e-3 * spectral_data(
-        divfree_noise(grid, rng, kmax=5.0)), SPECTRAL)
+    b = Field(grid, a.data + 1e-3 * divfree_noise(grid, rng, kmax=5.0).data,
+              SPECTRAL)
     times = [0.0, 0.01, 0.02, 0.03]
     u, v = constant_trajectory(a, times), constant_trajectory(b, times)
     original = lpnse.field._irfftn_half
@@ -277,7 +277,7 @@ def test_series_follow_changed_snapshots(twin_pair):
                    base.series)
     before = criterion_integral(u, TRIPLE)
     b1_before = b1_series(u)
-    u.snapshots[2] = Field(u.grid, 10.0 * spectral_data(u.snapshots[2]),
+    u.snapshots[2] = Field(u.grid, 10.0 * u.snapshots[2].data,
                            SPECTRAL)
     after = criterion_integral(u, TRIPLE)
     b1_after = b1_series(u)

@@ -7,7 +7,7 @@ from lpnse.blocks import delta_j
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import BlockRangeError
 from lpnse.field import (add, from_components, from_physical,
-                         l2_norm_spectral, scale, spectral_data)
+                         l2_norm_spectral, scale)
 from lpnse.paraproduct import commutator_bound_ratio
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from lpnse.ensembles import divfree_noise
 from lpnse.errors import GridError, NonFiniteError
-from lpnse.field import Field, from_components, scale, zero_field
+from lpnse.field import Field, from_physical, scale, zero_field
 from lpnse.grid import Grid
 from lpnse.snapshots import (MAGIC, load_trajectory, read_field,
                              save_trajectory, write_field)
@@ -91,14 +91,30 @@ def test_unknown_layout_rejected(tmp_path, representation, layout):
         read_field(path)
 
 
-def test_physical_round_trip(grid2, tmp_path):
-    f = from_components(grid2, lambda x, y: np.cos(x) * np.sin(y))
+def _write_physical(path, grid, samples):
+    """A physical .fld as another tool writes it: float64 samples, shape
+    (components, n, ..., n), and no "layout" key."""
+    header = json.dumps({"dim": grid.dim, "n": grid.n,
+                         "components": len(samples),
+                         "representation": "physical", "time": None,
+                         "viscosity": None}).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header
+                     + samples.astype("<f8").tobytes())
+
+
+def test_physical_round_trip(grid2, rng, tmp_path):
+    # write_field writes half spectra only, so the physical file is made
+    # by hand: it loads as from_physical of its samples, bit for bit
+    samples = rng.standard_normal((2,) + grid2.shape)
     path = tmp_path / "g.fld"
-    write_field(path, f)
+    _write_physical(path, grid2, samples)
     loaded, header = read_field(path)
-    assert loaded.representation == "physical"
-    assert np.array_equal(loaded.data, f.data)
+    assert loaded.half.tobytes() == from_physical(grid2, samples).half.tobytes()
     assert header["time"] is None and header["viscosity"] is None
+    samples[1, 3, 5] = np.nan
+    _write_physical(path, grid2, samples)
+    with pytest.raises(NonFiniteError, match=re.escape(f"{path}: ") + ".*1 "):
+        read_field(path)
 
 
 def test_header_time_and_viscosity_round_trip(grid2, rng, tmp_path):

@@ -13,9 +13,9 @@ from lpnse.ensembles import divfree_noise
 from lpnse.field import (Field, _cross, _full_spectrum, _hermitian_half,
                          _leray_project_spec, add, advect,
                          divergence, h1_seminorm, inner, l2_norm_spectral,
-                         laplacian, leray_project, scale, spectral_data)
-from lpnse.solver import (_Integrator, _cumulative_simpson, initial_condition,
-                          perturbation_field)
+                         laplacian, leray_project, scale, to_physical)
+from lpnse.solver import (_Integrator, _cumulative_simpson, _integrate,
+                          initial_condition, perturbation_field)
 
 
 # --- configuration -----------------------------------------------------------
@@ -124,19 +124,21 @@ def test_run_validates_grid_parameters():
 def test_taylor_green_2d_closed_form(grid2):
     u = taylor_green(grid2)
     x, y = grid2.meshes()
-    np.testing.assert_allclose(u.data[0], np.sin(x) * np.cos(y), atol=1e-14)
-    np.testing.assert_allclose(u.data[1], -np.cos(x) * np.sin(y), atol=1e-14)
+    phys = to_physical(u)
+    np.testing.assert_allclose(phys[0], np.sin(x) * np.cos(y), atol=1e-14)
+    np.testing.assert_allclose(phys[1], -np.cos(x) * np.sin(y), atol=1e-14)
     assert l2_norm_spectral(divergence(u)) <= 1e-13
 
 
 def test_taylor_green_3d_closed_form(grid3):
     u = taylor_green(grid3)
     x, y, z = grid3.meshes()
-    np.testing.assert_allclose(u.data[0], np.sin(x) * np.cos(y) * np.cos(z),
+    phys = to_physical(u)
+    np.testing.assert_allclose(phys[0], np.sin(x) * np.cos(y) * np.cos(z),
                                atol=1e-14)
-    np.testing.assert_allclose(u.data[1], -np.cos(x) * np.sin(y) * np.cos(z),
+    np.testing.assert_allclose(phys[1], -np.cos(x) * np.sin(y) * np.cos(z),
                                atol=1e-14)
-    np.testing.assert_allclose(u.data[2], 0.0, atol=1e-14)
+    np.testing.assert_allclose(phys[2], 0.0, atol=1e-14)
     assert l2_norm_spectral(divergence(u)) <= 1e-13
 
 
@@ -151,8 +153,8 @@ def test_perturbation_resolution_independent():
     # same (seed, kmax) must give the same continuum field on finer grids
     coarse = perturbation_field(Grid(2, 32), seed=11, kmax=6.0)
     fine = perturbation_field(Grid(2, 64), seed=11, kmax=6.0)
-    sc = spectral_data(coarse)
-    sf = spectral_data(fine)
+    sc = coarse.data
+    sf = fine.data
     idx = np.fft.fftfreq(32, 1.0 / 32).astype(int)
     np.testing.assert_allclose(sf[np.ix_(range(2), idx, idx)], sc,
                                rtol=0.0, atol=1e-15)
@@ -201,7 +203,7 @@ def test_nonlinear_term_zero_on_nyquist_planes(dim, n, dealias,
 
 def _divfree_off_nyquist(grid, seed):
     u = divfree_noise(grid, np.random.default_rng(seed), kmax=float(grid.n))
-    return spectral_data(u) * _off_nyquist(grid)
+    return u.data * _off_nyquist(grid)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -210,7 +212,7 @@ def test_nonlinear_term_energy_neutral(dim, n, nonlinear_full):
     integ = _Integrator(grid, SolverConfig(dim=dim, n=n))
     for seed in range(3):
         u = Field(grid, _divfree_off_nyquist(grid, seed), "spectral")
-        term, _ = nonlinear_full(integ, spectral_data(u))
+        term, _ = nonlinear_full(integ, u.data)
         term = Field(grid, term, "spectral")
         assert abs(inner(u, term)) <= 1e-13 * (l2_norm_spectral(u)
                                                * l2_norm_spectral(term))
@@ -223,8 +225,8 @@ def test_nonlinear_term_is_projected_convective_off_nyquist(dim, n,
     grid = Grid(dim, n)
     u = Field(grid, _divfree_off_nyquist(grid, 5), "spectral")
     term, _ = nonlinear_full(_Integrator(grid, SolverConfig(dim=dim, n=n)),
-                             spectral_data(u))
-    want = -spectral_data(leray_project(advect(u, u))) * _off_nyquist(grid)
+                             u.data)
+    want = -leray_project(advect(u, u)).data * _off_nyquist(grid)
     want[(slice(None),) + (0,) * dim] = 0.0
     assert np.max(np.abs(term - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -331,7 +333,7 @@ def test_state_stays_hermitian_without_nyquist_content():
     traj = run(config)
     assert len(traj) == 6
     for snap in traj.snapshots:
-        spec = spectral_data(snap)
+        spec = snap.data
         np.testing.assert_array_equal(
             _full_spectrum(_hermitian_half(spec, 3), 3), spec)
         assert np.all(spec[:, ~_off_nyquist(traj.grid)] == 0.0)
@@ -347,7 +349,7 @@ def test_divergence_stays_round_off_over_long_run():
     grid = traj.grid
     assert len(traj) == 11
     for snap in traj.snapshots:
-        spec = spectral_data(snap)
+        spec = snap.data
         kdotu = sum(k * spec[axis] for axis, k in enumerate(grid.k_components))
         scale_ = np.max(grid.k_mag * np.sqrt(np.sum(np.abs(spec) ** 2, axis=0)))
         assert np.max(np.abs(kdotu)) <= 1e-13 * scale_
@@ -357,18 +359,20 @@ def test_divergence_stays_round_off_over_long_run():
 def test_series_are_full_spectrum_sums_over_snapshots(dim, n):
     # the state holds the planes 0 <= k_last <= n/2; its energy and
     # dissipation sums must count every plane but 0 and n/2 twice.  A mode
-    # on the last-axis Nyquist plane pins that plane's weight too
+    # on the last-axis Nyquist plane pins that plane's weight too; run()
+    # zeroes that plane in its initial projection (leray_project), so the
+    # seeded state, projected without the zeroing, is integrated directly
     grid = Grid(dim, n)
     config = SolverConfig(dim=dim, n=n, nu=0.05, dt=5e-3, t_end=5e-2,
                           ic="random-divfree", seed=6, snap_every=1)
-    spec = spectral_data(initial_condition(config, grid)).copy()
+    spec = initial_condition(config, grid).half.copy()
     lead = (1,) * (dim - 1)
     spec[(0,) + lead + (n // 2,)] = 0.3 + 0.1j
     spec[(0,) + (n - 1,) * (dim - 1) + (n // 2,)] = 0.3 - 0.1j
-    traj = run(config, initial=Field(grid, spec, "spectral"))
-    assert np.any(spectral_data(traj.final)[..., n // 2] != 0.0)
+    traj = _integrate(config, grid, _leray_project_spec(spec, grid))
+    assert np.any(traj.final.data[..., n // 2] != 0.0)
     for i, snap in enumerate(traj.snapshots):
-        power = np.abs(spectral_data(snap)) ** 2
+        power = np.abs(snap.data) ** 2
         assert traj.series["energy"][i] == pytest.approx(
             grid.volume * np.sum(power), rel=1e-14, abs=0.0)
         assert traj.series["grad_sq"][i] == pytest.approx(
@@ -381,8 +385,19 @@ def test_single_step_matches_run(grid2):
     u0 = taylor_green(grid2)
     traj = run(config, initial=u0)
     manual = step(leray_project(u0), config)
-    np.testing.assert_array_equal(spectral_data(traj.final),
-                                  spectral_data(manual))
+    np.testing.assert_array_equal(traj.final.data, manual.data)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 64), (3, 16)])
+def test_taylor_green_states_are_exactly_hermitian(dim, n):
+    # the projected initial state has no -n/2 content, so every state's
+    # full layout, made a Field again, gives back its half spectrum bit
+    # for bit (the projection leaves round-off there without the zeroing)
+    grid = Grid(dim, n)
+    config = SolverConfig(dim=dim, n=n, nu=0.1, dt=2e-3, t_end=6e-3,
+                          snap_every=1)
+    for snap in run(config).snapshots:
+        assert np.array_equal(Field(grid, snap.data).half, snap.half)
 
 
 # --- integration -------------------------------------------------------------
@@ -448,11 +463,11 @@ def test_zero_mode_conserved_exactly():
     drift = np.zeros((2,) + grid.shape, dtype=np.complex128)
     drift[0, 0, 0] = 0.3
     drift[1, 0, 0] = -0.2
-    u0 = Field(grid, spectral_data(taylor_green(grid)) + drift, "spectral")
+    u0 = Field(grid, taylor_green(grid).data + drift, "spectral")
     traj = run(config, initial=u0)
     zero = (slice(None), 0, 0)
     for snap in traj.snapshots:
-        np.testing.assert_array_equal(spectral_data(snap)[zero],
+        np.testing.assert_array_equal(snap.data[zero],
                                       np.array([0.3, -0.2]))
 
 
@@ -555,16 +570,16 @@ def _twin_residual(dt, t_center=0.016, nu=0.1):
     i = int(round(t_center / dt))
 
     def w(k):
-        return Field(base.grid, spectral_data(base.snapshots[k])
-                     - spectral_data(twin.snapshots[k]), "spectral")
+        return Field(base.grid, base.snapshots[k].data
+                     - twin.snapshots[k].data, "spectral")
 
-    num = (spectral_data(w(i - 2)) - 8.0 * spectral_data(w(i - 1))
-           + 8.0 * spectral_data(w(i + 1)) - spectral_data(w(i + 2)))
+    num = (w(i - 2).data - 8.0 * w(i - 1).data
+           + 8.0 * w(i + 1).data - w(i + 2).data)
     dwdt = num / (12.0 * dt)
     wi = w(i)
     transport = add(advect(wi, base.snapshots[i]), advect(twin.snapshots[i], wi))
-    rhs = (nu * spectral_data(laplacian(wi))
-           - spectral_data(leray_project(transport))) * _off_nyquist(base.grid)
+    rhs = (nu * laplacian(wi).data
+           - leray_project(transport).data) * _off_nyquist(base.grid)
     resid = Field(base.grid, dwdt - rhs, "spectral")
     return l2_norm_spectral(resid) / l2_norm_spectral(Field(base.grid, rhs,
                                                             "spectral"))
@@ -584,7 +599,7 @@ def test_twin_zero_delta_identical():
                           snap_every=5)
     base, twin = twin_run(config, delta=0.0, seed=1)
     for a, b in zip(base.snapshots, twin.snapshots):
-        np.testing.assert_array_equal(spectral_data(a), spectral_data(b))
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_twin_initial_offset_is_delta():
@@ -675,7 +690,7 @@ def test_twin_deterministic():
     _, twin_a = twin_run(config, delta=1e-4, seed=6)
     _, twin_b = twin_run(config, delta=1e-4, seed=6)
     for a, b in zip(twin_a.snapshots, twin_b.snapshots):
-        np.testing.assert_array_equal(spectral_data(a), spectral_data(b))
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_inviscid_energy_conserved():

@@ -17,8 +17,8 @@ import lpnse.field
 import lpnse.monitor
 import lpnse.solver
 from lpnse.besov import CriterionTriple
-from lpnse.ensembles import divfree_noise
-from lpnse.field import _available_cpus, set_fft_workers
+from lpnse.ensembles import divfree_noise, solenoidal_field
+from lpnse.field import SPECTRAL, Field, _available_cpus, set_fft_workers
 from lpnse.grid import Grid
 from lpnse.snapshots import save_trajectory
 from lpnse.solver import SolverConfig, taylor_green, twin_run
@@ -156,6 +156,18 @@ def test_perfbench_imported_names_exist():
     missing = [f"{module}.{name}" for module, name in sorted(names)
                if not _importable(module, name)]
     assert missing == []
+
+
+def test_perfbench_field_constructor_calls():
+    # perfbench makes fields as Field(grid, full_layout, SPECTRAL) (the
+    # report3d pair) and as Field(f.grid, f.data.copy(), f.representation)
+    # (the self-test's NaN control): both store f's half spectrum
+    grid = Grid(3, 16)
+    for f in (solenoidal_field(grid, 5.0, 7, slope=2.0),
+              divfree_noise(grid, np.random.default_rng(8))):
+        for g in (Field(grid, f.data, SPECTRAL),
+                  Field(f.grid, f.data.copy(), f.representation)):
+            assert g.half.tobytes() == f.half.tobytes()
 
 
 def _importable(module, name):
