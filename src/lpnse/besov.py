@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (_block_radius, _half_multiplier, block_indices,
-                     block_norms, s_j)
+from .blocks import (_block_radius, _block_rows, _half_multiplier,
+                     block_indices, block_norms, s_j)
 from .errors import GridError, ResolutionError, TripleError
 from .field import (Field, _cross, _grad_norm_inf_half,
                     _half_k_sq, _ik, _magnitude_half, _norm_of_magnitude,
                     divergence, h1_seminorm, l2_norm_spectral, lp_norm)
+
+_ROWS = 8  # first-axis rows per product in _vorticity_image's scratch
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,29 @@ def _curl_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
     return _cross(ik, spec)
 
 
+def _vorticity_image(spec: np.ndarray, n: int):
+    """The image of blocks._block_rows for the blocks of curl u, u with
+    half spectra spec: on each box, _cross's operations in order (the
+    first product in the lane's buffer, less the second, made _ROWS rows
+    at a time in a scratch), then times the block multiplier."""
+    shape = spec.shape[1:]
+    ik = [np.broadcast_to(_ik(shape, n, a), shape) for a in range(len(spec))]
+    pairs = [(i - 2, i - 1) for i in range(3)] if len(spec) == 3 else [(0, 1)]
+
+    def image(comps, mult, box, out):
+        start, stop, _ = box[0].indices(n)
+        product = np.empty_like(out[0, :_ROWS])
+        for lo in range(start, stop, _ROWS):
+            at = (slice(lo, min(lo + _ROWS, stop)),) + box[1:]
+            rows = out[:, lo - start:lo - start + _ROWS]
+            for row, (a, b) in zip(rows, pairs[comps]):
+                np.multiply(ik[a][at], spec[b][at], out=row)
+                row -= np.multiply(ik[b][at], spec[a][at],
+                                   out=product[:len(row)])
+                row *= mult[at]
+    return image
+
+
 def biot_savart(w: Field) -> Field:
     """Divergence-free velocity with the given mean-zero vorticity.
 
@@ -112,8 +137,11 @@ def bkm_ratio(u: Field) -> float:
     if div > 1e-10 * max(h1_seminorm(u), 1e-30):
         raise ValueError("bkm_ratio expects a divergence-free field")
     num = besov_norm(u, BesovSpec(1.0, math.inf, math.inf))
-    return num / (norm_u2 + besov_norm(curl(u),
-                                       BesovSpec(0.0, math.inf, math.inf)))
+    grid = u.grid
+    omega = _block_rows(grid, (math.inf,), 3 if grid.dim == 3 else 1,
+                        _vorticity_image(u.half, grid.n))[0]
+    return num / (norm_u2 + besov_from_blocks(np.array(
+        block_indices(grid)), omega, BesovSpec(0.0, math.inf, math.inf)))
 
 
 # --- criterion triples and the low/high split ------------------------------
@@ -225,10 +253,10 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
       c_lip  = ||grad u_low||_inf / (2^{2(1-1/q)N} ||u||)
       c_high = ||u_high||_{p~}   / (2^{(3/p-3/p~-r)N} ||u||)
 
-    The parts are those of split_low_high, formed on a copy of u's half
-    spectrum: S_N u is the half times the cached half multiplier over
-    the planes of its support box, for the Lipschitz norm, and u - S_N u
-    is then written over the copy.
+    The parts are those of split_low_high, with no copy of u: S_N u is
+    u's half times the cached half multiplier over the planes of its
+    support box, and each component of u - S_N u is formed in its own
+    buffer (field._magnitude_half).
     """
     triple.validate(UNIQUENESS_MODE)
     grid = u.grid
@@ -237,15 +265,12 @@ def split_constants(u: Field, triple: CriterionTriple) -> dict:
     lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * N) * norm_value
     high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / p_tilde - triple.r) * N)
                   * norm_value)
-    half = u.half.copy()
     # chi(|k|/2^N) is exactly 0 for |k| >= (4/3) 2^N, block N-1's support
     planes = _block_radius(grid, N - 1) + 1
-    low = half[..., :planes] * _half_multiplier(grid, N, "low")[..., :planes]
+    low = u.half[..., :planes] * _half_multiplier(grid, N, "low")[..., :planes]
     lip_low = _grad_norm_inf_half(low, grid)
-    np.subtract(half[..., :planes], low, out=half[..., :planes])
-    del low
     high_norm = _norm_of_magnitude(
-        _magnitude_half(half, grid.shape), p_tilde, grid)
+        _magnitude_half(u.half, grid.shape, low), p_tilde, grid)
     return {
         "N": N,
         "p_tilde": p_tilde,

@@ -11,6 +11,7 @@ j <= -1, so S_{j+1} - S_j equals the shell block at j and the ball block
 coincides with S_0.
 """
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -18,9 +19,9 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, _box, _half_power, _ik, _irfftn_half,
-                    _map_threads, _thread_map, h1_seminorm, l2_norm_spectral,
-                    zero_field)
+from .field import (Field, _box_squares, _half_power, _ik, _irfftn_half,
+                    _map_threads, _thread_map, _times, h1_seminorm,
+                    l2_norm_spectral, zero_field)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -38,7 +39,7 @@ def _half_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
     cached = _MULTIPLIER_CACHE.get(key)
     if cached is not None:
         return cached
-    k_mag = grid.k_mag[..., :grid.n // 2 + 1]
+    k_mag = grid._half_k[1]
     if kind == "block":
         if j == -1:
             mult = cutoffs.chi(k_mag)
@@ -92,7 +93,7 @@ def reconstruct(f: Field) -> Field:
 
 def _block_radius(grid: Grid, j: int) -> int:
     """r of block j's support box: no |k_i| > r carries block content
-    (see block_norm_table)."""
+    (see _block_rows)."""
     return min(int(cutoffs.SUPPORT_RADIUS * 2.0 ** (j + 1)), grid.n // 2)
 
 
@@ -107,86 +108,53 @@ def _block_l2_norms(grid: Grid, power: np.ndarray) -> np.ndarray:
 def block_norm_table(f: Field, ps) -> np.ndarray:
     """L^p norms of every block of block_indices for every exponent in ps,
     shaped (len(ps), jmax + 2); row i equals block_norms(f, ps[i]) bit for
-    bit, at every thread count.
-
-    Every row is read from the half spectrum.  p = 2 is Parseval's sum of
-    the squared half multiplier times |c^|^2 over those planes, weighted
-    by _plane_weights.  Any other p costs inverse transforms of each
-    block; every such p of a block is read from the same squared
-    pointwise magnitude sq = c0^2 + c1^2 + ..., summed in component
-    order: its max (one square root) for p = inf, its (p/2)-th power sum
-    otherwise.  The
-    ball multiplier chi(|k|) is exactly 0 for |k| >= support (4/3) and
-    the shell multiplier chi(|k|/2^{j+1}) - chi(|k|/2^j) for |k| >=
-    2^{j+1} support, that is (8/3) 2^j, because smooth_step returns
-    exactly 0 at and below the foot of its ramp.  So the block is zero
-    wherever some |k_i| exceeds r, the floor of that radius (at most
-    n/2).  The rows |k_1| <= r of the half-spectrum planes
-    0 <= k_last <= r are multiplied by the cached half planes of the
-    multiplier into an n//2+1-plane buffer, and _irfftn_half prunes to
-    the support box: it transforms only the lines that meet |k_i| <= r,
-    so the c2r pads nothing; every dropped coefficient is a true zero.
-    A lane takes its blocks in ascending j, so in ascending r: the
-    planes above r still hold the buffer's initial zeros, and the rows
-    |k_1| > r are zeroed on the planes an earlier transform wrote.
-
-    The blocks run in the lanes of one _thread_map call, one lane per
-    thread (_map_threads: 1 when called from inside a map item, as in a
-    report's snapshot step): lane t takes the blocks t, t + lanes, ...
-    and writes their columns.  With one lane each block is one transform
-    of all components together.  With more, each lane transforms one
-    component at a time into its own one-component buffer, so a lane
-    holds one component's buffer, transform and sq, and two lanes hold
-    about what one lane of all components holds."""
-    return _block_table(f.half, f.grid, ps)
-
-
-def _block_table(spec: np.ndarray, grid: Grid, ps) -> np.ndarray:
-    """block_norm_table of the real fields with half spectra `spec`."""
-    js = block_indices(grid)
-    out = np.empty((len(ps), len(js)))
+    bit, at every thread count.  p = 2 is Parseval's sum over the half
+    spectrum (_block_l2_norms); every other p of a block is read from one
+    squared pointwise magnitude sq = c0^2 + c1^2 + ... (_block_rows): its
+    max (one square root) for p = inf, its (p/2)-th power sum otherwise."""
+    spec, grid = f.half, f.grid
+    out = np.empty((len(ps), len(block_indices(grid))))
     physical = [row for row, p in enumerate(ps) if p != 2]
-    # the cache is filled here, on the caller, not on a pool thread
-    half_mults = [_half_multiplier(grid, j) for j in js]
     if len(physical) < len(ps):
         out[[row for row, p in enumerate(ps) if p == 2]] = _block_l2_norms(
             grid, _half_power(spec))
-    if not physical:
-        return out
+    if physical:
+        out[physical] = _block_rows(
+            grid, [ps[row] for row in physical], len(spec),
+            functools.partial(_times, spec))
+    return out
+
+
+def _block_rows(grid: Grid, ps, ncomp: int, image) -> np.ndarray:
+    """L^p norms, for each p of ps (none of them 2), of every block of
+    block_indices of ncomp-component real fields: image(comps, mult, box,
+    out) writes the image (field._box_squares) of components `comps`, a
+    slice, of block j's half spectra, mult its cached half multiplier.
+    chi(|k|) is exactly 0 for |k| >= 4/3, and the shell multiplier for
+    |k| >= (8/3) 2^j, so block j is one _box_squares call over the box
+    |k_i| <= r (_block_radius).  Lane t of one _thread_map call (one
+    lane inside a map item, as in a report's snapshot step) takes the
+    blocks t, t + lanes, ... in ascending r, so its buffer's planes above
+    r hold zeros.  One lane transforms a block's components together;
+    more lanes take one at a time, so two hold about what one holds."""
+    js = block_indices(grid)
+    out = np.empty((len(ps), len(js)))
+    # the cache is filled here, on the caller, not on a pool thread
+    mults = [_half_multiplier(grid, j) for j in js]
     lanes = min(_map_threads(), len(js))
-    step = len(spec) if lanes == 1 else 1  # components per transform
-    bufs = [np.zeros((step,) + spec.shape[1:-1] + (grid.n // 2 + 1,),
-                     dtype=spec.dtype) for _ in range(lanes)]
+    step = ncomp if lanes == 1 else 1  # components per transform
+    bufs = [np.zeros((step,) + grid.half_shape, dtype=np.complex128)
+            for _ in range(lanes)]
 
     def lane(t):
-        buf = bufs[t]
-        written = 0  # planes 0 ... written - 1 hold a transform's values
         for col in range(t, len(js), lanes):
-            radius = _block_radius(grid, js[col])
-            sq = None
-            for first in range(0, len(spec), step):
-                buf[:, radius + 1:grid.n - radius, ..., :written] = 0.0
-                for rows in _box(grid.n, radius):
-                    box = (rows, Ellipsis, slice(0, radius + 1))
-                    np.multiply(spec[(slice(first, first + step),) + box],
-                                half_mults[col][box],
-                                out=buf[(slice(None),) + box])
-                phys = _irfftn_half(buf, grid.shape, radius)
-                written = radius + 1
-                np.square(phys, out=phys)
-                for comp in phys:
-                    if sq is None:
-                        sq = comp
-                    else:
-                        sq += comp
-                del phys, comp  # freed before the next transform
-            for row in physical:
-                p = ps[row]
-                if np.isinf(p):
-                    out[row, col] = np.sqrt(np.max(sq))
-                else:
-                    out[row, col] = (np.sum(sq ** (p / 2.0))
-                                     * grid.cell_volume) ** (1.0 / p)
+            images = [functools.partial(image, slice(c, c + step), mults[col])
+                      for c in range(0, ncomp, step)]
+            sq = _box_squares(images, bufs[t], grid.shape,
+                              _block_radius(grid, js[col]))
+            out[:, col] = [np.sqrt(np.max(sq)) if np.isinf(p) else
+                           (np.sum(sq ** (p / 2.0)) * grid.cell_volume)
+                           ** (1.0 / p) for p in ps]
             del sq  # freed before the next block's transform
 
     _thread_map(lane, range(lanes))

@@ -53,7 +53,7 @@ def _masked_noise(grid: Grid, rng: np.random.Generator, kmin: float,
     # the white noise is freed as soon as it is transformed
     spec = _rfftn_half(rng.standard_normal((ncomp,) + grid.shape), grid.dim,
                        grid.n // 2 + 1)
-    k_mag = grid.k_mag[..., :grid.n // 2 + 1]
+    k_mag = grid._half_k[1]
     mask = (k_mag >= kmin - 1e-12) & (k_mag <= kmax + 1e-12)
     if not keep_nyquist:
         mask &= _paired(grid)

@@ -6,64 +6,36 @@ Conventions
   so a single mode exp(i k.x) has coefficient 1 at lattice site k.
 * Fields are real and every transform is a real one, over half spectra
   (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  A Field
-  is its half spectrum, Field.half (from_physical transforms samples
-  once; to_physical returns them as a plain array), and every operation
-  here reads and writes half spectra; Field.data, the full layout for
-  callers outside the package, is built on each access by
-  _full_spectrum, which mirrors the half with _mirror (row 0 kept, rows
-  1 ... n-1 reversed, by block copies).  Planes 0 and n/2 are their own
-  mirrors: _rfftn_half makes them exactly Hermitian (_hermitian_ends),
-  products and multipliers keep them so, leray_project zeroes the -n/2
-  content it would leave unpartnered (_paired), and a c2r reads only
-  their Hermitian part.  A full array is
-  checked once, when it is made a Field (_checked_half): the rest a
-  beside its Hermitian part (c(k) + conj c(-k))/2 must be at round-off
-  level (sum |a| bounds the imaginary part a complex inverse transform
-  would leave: _check_residue).  grad_norm_inf and magnitude are
-  wrappers over half-spectrum cores, _grad_norm_inf_half and
-  _magnitude_half, which besov.split_constants also calls; the cores
-  transform one component at a time in the lanes of _thread_map and sum
-  squares in component, then axis, order, so their values are the same
-  at every thread count.  Parseval sums weight every plane but 0 and
-  n/2 twice (_plane_weights, _half_power).
-* Memory: a field holds 16 ncomp n^(dim-1) (n//2+1) bytes,
-  about half the full layout's.  _mirror, _hermitian_half and
-  _full_spectrum each fill one output in place.  _leray_project_spec
-  projects in place and returns its argument, so it is given fresh
-  arrays (the solver's to_coarse output, the noise generators' spectra);
-  leray_project copies first.  _leray_project_spec zeroes k.f/|k|^2 at
-  k = 0 by index, and _cross subtracts through one scratch product.
-  Each in-place step does the operations of the out-of-place
-  expression in the same order, so every byte of the result is the
-  same.
+  is its half spectrum, Field.half; from_physical transforms samples
+  once and to_physical returns them as a plain array.  Field.data, the
+  full layout for callers outside the package, is built on each access
+  (_full_spectrum, _mirror).  Planes 0 and n/2 are their own mirrors:
+  _rfftn_half makes them exactly Hermitian (_hermitian_ends), products
+  and multipliers keep them so, leray_project zeroes the -n/2 content it
+  would leave unpartnered (_paired), and a c2r reads only their
+  Hermitian part.  A full array is checked once, when it is made a
+  Field (_checked_half).  Parseval sums weight every plane but 0 and n/2
+  twice (_plane_weights, _half_power).
+* _box_squares is the diagnostics' one box-transform primitive: an
+  image writes a multiplier image of half spectra into a buffer over a
+  support box |k_i| <= r only, transformed over the box (the lines
+  outside, all zeros, are skipped), squared and summed in component
+  order.  Block tables (besov's vorticity table too), grad_norm_inf's
+  lanes (i k_axis u_c) and magnitude's items (u_c) run on it: no
+  diagnostic copies a field, and values match at every thread count.
+* A field holds 16 ncomp n^(dim-1) (n//2+1) bytes, about half the full
+  layout's.  In-place steps do the out-of-place expression's operations
+  in its order, so every byte is the same.
 * Every first derivative multiplies by _ik: i k_axis, zero on the lone
   -n/2 mode, which has no conjugate partner; every cross product, the
   curl's i k x and the solver's u x omega alike, is _cross.
-* Products of two fields are computed on a 3/2-times finer grid and
-  truncated back, which makes them exact (no aliasing) whenever the
-  combined bandwidth fits in the fine grid.  Per-axis Nyquist planes are
-  split symmetrically on the way up and folded back on the way down so
-  the rule is an exact inverse pair on band-limited data; a half
-  spectrum's last-axis Nyquist plane is halved on the way up and folded
-  with the conjugate of its mirror on the way down.
 * _Padding is the one padded-product kernel (dealiased_product, advect,
-  the solver's rotational term).  Its buffer holds m//2+1 planes on the
-  m-point grid, of which _pad_spectrum writes the first n//2+1; the rest
-  stay zero, so the c2r in _irfftn_half needs no zero-padded copy.
-  _pad_spectrum and _truncate_spectrum move the coarse modes with
-  2^(dim-1) block copies (_coarse_blocks), as _mirror does, and
-  _truncate_spectrum folds only the planes it keeps.  The
-  leading-axes c2c transforms of _irfftn_half and _rfftn_half run in
-  place, over the nonzero planes only: _irfftn_half overwrites its
-  input, and _rfftn_half returns a view of its r2c output.
-  _irfftn_half also skips, on each leading axis, the lines outside the
-  spectrum's support box |k_i| <= radius (the coarse modes for the
-  padded product, a block's support for block norms and Bernstein sup
-  norms); every skipped line is zero, so the result is the unpruned one
-  bit for bit.
+  the solver's u x omega): products formed on a 3/2-times finer grid
+  and truncated back are exact whenever the combined bandwidth fits.
 """
 
 import contextvars
+import functools
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -86,11 +58,9 @@ def _available_cpus() -> int:
 
 
 # Threads of _thread_map: the caller plus a pool of _fft_workers - 1.
-# They run the per-snapshot work of a report, the block lanes of one
-# block_norm_table call, the axis lanes of grad_norm_inf and the
-# component lanes of magnitude (so lp_norm).  Every transform itself
-# runs on one thread: splitting one transform across threads made the
-# solver slower.
+# They run a report's snapshot pairs and the lanes of block tables,
+# grad_norm_inf and magnitude.  Every transform runs on one thread:
+# splitting one transform across threads made the solver slower.
 _fft_workers = min(2, _available_cpus())
 _mapping = contextvars.ContextVar("lpnse_mapping", default=False)
 
@@ -182,18 +152,50 @@ def _support_radius(half: np.ndarray, dim: int) -> int:
     return radius
 
 
+def _box_squares(images, buf: np.ndarray, shape: tuple, radius: int,
+                 op=np.square) -> np.ndarray:
+    """The sum, over each image's components in turn, of op(values)
+    (np.square or np.abs) of the real fields on the grid `shape` whose
+    half spectra, zero wherever some |k_i| > radius, each of `images`
+    writes into `buf`: after the rows |k_1| > radius of planes 0 ...
+    radius are zeroed, image(box, out) writes each box of _box rows
+    |k_1| <= radius of those planes into out = buf[:, box] (later planes
+    stay zero).  buf is transformed in place over the box, and the sum
+    is a view of the first transform; the rest are freed at once."""
+    n, total = shape[0], None
+    for image in images:
+        buf[:, radius + 1:n - radius, ..., :radius + 1] = 0.0
+        for rows in _box(n, radius):
+            box = (rows, Ellipsis, slice(0, radius + 1))
+            image(box, buf[(slice(None),) + box])
+        phys = _irfftn_half(buf, shape, radius)
+        total = functools.reduce(_add_into, op(phys, out=phys), total)
+        del phys  # freed before the next transform: lower peak memory
+    return total
+
+
+def _add_into(total, part):
+    """total + part, added in place; part itself if total is None."""
+    return part if total is None else np.add(total, part, out=total)
+
+
+def _times(spec: np.ndarray, comps: slice, mult: np.ndarray, box: tuple,
+           out: np.ndarray):
+    """An image (_box_squares): components `comps` of spec times mult."""
+    np.multiply(spec[(comps,) + box], mult[box], out=out)
+
+
 def _irfftn_half(a: np.ndarray, shape: tuple, radius: int = None) -> np.ndarray:
     """Inverse transform of a half spectrum whose last axis holds the
     first entries 0 <= k_last <= m/2 of the m = shape[-1] point grid,
     zero wherever some |k_i| > radius (default m/2: no constraint);
     missing entries are zero.  Valid only for Hermitian-symmetric full
     spectra.  Overwrites `a`: the leading axes are transformed in place,
-    one axis at a time (first leading axis first, as ifftn does), each
-    over the lines of planes 0 ... radius whose later leading axes lie in
-    the box |k| <= radius; then one c2r runs along the last axis (a
-    pruned separable transform, Markel 1971).  Every skipped line holds
-    only zeros, so the result equals the unpruned transform bit for bit.
-    Given all m//2+1 planes, the c2r needs no zero-padded copy."""
+    first leading axis first (as ifftn does), each over the lines of
+    planes 0 ... radius whose later leading axes lie in the box |k| <=
+    radius, then one c2r runs along the last axis (a pruned separable
+    transform, Markel 1971).  Every skipped line holds only zeros, so the
+    result is the unpruned transform's bit for bit."""
     dim = len(shape)
     lead = a.ndim - dim
     if radius is None:
@@ -320,24 +322,31 @@ def to_physical(f: Field) -> np.ndarray:
 
 def magnitude(f: Field) -> np.ndarray:
     """Pointwise Euclidean magnitude on the grid (_magnitude_half)."""
-    return _magnitude_half(f.half.copy(), f.grid.shape)
+    return _magnitude_half(f.half, f.grid.shape)
 
 
-def _magnitude_half(half: np.ndarray, shape: tuple) -> np.ndarray:
-    """magnitude of the real fields with half spectra `half`, which it
-    overwrites.  Each component is transformed in place, and squared
-    (taken in absolute value if it is the only one), on its own item of
-    _thread_map; the squares are summed in component order, so the
-    result is the same at every thread count."""
+def _magnitude_half(half: np.ndarray, shape: tuple, low=None) -> np.ndarray:
+    """magnitude of the real fields with half spectra `half`, less `low`
+    on the planes 0 <= k_last < P it holds, if given.  Component c, less
+    low's, is written into its own buffer and squared (made absolute if
+    it is the only one) on item c of _thread_map (_box_squares); squares
+    are summed in component order, the same at every thread count."""
+    planes = 0 if low is None else low.shape[-1]
+
+    def image(c, box, out):
+        at = (slice(c, c + 1),) + box
+        out[..., planes:] = half[at][..., planes:]
+        if low is not None:
+            np.subtract(half[at][..., :planes], low[at], out=out[..., :planes])
+
     def component(c):
-        phys = _irfftn_half(half[c:c + 1], shape)[0]
-        return (np.abs if len(half) == 1 else np.square)(phys, out=phys)
+        buf = np.empty((1,) + half.shape[1:], dtype=half.dtype)
+        return _box_squares([functools.partial(image, c)], buf,
+                            shape, shape[-1] // 2,
+                            np.abs if len(half) == 1 else np.square)
 
-    comps = _thread_map(component, range(len(half)))
-    mag = comps[0]
-    for sq in comps[1:]:
-        mag += sq
-    return np.sqrt(mag, out=mag) if len(comps) > 1 else mag
+    mag = functools.reduce(_add_into, _thread_map(component, range(len(half))))
+    return np.sqrt(mag, out=mag) if len(half) > 1 else mag
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -384,7 +393,7 @@ def inner(f: Field, g: Field) -> float:
 
 def _half_k_sq(grid: Grid) -> np.ndarray:
     """|k|^2 on the planes of a half spectrum."""
-    return grid.k_sq[..., :grid.n // 2 + 1]
+    return grid._half_k[0]
 
 
 def derivative(f: Field, orders) -> Field:
@@ -435,44 +444,26 @@ def grad_norm_inf(f: Field) -> float:
 def _grad_norm_inf_half(spec: np.ndarray, grid: Grid) -> float:
     """grad_norm_inf of the real fields whose half spectra have their
     planes 0 <= k_last < P in spec and are zero wherever some |k_i| >= P.
-    The axes run in the lanes of one _thread_map call (_map_threads of
-    them, at most one per axis), lane t on the t-th of consecutive runs
-    of axes.  A lane forms each derivative, one component at a time, in
-    its one-component n//2+1-plane buffer (the planes from P on stay
-    zero) and transforms it over the box |k_i| < P.  Squares are summed
-    in component order, an axis's sum is added to its lane's total in
-    axis order and the lanes' totals in lane order: the order of the sum
-    over all axes, so the result is the same at every thread count."""
-    n, planes = grid.n, spec.shape[-1]
-
+    Lane t of one _thread_map call takes the t-th of consecutive runs of
+    axes, each one _box_squares call, over the box |k_i| < P, of i k_axis
+    u_c in component order, on the lane's one-component buffer.  Axis
+    sums are added in axis order, so the value is the same at every
+    thread count."""
     def lane(axes):
-        buf = np.zeros((1,) + spec.shape[1:-1] + (n // 2 + 1,),
-                       dtype=np.complex128)
+        buf = np.zeros((1,) + grid.half_shape, dtype=np.complex128)
         total = None
         for axis in axes:
-            ik = _ik(spec.shape[1:], n, axis)
-            axis_sum = None
-            for comp in spec:
-                np.multiply(comp, ik, out=buf[0, ..., :planes])
-                d = _irfftn_half(buf, grid.shape, planes - 1)[0]
-                np.square(d, out=d)
-                if axis_sum is None:
-                    axis_sum = d
-                else:
-                    axis_sum += d
-                del d  # freed before the next transform: lower peak memory
-            if total is None:
-                total = axis_sum
-            else:
-                total += axis_sum
-            del axis_sum
+            ik = np.broadcast_to(_ik(spec.shape[1:], grid.n, axis),
+                                 spec.shape[1:])
+            total = _add_into(total, _box_squares(
+                [functools.partial(_times, spec, slice(c, c + 1), ik)
+                 for c in range(len(spec))],
+                buf, grid.shape, spec.shape[-1] - 1))
         return total
 
     lanes = min(_map_threads(), grid.dim)
-    totals = _thread_map(lane, np.array_split(range(grid.dim), lanes))
-    total = totals[0]
-    for lane_total in totals[1:]:
-        total += lane_total
+    total = functools.reduce(_add_into, _thread_map(
+        lane, np.array_split(range(grid.dim), lanes)))
     return float(np.sqrt(np.max(total)))
 
 
@@ -627,7 +618,9 @@ def _pad_spectrum(half: np.ndarray, out: np.ndarray, n: int, m: int,
                   dim: int) -> np.ndarray:
     """Embed half spectra in the m-point grid's leading axes, writing
     every entry of `out`, the planes k_last <= n/2 of an m//2+1-plane
-    buffer (the planes beyond stay zero, for the c2r); returns out."""
+    buffer (the planes beyond stay zero, for the c2r); returns out.  Each
+    per-axis Nyquist row is split evenly between +n/2 and -n/2, and the
+    last-axis n/2 plane is halved."""
     lead = half.ndim - dim
     for axis in range(lead, out.ndim - 1):  # rows no coarse mode lands on
         out[(slice(None),) * axis + (slice(n // 2, m - n // 2),)] = 0.0
@@ -685,10 +678,12 @@ class _Padding:
 
     def to_coarse(self, real: np.ndarray) -> np.ndarray:
         """Half spectra, a new array, of real values on the m-point grid."""
-        out = _rfftn_half(real, self.dim, self.n // 2 + 1)
-        if self.dealias:
-            out = _truncate_spectrum(out, self.m, self.n, self.dim)
-        return out
+        return self.truncate(_rfftn_half(real, self.dim, self.n // 2 + 1))
+
+    def truncate(self, fine: np.ndarray) -> np.ndarray:
+        """to_coarse of the real values whose r2c has the planes `fine`."""
+        return (_truncate_spectrum(fine, self.m, self.n, self.dim)
+                if self.dealias else fine)
 
 
 def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,

@@ -82,17 +82,25 @@ class Grid:
 
     @cached_property
     def k_sq(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for ka in self.k_components:
-            out = out + ka**2
-        out.flags.writeable = False
-        return out
+        return self._wavenumbers(self.n)[0]
 
     @cached_property
     def k_mag(self) -> np.ndarray:
-        out = np.sqrt(self.k_sq)
-        out.flags.writeable = False
-        return out
+        return self._wavenumbers(self.n)[1]
+
+    @cached_property
+    def _half_k(self) -> tuple:
+        """(|k|^2, |k|) on a half spectrum's planes, k_sq's and k_mag's."""
+        return self._wavenumbers(self.n // 2 + 1)
+
+    def _wavenumbers(self, planes: int) -> tuple:
+        """Read-only (|k|^2, summed in axis order, |k|) on planes < planes."""
+        k_sq = np.zeros(self.shape[:-1] + (planes,))
+        for ka in self.k_components:
+            k_sq = k_sq + ka[..., :planes]**2
+        k_mag = np.sqrt(k_sq)
+        k_sq.flags.writeable = k_mag.flags.writeable = False
+        return k_sq, k_mag
 
     def meshes(self) -> tuple:
         """Dense coordinate meshes (for evaluating initial data)."""

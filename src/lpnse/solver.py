@@ -53,8 +53,9 @@ import numpy as np
 from . import ensembles
 from .errors import GridError, SolverAbort
 from .field import (Field, _Padding, _cross, _half_k_sq, _ik, _paired,
-                    _plane_weights, _leray_project_spec, from_components,
-                    l2_norm_spectral, laplacian, leray_project, scale)
+                    _plane_weights, _leray_project_spec, _rfftn_half,
+                    from_components, l2_norm_spectral, laplacian,
+                    leray_project, scale)
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
@@ -285,8 +286,9 @@ class _Integrator:
         `half`, then omega from the workspace's half spectra, through
         the _Padding buffer (in 3D one 3-component buffer serves both);
         u x omega is written over u's fine values, a slab of rows at a
-        time, and goes through one forward transform.  The result is a
-        new array, not a view of the workspace."""
+        time, and goes through one forward transform, after which the
+        values are freed.  The result is a new array, not a view of the
+        workspace."""
         grid = self.grid
         u = self.padding.to_fine(half)
         umax = (float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
@@ -297,7 +299,9 @@ class _Integrator:
             rows[...] = _cross(rows, w[:, start:start + _SLAB],
                                out=self.slab[:, :rows.shape[1]])
         del w  # freed before the forward transform: lower peak memory
-        out = _leray_project_spec(self.padding.to_coarse(u), grid)
+        fine = _rfftn_half(u, grid.dim, grid.n // 2 + 1)
+        del u, rows  # freed before the truncation's output is made
+        out = _leray_project_spec(self.padding.truncate(fine), grid)
         out *= self.keep
         out[self.zero] = 0.0
         return out, umax

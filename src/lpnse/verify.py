@@ -280,7 +280,7 @@ def suite_bony(n: int = 32, seed: int = 1, pairs: int = 10,
     for j in range(1, grid.jmax + 1):
         term = dealiased_product(s_j(u, j - 1), delta_j(v, j), dealias=dealias)
         lo, hi = 2.0**j * (0.75 - 2.0 / 3.0), 2.0**j * (8.0 / 3.0 + 2.0 / 3.0)
-        k_mag = grid.k_mag[..., :grid.n // 2 + 1]
+        k_mag = grid._half_k[1]
         outside = (k_mag < lo - 1e-9) | (k_mag > hi + 1e-9)
         worst = max(worst, float(np.max(np.abs(term.half[:, outside]))))
     res.add("paraproduct term support (exact zeros outside annuli)",

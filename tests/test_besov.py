@@ -8,16 +8,22 @@ from hypothesis import given, settings, strategies as st
 import lpnse.blocks
 from lpnse import (BesovSpec, CriterionTriple, besov_norm, biot_savart,
                    bkm_ratio, curl, gn_ratio, split_low_high)
-from lpnse.besov import (EXTENDED_MODE, UNIQUENESS_MODE, choose_p_tilde,
-                         split_constants, split_level)
-from lpnse.blocks import block_norms
+from lpnse.besov import (EXTENDED_MODE, UNIQUENESS_MODE, _split_exponents,
+                         _vorticity_image, choose_p_tilde, split_constants,
+                         split_level)
+from lpnse.blocks import (_block_radius, _block_rows, _half_multiplier,
+                          block_indices, block_norm_table, block_norms)
 from lpnse import cutoffs
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError, ResolutionError, TripleError
-from lpnse.field import (SPECTRAL, Field, add, from_components, grad_norm_inf,
-                         gradient, l2_norm_spectral, lp_norm, scale)
+from lpnse.field import (SPECTRAL, Field, _available_cpus, _box, add,
+                         from_components, grad_norm_inf, gradient,
+                         l2_norm_spectral, lp_norm, scale, set_fft_workers)
+from lpnse.grid import Grid
 
 TRIPLE = CriterionTriple(0.5, 4.0, 8.0 / 3.0)  # 2/q + 3/p = 3/4 + 3/4 = 1.5
+THREADS = (1, min(2, _available_cpus()))
+DIAGNOSTIC_GRIDS = [(2, 32), (3, 16), (3, 64)]
 
 
 # --- norms -------------------------------------------------------------------
@@ -170,6 +176,41 @@ def test_bkm_ratio_properties(grid3, rng):
         bkm_ratio(band_noise(grid3, rng, kmin=1.0, kmax=6.0, ncomp=3))
 
 
+@pytest.mark.parametrize("dim,n", DIAGNOSTIC_GRIDS)
+def test_vorticity_image_is_the_curl_times_the_multiplier(dim, n):
+    # on every block's support box the image bkm_ratio transforms is
+    # curl(u)'s half spectrum times the block multiplier, bit for bit,
+    # component by component (a sign flip would not change a norm)
+    grid = Grid(dim, n)
+    u = divfree_noise(grid, np.random.default_rng(21), slope=2.0)
+    omega = curl(u).half
+    image = _vorticity_image(u.half, n)
+    for j in block_indices(grid):
+        mult, radius = _half_multiplier(grid, j), _block_radius(grid, j)
+        for rows in _box(n, radius):
+            box = (rows, Ellipsis, slice(0, radius + 1))
+            out = np.empty_like(omega[(slice(None),) + box])
+            image(slice(0, len(omega)), mult, box, out)
+            want = omega[(slice(None),) + box] * mult[box]
+            assert out.tobytes() == want.tobytes(), j
+
+
+@pytest.mark.parametrize("dim,n", DIAGNOSTIC_GRIDS)
+def test_vorticity_table_is_the_curl_table(dim, n):
+    # bkm_ratio's vorticity block sup norms, formed on each block's box
+    # from u, equal the table of the vorticity field curl(u), bit for
+    # bit, with one lane and with one per thread
+    grid = Grid(dim, n)
+    u = divfree_noise(grid, np.random.default_rng(22), slope=2.0)
+    omega = curl(u)
+    for threads in THREADS:
+        set_fft_workers(threads)
+        table = _block_rows(grid, (math.inf,), omega.ncomp,
+                            _vorticity_image(u.half, n))
+        assert table.tobytes() == block_norm_table(
+            omega, (math.inf,)).tobytes(), threads
+
+
 # --- criterion triples -------------------------------------------------------
 
 def test_triple_validates():
@@ -289,8 +330,9 @@ def test_split_requires_uniqueness_mode(grid2, rng):
                                     CriterionTriple(1.0, 6.0, 4.0 / 3.0)])
 def test_split_constants_measure_the_parts_of_split_low_high(grid3, rng,
                                                              triple):
-    # split_constants holds S_N u and u - S_N u in one buffer in turn;
-    # its norms are those of split_low_high's two Fields, bit for bit
+    # split_constants forms S_N u on its support planes and u - S_N u a
+    # component at a time; its norms are those of split_low_high's two
+    # Fields, bit for bit
     u = divfree_noise(grid3, rng, kmax=10.0)
     u = scale(u, 1.0 / besov_norm(u, BesovSpec(triple.r, triple.p, math.inf)))
     before = u.data.tobytes()
@@ -301,6 +343,51 @@ def test_split_constants_measure_the_parts_of_split_low_high(grid3, rng,
         res.N, res.p_tilde, res.q_tilde)
     assert out["lip_low"] == grad_norm_inf(res.u_low)
     assert out["high_norm"] == lp_norm(res.u_high, res.p_tilde)
+
+
+def _split_constants_reference(u, triple):
+    """split_constants as it was formed on a copy of u's half spectrum:
+    S_N u on the planes of its support box, then u - S_N u written over
+    the copy, whose norm is that of a Field."""
+    grid = u.grid
+    norm_value = besov_norm(u, BesovSpec(triple.r, triple.p, math.inf))
+    N, p_tilde, q_tilde = _split_exponents(grid, triple, norm_value)
+    lip_scale = 2.0 ** (2.0 * (1.0 - 1.0 / triple.q) * N) * norm_value
+    high_scale = (2.0 ** ((3.0 / triple.p - 3.0 / p_tilde - triple.r) * N)
+                  * norm_value)
+    half = u.half.copy()
+    planes = _block_radius(grid, N - 1) + 1
+    low = half[..., :planes] * _half_multiplier(grid, N, "low")[..., :planes]
+    lip_low = grad_norm_inf(Field(grid, np.concatenate(
+        [low, np.zeros_like(half[..., planes:])], axis=-1)))
+    np.subtract(half[..., :planes], low, out=half[..., :planes])
+    high_norm = lp_norm(Field(grid, half), p_tilde)
+    return {"N": N, "p_tilde": p_tilde, "q_tilde": q_tilde,
+            "norm": norm_value, "lip_low": lip_low, "high_norm": high_norm,
+            "c_lip": lip_low / lip_scale if lip_scale else 0.0,
+            "c_high": high_norm / high_scale if high_scale else 0.0}
+
+
+@pytest.mark.parametrize("dim,n", DIAGNOSTIC_GRIDS)
+def test_split_constants_match_a_materialized_high_part(dim, n):
+    # u - S_N u is formed a component at a time in each magnitude item's
+    # buffer, with no copy of u; every constant equals the one measured
+    # on the whole materialized high part, bit for bit, at every thread
+    # count
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(23)
+    triples = [CriterionTriple(0.5, 6.0, 2.0),
+               CriterionTriple(1.0, 6.0, 4.0 / 3.0)]
+    if grid.jmax >= 4:  # its split level is 4 at unit norm
+        triples.append(CriterionTriple(0.25, 4.0, 4.0))
+    for triple in triples:
+        u = divfree_noise(grid, rng, slope=2.0)
+        u = scale(u, 1.0 / besov_norm(u, BesovSpec(triple.r, triple.p,
+                                                    math.inf)))
+        want = repr(_split_constants_reference(u, triple))
+        for threads in THREADS:
+            set_fft_workers(threads)
+            assert repr(split_constants(u, triple)) == want, (triple, threads)
 
 
 def test_split_constants_keys(grid3, rng):

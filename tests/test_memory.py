@@ -77,26 +77,31 @@ def test_divfree_noise_peak_memory(unit_field):
 
 
 def test_split_constants_peak_memory(unit_field):
-    # measured 1.53 with one thread: u's Hermitian half, S_N u over the
-    # planes of its support box, and the gradient's one-component buffer,
-    # derivative and sums of squares.  With two threads, measured 1.87:
-    # a second lane holds its own buffer, derivative and sum.  The
-    # earlier split, a full-layout buffer for S_N u and then u - S_N u,
-    # peaked at 2.18
+    # measured 1.18 with one thread: S_N u over the planes of its support
+    # box, then each component of u - S_N u in its own one-component
+    # buffer, its physical values and the squares summed so far.  With two
+    # threads, measured 1.36-1.52 (as the two lanes' allocations happen
+    # to overlap): a second lane holds its own buffer and values.  A copy
+    # of u's half spectrum with u - S_N u written over it peaked at 1.53
+    # and 1.72-1.87, and the earlier full-layout split buffer at 2.18
     u, triple = unit_field
     for threads in (1, min(2, _available_cpus())):
         set_fft_workers(threads)
         peak = _peak_fields(lambda: split_constants(u, triple))
-        assert peak <= 2.5, threads
+        assert peak <= 1.75, threads
 
 
 def test_bkm_ratio_peak_memory(unit_field):
-    # measured 1.53: the energy and H^1 sums' full-layout temporaries, and
-    # then the vorticity on the planes 0 <= k_last <= n/2 with its block
-    # table's lanes.  The full-layout curl peaked at 2.01
+    # measured 1.02 with one thread and 1.01 with two: the block tables'
+    # lanes, u's and then the vorticity's, which is formed on each
+    # block's box in the lane's buffer from u.  The vorticity field
+    # curl(u) on the half planes peaked at 1.53, and on the full layout
+    # at 2.01
     u, _ = unit_field
     bkm_ratio(u)  # fills the grid's wavenumber caches
-    assert _peak_fields(lambda: bkm_ratio(u)) <= 1.75
+    for threads in (1, min(2, _available_cpus())):
+        set_fft_workers(threads)
+        assert _peak_fields(lambda: bkm_ratio(u)) <= 1.2, threads
 
 
 def test_grad_norm_inf_peak_memory(unit_field):
@@ -173,12 +178,14 @@ def test_run_holds_half_spectrum_snapshots():
 
 
 def test_integrator_step_peak_memory():
-    # measured 8.66: the half-spectrum state, one 3-component padded
+    # measured 8.18: the half-spectrum state, one 3-component padded
     # buffer that u and then omega go through, both their fine-grid
     # values (u x omega is written back over u's, a slab of rows at a
-    # time: there is no cross-product array) and the stage terms, folded
-    # into the RK4 sum as each is last read.  A whole-grid cross-product
-    # array held by the integrator peaked at 10.18; padding a
+    # time: there is no cross-product array, and u's values are freed
+    # after the forward transform, before its truncation) and the stage
+    # terms, folded into the RK4 sum as each is last read.  Holding u's
+    # values through the truncation peaked at 8.66, a whole-grid
+    # cross-product array held by the integrator at 10.18; padding a
     # 6-component [u; omega] copy through a 6-component buffer, with a,
     # b, c, d and the sum's temporaries all alive at the end of the
     # step, at 12.94
@@ -191,4 +198,4 @@ def test_integrator_step_peak_memory():
         _Integrator(GRID, config).step(state, 0.0, 0)
 
     integrate()  # a warm step: the grid's wavenumber arrays exist
-    assert _peak_fields(integrate) <= 9.0
+    assert _peak_fields(integrate) <= 8.5

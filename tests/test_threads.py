@@ -14,7 +14,6 @@ import threading
 import numpy as np
 import pytest
 
-import lpnse.blocks
 import lpnse.field
 from lpnse import Grid
 from lpnse.besov import (BesovSpec, CriterionTriple, besov_norm, bkm_ratio,
@@ -232,13 +231,14 @@ def test_block_table_lanes(monkeypatch):
     col_of = {_block_radius(grid, j): col for col, j in enumerate(js)}
     assert len(col_of) == len(js)
     transforms = []
-    irfftn_half = lpnse.blocks._irfftn_half
+    irfftn_half = lpnse.field._irfftn_half
 
     def record(a, shape, radius):
         transforms.append((threading.current_thread().name, len(a), radius))
         return irfftn_half(a, shape, radius)
 
-    monkeypatch.setattr(lpnse.blocks, "_irfftn_half", record)
+    # the lanes transform through field._box_squares
+    monkeypatch.setattr(lpnse.field, "_irfftn_half", record)
     caller = threading.current_thread().name
     block_norm_table(u, (math.inf,))
     assert len(transforms) == u.ncomp * len(js)
