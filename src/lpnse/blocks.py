@@ -19,9 +19,8 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, _box_squares, _half_power, _ik, _irfftn_half,
-                    _map_threads, _thread_map, _times, h1_seminorm,
-                    l2_norm_spectral, zero_field)
+from .field import (Field, _box_squares, _half_k_sq, _half_power, _ik,
+                    _map_threads, _thread_map, _times, zero_field)
 from .grid import Grid
 
 _MULTIPLIER_CACHE: dict = {}
@@ -216,23 +215,35 @@ class ConstantReport:
 BERNSTEIN_CASES = ((2.0, 2.0, 1), (2.0, np.inf, 0), (np.inf, np.inf, 1))
 
 
-def _bernstein_norms(f: Field, j: int) -> dict:
-    """{(order, q): sup over |beta| = order of ||d^beta f||_q} for order
-    0, 1 and q = 2, inf, of a scalar field f supported on shell j.
+def _bernstein_norms(grid: Grid, half: np.ndarray, js, buf: np.ndarray) -> dict:
+    """{j: {(order, q): sup over |beta| = order of ||d^beta Delta_j f||_q}}
+    for each shell j of js, ascending, for order 0, 1 and q = 2, inf, of
+    the scalar field f with half spectrum `half`.  q = 2 is read from the
+    half-plane powers of f and of each d_a f (_block_l2_norms); each sup
+    norm is one _box_squares call over shell j's support box, of m_j f^
+    or (m_j f^) i k_a, on the one-component buffer `buf`, zeroed here:
+    r rises across js, so its planes above r stay zero."""
+    iks = [np.broadcast_to(_ik(grid.half_shape, grid.n, axis),
+                           grid.half_shape) for axis in range(grid.dim)]
+    l2 = [_block_l2_norms(grid, _half_power(s))
+          for s in [half] + [half * ik for ik in iks]]
 
-    q = 2 is evaluated from coefficients (Parseval).  Both sup norms come
-    from one inverse transform of f and its first derivatives, stacked,
-    over the block's support box."""
-    grid = f.grid
-    half = f.half
-    stack = np.concatenate([half] + [half * _ik(grid.half_shape, grid.n, axis)
-                                     for axis in range(grid.dim)])
-    l2 = [float(np.sqrt(grid.volume * np.sum(_half_power(s[np.newaxis]))))
-          for s in stack]
-    phys = np.abs(_irfftn_half(stack, grid.shape, _block_radius(grid, j)))
-    return {(0, 2.0): l2[0], (1, 2.0): max(l2[1:]),
-            (0, np.inf): float(np.max(phys[0])),
-            (1, np.inf): float(np.max(phys[1:]))}
+    def image(mult, ik, box, out):
+        _times(half, slice(0, 1), mult, box, out)
+        if ik is not None:
+            out *= ik[box]
+
+    buf[...] = 0.0
+    norms = {}
+    for j in js:
+        sup = [np.max(_box_squares(
+            [functools.partial(image, _half_multiplier(grid, j), ik)],
+            buf, grid.shape, _block_radius(grid, j), np.abs))
+            for ik in [None] + iks]
+        norms[j] = {(0, 2.0): l2[0][j + 1],
+                    (1, 2.0): max(row[j + 1] for row in l2[1:]),
+                    (0, np.inf): sup[0], (1, np.inf): max(sup[1:])}
+    return norms
 
 
 def _interior_shells(grid: Grid, ensemble: int) -> range:
@@ -249,17 +260,6 @@ def _interior_shells(grid: Grid, ensemble: int) -> range:
     return range(1, grid.jmax)
 
 
-def _shell_translate(grid: Grid, j: int, x0: np.ndarray) -> Field:
-    """The shell reproducing kernel centered at x0: coefficients equal
-    to the block multiplier with a translation phase.  Every norm ratio
-    is translation-invariant, so one random translate represents the
-    whole orbit."""
-    phase = sum(k[..., :grid.n // 2 + 1] * x
-                for k, x in zip(grid.k_components, x0))
-    return Field(grid, (_half_multiplier(grid, j) * np.exp(-1j * phase))[
-        np.newaxis])
-
-
 def bernstein_report(grid: Grid, ensemble: int = 64,
                      seed: int = 0) -> ConstantReport:
     """Measure forward Bernstein ratios
@@ -270,32 +270,31 @@ def bernstein_report(grid: Grid, ensemble: int = 64,
 
     reporting the max per interior shell j and case of BERNSTEIN_CASES
     over an ensemble of shell noise plus one random translate of the
-    shell kernel.  The coherent candidate matters: Gaussian fields never
-    saturate the p < q cases (their sup/L2 ratio is flat in j, not
-    2^{j dim (1/p-1/q)}), so a noise-only scan would report a spread
-    that only reflects the ensemble, not the inequality.  Each field is
-    measured with one stacked transform (_bernstein_norms).
+    shell kernel, Delta_j of the Dirac comb at x0 (half spectrum
+    e^{-i k.x0} on every shell).  The coherent candidate matters:
+    Gaussian fields never saturate the p < q cases (their sup/L2 ratio
+    is flat in j, not 2^{j dim (1/p-1/q)}), so a noise-only scan would
+    report a spread that only reflects the ensemble, not the inequality.
     """
     cases, js = BERNSTEIN_CASES, _interior_shells(grid, ensemble)
     report = ConstantReport()
     rng = np.random.default_rng(seed)
     worst = {(j, case): 0.0 for j in js for case in cases}
+    buf = np.empty((1,) + grid.half_shape, dtype=np.complex128)
 
-    def measure(f, j):
-        norms = _bernstein_norms(f, j)
-        for case in cases:
+    def measure(half):
+        norms = _bernstein_norms(grid, half, js, buf)
+        for j, case in worst:
             p, q, alpha = case
             factor = 2.0 ** (j * (alpha + grid.dim * (1.0 / p - 1.0 / q)))
-            ratio = norms[alpha, q] / (factor * norms[0, p])
+            ratio = norms[j][alpha, q] / (factor * norms[j][0, p])
             worst[j, case] = max(worst[j, case], ratio)
 
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
-    for j in js:
-        measure(_shell_translate(grid, j, x0), j)
+    measure(np.exp(-1j * sum(k[..., :grid.n // 2 + 1] * x for k, x
+                             in zip(grid.k_components, x0)))[np.newaxis])
     for _ in range(ensemble):
-        noise = ensembles.band_noise(grid, rng)
-        for j in js:
-            measure(delta_j(noise, j), j)
+        measure(ensembles.band_noise(grid, rng).half)
     for case in cases:
         p, q, alpha = case
         for j in js:
@@ -311,18 +310,18 @@ def reverse_bernstein_report(grid: Grid, ensemble: int = 64,
 
     with the full gradient magnitude in the denominator.  The spectral
     support bound |k| >= (3/4) 2^j forces the ratio below 4/3, and both
-    norms come straight from Parseval.  Measured on the interior shells;
-    ball blocks are excluded (constants on a ball can vanish)."""
+    norms come from one half-plane power P per field: _block_l2_norms of
+    P and of |k|^2 P.  Measured on the interior shells; ball blocks are
+    excluded (constants on a ball can vanish)."""
     js = _interior_shells(grid, ensemble)
     report = ConstantReport()
     rng = np.random.default_rng(seed)
-    worst = {j: 0.0 for j in js}
+    worst, k_sq = {j: 0.0 for j in js}, _half_k_sq(grid)
     for _ in range(ensemble):
-        noise = ensembles.band_noise(grid, rng)
+        power = _half_power(ensembles.band_noise(grid, rng).half)
+        l2, h1 = (_block_l2_norms(grid, w * power) for w in (1.0, k_sq))
         for j in js:
-            f = delta_j(noise, j)
-            ratio = 2.0**j * l2_norm_spectral(f) / h1_seminorm(f)
-            worst[j] = max(worst[j], ratio)
+            worst[j] = max(worst[j], 2.0**j * l2[j + 1] / h1[j + 1])
     for j in js:
         report.add(j, 2.0, 2.0, 1, worst[j], ensemble, seed)
     return report

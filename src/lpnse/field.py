@@ -21,8 +21,10 @@ Conventions
   support box |k_i| <= r only, transformed over the box (the lines
   outside, all zeros, are skipped), squared and summed in component
   order.  Block tables (besov's vorticity table too), grad_norm_inf's
-  lanes (i k_axis u_c) and magnitude's items (u_c) run on it: no
+  lanes (i k_axis u_c), magnitude's items (u_c) and the Bernstein sup
+  rows (m_j f and (m_j f) i k_a, made absolute) run on it: no
   diagnostic copies a field, and values match at every thread count.
+  No other module calls _irfftn_half.
 * A field holds 16 ncomp n^(dim-1) (n//2+1) bytes, about half the full
   layout's.  In-place steps do the out-of-place expression's operations
   in its order, so every byte is the same.

@@ -8,9 +8,10 @@ the cross-energy identity residual, and the Gronwall-envelope fit.
 Conventions: w = u - v, w_j is the dyadic block of w, and all time
 integrals over snapshots use the trapezoid rule (the solver's per-step
 series handle the high-accuracy energy audit separately).  Every block
-L^2 norm here, ||w_j||_2 and ||grad w_j||_2 alike, is a p = 2 row of
-block_norms, read in _w_rows from the half-plane power that also gives
-||w||^2 and ||grad w||^2.
+L^2 norm here, ||w_j||_2 and ||grad w_j||_2 alike, is read by
+_block_l2_norms from w's half-plane power: in _w_rows the power that
+also gives ||w||^2 and ||grad w||^2, in block_energy_audit that power
+times sum_a |i k_a|^2 for ||grad w_j||_2.
 
 Nothing is kept between calls.  _pass is the one walk over a trajectory
 or a snapshot-aligned pair: it checks the alignment, reads each snapshot
@@ -215,12 +216,6 @@ def diff_norm_W(traj_u: Trajectory, traj_v: Trajectory, s: float,
 
 # --- drift weights -----------------------------------------------------------
 
-def b1_series(traj: Trajectory) -> np.ndarray:
-    """Per-snapshot B^1_{inf,inf} norms."""
-    js, linf, _ = _linf_block_matrix(traj)
-    return _b1(js, linf)
-
-
 def _epsilon(times: np.ndarray, js: np.ndarray, linf_u: np.ndarray,
              linf_v: np.ndarray) -> np.ndarray:
     weighted = 2.0 ** js[:, None] * (linf_u + linf_v)
@@ -310,10 +305,9 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     w, (u, v) = ws[1], pairs[1]
     w_j = delta_j(w, j)
     wj_sq = norms[1] ** 2
-    grad_w = Field(grid, np.concatenate(
-        [w.half * _ik(grid.half_shape, grid.n, axis)
-         for axis in range(grid.dim)]))
-    grad_sq = float(block_norms(grad_w, 2.0)[j + 1]) ** 2
+    power = sum(np.abs(_ik(grid.half_shape, grid.n, axis))**2
+                for axis in range(grid.dim)) * _half_power(w.half)
+    grad_sq = float(_block_l2_norms(grid, power)[j + 1]) ** 2
 
     transport = -inner(delta_j(advect(w, u), j), w_j)
     drift_full = inner(delta_j(advect(v, w), j), w_j)
@@ -417,16 +411,6 @@ def gronwall_check(traj_u: Trajectory, traj_v: Trajectory,
         traj_u, traj_v)
     crit = _criterion_series(traj_u, lp_u, triple)
     return _gronwall_fit(traj_u.times, e_w, d_w, crit.integral)
-
-
-def envelope_holds(fit: GronwallFit, c: float) -> bool:
-    """Does LHS(t) <= ||w0||^2 exp(c I(t)) hold at every snapshot, up to a
-    relative slack of 1e-9?  Used with c = 0 as the self-test that the
-    checker can fail."""
-    if fit.degenerate:
-        return True
-    return bool(np.all(fit.lhs <= fit.w0_sq * np.exp(c * fit.integral)
-                       * (1.0 + 1e-9)))
 
 
 # --- assembled report --------------------------------------------------------

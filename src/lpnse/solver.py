@@ -201,9 +201,6 @@ class Trajectory:
                      f"{float(self.times[i])!r} vs {float(other.times[i])!r}")
         return f"are not snapshot-aligned: {fault}"
 
-    def aligned_with(self, other: "Trajectory") -> bool:
-        return not self.alignment_fault(other)
-
 
 def taylor_green(grid: Grid) -> Field:
     """The decaying vortex lattice; in 2D the nonlinearity is a pure

@@ -25,15 +25,16 @@ from lpnse.blocks import bernstein_report, reverse_bernstein_report
 from lpnse.field import (Field, SPECTRAL, from_components, grad_norm_inf,
                          l2_norm_spectral, lp_norm, scale)
 from lpnse.grid import Grid
-from lpnse.monitor import (b1_series, block_series, build_report,
-                           criterion_integral, epsilon_weights,
-                           gronwall_check, losing_weight, smallness_window)
+from lpnse.monitor import (block_series, build_report, criterion_integral,
+                           epsilon_weights, gronwall_check, losing_weight,
+                           smallness_window)
 from lpnse.solver import SolverConfig, Trajectory, run, twin_run
 from lpnse.verify import (advection_cancellation, bkm_ratios,
                           block_cancellation, block_orthogonality,
                           bony_residual, leray_gradient_residual,
                           paraproduct_orthogonality, partition_residuals,
                           reconstruction_residual)
+from monitor_helpers import b1_series
 
 # uniqueness-criterion triple used for the twin-run criteria: r = 1/2,
 # 2/q + 3/p = 1 + r with p = 4, q = 8/3

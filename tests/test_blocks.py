@@ -7,13 +7,14 @@ import scipy.fft
 
 from lpnse import (bernstein_report, block_indices, block_norms, delta_j,
                    reconstruct, reverse_bernstein_report, s_j)
-from lpnse.blocks import (_MULTIPLIER_CACHE, _bernstein_norms, _shell_translate,
+from lpnse.blocks import (_MULTIPLIER_CACHE, _bernstein_norms,
                           block_multiplier, block_norm_table)
 from lpnse import cutoffs
 from lpnse.ensembles import band_noise
 from lpnse.errors import BlockRangeError, ResolutionError
-from lpnse.field import (_hermitian_half, _irfftn_half, add, derivative,
-                         from_components, l2_norm_spectral, lp_norm)
+from lpnse.field import (Field, _hermitian_half, add, derivative,
+                         from_components, h1_seminorm, l2_norm_spectral,
+                         lp_norm)
 from lpnse.grid import Grid
 
 
@@ -230,40 +231,59 @@ def test_bernstein_report_deterministic(grid2):
 
 
 def test_bernstein_report_computes_each_norm_once(grid2, monkeypatch):
-    # per measured field, the shell kernel and each ensemble member on
-    # every interior shell: one stacked inverse transform gives ||f||_inf
-    # and every ||d_i f||_inf; the L^2 norms come from Parseval
-    import lpnse.blocks
-    calls = []
+    # per measured field, the shell kernel and each ensemble member, on
+    # every interior shell: one one-component transform gives ||f||_inf
+    # and one more each ||d_a f||_inf; the L^2 norms come from Parseval
+    import lpnse.field
+    original, calls = lpnse.field._irfftn_half, []
 
     def counting(a, shape, radius=None):
-        calls.append(radius)
-        return _irfftn_half(a, shape, radius)
-    monkeypatch.setattr(lpnse.blocks, "_irfftn_half", counting)
+        calls.append(len(a))
+        return original(a, shape, radius)
+    monkeypatch.setattr(lpnse.field, "_irfftn_half", counting)
     ensemble = 2
     rep = bernstein_report(grid2, ensemble=ensemble, seed=5)
     js = {row[0] for row in rep.rows}
-    assert len(calls) == (ensemble + 1) * len(js)
+    assert calls == [1] * ((ensemble + 1) * len(js) * (1 + grid2.dim))
+
+
+def _dirac(grid, x0):
+    """The Dirac comb at x0: half spectrum e^{-i k.x0}."""
+    phase = sum(k[..., :grid.n // 2 + 1] * x
+                for k, x in zip(grid.k_components, x0))
+    return Field(grid, np.exp(-1j * phase)[np.newaxis])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_bernstein_norms_match_their_definitions_bit_for_bit(dim):
-    # the definitions: sup norms through lp_norm of f and of each first
-    # derivative, L^2 norms through Parseval, all over the full grid
+    # the definitions: sup norms through lp_norm of Delta_j f and of each
+    # first derivative, over the full grid; L^2 norms as block_norms' p = 2
+    # rows, and within round-off of Parseval on Delta_j f.  The fields
+    # share one NaN-filled buffer, and r falls from one field to the next,
+    # so a field that reads planes an earlier one left behind fails here
     grid = Grid(dim, 32)
     rng = np.random.default_rng(7)
-    noise = [band_noise(grid, rng) for _ in range(2)]
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    fields = [band_noise(grid, rng) for _ in range(2)] + [_dirac(grid, x0)]
     axes = [tuple(int(i == axis) for i in range(dim)) for axis in range(dim)]
-    for j in range(1, grid.jmax):
-        fields = [delta_j(f, j) for f in noise] + [_shell_translate(grid, j, x0)]
-        for f in fields:
-            derivs = [derivative(f, e) for e in axes]
-            want = {(0, 2.0): l2_norm_spectral(f),
-                    (1, 2.0): max(l2_norm_spectral(d) for d in derivs),
-                    (0, math.inf): lp_norm(f, math.inf),
+    js = range(1, grid.jmax)
+    buf = np.full((1,) + grid.half_shape, np.nan, dtype=np.complex128)
+    for f in fields:
+        norms = _bernstein_norms(grid, f.half, js, buf)
+        assert list(norms) == list(js)
+        for j in js:
+            fj = delta_j(f, j)
+            derivs = [derivative(fj, e) for e in axes]
+            want = {(0, 2.0): block_norms(f, 2.0)[j + 1],
+                    (1, 2.0): max(block_norms(derivative(f, e), 2.0)[j + 1]
+                                  for e in axes),
+                    (0, math.inf): lp_norm(fj, math.inf),
                     (1, math.inf): max(lp_norm(d, math.inf) for d in derivs)}
-            assert _bernstein_norms(f, j) == want, j
+            assert norms[j] == want, j
+            assert norms[j][0, 2.0] == pytest.approx(
+                l2_norm_spectral(fj), rel=1e-13, abs=0.0)
+            assert norms[j][1, 2.0] == pytest.approx(
+                max(l2_norm_spectral(d) for d in derivs), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("report", [bernstein_report, reverse_bernstein_report])
@@ -280,6 +300,26 @@ def test_bernstein_reports_without_an_interior_shell_raise(report, dim):
 def test_bernstein_reports_reject_an_empty_ensemble(report, ensemble):
     with pytest.raises(ValueError, match="ensemble must be >= 1"):
         report(Grid(3, 16), ensemble=ensemble)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_reverse_bernstein_report_matches_per_shell_parseval(dim, n):
+    # the reference: each shell Delta_j f of each member, its L^2 norm and
+    # H^1 seminorm summed over its own coefficients
+    grid, ensemble, seed = Grid(dim, n), 6, 2
+    rng = np.random.default_rng(seed)
+    js = range(1, grid.jmax)
+    worst = dict.fromkeys(js, 0.0)
+    for _ in range(ensemble):
+        noise = band_noise(grid, rng)
+        for j in js:
+            f = delta_j(noise, j)
+            worst[j] = max(worst[j],
+                           2.0**j * l2_norm_spectral(f) / h1_seminorm(f))
+    rep = reverse_bernstein_report(grid, ensemble=ensemble, seed=seed)
+    assert [row[0] for row in rep.rows] == list(js)
+    for row in rep.rows:
+        assert row[4] == pytest.approx(worst[row[0]], rel=1e-13, abs=0.0)
 
 
 def test_reverse_bernstein_bounded(grid2):

@@ -23,13 +23,14 @@ from lpnse.field import (Field, SPECTRAL, from_components, h1_seminorm,
 from lpnse.grid import Grid
 from lpnse.snapshots import load_trajectory, save_trajectory
 from lpnse.monitor import (LosingParams, _cumtrapz, _diff_spec,
-                           _linf_block_matrix, b1_series, besov_series,
+                           _linf_block_matrix, besov_series,
                            block_energy_audit, block_series, build_report,
                            criterion_integral, diff_norm_W, diff_norm_series,
-                           envelope_holds, epsilon_weights, gronwall_check,
+                           epsilon_weights, gronwall_check,
                            integral_identity_check, losing_weight,
                            smallness_window, trilinear)
 from lpnse.solver import SolverConfig, Trajectory, run, twin_run
+from monitor_helpers import b1_series, envelope_holds
 
 TRIPLE = CriterionTriple(0.5, 4.0, 8.0 / 3.0)
 
@@ -197,8 +198,7 @@ def test_build_report_transforms_each_block_once(monkeypatch, triple):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (lpnse.field, lpnse.blocks):
-        monkeypatch.setattr(module, "_irfftn_half", counting)
+    monkeypatch.setattr(lpnse.field, "_irfftn_half", counting)
     build_report(u, v, triple, s=0.5, lam=1.0)
     assert len(calls) == 2 * len(times) * len(block_indices(grid))
 
@@ -372,13 +372,13 @@ def test_twin_configs_may_differ_only_in_initial_data(twin_pair):
     u, v = twin_pair
     other_data = replace(v.config, ic="random-divfree", seed=9, slope=1.0,
                          ic_kmax=4.0)
-    assert u.aligned_with(Trajectory(other_data, v.grid, v.times,
-                                     list(v.snapshots), {}))
+    assert not u.alignment_fault(Trajectory(other_data, v.grid, v.times,
+                                            list(v.snapshots), {}))
     for key, value in (("nu", 0.5), ("dt", 5e-3), ("dealias", False),
                        ("cfl_safety", 0.25)):
         changed = Trajectory(replace(v.config, **{key: value}), v.grid,
                              v.times, list(v.snapshots), {})
-        assert not u.aligned_with(changed)
+        assert u.alignment_fault(changed)
         with pytest.raises(ValueError, match=f"different configs: {key} = "):
             block_series(u, changed)
 

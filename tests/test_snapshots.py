@@ -225,7 +225,7 @@ def test_trajectory_round_trip(tmp_path):
     assert sum(name.endswith(".fld") for name in names) == len(traj)
     loaded = load_trajectory(outdir)
     assert loaded.config == SMALL
-    assert loaded.aligned_with(traj)
+    assert not loaded.alignment_fault(traj)
     for a, b in zip(loaded.snapshots, traj.snapshots):
         assert np.array_equal(a.data, b.data)
     assert set(loaded.series) == set(traj.series)
