@@ -18,11 +18,9 @@ import numpy as np
 from .blocks import (_block_radius, _block_rows, _half_multiplier,
                      block_indices, block_norms, s_j)
 from .errors import GridError, ResolutionError, TripleError
-from .field import (Field, _cross, _grad_norm_inf_half,
+from .field import (Field, _SLAB, _cross, _grad_norm_inf_half,
                     _half_k_sq, _ik, _magnitude_half, _norm_of_magnitude,
                     divergence, h1_seminorm, l2_norm_spectral, lp_norm)
-
-_ROWS = 8  # first-axis rows per product in _vorticity_image's scratch
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ def _curl_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
 def _vorticity_image(spec: np.ndarray, n: int):
     """The image of blocks._block_rows for the blocks of curl u, u with
     half spectra spec: on each box, _cross's operations in order (the
-    first product in the lane's buffer, less the second, made _ROWS rows
+    first product in the lane's buffer, less the second, made _SLAB rows
     at a time in a scratch), then times the block multiplier."""
     shape = spec.shape[1:]
     ik = [np.broadcast_to(_ik(shape, n, a), shape) for a in range(len(spec))]
@@ -88,10 +86,10 @@ def _vorticity_image(spec: np.ndarray, n: int):
 
     def image(comps, mult, box, out):
         start, stop, _ = box[0].indices(n)
-        product = np.empty_like(out[0, :_ROWS])
-        for lo in range(start, stop, _ROWS):
-            at = (slice(lo, min(lo + _ROWS, stop)),) + box[1:]
-            rows = out[:, lo - start:lo - start + _ROWS]
+        product = np.empty_like(out[0, :_SLAB])
+        for lo in range(start, stop, _SLAB):
+            at = (slice(lo, min(lo + _SLAB, stop)),) + box[1:]
+            rows = out[:, lo - start:lo - start + _SLAB]
             for row, (a, b) in zip(rows, pairs[comps]):
                 np.multiply(ik[a][at], spec[b][at], out=row)
                 row -= np.multiply(ik[b][at], spec[a][at],

@@ -23,21 +23,16 @@ from .field import (Field, _box_squares, _half_k_sq, _half_power, _ik,
                     _map_threads, _thread_map, _times, zero_field)
 from .grid import Grid
 
-_MULTIPLIER_CACHE: dict = {}
-
-
 def block_indices(grid: Grid) -> range:
     """All block indices the grid resolves, ball block included."""
     return range(-1, grid.jmax + 1)
 
 
+@functools.cache
 def _half_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
-    """Cached planes 0 <= k_last <= n/2 of block_multiplier(grid, j, kind),
-    the planes a half spectrum holds."""
-    key = (grid.dim, grid.n, j, kind)
-    cached = _MULTIPLIER_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The radial multiplier of the shell block ('block') or the low-pass
+    partial sum ('low') at index j, read-only and cached, on the planes
+    0 <= k_last <= n/2 that a half spectrum holds."""
     k_mag = grid._half_k[1]
     if kind == "block":
         if j == -1:
@@ -50,17 +45,7 @@ def _half_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     mult = np.ascontiguousarray(mult)
     mult.flags.writeable = False
-    _MULTIPLIER_CACHE[key] = mult
     return mult
-
-
-def block_multiplier(grid: Grid, j: int, kind: str = "block") -> np.ndarray:
-    """Radial multiplier for the shell block ('block') or the low-pass
-    partial sum ('low') at index j, on the full spectral layout.  It is
-    built from the cached half planes: |k| is unchanged under
-    k_last -> -k_last, so plane n - k is plane k, bit for bit."""
-    half = _half_multiplier(grid, j, kind)
-    return np.concatenate([half, half[..., grid.n // 2 - 1:0:-1]], axis=-1)
 
 
 def delta_j(f: Field, j: int) -> Field:

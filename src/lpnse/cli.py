@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .besov import BesovSpec, CriterionTriple, besov_norm, split_low_high
-from .config import load_config
+from .config import parse_kv_file
 from .errors import LpnseError, NonFiniteError, SolverAbort
 from .field import set_fft_workers
 from .manifest import build_manifest, write_manifest
@@ -71,10 +71,11 @@ def _overrides(pairs) -> dict:
 
 
 def _load_solver_config(args) -> SolverConfig:
-    overrides = _overrides(getattr(args, "set", None))
-    if args.config is None:
-        return SolverConfig.from_mapping(overrides)
-    return load_config(args.config, overrides)
+    """The --config file's keys, overridden by --set's."""
+    mapping = _overrides(getattr(args, "set", None))
+    if args.config is not None:
+        mapping = {**parse_kv_file(args.config), **mapping}
+    return SolverConfig.from_mapping(mapping)
 
 
 def _parse_triple(text: str) -> CriterionTriple:

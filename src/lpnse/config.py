@@ -4,8 +4,6 @@ One `key = value` pair per line; `#` starts a comment; later keys win.
 CLI flags override file values.
 """
 
-from .solver import SolverConfig
-
 
 def parse_kv_file(path) -> dict:
     mapping = {}
@@ -20,9 +18,3 @@ def parse_kv_file(path) -> dict:
             mapping[key.strip()] = value.strip()
     return mapping
 
-
-def load_config(path, overrides: dict = None) -> SolverConfig:
-    mapping = parse_kv_file(path)
-    if overrides:
-        mapping.update(overrides)
-    return SolverConfig.from_mapping(mapping)

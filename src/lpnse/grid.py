@@ -5,6 +5,7 @@ resolves |k_i| <= n/2 per axis, and the highest dyadic shell that fits
 entirely inside the resolved band has index jmax = log2(n) - 2.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,13 +23,16 @@ class Grid:
     Parameters
     ----------
     dim : 2 or 3
-    n : points per axis, a power of two, at least 8
+    n : points per axis, a power of two, at least 8 (both integers)
     """
 
     dim: int
     n: int
 
     def __post_init__(self):
+        for name, value in (("dim", self.dim), ("n", self.n)):
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise GridError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (2, 3):
             raise GridError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
@@ -82,15 +86,12 @@ class Grid:
 
     @cached_property
     def k_sq(self) -> np.ndarray:
+        """|k|^2 on the full layout, for callers outside the package."""
         return self._wavenumbers(self.n)[0]
 
     @cached_property
-    def k_mag(self) -> np.ndarray:
-        return self._wavenumbers(self.n)[1]
-
-    @cached_property
     def _half_k(self) -> tuple:
-        """(|k|^2, |k|) on a half spectrum's planes, k_sq's and k_mag's."""
+        """(|k|^2, |k|) on a half spectrum's planes 0 <= k_last <= n/2."""
         return self._wavenumbers(self.n // 2 + 1)
 
     def _wavenumbers(self, planes: int) -> tuple:

@@ -99,20 +99,15 @@ def _w_rows(u: Field, v: Field) -> tuple:
             grid.volume * float(np.sum(_half_k_sq(grid) * power)))
 
 
-def _linf_block_matrix(traj: Trajectory, p: float = math.inf,
-                       traj_v: Trajectory = None) -> tuple:
-    """(js, L^inf, L^p block norms), each shaped (len(js), len(traj)), in
-    one _pass: every block is transformed once for the drift weights and
-    the norm.  With traj_v, build_report's pass, the tuple goes on with
-    v's L^inf block norms and w = u - v's block L^2 norms, ||w||^2 and
-    ||grad w||^2 (_w_rows)."""
-    if traj_v is None:
-        def row(u):
-            return (block_norm_table(u, (math.inf, p)),)
-    else:
-        def row(u, v):
-            return ((block_norm_table(u, (math.inf, p)),
-                     block_norm_table(v, (math.inf,))[0]) + _w_rows(u, v))
+def _linf_block_matrix(traj: Trajectory, p: float,
+                       traj_v: Trajectory) -> tuple:
+    """build_report's pass: (js, u's L^inf and L^p block norms, v's L^inf
+    block norms, w = u - v's block L^2 norms, ||w||^2, ||grad w||^2
+    (_w_rows)), the matrices shaped (len(js), len(traj)).  Every block
+    of u is transformed once for the drift weights and the norm."""
+    def row(u, v):
+        return ((block_norm_table(u, (math.inf, p)),
+                 block_norm_table(v, (math.inf,))[0]) + _w_rows(u, v))
     table, *rest = _pass(row, traj, traj_v)
     return (np.array(block_indices(traj.grid)), table[0], table[1], *rest)
 
@@ -167,7 +162,7 @@ def criterion_integral(traj: Trajectory,
     """Cumulative integral of (e + ||u||_{B^r_{p,inf}})^q over snapshots;
     the norm is defined for every extended-mode triple."""
     _check_criterion(traj, triple)
-    _, _, mat = _linf_block_matrix(traj, triple.p)
+    mat, = _pass(lambda u: (block_norms(u, triple.p),), traj)
     return _criterion_series(traj, mat, triple)
 
 

@@ -113,10 +113,11 @@ def read_field(path):
                              f"{len(MAGIC) + 4}-byte preamble")
         (hlen,) = struct.unpack("<I", prefix)
         header, grid, shape, dtype = _parse_header(path, fh.read(hlen))
-        expected = dtype.itemsize * int(np.prod(shape))
+        # math.prod is exact for any shape: compared before allocating
+        expected = dtype.itemsize * math.prod(shape)
         size = os.fstat(fh.fileno()).st_size - fh.tell()
-        data = np.empty(shape, dtype=dtype)
         if size == expected:
+            data = np.empty(shape, dtype=dtype)
             size = fh.readinto(data.reshape(-1).view(np.uint8))
         if size != expected:
             raise ValueError(f"{path}: payload is {size} bytes, but the "

@@ -52,20 +52,13 @@ import numpy as np
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, _Padding, _cross, _half_k_sq, _ik, _paired,
-                    _plane_weights, _leray_project_spec, _rfftn_half,
+from .field import (Field, _Padding, _SLAB, _cross, _half_k_sq, _ik,
+                    _paired, _plane_weights, _leray_project_spec, _rfftn_half,
                     from_components, l2_norm_spectral, laplacian,
                     leray_project, scale)
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
-
-# Rows of the first spatial axis per slab of u x omega.  In a
-# micro-benchmark of the slab loop alone on a 2-core x86-64 host with a
-# 2 MiB L2 per core, 8 beat 4 and 16 on the 48-point product grid of 3D
-# n=32 (0.60, 0.70 and 0.82 ms); on the 96-point grid of n=64, 4 read
-# 6.2 ms against 7.7 for 8, under 2% of that term's time.
-_SLAB = 8
 
 
 @dataclass(frozen=True)
@@ -160,6 +153,9 @@ class Trajectory:
     series: dict
 
     def __post_init__(self):
+        if np.ndim(self.times) != 1:
+            raise ValueError(f"snapshot times must be a flat list, got "
+                             f"shape {np.shape(self.times)}")
         if len(self.times) != len(self.snapshots):
             raise ValueError("one snapshot per time required")
         if not (np.all(np.isfinite(self.times))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cutoffs, ensembles
 from .besov import bkm_ratio
-from .blocks import (bernstein_report, block_indices, block_multiplier,
+from .blocks import (_half_multiplier, bernstein_report, block_indices,
                      block_norms, delta_j, reconstruct,
                      reverse_bernstein_report, s_j)
 from .field import (Field, add, advect, dealiased_product,
@@ -61,10 +61,11 @@ class SuiteResult:
 
 def partition_residuals(grid: Grid) -> tuple:
     """max |sum_j phi_j - 1| on a radial sample of [0, 2^jmax] and on the
-    lattice wavenumbers in that ball: (radial, lattice)."""
+    lattice wavenumbers in that ball, on the half planes: (radial, lattice)."""
     top = 2.0 ** grid.jmax
     radial = np.linspace(0.0, top, 4097)
-    lattice = grid.k_mag[grid.k_mag <= top]
+    k_mag = grid._half_k[1]
+    lattice = k_mag[k_mag <= top]
     return tuple(
         float(np.max(np.abs(cutoffs.partition(k, grid.jmax) - 1.0)))
         for k in (radial, lattice))
@@ -226,9 +227,9 @@ def suite_lp(n: int = 32, seed: int = 0) -> SuiteResult:
 
     worst = 0.0
     for j in range(0, grid3.jmax + 1):
-        diff = (block_multiplier(grid3, j + 1, kind="low")
-                - block_multiplier(grid3, j, kind="low")
-                - block_multiplier(grid3, j))
+        diff = (_half_multiplier(grid3, j + 1, "low")
+                - _half_multiplier(grid3, j, "low")
+                - _half_multiplier(grid3, j))
         worst = max(worst, float(np.max(np.abs(diff))))
     res.add("telescoping S_{j+1}-S_j = block_j", worst, 1e-15)
 

@@ -1,16 +1,19 @@
 """Folds of monitor's results that only the tests read: the per-snapshot
 B^1_{inf,inf} series and the Gronwall envelope check."""
 
+import math
+
 import numpy as np
 
-from lpnse.monitor import GronwallFit, _b1, _linf_block_matrix
+from lpnse.blocks import block_indices, block_norms
+from lpnse.monitor import GronwallFit, _b1, _pass
 from lpnse.solver import Trajectory
 
 
 def b1_series(traj: Trajectory) -> np.ndarray:
     """Per-snapshot B^1_{inf,inf} norms."""
-    js, linf, _ = _linf_block_matrix(traj)
-    return _b1(js, linf)
+    linf, = _pass(lambda u: (block_norms(u, math.inf),), traj)
+    return _b1(np.array(block_indices(traj.grid)), linf)
 
 
 def envelope_holds(fit: GronwallFit, c: float) -> bool:

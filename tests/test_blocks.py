@@ -7,8 +7,8 @@ import scipy.fft
 
 from lpnse import (bernstein_report, block_indices, block_norms, delta_j,
                    reconstruct, reverse_bernstein_report, s_j)
-from lpnse.blocks import (_MULTIPLIER_CACHE, _bernstein_norms,
-                          block_multiplier, block_norm_table)
+from lpnse.blocks import (_bernstein_norms, _half_multiplier,
+                          block_norm_table)
 from lpnse import cutoffs
 from lpnse.ensembles import band_noise
 from lpnse.errors import BlockRangeError, ResolutionError
@@ -57,33 +57,42 @@ def test_block_range_errors(grid2, rng):
         s_j(f, grid2.jmax + 2)
 
 
+def _radial_multiplier(grid, j, kind):
+    """The radial formula of block j's multiplier ('block') or of S_j's
+    ('low') on the full layout, from Grid.k_sq."""
+    k_mag = np.sqrt(grid.k_sq)
+    if kind == "low":
+        return cutoffs.chi(k_mag / 2.0 ** j)
+    return cutoffs.chi(k_mag) if j == -1 else cutoffs.phi(k_mag / 2.0 ** j)
+
+
 def test_multiplier_telescoping(grid3):
     # chi(2^{-J-1}|k|) equals the ball plus all shells up to J, on the
     # lattice and coefficient-exact
-    total = block_multiplier(grid3, -1)
+    total = _half_multiplier(grid3, -1)
     for j in range(0, grid3.jmax + 1):
-        total = total + block_multiplier(grid3, j)
-    low = cutoffs.chi(grid3.k_mag / 2.0 ** (grid3.jmax + 1))
-    np.testing.assert_allclose(total, low, rtol=0.0, atol=1e-15)
+        total = total + _half_multiplier(grid3, j)
+    low = _radial_multiplier(grid3, grid3.jmax + 1, "low")
+    np.testing.assert_allclose(total, low[..., :grid3.n // 2 + 1],
+                               rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [16, 32])
 def test_half_plane_multiplier_cache(dim, n):
-    # the cache holds planes 0 <= k_last <= n/2 only, and the full layout
-    # rebuilt from them equals the radial formula on the full grid bit
-    # for bit
+    # the cache holds read-only planes 0 <= k_last <= n/2 only, one array
+    # per equal grid, and they mirrored onto the planes n/2 < k_last < n
+    # equal the radial formula on the full grid bit for bit
     grid = Grid(dim, n)
     for j in block_indices(grid):
-        for kind, full in (
-                ("block", cutoffs.chi(grid.k_mag) if j == -1
-                 else cutoffs.phi(grid.k_mag / 2.0 ** j)),
-                ("low", cutoffs.chi(grid.k_mag / 2.0 ** j))):
-            mult = block_multiplier(grid, j, kind)
-            assert mult.shape == grid.shape
-            assert mult.tobytes() == np.ascontiguousarray(full).tobytes()
-            cached = _MULTIPLIER_CACHE[(dim, n, j, kind)]
-            assert cached.shape == grid.shape[:-1] + (n // 2 + 1,)
+        for kind in ("block", "low"):
+            mult = _half_multiplier(grid, j, kind)
+            assert mult.shape == grid.half_shape
+            assert not mult.flags.writeable
+            assert _half_multiplier(Grid(dim, n), j, kind) is mult
+            full = np.concatenate([mult, mult[..., n // 2 - 1:0:-1]], axis=-1)
+            assert full.tobytes() == np.ascontiguousarray(
+                _radial_multiplier(grid, j, kind)).tobytes()
 
 
 def test_sj_minus_sj_is_block(grid2, rng):
@@ -157,7 +166,7 @@ def _dense_block_norm_table(f, ps, js):
     axes = tuple(range(1, grid.dim + 1))
     out = np.empty((len(ps), len(js)))
     for col, j in enumerate(js):
-        mult = block_multiplier(grid, j, "block")
+        mult = _radial_multiplier(grid, j, "block")
         planes = min(int(cutoffs.SUPPORT_RADIUS * 2.0 ** (j + 1)),
                      grid.n // 2) + 1
         buf = np.zeros_like(spec)

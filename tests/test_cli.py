@@ -396,6 +396,78 @@ def test_besov_rejects_malformed_snapshot(tmp_path, capsys, blob, message):
 
 
 @pytest.mark.parametrize("changes, message", [
+    ({"dim": 2.0}, "dim must be an integer, got 2.0"),
+    ({"dim": 3.0}, "dim must be an integer, got 3.0"),
+    ({"n": 8.0}, "n must be an integer, got 8.0"),
+], ids=["dim-2.0", "dim-3.0", "n-8.0"])
+def test_besov_rejects_a_non_integer_grid_header(tmp_path, capsys, changes,
+                                                 message):
+    # 2.0 in (2, 3) holds, so a float dim once reached the grid's shape
+    # and died there with a TypeError that named no file
+    snap = tmp_path / "bad.fld"
+    snap.write_bytes(_snapshot_bytes(**changes))
+    assert main(["besov", "--snapshot", str(snap), "--s", "0.5",
+                 "--p", "4"]) == 2
+    err = capsys.readouterr().err
+    assert str(snap) in err and message in err
+
+
+def _rewrite_header(path, **changes):
+    """Rewrite the header of the .fld file at path with keys changed,
+    keeping its payload."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[len(MAGIC):len(MAGIC) + 4])
+    start = len(MAGIC) + 4
+    header = json.loads(blob[start:start + hlen])
+    header.update(changes)
+    new = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new
+                     + blob[start + hlen:])
+    return len(blob) - start - hlen
+
+
+@pytest.mark.parametrize("changes", [
+    {"components": 10**8}, {"components": 10**30}, {"dim": 2.0},
+], ids=["components-1e8", "components-1e30", "dim-2.0"])
+def test_report_rejects_a_bad_snapshot_header_naming_it(stored_pair, tmp_path,
+                                                        capsys, changes):
+    # the payload length is checked against the header before anything
+    # is allocated: 10**8 components once asked for 811 GiB and died with
+    # a MemoryError, and 10**30 with a numpy message naming no file
+    pair = tmp_path / "pair"
+    shutil.copytree(stored_pair, pair)
+    snap = pair / "v" / "snap_000001.fld"
+    size = _rewrite_header(snap, **changes)
+    out = tmp_path / "report"
+    assert _report(pair, out) == 2
+    err = capsys.readouterr().err
+    assert str(snap) in err and "Traceback" not in err
+    if "components" in changes:
+        expected = 16 * changes["components"] * 32 * 17
+        assert f"payload is {size} bytes" in err and f"needs {expected}" in err
+    else:
+        assert "dim must be an integer, got 2.0" in err
+    assert not out.exists()
+
+
+def test_report_rejects_one_column_times(stored_pair, tmp_path, capsys):
+    # [[t0], [t1], ...] lists one time per snapshot, but has no order
+    # along its last axis to check; the report once failed on it with a
+    # numpy message naming no file
+    pair = tmp_path / "pair"
+    shutil.copytree(stored_pair, pair)
+    meta_path = pair / "v" / "trajectory.json"
+    meta = json.loads(meta_path.read_text())
+    meta["times"] = [[t] for t in meta["times"]]
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "report"
+    assert _report(pair, out) == 2
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and "times must be a flat list" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes, message", [
     ({"config": None}, "no key 'config'"),
     ({"times": [0.0]}, "one snapshot per time"),
     ({"times": [0.0, math.nan, 0.01]}, "times must be finite"),

@@ -1,8 +1,11 @@
 """Flat key=value run configuration files."""
 
+import argparse
+
 import pytest
 
-from lpnse.config import load_config, parse_kv_file
+from lpnse.cli import _load_solver_config
+from lpnse.config import parse_kv_file
 from lpnse.solver import SolverConfig
 
 
@@ -10,6 +13,12 @@ def _write(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def _load(path, *pairs):
+    """The solver config of `--config path --set pair ...`."""
+    return _load_solver_config(argparse.Namespace(config=path,
+                                                  set=list(pairs)))
 
 
 def test_parse_comments_blanks_and_later_wins(tmp_path):
@@ -28,27 +37,33 @@ def test_parse_rejects_malformed_line(tmp_path):
         parse_kv_file(path)
 
 
-def test_load_config_typed(tmp_path):
+def test_config_file_typed(tmp_path):
     path = _write(tmp_path, "dim = 3\nn = 32\nnu = 0.25\ndealias = false\n")
-    assert load_config(path) == SolverConfig(dim=3, n=32, nu=0.25,
-                                             dealias=False)
+    assert _load(path) == SolverConfig(dim=3, n=32, nu=0.25, dealias=False)
 
 
-def test_load_config_overrides_win(tmp_path):
+def test_config_file_set_overrides_win(tmp_path):
     path = _write(tmp_path, "n = 32\nnu = 0.25\n")
-    config = load_config(path, {"nu": "1.5"})
+    config = _load(path, "nu=1.5")
     assert config.nu == 1.5
     assert config.n == 32
     assert config.dt == SolverConfig().dt
 
 
-def test_load_config_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path):
     path = _write(tmp_path, "resolution = 32\n")
     with pytest.raises(ValueError, match="unknown config key"):
-        load_config(path)
+        _load(path)
 
 
-def test_load_config_bad_bool(tmp_path):
+def test_config_file_bad_bool(tmp_path):
     path = _write(tmp_path, "dealias = sometimes\n")
     with pytest.raises(ValueError, match="boolean key"):
-        load_config(path)
+        _load(path)
+
+
+def test_bad_set_pair_wins_over_a_bad_config_file(tmp_path):
+    # --set is parsed before the file is read, as it always was
+    path = _write(tmp_path, "just words\n")
+    with pytest.raises(ValueError, match="--set expects key=value"):
+        _load(path, "nu")

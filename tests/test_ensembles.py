@@ -87,10 +87,10 @@ def _noise_reference(grid, rng, kmin, kmax, ncomp, slope):
     white = rng.standard_normal((ncomp,) + grid.shape)
     spec = _full_reference(_rfftn_half(white, grid.dim, grid.n // 2 + 1),
                            grid.dim)
-    shaped = spec * ((grid.k_mag >= kmin - 1e-12)
-                     & (grid.k_mag <= kmax + 1e-12))
+    k_mag = np.sqrt(grid.k_sq)
+    shaped = spec * ((k_mag >= kmin - 1e-12) & (k_mag <= kmax + 1e-12))
     if slope:
-        shaped = shaped * (1.0 + grid.k_mag) ** (-slope)
+        shaped = shaped * (1.0 + k_mag) ** (-slope)
     return shaped
 
 

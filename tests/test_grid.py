@@ -32,14 +32,34 @@ def test_invalid_n(n):
         Grid(2, n)
 
 
+@pytest.mark.parametrize("dim, n, name", [
+    (2.0, 16, "dim"), (3, 16.0, "n"), (True, 16, "dim"),
+    (3, np.float64(16.0), "n"),
+], ids=["float-dim", "float-n", "bool-dim", "numpy-float-n"])
+def test_non_integer_dim_or_n_rejected(dim, n, name):
+    # 2.0 in (2, 3) holds, so only a type check stops a float dim
+    value = dim if name == "dim" else n
+    with pytest.raises(GridError) as exc:
+        Grid(dim, n)
+    assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_numpy_integers_accepted():
+    g = Grid(np.int64(3), np.int32(16))
+    assert g == Grid(3, 16) and g.shape == (16, 16, 16)
+
+
 def test_wavenumbers_fft_layout():
     g = Grid(2, 8)
     np.testing.assert_array_equal(g.k_axis, [0, 1, 2, 3, -4, -3, -2, -1])
-    # broadcastable per-axis arrays, consistent with k_sq and k_mag
+    # broadcastable per-axis arrays, consistent with k_sq and with the
+    # half planes' (|k|^2, |k|)
     kx, ky = g.k_components
     assert kx.shape == (8, 1) and ky.shape == (1, 8)
     np.testing.assert_allclose(g.k_sq, kx**2 + ky**2)
-    np.testing.assert_allclose(g.k_mag, np.sqrt(g.k_sq))
+    half_sq, half_mag = g._half_k
+    assert np.array_equal(half_sq, g.k_sq[:, :5])
+    assert np.array_equal(half_mag, np.sqrt(g.k_sq[:, :5]))
 
 
 def test_k_arrays_are_readonly():

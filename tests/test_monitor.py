@@ -138,13 +138,13 @@ def test_criterion_integral_empty_trajectory(grid2):
 
 
 def test_besov_and_b1_series_match_per_snapshot_norms(twin_pair):
-    u = twin_pair[0]
+    u, v = twin_pair
     js = np.array(block_indices(u.grid))
     for spec in (BesovSpec(0.5, 4.0, math.inf), BesovSpec(0.25, 2.5, 2.0),
                  BesovSpec(1.0, 2.0, math.inf),
                  BesovSpec(0.5, math.inf, math.inf)):
         reference = [besov_norm(snap, spec) for snap in u.snapshots]
-        mat_js, _, mat = _linf_block_matrix(u, spec.p)
+        mat_js, _, mat, *_ = _linf_block_matrix(u, spec.p, v)
         assert np.array_equal(mat_js, js)
         assert np.array_equal(besov_series(js, mat, spec), reference)
     reference = [np.max(2.0 ** js * block_norms(snap, math.inf))

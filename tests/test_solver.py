@@ -351,7 +351,7 @@ def test_divergence_stays_round_off_over_long_run():
     for snap in traj.snapshots:
         spec = snap.data
         kdotu = sum(k * spec[axis] for axis, k in enumerate(grid.k_components))
-        scale_ = np.max(grid.k_mag * np.sqrt(np.sum(np.abs(spec) ** 2, axis=0)))
+        scale_ = np.max(np.sqrt(grid.k_sq) * np.sqrt(np.sum(np.abs(spec) ** 2, axis=0)))
         assert np.max(np.abs(kdotu)) <= 1e-13 * scale_
 
 

@@ -18,7 +18,7 @@ import lpnse.field
 from lpnse import Grid
 from lpnse.besov import (BesovSpec, CriterionTriple, besov_norm, bkm_ratio,
                          split_constants)
-from lpnse.blocks import (_MULTIPLIER_CACHE, _block_radius, block_indices,
+from lpnse.blocks import (_block_radius, _half_multiplier, block_indices,
                           block_norm_table, s_j)
 from lpnse.ensembles import divfree_noise
 from lpnse.field import (_available_cpus, _thread_map, grad_norm_inf, lp_norm,
@@ -139,15 +139,15 @@ def test_report_files_identical_across_thread_counts(tmp_path):
 def test_block_tables_under_fast_thread_switching(twin_pair):
     # both threads fill the emptied multiplier cache at once, switching
     # every microsecond; every table still equals the one-thread table
-    u = twin_pair[0]
+    u, v = twin_pair
     set_fft_workers(1)
-    serial = _linf_block_matrix(u, 4.0)
+    serial = _linf_block_matrix(u, 4.0, v)
     set_fft_workers(2)
     interval = sys.getswitchinterval()
-    _MULTIPLIER_CACHE.clear()
+    _half_multiplier.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = _linf_block_matrix(u, 4.0)
+        threaded = _linf_block_matrix(u, 4.0, v)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
