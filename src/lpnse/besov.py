@@ -19,8 +19,8 @@ from .blocks import (_block_radius, _block_rows, _half_multiplier,
                      block_indices, block_norms, s_j)
 from .errors import GridError, ResolutionError, TripleError
 from .field import (Field, _SLAB, _cross, _grad_norm_inf_half,
-                    _half_k_sq, _ik, _magnitude_half, _norm_of_magnitude,
-                    divergence, h1_seminorm, l2_norm_spectral, lp_norm)
+                    _magnitude_half, _norm_of_magnitude, divergence,
+                    h1_seminorm, l2_norm_spectral, lp_norm)
 
 
 @dataclass(frozen=True)
@@ -66,26 +66,19 @@ def curl(u: Field) -> Field:
     grid = u.grid
     if u.ncomp != grid.dim:
         raise GridError(f"curl expects a {grid.dim}-component field")
-    return Field(grid, _curl_spectrum(u.half, grid.n))
+    return Field(grid, _cross(grid._half_ik, u.half))
 
 
-def _curl_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
-    """i k x spec (_cross) on half spectra spec on the n-point grid."""
-    ik = [_ik(spec.shape[1:], n, axis) for axis in range(spec.ndim - 1)]
-    return _cross(ik, spec)
-
-
-def _vorticity_image(spec: np.ndarray, n: int):
+def _vorticity_image(spec: np.ndarray, grid):
     """The image of blocks._block_rows for the blocks of curl u, u with
     half spectra spec: on each box, _cross's operations in order (the
     first product in the lane's buffer, less the second, made _SLAB rows
     at a time in a scratch), then times the block multiplier."""
-    shape = spec.shape[1:]
-    ik = [np.broadcast_to(_ik(shape, n, a), shape) for a in range(len(spec))]
+    ik = [np.broadcast_to(k, spec.shape[1:]) for k in grid._half_ik]
     pairs = [(i - 2, i - 1) for i in range(3)] if len(spec) == 3 else [(0, 1)]
 
     def image(comps, mult, box, out):
-        start, stop, _ = box[0].indices(n)
+        start, stop, _ = box[0].indices(grid.n)
         product = np.empty_like(out[0, :_SLAB])
         for lo in range(start, stop, _SLAB):
             at = (slice(lo, min(lo + _SLAB, stop)),) + box[1:]
@@ -119,10 +112,10 @@ def biot_savart(w: Field) -> Field:
         div = l2_norm_spectral(divergence(w))
         if div > 1e-10 * max(l2_norm_spectral(w), 1e-30):
             raise ValueError("3D vorticity must be divergence-free (a curl)")
-    k_sq = _half_k_sq(grid)
+    k_sq = grid._half_k[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_ksq = np.where(k_sq > 0, 1.0 / k_sq, 0.0)
-    return Field(grid, _curl_spectrum(spec, grid.n) * inv_ksq)
+    return Field(grid, _cross(grid._half_ik, spec) * inv_ksq)
 
 
 def bkm_ratio(u: Field) -> float:
@@ -137,7 +130,7 @@ def bkm_ratio(u: Field) -> float:
     num = besov_norm(u, BesovSpec(1.0, math.inf, math.inf))
     grid = u.grid
     omega = _block_rows(grid, (math.inf,), 3 if grid.dim == 3 else 1,
-                        _vorticity_image(u.half, grid.n))[0]
+                        _vorticity_image(u.half, grid))[0]
     return num / (norm_u2 + besov_from_blocks(np.array(
         block_indices(grid)), omega, BesovSpec(0.0, math.inf, math.inf)))
 

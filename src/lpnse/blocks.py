@@ -19,9 +19,10 @@ import numpy as np
 from . import ensembles
 from . import cutoffs
 from .errors import BlockRangeError, ResolutionError
-from .field import (Field, _box_squares, _half_k_sq, _half_power, _ik,
-                    _map_threads, _thread_map, _times, zero_field)
+from .field import (Field, _box_squares, _half_power, _map_threads,
+                    _thread_map, _times, zero_field)
 from .grid import Grid
+from .manifest import _write_csv
 
 def block_indices(grid: Grid) -> range:
     """All block indices the grid resolves, ball block included."""
@@ -171,12 +172,7 @@ class ConstantReport:
                           float(ratio), int(ensemble), int(seed)))
 
     def to_csv(self, path) -> None:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, self.columns, self.rows)
 
     def ratios_by_case(self) -> dict:
         """{(p, q, alpha): {j: ratio}} for spread checks."""
@@ -208,8 +204,7 @@ def _bernstein_norms(grid: Grid, half: np.ndarray, js, buf: np.ndarray) -> dict:
     norm is one _box_squares call over shell j's support box, of m_j f^
     or (m_j f^) i k_a, on the one-component buffer `buf`, zeroed here:
     r rises across js, so its planes above r stay zero."""
-    iks = [np.broadcast_to(_ik(grid.half_shape, grid.n, axis),
-                           grid.half_shape) for axis in range(grid.dim)]
+    iks = [np.broadcast_to(ik, grid.half_shape) for ik in grid._half_ik]
     l2 = [_block_l2_norms(grid, _half_power(s))
           for s in [half] + [half * ik for ik in iks]]
 
@@ -276,8 +271,8 @@ def bernstein_report(grid: Grid, ensemble: int = 64,
             worst[j, case] = max(worst[j, case], ratio)
 
     x0 = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
-    measure(np.exp(-1j * sum(k[..., :grid.n // 2 + 1] * x for k, x
-                             in zip(grid.k_components, x0)))[np.newaxis])
+    measure(np.exp(-1j * sum(k * x for k, x
+                             in zip(grid._half_ks, x0)))[np.newaxis])
     for _ in range(ensemble):
         measure(ensembles.band_noise(grid, rng).half)
     for case in cases:
@@ -301,7 +296,7 @@ def reverse_bernstein_report(grid: Grid, ensemble: int = 64,
     js = _interior_shells(grid, ensemble)
     report = ConstantReport()
     rng = np.random.default_rng(seed)
-    worst, k_sq = {j: 0.0 for j in js}, _half_k_sq(grid)
+    worst, k_sq = {j: 0.0 for j in js}, grid._half_k[0]
     for _ in range(ensemble):
         power = _half_power(ensembles.band_noise(grid, rng).half)
         l2, h1 = (_block_l2_norms(grid, w * power) for w in (1.0, k_sq))

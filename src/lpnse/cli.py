@@ -91,7 +91,7 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     results = run_suites(names, n=args.n, seed=args.seed,
                          ensemble=args.ensemble,
-                         dealias=not args.no_dealias)
+                         dealias=False if args.no_dealias else None)
     reports = {}
     for result in results:
         print(result.table())
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (LpnseError, ValueError, KeyError, OSError) as exc:
+    except (LpnseError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

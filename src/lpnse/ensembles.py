@@ -16,7 +16,7 @@ Two flavours:
 import numpy as np
 
 from .errors import ResolutionError
-from .field import Field, _leray_project_spec, _paired, _rfftn_half
+from .field import Field, _leray_project_spec, _rfftn_half
 from .grid import Grid
 
 
@@ -56,7 +56,7 @@ def _masked_noise(grid: Grid, rng: np.random.Generator, kmin: float,
     k_mag = grid._half_k[1]
     mask = (k_mag >= kmin - 1e-12) & (k_mag <= kmax + 1e-12)
     if not keep_nyquist:
-        mask &= _paired(grid)
+        mask &= grid._paired
     spec *= mask
     if slope:
         spec *= (1.0 + k_mag) ** (-slope)

@@ -12,7 +12,7 @@ Conventions
   (_full_spectrum, _mirror).  Planes 0 and n/2 are their own mirrors:
   _rfftn_half makes them exactly Hermitian (_hermitian_ends), products
   and multipliers keep them so, leray_project zeroes the -n/2 content it
-  would leave unpartnered (_paired), and a c2r reads only their
+  would leave unpartnered (Grid._paired), and a c2r reads only their
   Hermitian part.  A full array is checked once, when it is made a
   Field (_checked_half).  Parseval sums weight every plane but 0 and n/2
   twice (_plane_weights, _half_power).
@@ -28,9 +28,9 @@ Conventions
 * A field holds 16 ncomp n^(dim-1) (n//2+1) bytes, about half the full
   layout's.  In-place steps do the out-of-place expression's operations
   in its order, so every byte is the same.
-* Every first derivative multiplies by _ik: i k_axis, zero on the lone
-  -n/2 mode, which has no conjugate partner; every cross product, the
-  curl's i k x and the solver's u x omega alike, is _cross.
+* Every first derivative multiplies by Grid._half_ik: i k_axis, zero on
+  the lone -n/2 mode, which has no conjugate partner; every cross
+  product, the curl's i k x and the solver's u x omega alike, is _cross.
 * _Padding is the one padded-product kernel (dealiased_product, advect,
   the solver's u x omega): products formed on a 3/2-times finer grid
   and truncated back are exact whenever the combined bandwidth fits.
@@ -142,14 +142,14 @@ def _box(n: int, radius: int) -> list:
     return [slice(0, radius + 1)] + ([slice(n - radius, n)] if radius else [])
 
 
-def _support_radius(half: np.ndarray, dim: int) -> int:
+def _support_radius(half: np.ndarray, grid: Grid) -> int:
     """The least r with half spectra `half` zero wherever some |k_i| > r,
     the radius argument of _irfftn_half."""
-    nonzero = np.any(half != 0, axis=tuple(range(half.ndim - dim)))
-    k = np.abs(np.fft.fftfreq(half.shape[-2], 1.0 / half.shape[-2]))
-    radius = 0
-    for axis in range(dim):
-        rows = np.any(nonzero, axis=tuple(a for a in range(dim) if a != axis))
+    nonzero = np.any(half != 0, axis=tuple(range(half.ndim - grid.dim)))
+    k, radius = np.abs(grid.k_axis), 0
+    for axis in range(grid.dim):
+        rows = np.any(nonzero, axis=tuple(a for a in range(grid.dim)
+                                          if a != axis))
         radius = max(radius, int(np.max(k[:rows.size][rows], initial=0)))
     return radius
 
@@ -379,7 +379,7 @@ def h1_seminorm(f: Field) -> float:
     """|k|-weighted L^2 norm from coefficients; equals ||grad f||_2 by
     Parseval for fields with no energy on the Nyquist planes."""
     power = _half_power(f.half)
-    return float(np.sqrt(f.grid.volume * np.sum(_half_k_sq(f.grid) * power)))
+    return float(np.sqrt(f.grid.volume * np.sum(f.grid._half_k[0] * power)))
 
 
 def inner(f: Field, g: Field) -> float:
@@ -393,28 +393,19 @@ def inner(f: Field, g: Field) -> float:
     return float(np.sum(prod.real * _plane_weights(f.grid.n)) * f.grid.volume)
 
 
-def _half_k_sq(grid: Grid) -> np.ndarray:
-    """|k|^2 on the planes of a half spectrum."""
-    return grid._half_k[0]
-
-
 def derivative(f: Field, orders) -> Field:
     """Partial derivative d^{a1}_{x1} ... d^{ad}_{xd} f, spectrally: the
-    product of per-axis factors (i k_axis)^order."""
+    product of per-axis factors (i k_axis)^order; an odd order's is
+    Grid._half_ik's, zero on the lone -n/2 mode."""
     grid = f.grid
     orders = tuple(int(o) for o in orders)
     if len(orders) != grid.dim or any(o < 0 for o in orders):
         raise ValueError(f"orders must be {grid.dim} non-negative ints, got {orders}")
     mult = np.ones((1,) * grid.dim, dtype=np.complex128)
     for axis, order in enumerate(orders):
-        if order == 0:
-            continue
-        factor = (1j * grid.k_components[axis][..., :grid.n // 2 + 1]) ** order
-        if order % 2 == 1:
-            # the lone -n/2 mode has no conjugate partner; an odd
-            # derivative must kill it to keep real fields real
-            factor[(0,) * axis + (grid.n // 2,)] = 0.0
-        mult = mult * factor
+        if order:
+            mult = mult * (grid._half_ik[axis] if order % 2
+                           else 1j * grid._half_ks[axis]) ** order
     return Field(grid, f.half * mult)
 
 
@@ -422,15 +413,11 @@ def gradient(f: Field) -> Field:
     """Gradient of a scalar field, returned as a dim-component field."""
     if f.ncomp != 1:
         raise GridError("gradient expects a scalar field")
-    grid = f.grid
-    half = f.half[0]
-    comps = [half * _ik(grid.half_shape, grid.n, axis)
-             for axis in range(grid.dim)]
-    return Field(grid, np.stack(comps))
+    return Field(f.grid, np.stack([f.half[0] * ik for ik in f.grid._half_ik]))
 
 
 def laplacian(f: Field) -> Field:
-    return Field(f.grid, f.half * -_half_k_sq(f.grid))
+    return Field(f.grid, f.half * -f.grid._half_k[0])
 
 
 def grad_norm_inf(f: Field) -> float:
@@ -439,7 +426,7 @@ def grad_norm_inf(f: Field) -> float:
     low-pass field (S_N u, |k| < (4/3) 2^N) costs little more than its
     c2r transforms (_grad_norm_inf_half)."""
     half = f.half
-    radius = _support_radius(half, f.grid.dim)
+    radius = _support_radius(half, f.grid)
     return _grad_norm_inf_half(half[..., :radius + 1], f.grid)
 
 
@@ -451,14 +438,15 @@ def _grad_norm_inf_half(spec: np.ndarray, grid: Grid) -> float:
     u_c in component order, on the lane's one-component buffer.  Axis
     sums are added in axis order, so the value is the same at every
     thread count."""
+    iks = [np.broadcast_to(ik[..., :spec.shape[-1]], spec.shape[1:])
+           for ik in grid._half_ik]
+
     def lane(axes):
         buf = np.zeros((1,) + grid.half_shape, dtype=np.complex128)
         total = None
         for axis in axes:
-            ik = np.broadcast_to(_ik(spec.shape[1:], grid.n, axis),
-                                 spec.shape[1:])
             total = _add_into(total, _box_squares(
-                [functools.partial(_times, spec, slice(c, c + 1), ik)
+                [functools.partial(_times, spec, slice(c, c + 1), iks[axis])
                  for c in range(len(spec))],
                 buf, grid.shape, spec.shape[-1] - 1))
         return total
@@ -472,35 +460,25 @@ def _grad_norm_inf_half(spec: np.ndarray, grid: Grid) -> float:
 def divergence(f: Field) -> Field:
     if f.ncomp != f.grid.dim:
         raise GridError(f"divergence expects a {f.grid.dim}-component field")
-    grid = f.grid
-    out = sum(half * _ik(grid.half_shape, grid.n, axis)
-              for axis, half in enumerate(f.half))
-    return Field(grid, out[np.newaxis])
+    out = sum(half * ik for half, ik in zip(f.half, f.grid._half_ik))
+    return Field(f.grid, out[np.newaxis])
 
 
 def leray_project(f: Field) -> Field:
     """Remove the gradient part: (P f)_i = f_i - k_i (k.f)/|k|^2, and
     zero the modes with some k_i = -n/2, which it would leave without
-    conjugate partners (_paired): the result is exactly Hermitian."""
+    conjugate partners (Grid._paired): the result is exactly Hermitian."""
     if f.ncomp != f.grid.dim:
         raise GridError(f"projection expects a {f.grid.dim}-component field")
     half = _leray_project_spec(f.half.copy(), f.grid)
-    half[:, ~_paired(f.grid)] = 0.0
+    half[:, ~f.grid._paired] = 0.0
     return Field(f.grid, half)
-
-
-def _paired(grid: Grid) -> np.ndarray:
-    """True on the half-spectrum sites with no k_i = -n/2, the modes that
-    have a conjugate partner; False on the rest."""
-    return sum(k[..., :grid.n // 2 + 1] == -(grid.n // 2)
-               for k in grid.k_components) == 0
 
 
 def _leray_project_spec(spec: np.ndarray, grid: Grid) -> np.ndarray:
     """Leray projection of half spectra (plane n/2 holds k_last = -n/2,
     as in the full layout), in place: overwrites and returns `spec`."""
-    ks = [k[..., :grid.n // 2 + 1] for k in grid.k_components]
-    k_sq = _half_k_sq(grid)
+    ks, k_sq = grid._half_ks, grid._half_k[0]
     kdot = np.zeros(spec.shape[1:], dtype=np.complex128)
     tmp = np.empty_like(kdot)
     for axis in range(grid.dim):
@@ -527,15 +505,6 @@ def _coarse_blocks(n: int, m: int, dim: int, lead: int):
         yield at + fine, at + coarse
 
 
-def _ik(shape: tuple, n: int, axis: int) -> np.ndarray:
-    """Broadcastable i k_axis on full or half spectra of spatial shape
-    `shape` on the n-point grid, zero on the Nyquist planes |k| = n/2 as
-    in derivative: the factor of every first derivative."""
-    k = np.fft.fftfreq(n, 1.0 / n)[:shape[axis]]
-    ik = np.where(np.abs(k) < n / 2, 1j * k, 0.0)
-    return ik.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
-
-
 # Rows of the first spatial axis per slab of a chunked cross product:
 # the solver's u x omega and besov's vorticity image.  In a
 # micro-benchmark of the solver's slab loop alone on a 2-core x86-64
@@ -549,7 +518,7 @@ def _cross(a, b, out: np.ndarray = None) -> np.ndarray:
     """a x b over the leading (component) axis, broadcasting the rest: in
     3D the vector product; in 2D the scalar a x b of two vectors, and the
     vector a x b of a vector and a scalar b (as the third component of a
-    3D vector).  With a the factors _ik of every axis it is i k x b.  The
+    3D vector).  With a the factors Grid._half_ik it is i k x b.  The
     result is written into `out` when it is given."""
     if out is None:
         ncomp = {1: 2, 2: 1, 3: 3}[len(b)]  # components of b -> of a x b
@@ -703,12 +672,11 @@ def _padded_product(a: np.ndarray, b: np.ndarray, grid: Grid, dealias: bool,
     real fields with half spectra a and b, formed on the 3/2-times finer
     grid (on the coarse grid, aliased, with dealias=False).  With
     grad=True it is the advection sum_i a_i d_i b."""
-    n, dim = grid.n, grid.dim
     pad = _Padding(grid, dealias)
     fa = pad.to_fine(a)
     if grad:  # one derivative at a time bounds the fine-grid memory
-        prod = sum(fa[axis] * pad.to_fine(b * _ik(b.shape[-dim:], n, axis))
-                   for axis in range(dim))
+        prod = sum(fa[axis] * pad.to_fine(b * ik)
+                   for axis, ik in enumerate(grid._half_ik))
     else:
         prod = fa * pad.to_fine(b)
     return pad.to_coarse(prod)

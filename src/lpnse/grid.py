@@ -2,7 +2,9 @@
 
 Wavenumbers live on the integer lattice.  A grid with n points per axis
 resolves |k_i| <= n/2 per axis, and the highest dyadic shell that fits
-entirely inside the resolved band has index jmax = log2(n) - 2.
+entirely inside the resolved band has index jmax = log2(n) - 2.  A Grid
+is the one source of a half spectrum's k, |k|^2, |k|, i k and -n/2 mask
+(_half_ks, _half_k, _half_ik, _paired), each built once and read-only.
 """
 
 import numbers
@@ -71,12 +73,12 @@ class Grid:
 
     @cached_property
     def k_axis(self) -> np.ndarray:
-        """Integer wavenumbers along one axis in FFT layout."""
-        return np.fft.fftfreq(self.n, 1.0 / self.n)
+        """Integer wavenumbers along one axis in FFT layout, read-only."""
+        return _read_only(np.fft.fftfreq(self.n, 1.0 / self.n))
 
     @cached_property
     def k_components(self) -> tuple:
-        """Broadcastable wavenumber arrays, one per axis."""
+        """Broadcastable wavenumber arrays, one per axis, read-only."""
         comps = []
         for axis in range(self.dim):
             shape = [1] * self.dim
@@ -87,21 +89,32 @@ class Grid:
     @cached_property
     def k_sq(self) -> np.ndarray:
         """|k|^2 on the full layout, for callers outside the package."""
-        return self._wavenumbers(self.n)[0]
+        return _wavenumbers(self.k_components)[0]
+
+    @cached_property
+    def _half_ks(self) -> tuple:
+        """k_components cut to a half spectrum's planes 0 <= k_last <=
+        n/2 (plane n/2 holds k_last = -n/2)."""
+        return tuple(k[..., :self.n // 2 + 1] for k in self.k_components)
 
     @cached_property
     def _half_k(self) -> tuple:
-        """(|k|^2, |k|) on a half spectrum's planes 0 <= k_last <= n/2."""
-        return self._wavenumbers(self.n // 2 + 1)
+        """(|k|^2, |k|) on a half spectrum's planes."""
+        return _wavenumbers(self._half_ks)
 
-    def _wavenumbers(self, planes: int) -> tuple:
-        """Read-only (|k|^2, summed in axis order, |k|) on planes < planes."""
-        k_sq = np.zeros(self.shape[:-1] + (planes,))
-        for ka in self.k_components:
-            k_sq = k_sq + ka[..., :planes]**2
-        k_mag = np.sqrt(k_sq)
-        k_sq.flags.writeable = k_mag.flags.writeable = False
-        return k_sq, k_mag
+    @cached_property
+    def _half_ik(self) -> tuple:
+        """i k_a on a half spectrum's planes, one broadcastable array per
+        axis, zero where k_a = -n/2: the lone -n/2 mode has no conjugate
+        partner.  The factor of every first derivative."""
+        return tuple(_read_only(np.where(np.abs(k) < self.n / 2, 1j * k, 0.0))
+                     for k in self._half_ks)
+
+    @cached_property
+    def _paired(self) -> np.ndarray:
+        """True on the half-spectrum sites with no k_i = -n/2, the modes
+        that have a conjugate partner; False on the rest."""
+        return _read_only(sum(k == -(self.n // 2) for k in self._half_ks) == 0)
 
     def meshes(self) -> tuple:
         """Dense coordinate meshes (for evaluating initial data)."""
@@ -111,3 +124,16 @@ class Grid:
     def require_same(self, other: "Grid") -> None:
         if self != other:
             raise GridError(f"grid mismatch: {self} vs {other}")
+
+
+def _wavenumbers(ks) -> tuple:
+    """Read-only (|k|^2, summed in axis order, |k|) of the broadcastable
+    wavenumber components ks."""
+    k_sq = sum(k**2 for k in ks)
+    return _read_only(k_sq), _read_only(np.sqrt(k_sq))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only."""
+    a.flags.writeable = False
+    return a

@@ -1,4 +1,4 @@
-"""Run manifests: what was executed, with what, producing which bytes."""
+"""Run manifests (what ran, with what, making which bytes) and CSV files."""
 
 import hashlib
 import json
@@ -40,6 +40,15 @@ def build_manifest(command: str, parameters: dict, outputs: list,
         ],
         "elapsed_seconds": elapsed_seconds,
     }
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV file: header, then rows, ints as str, the rest repr(float)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(int(x)) if isinstance(x, (int, numpy.integer))
+                              else repr(float(x)) for x in row) + "\n")
 
 
 def write_manifest(path, manifest: dict) -> None:

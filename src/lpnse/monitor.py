@@ -32,8 +32,9 @@ from .besov import (EXTENDED_MODE, BesovSpec, CriterionTriple,
 from .blocks import (_block_l2_norms, block_indices, block_norm_table,
                      block_norms, delta_j)
 from .errors import BlockRangeError, NonFiniteError
-from .field import (Field, _half_k_sq, _half_power, _ik,
-                    _plane_weights, _thread_map, add, advect, inner)
+from .field import (Field, _half_power, _plane_weights, _thread_map, add,
+                    advect, inner)
+from .manifest import _write_csv
 from .solver import Trajectory
 
 LOG2 = math.log(2.0)
@@ -96,7 +97,7 @@ def _w_rows(u: Field, v: Field) -> tuple:
     power = _half_power(_diff_spec(u, v))
     return (_block_l2_norms(grid, power),
             grid.volume * float(np.sum(power)),
-            grid.volume * float(np.sum(_half_k_sq(grid) * power)))
+            grid.volume * float(np.sum(grid._half_k[0] * power)))
 
 
 def _linf_block_matrix(traj: Trajectory, p: float,
@@ -300,8 +301,8 @@ def block_energy_audit(traj_u: Trajectory, traj_v: Trajectory, j: int,
     w, (u, v) = ws[1], pairs[1]
     w_j = delta_j(w, j)
     wj_sq = norms[1] ** 2
-    power = sum(np.abs(_ik(grid.half_shape, grid.n, axis))**2
-                for axis in range(grid.dim)) * _half_power(w.half)
+    power = (sum(np.abs(ik)**2 for ik in grid._half_ik)
+             * _half_power(w.half))
     grad_sq = float(_block_l2_norms(grid, power)[j + 1]) ** 2
 
     transport = -inner(delta_j(advect(w, u), j), w_j)
@@ -355,7 +356,7 @@ def integral_identity_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
                 * _plane_weights(grid.n))
         w = add(u, v, -1.0)
         return (grid.volume * float(np.sum(prod)),
-                grid.volume * float(np.sum(prod * _half_k_sq(grid))),
+                grid.volume * float(np.sum(prod * grid._half_k[0])),
                 trilinear(w, u, w),
                 grid.volume * float(np.sum(_half_power(u.half))))
     uv, grad_uv, tri, u_sq = _pass(row, traj_u, traj_v)
@@ -468,17 +469,8 @@ class CriterionReport:
         paths = []
 
         def _csv(name, header, rows):
-            path = os.path.join(outdir, name)
-            with open(path, "w") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(x) for x in row) + "\n")
-            paths.append(path)
-
-        def _fmt(x):
-            if isinstance(x, (int, np.integer)):
-                return str(int(x))
-            return repr(float(x))
+            paths.append(os.path.join(outdir, name))
+            _write_csv(paths[-1], header, rows)
 
         def _block_csv(name, values):  # one column per block j
             _csv(name, ["t"] + [f"j={j}" for j in self.blocks.js],

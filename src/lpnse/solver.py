@@ -52,10 +52,9 @@ import numpy as np
 
 from . import ensembles
 from .errors import GridError, SolverAbort
-from .field import (Field, _Padding, _SLAB, _cross, _half_k_sq, _ik,
-                    _paired, _plane_weights, _leray_project_spec, _rfftn_half,
-                    from_components, l2_norm_spectral, laplacian,
-                    leray_project, scale)
+from .field import (Field, _Padding, _SLAB, _cross, _plane_weights,
+                    _leray_project_spec, _rfftn_half, from_components,
+                    l2_norm_spectral, laplacian, leray_project, scale)
 from .grid import Grid
 
 INITIAL_CONDITIONS = ("taylor-green", "random-divfree")
@@ -254,14 +253,12 @@ class _Integrator:
         self.config = config
         # an exponent that overflows to -inf gives the exact factor 0
         with np.errstate(over="ignore"):
-            self.e_half = np.exp(-config.nu * _half_k_sq(grid)
+            self.e_half = np.exp(-config.nu * grid._half_k[0]
                                  * (config.dt / 2.0))
         self.e_full = self.e_half**2
         self.zero = (slice(None),) + (0,) * grid.dim
         # 0 on every plane with some k_i = -n/2, 1 elsewhere
-        self.keep = _paired(grid).astype(np.float64)
-        self.ik = [_ik(grid.half_shape, grid.n, axis)
-                   for axis in range(grid.dim)]
+        self.keep = grid._paired.astype(np.float64)
         self.padding = _Padding(grid, config.dealias)
         self.omega = np.empty((3 if grid.dim == 3 else 1,) + grid.half_shape,
                               dtype=np.complex128)
@@ -286,7 +283,7 @@ class _Integrator:
         u = self.padding.to_fine(half)
         umax = (float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
                 if speed else None)
-        w = self.padding.to_fine(_cross(self.ik, half, out=self.omega))
+        w = self.padding.to_fine(_cross(grid._half_ik, half, out=self.omega))
         for start in range(0, self.padding.m, _SLAB):
             rows = u[:, start:start + _SLAB]
             rows[...] = _cross(rows, w[:, start:start + _SLAB],
@@ -380,7 +377,7 @@ def _integrate(config: SolverConfig, grid: Grid,
     nsteps = config.nsteps
     integ = _Integrator(grid, config)
     weight = _plane_weights(grid.n)
-    k_sq = _half_k_sq(grid)
+    k_sq = grid._half_k[0]
     times, snaps = [], []
     s_t, s_energy, s_diss = [], [], []
     for i in range(nsteps + 1):

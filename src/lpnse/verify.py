@@ -367,18 +367,28 @@ SUITES = {"lp": suite_lp, "bony": suite_bony, "bernstein": suite_bernstein,
 def run_suites(names, n=None, seed=None, ensemble=None, dealias=None) -> list:
     """Run the named suites, each with the given options that it takes
     and its own defaults for the rest; each result records the options
-    its suite ran with."""
-    if ensemble is not None and ensemble < 1:
-        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
-    given = dict(n=n, seed=seed, ensemble=ensemble, dealias=dealias)
+    its suite ran with.  Before any suite runs, an option none of them
+    takes, a negative seed or an empty ensemble raises ValueError naming
+    the option's verify flag."""
+    suites = [SUITES.get(name) for name in names]
+    if None in suites:
+        raise ValueError(f"unknown suite {names[suites.index(None)]!r}")
+    takes = [inspect.signature(suite).parameters for suite in suites]
+    given = {key: value for key, value in dict(
+        n=n, seed=seed, ensemble=ensemble, dealias=dealias).items()
+        if value is not None}
+    for key in given:
+        if not any(key in params for params in takes):
+            flag = "--no-dealias" if key == "dealias" else f"--{key}"
+            raise ValueError(f"{flag} is not an option of suite "
+                             f"{', '.join(names)}")
+    for key, least in (("ensemble", 1), ("seed", 0)):
+        if given.get(key, least) < least:
+            raise ValueError(f"--{key} must be >= {least}, got {given[key]}")
     out = []
-    for name in names:
-        suite = SUITES.get(name)
-        if suite is None:
-            raise ValueError(f"unknown suite {name!r}")
-        takes = inspect.signature(suite).parameters
-        options = {key: param.default if given.get(key) is None else given[key]
-                   for key, param in takes.items()}
+    for suite, params in zip(suites, takes):
+        options = {key: given.get(key, param.default)
+                   for key, param in params.items()}
         out.append(suite(**options))
         out[-1].options = options
     return out

@@ -184,7 +184,7 @@ def test_vorticity_image_is_the_curl_times_the_multiplier(dim, n):
     grid = Grid(dim, n)
     u = divfree_noise(grid, np.random.default_rng(21), slope=2.0)
     omega = curl(u).half
-    image = _vorticity_image(u.half, n)
+    image = _vorticity_image(u.half, grid)
     for j in block_indices(grid):
         mult, radius = _half_multiplier(grid, j), _block_radius(grid, j)
         for rows in _box(n, radius):
@@ -206,7 +206,7 @@ def test_vorticity_table_is_the_curl_table(dim, n):
     for threads in THREADS:
         set_fft_workers(threads)
         table = _block_rows(grid, (math.inf,), omega.ncomp,
-                            _vorticity_image(u.half, n))
+                            _vorticity_image(u.half, grid))
         assert table.tobytes() == block_norm_table(
             omega, (math.inf,)).tobytes(), threads
 

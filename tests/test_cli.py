@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, manifests, determinism."""
 
 import contextlib
+import functools
 import json
 import math
 import shutil
@@ -13,6 +14,7 @@ import pytest
 import lpnse.cli
 import lpnse.ensembles
 import lpnse.field
+import lpnse.verify
 from lpnse.cli import main
 from lpnse.field import _available_cpus, scale, zero_field
 from lpnse.grid import Grid
@@ -128,6 +130,79 @@ def test_verify_without_constants_makes_no_out_directory(tmp_path, capsys):
     assert main(["verify", "--suite", "lp", "--n", "16",
                  "--out", str(out)]) == 0
     assert "=> PASS" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def _stub_suites(monkeypatch, run):
+    """Replace every verify suite by run(name, options), keeping each
+    suite's signature, the options run_suites reads."""
+    for name, suite in list(lpnse.verify.SUITES.items()):
+        monkeypatch.setitem(lpnse.verify.SUITES, name, functools.wraps(suite)(
+            functools.partial(run, name)))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--suite", "bkm", "--n", "16"], "--n is not an option of suite bkm"),
+    (["--suite", "solver", "--n", "16"],
+     "--n is not an option of suite solver"),
+    (["--suite", "lp", "--ensemble", "5"],
+     "--ensemble is not an option of suite lp"),
+    (["--suite", "lp", "--no-dealias"],
+     "--no-dealias is not an option of suite lp"),
+    (["--suite", "lp", "--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["bkm-n", "solver-n", "lp-ensemble", "lp-no-dealias", "seed"])
+def test_verify_refuses_a_flag_no_named_suite_takes(tmp_path, monkeypatch,
+                                                    capsys, flags, message):
+    # refused before any suite runs, naming the flag, not ignored
+    def ran(name, **options):
+        raise AssertionError(f"suite {name} ran")
+
+    _stub_suites(monkeypatch, ran)
+    out = tmp_path / "verify"
+    assert main(["verify", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_all_passes_each_suite_the_flags_it_takes(monkeypatch,
+                                                         capsys):
+    seen = {}
+
+    def ran(name, **options):
+        seen[name] = options
+        return lpnse.verify.SuiteResult(name)
+
+    _stub_suites(monkeypatch, ran)
+    assert main(["verify", "--suite", "all", "--n", "16",
+                 "--ensemble", "2"]) == 0
+    assert seen["lp"] == {"n": 16, "seed": 0}
+    assert seen["bony"]["n"] == 16 and seen["bony"]["dealias"] is True
+    assert seen["bernstein"] == {"n": 16, "seed": 7, "ensemble": 2}
+    assert seen["bkm"] == {"ns": (32, 64), "seed": 11, "ensemble": 2}
+    assert seen["solver"] == {"seed": 3}
+
+
+@pytest.mark.parametrize("command, target", [
+    (["simulate", "--set", "dim=3", "--set", "n=4096"], "run"),
+    (["verify", "--suite", "lp", "--n", "4096"], "run_suites"),
+], ids=["simulate", "verify"])
+def test_allocation_failure_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                             command, target):
+    # a grid too large for memory exits 2 with numpy's message, which
+    # names the size and the shape; the allocation itself is never tried,
+    # since a host that overcommits memory could grant it
+    message = ("Unable to allocate 512. GiB for an array with shape "
+               "(3, 4096, 4096, 4096) and data type float64")
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(lpnse.cli, target, too_large)
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

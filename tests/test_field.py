@@ -10,9 +10,9 @@ from lpnse import (Field, Grid, advect, dealiased_product, derivative,
                    leray_project, lp_norm, to_physical)
 from lpnse.ensembles import band_noise, divfree_noise
 from lpnse.errors import GridError
-from lpnse.field import (_cross, _full_spectrum, _hermitian_half, _ik,
+from lpnse.field import (_cross, _full_spectrum, _hermitian_half,
                          _irfftn_half,
-                         _leray_project_spec, _mirror, _paired,
+                         _leray_project_spec, _mirror,
                          _support_radius, add,
                          divergence, gradient,
                          grad_norm_inf, h1_seminorm, l2_norm_spectral,
@@ -606,7 +606,7 @@ def test_pruned_inverse_transform_is_bit_identical(dim, n):
     for radius in sorted({0, 1, n // 4, n // 2 - 1, n // 2}):
         for lead in ((1,), (3,), (6,)):
             spec = _box_spectrum(rng, lead, dim, n, radius)
-            assert _support_radius(spec, dim) == radius
+            assert _support_radius(spec, Grid(dim, n)) == radius
             want = _unpruned_inverse(spec, dim)
             assert np.array_equal(_irfftn_half(spec.copy(), shape, radius), want)
             # a strided view, as the transforms get from sliced buffers
@@ -627,7 +627,7 @@ def test_pruned_inverse_transform_drops_content_outside_its_box(dim, axis):
     at = [1] + [0] * dim
     at[axis + 1] = n // 2 - 1
     spec[tuple(at)] = 1.0
-    assert _support_radius(spec, dim) == n // 2 - 1
+    assert _support_radius(spec, Grid(dim, n)) == n // 2 - 1
     pruned = _irfftn_half(spec.copy(), (n,) * dim, radius)
     assert not np.array_equal(pruned, _unpruned_inverse(spec, dim))
 
@@ -640,8 +640,8 @@ def test_grad_norm_inf_of_low_pass_field_is_bit_identical(dim, n):
         half = _hermitian_half(_full_spectrum(
             _box_spectrum(rng, (dim,), dim, n, radius), dim), dim)
         total = 0.0
-        for axis in range(dim):
-            d = _unpruned_inverse(half * _ik(half.shape[1:], n, axis), dim)
+        for ik in grid._half_ik:
+            d = _unpruned_inverse(half * ik, dim)
             total = total + np.sum(d**2, axis=0)
         assert grad_norm_inf(Field(grid, half, "spectral")) == float(
             np.sqrt(np.max(total)))
@@ -704,7 +704,7 @@ def test_leray_projects_in_place_and_leray_project_copies(grid3, rng, planes):
     assert _leray_project_spec(spec, grid3) is spec
     assert spec.tobytes() == want.tobytes()
     # leray_project also zeroes the modes with some k_i = -n/2
-    paired = _paired(grid3)
+    paired = grid3._paired
     assert proj.half[:, paired].tobytes() == want[:, paired].tobytes()
     assert not np.any(proj.half[:, ~paired])
 

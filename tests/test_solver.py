@@ -282,7 +282,7 @@ def _whole_grid_nonlinear(integ, half):
     _cross call, the reference for the integrator's slabs."""
     u = integ.padding.to_fine(half)
     umax = float(np.sqrt(np.max(np.einsum("i...,i...->...", u, u))))
-    w = integ.padding.to_fine(_cross(integ.ik, half))
+    w = integ.padding.to_fine(_cross(integ.grid._half_ik, half))
     out = _leray_project_spec(integ.padding.to_coarse(_cross(u, w)),
                               integ.grid)
     out *= integ.keep
