@@ -5,7 +5,10 @@ Conventions
 * Spectral data holds genuine Fourier-series coefficients (norm="forward"),
   so a single mode exp(i k.x) has coefficient 1 at lattice site k.
 * Fields are real and every transform is a real one, over half spectra
-  (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half.  A Field
+  (planes 0 <= k_last <= n/2): _rfftn_half and _irfftn_half, which run
+  numpy.fft one axis at a time with numpy's overflow and invalid
+  warnings off (_quiet); the solver's abort and the CLI's exit 3 report
+  a non-finite result.  No lpnse module imports scipy.fft.  A Field
   is its half spectrum, Field.half; from_physical transforms samples
   once and to_physical returns them as a plain array.  Field.data, the
   full layout for callers outside the package, is built on each access
@@ -39,12 +42,12 @@ Conventions
 import contextvars
 import functools
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _sfft
 
 from .errors import GridError
 from .grid import Grid
@@ -115,15 +118,32 @@ def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
     """Planes 0 <= k_last < planes of the forward transform of real data
     over its last dim axes; the mirror of _irfftn_half.  The leading axes
     are transformed in place in the r2c output, so the result is a view
-    of it.  Planes 0 and m/2 (m = a.shape[-1]) are their own mirrors
-    and come out exactly Hermitian, not only to round-off."""
-    half = _sfft.rfftn(a, axes=(-1,), norm="forward")
-    axes = tuple(range(a.ndim - dim, a.ndim - 1))
-    out = _sfft.fftn(half[..., :planes], axes=axes, norm="forward",
-                     overwrite_x=True)
-    ends, hermitian = _hermitian_ends(out, dim)
-    ends[...] = hermitian
+    of it.  The r2c carries 1/m (m = a.shape[-1]).  The first leading
+    pass is unnormalized and then scaled once by 1/m^(dim-1), where a
+    multi-axis pocketfft transform (scipy.fft.fftn) applies its factor,
+    and the later passes are unnormalized: the values are fftn(...,
+    norm="forward")'s bit for bit, which a factor per pass (1/24 and
+    1/48 are inexact) would not give.  Planes 0 and m/2 are their own
+    mirrors and come out exactly Hermitian, not only to round-off."""
+    lead = a.ndim - dim
+    with _quiet():
+        out = np.fft.rfft(a, axis=-1, norm="forward")[..., :planes]
+        for axis in range(lead, a.ndim - 1):
+            np.fft.fft(out, axis=axis, out=out)
+            if axis == lead:
+                factor = 1.0 / math.prod(a.shape[lead:-1])
+                out.real *= factor
+                out.imag *= factor
+        ends, hermitian = _hermitian_ends(out, dim)
+        ends[...] = hermitian
     return out
+
+
+def _quiet():
+    """numpy's error state for a transform: an overflow or an inf - inf
+    gives inf or NaN silently, because the solver's abort and the CLI's
+    exit 3 report non-finite results."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _hermitian_ends(half: np.ndarray, dim: int) -> tuple:
@@ -192,8 +212,9 @@ def _irfftn_half(a: np.ndarray, shape: tuple, radius: int = None) -> np.ndarray:
     first entries 0 <= k_last <= m/2 of the m = shape[-1] point grid,
     zero wherever some |k_i| > radius (default m/2: no constraint);
     missing entries are zero.  Valid only for Hermitian-symmetric full
-    spectra.  Overwrites `a`: the leading axes are transformed in place,
-    first leading axis first (as ifftn does), each over the lines of
+    spectra.  Overwrites `a`: the leading axes are transformed in place
+    (numpy.fft's out=), first leading axis first (as scipy.fft.ifftn
+    does, so the values are its bit for bit), each over the lines of
     planes 0 ... radius whose later leading axes lie in the box |k| <=
     radius, then one c2r runs along the last axis (a pruned separable
     transform, Markel 1971).  Every skipped line holds only zeros, so the
@@ -203,15 +224,14 @@ def _irfftn_half(a: np.ndarray, shape: tuple, radius: int = None) -> np.ndarray:
     if radius is None:
         radius = shape[-1] // 2
     slab = a[..., :radius + 1]
-    for i in range(dim - 1):
-        boxes = [_box(shape[later], radius) for later in range(i + 1, dim - 1)]
-        for box in itertools.product(*boxes):
-            part = slab[(slice(None),) * (lead + i + 1) + box]
-            out = _sfft.ifftn(part, axes=(lead + i,), norm="forward",
-                              overwrite_x=True)
-            if not np.may_share_memory(out, part):  # overwrite_x is a hint
-                part[...] = out
-    return _sfft.irfftn(a, s=shape[-1:], axes=(a.ndim - 1,), norm="forward")
+    with _quiet():
+        for i in range(dim - 1):
+            boxes = [_box(shape[later], radius)
+                     for later in range(i + 1, dim - 1)]
+            for box in itertools.product(*boxes):
+                part = slab[(slice(None),) * (lead + i + 1) + box]
+                np.fft.ifft(part, axis=lead + i, norm="forward", out=part)
+        return np.fft.irfft(a, n=shape[-1], axis=-1, norm="forward")
 
 
 @dataclass(frozen=True)

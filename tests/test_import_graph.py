@@ -1,4 +1,6 @@
-"""What `import lpnse` loads: of scipy the package uses only scipy.fft."""
+"""What `import lpnse` loads: of scipy only the top-level package, whose
+version the manifests record.  Every transform is numpy.fft's, so no
+lpnse process pays for scipy.fft (and the scipy.special it imports)."""
 
 import os
 import subprocess
@@ -7,8 +9,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
-         "scipy.spatial")
+HEAVY = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize",
+         "scipy.sparse", "scipy.linalg", "scipy.spatial")
 
 PROBE = f"""
 import sys

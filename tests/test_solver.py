@@ -11,7 +11,7 @@ from lpnse import (Grid, SolverConfig, energy_balance_residual, nse_rhs, run,
 from lpnse.errors import GridError, SolverAbort
 from lpnse.ensembles import divfree_noise
 from lpnse.field import (Field, _cross, _full_spectrum, _hermitian_half,
-                         _leray_project_spec, add, advect,
+                         _leray_project_spec, add, advect, from_components,
                          divergence, h1_seminorm, inner, l2_norm_spectral,
                          laplacian, leray_project, scale, to_physical)
 from lpnse.solver import (_Integrator, _cumulative_simpson, _integrate,
@@ -536,6 +536,26 @@ def test_overflowing_energy_aborts_without_numpy_warning(grid2):
         with pytest.raises(SolverAbort) as exc:
             run(config, initial=scale(taylor_green(grid2), 1e200))
     assert exc.value.reason == "nan" and exc.value.step == 0
+
+
+def test_overflowing_transform_aborts_without_numpy_warning():
+    # a shear u = (0, f(x)), f = sum of cos(k x) for k <= 5, at energy
+    # 5e307: energy, velocities and u x omega are finite, but u x omega
+    # is constant along y, so the forward r2c's unnormalized sum over
+    # the 24 padded points overflows.  The transforms run with numpy's
+    # warnings off, and the CFL abort alone reports the blow-up
+    grid = Grid(2, 16)
+    shear = from_components(
+        grid, lambda x, y: 0 * x,
+        lambda x, y: sum(np.cos(k * x) for k in range(1, 6)) + 0 * y)
+    u0 = scale(shear, math.sqrt(5e307) / l2_norm_spectral(shear))
+    assert math.isfinite(l2_norm_spectral(u0) ** 2)
+    config = SolverConfig(dim=2, n=16, nu=0.05, dt=1e-3, t_end=2e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort) as exc:
+            run(config, initial=u0)
+    assert exc.value.reason == "cfl" and exc.value.step == 0
 
 
 # --- reversibility and discrete residual --------------------------------------
