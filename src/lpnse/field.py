@@ -126,14 +126,17 @@ def _rfftn_half(a: np.ndarray, dim: int, planes: int) -> np.ndarray:
     1/48 are inexact) would not give.  Planes 0 and m/2 are their own
     mirrors and come out exactly Hermitian, not only to round-off."""
     lead = a.ndim - dim
+    half = np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), np.complex128)
+    out = half[..., :planes]
     with _quiet():
-        out = np.fft.rfft(a, axis=-1, norm="forward")[..., :planes]
+        np.fft.rfft(a, axis=-1, norm="forward", out=half)
         for axis in range(lead, a.ndim - 1):
             np.fft.fft(out, axis=axis, out=out)
             if axis == lead:
-                factor = 1.0 / math.prod(a.shape[lead:-1])
-                out.real *= factor
-                out.imag *= factor
+                # all of the C-ordered half, in one long loop: a third of
+                # the time of out's short rows; later planes go unread
+                flat = half.view(np.float64)
+                flat *= 1.0 / math.prod(a.shape[lead:-1])
         ends, hermitian = _hermitian_ends(out, dim)
         ends[...] = hermitian
     return out
