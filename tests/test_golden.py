@@ -183,8 +183,11 @@ def _max_abs(floats: np.ndarray) -> str:
 
 
 def _probe(floats: np.ndarray) -> list:
-    idx = np.unique(np.linspace(0, max(floats.size - 1, 0), PROBE).astype(int))
-    return [repr(float(floats[i])) for i in idx if floats.size]
+    """PROBE evenly spaced values, as reprs."""
+    if not floats.size:
+        return []
+    idx = np.unique(np.linspace(0, floats.size - 1, PROBE).astype(int))
+    return [repr(float(floats[i])) for i in idx]
 
 
 def _deviation(got: list, want: list, scale: float) -> float:
